@@ -11,6 +11,7 @@ from .evaluate import (
     ModelSpec,
     Region,
     build_pipeline,
+    fit_and_filter,
     gibbs_energy,
     mae,
     run_comparison,

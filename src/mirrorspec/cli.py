@@ -20,18 +20,11 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .evaluate import ModelSpec, build_pipeline, run_comparison
+from .evaluate import ModelSpec, build_pipeline, fit_and_filter, run_comparison
 from .galerkin import DiffusivityField, VelocityField
 from .grid import Field, flip_field
 from .gridstack import GridStack, StackError, load_stack, render_heatmap, save_stack
-from .kalman import (
-    FilterError,
-    NoiseParams,
-    default_init,
-    estimate_variances,
-    kf_filter,
-    kf_forecast,
-)
+from .kalman import FilterError, NoiseParams, kf_forecast
 from .motion import diffusivity_from_velocity, estimate_velocity
 from .preprocess import reflectivity_to_rain
 from .simulate import simulate_advection, synthetic_storm_stack
@@ -125,15 +118,27 @@ def _generate_dataset(cfg: RunConfig, seed=None, steps=None) -> GridStack:
     )
 
 
-def _velocity_for(cfg: RunConfig, stack: GridStack) -> VelocityField:
+def _estimated_physics(cfg: RunConfig, a: Field, b: Field):
+    """Block-matching velocity from frame ``a`` to frame ``b`` and the shear
+    diffusivity it implies at the block stride."""
+    mcfg = cfg.motion()
+    vel = estimate_velocity(a, b, mcfg)
+    grid = a.grid
+    return vel, diffusivity_from_velocity(vel, mcfg.stride / grid.n1, mcfg.stride / grid.n2)
+
+
+def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, DiffusivityField | None]:
+    """Velocity and diffusivity of every model built from ``cfg`` and
+    ``stack``: the configured constant velocity without diffusivity, or the
+    estimate from the first two frames with its shear diffusivity."""
     mode = cfg.data["velocity"]["mode"]
     if mode == "constant":
         vx, vy = cfg.data["velocity"]["value"]
-        return VelocityField.constant(stack.grid, vx, vy)
+        return VelocityField.constant(stack.grid, vx, vy), None
     if mode == "estimate":
         if stack.steps < 2:
             _fail(2, "velocity estimation needs at least 2 frames")
-        return estimate_velocity(stack.frames[0], stack.frames[1], cfg.motion())
+        return _estimated_physics(cfg, stack.frames[0], stack.frames[1])
     _fail(2, f"config.velocity.mode must be 'constant' or 'estimate', got {mode!r}")
 
 
@@ -143,35 +148,27 @@ def _model_spec_from_flags(cfg: RunConfig, k, flip, window) -> ModelSpec:
     return ModelSpec(label=label, k=k, flip=flip, window=window)
 
 
-def _filter_pipeline(cfg: RunConfig, stack: GridStack, spec: ModelSpec, train_steps=None):
-    vel = _velocity_for(cfg, stack)
-    dif = None
-    if cfg.data["velocity"]["mode"] == "estimate":
-        stride = cfg.motion().stride
-        dif = diffusivity_from_velocity(vel, stride / stack.grid.n1, stride / stack.grid.n2)
+def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
+                  noise: NoiseParams | None):
+    """Build ``spec`` from the config and stack, then fit (when ``noise`` is
+    None) and filter it over the first ``steps`` frames (all when None).
+    Returns the pipeline followed by :func:`fit_and_filter`'s tuple."""
+    steps = stack.steps if steps is None else steps
+    if steps > stack.steps:
+        _fail(2, f"--steps {steps} exceeds the {stack.steps} frames of the stack")
+    if noise is None and steps < 3:
+        _fail(2, f"the variance fit needs at least 3 training frames, got {steps}")
+    velocity, diffusivity = _physics(cfg, stack)
     pipeline = build_pipeline(
-        stack.grid, spec, velocity=vel, diffusivity=dif, delta=stack.delta,
+        stack.grid, spec, velocity=velocity, diffusivity=diffusivity, delta=stack.delta,
         variant=cfg.flip_variant(),
         k_star_factor=cfg.data["truncation"]["k_star_factor"],
     )
-    train = train_steps if train_steps is not None else stack.steps
-    obs = pipeline.observations(stack.frames[:train])
     fit_cfg = cfg.data["fit"]
-    configured = cfg.noise()
-    if configured is not None or not fit_cfg["enabled"]:
-        noise = configured if configured is not None else NoiseParams(1e-3, 1e-3)
-        fit = None
-    else:
-        fit = estimate_variances(
-            pipeline.factory, obs,
-            grid_alpha=tuple(fit_cfg["grid"]), grid_beta=tuple(fit_cfg["grid"]),
-            max_evaluations=fit_cfg["budget"],
-        )
-        noise = fit.params
-    model = pipeline.factory(noise)
-    mean0, cov0 = default_init(obs[0], noise)
-    result = kf_filter(model, obs, mean0, cov0, store_covariances=False)
-    return pipeline, model, result, noise, fit
+    return pipeline, *fit_and_filter(
+        pipeline, pipeline.observations(stack.frames[:steps]), noise,
+        fit_budget=fit_cfg["budget"], fit_grid=tuple(fit_cfg["grid"]),
+    )
 
 
 @click.group()
@@ -232,17 +229,11 @@ def velocity(stack_path, config, out):
     if stack.steps < 2:
         _fail(2, "velocity estimation needs at least 2 frames")
     run = _Run("velocity", cfg, out)
-    mcfg = cfg.motion()
     try:
-        vels = [
-            estimate_velocity(a, b, mcfg)
+        vels, difs = zip(*(
+            _estimated_physics(cfg, a, b)
             for a, b in zip(stack.frames[:-1], stack.frames[1:])
-        ]
-        stride = mcfg.stride
-        difs = [
-            diffusivity_from_velocity(v, stride / stack.grid.n1, stride / stack.grid.n2)
-            for v in vels
-        ]
+        ))
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"motion estimation failed: {exc}")
     meta = dict(delta=stack.delta, config_hash=cfg.hash)
@@ -263,10 +254,11 @@ def velocity(stack_path, config, out):
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="advection")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=click.IntRange(min=1), default=None)
 @click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
 @click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=int, default=None, help="training steps (default: all)")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="training steps (default: all)")
 @_exits_on_config_error
 def fit(stack_path, config, out, k, use_flip, window, steps):
     """Maximum-likelihood noise variances for one model variant."""
@@ -275,28 +267,17 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
     run = _Run("fit", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
-        pipeline = build_pipeline(
-            stack.grid, spec, velocity=_velocity_for(cfg, stack), delta=stack.delta,
-            variant=cfg.flip_variant(),
-            k_star_factor=cfg.data["truncation"]["k_star_factor"],
-        )
-        obs = pipeline.observations(stack.frames[: steps or stack.steps])
-        fit_cfg = cfg.data["fit"]
-        result = estimate_variances(
-            pipeline.factory, obs,
-            grid_alpha=tuple(fit_cfg["grid"]), grid_beta=tuple(fit_cfg["grid"]),
-            max_evaluations=fit_cfg["budget"],
-        )
+        _, _, _, variance_fit, _ = _fitted_model(cfg, stack, spec, steps, noise=None)
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"variance estimation failed: {exc}")
     payload = {
         "model": spec.label,
-        "sigma2_alpha": result.params.sigma2_alpha,
-        "sigma2_beta": result.params.sigma2_beta,
-        "sigma2_obs": result.params.sigma2_obs,
-        "loglik": result.loglik,
-        "converged": result.converged,
-        "n_evaluations": result.n_evaluations,
+        "sigma2_alpha": variance_fit.params.sigma2_alpha,
+        "sigma2_beta": variance_fit.params.sigma2_beta,
+        "sigma2_obs": variance_fit.params.sigma2_obs,
+        "loglik": variance_fit.loglik,
+        "converged": variance_fit.converged,
+        "n_evaluations": variance_fit.n_evaluations,
     }
     run.path("noise", ".json").write_text(json.dumps(payload, indent=2) + "\n")
     run.finish(**payload)
@@ -317,10 +298,11 @@ def _write_filtered(run, cfg, stack, pipeline, result, label):
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="advection")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=click.IntRange(min=1), default=None)
 @click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
 @click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=int, default=None, help="training steps (default: all)")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="training steps (default: all)")
 @_exits_on_config_error
 def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     """Kalman-filter a stack and write the reconstructed frames."""
@@ -329,24 +311,25 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     run = _Run("filter", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
-        pipeline, model, result, noise, _ = _filter_pipeline(cfg, stack, spec, steps)
+        pipeline, _, noise, _, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         _write_filtered(run, cfg, stack, pipeline, result, spec.label)
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"filtering failed: {exc}")
     run.finish(model=spec.label, loglik=result.loglik,
                sigma2_alpha=noise.sigma2_alpha, sigma2_beta=noise.sigma2_beta)
-    click.echo(f"filtered {stack.steps} frames as model {spec.label}")
+    click.echo(f"filtered {len(result.means_array)} frames as model {spec.label}")
 
 
 @main.command()
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="advection")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=click.IntRange(min=1), default=None)
 @click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
 @click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=int, default=None, help="training steps (default: all)")
-@click.option("--horizon", type=int, default=3, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="training steps (default: all)")
+@click.option("--horizon", type=click.IntRange(min=1), default=3, show_default=True)
 @_exits_on_config_error
 def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     """Filter a stack, then forecast ``--horizon`` steps past the data."""
@@ -355,7 +338,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     run = _Run("predict", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
-        pipeline, model, result, noise, _ = _filter_pipeline(cfg, stack, spec, steps)
+        pipeline, model, _, _, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
         kk = pipeline.ordering.k
         fields = [pipeline.reconstruct(m[:kk]) for m in means]
@@ -400,24 +383,17 @@ def evaluate(stack_path, config, out, seed, region):
     )
     comp = cfg.data["comparison"]
     try:
-        dif = None
-        vel = _velocity_for(cfg, stack)
-        if cfg.data["velocity"]["mode"] == "estimate":
-            stride = cfg.motion().stride
-            dif = diffusivity_from_velocity(
-                vel, stride / stack.grid.n1, stride / stack.grid.n2
-            )
+        velocity, diffusivity = _physics(cfg, stack)
         report = run_comparison(
             stack.frames, specs,
             train_steps=comp["train_steps"],
             eval_times=list(comp["eval_times"]),
             regions=regions,
-            velocity=vel,
-            diffusivity=dif,
+            velocity=velocity,
+            diffusivity=diffusivity,
             delta=stack.delta,
             variant=cfg.flip_variant(),
             noise=cfg.noise(),
-            fit_variances=cfg.data["fit"]["enabled"] and cfg.noise() is None,
             fit_budget=cfg.data["fit"]["budget"],
             fit_grid=tuple(cfg.data["fit"]["grid"]),
             k_star_factor=cfg.data["truncation"]["k_star_factor"],

@@ -203,9 +203,11 @@ class RunConfig:
             raise ConfigError(f"config.motion: {exc}") from exc
 
     def noise(self) -> NoiseParams | None:
+        """Noise variances for a run: the configured ones, else 1e-3 for both
+        when the fit is disabled, else None, meaning the run fits them."""
         n = self.data.get("noise")
         if n is None:
-            return None
+            return None if self.data["fit"]["enabled"] else NoiseParams(1e-3, 1e-3)
         try:
             return NoiseParams(
                 float(n["sigma2_alpha"]), float(n["sigma2_beta"]),

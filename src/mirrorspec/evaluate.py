@@ -11,7 +11,6 @@ original quadrant before scoring).
 
 from __future__ import annotations
 
-import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ __all__ = [
     "ModelSpec",
     "ComparisonReport",
     "mae",
+    "fit_and_filter",
     "run_comparison",
     "truncated_reconstruction",
     "gibbs_energy",
@@ -127,14 +127,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def config_digest(payload) -> str:
-    """Short stable hash of anything json-representable."""
-    import json
-
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
 def _coerce_velocity(grid, velocity) -> VelocityField:
     if velocity is None:
         return VelocityField.zero(grid)
@@ -221,6 +213,30 @@ def build_pipeline(
     )
 
 
+def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
+                   noise: NoiseParams | None = None, *, fit_budget: int = 40,
+                   fit_grid=(1e-3, 1e-2)):
+    """Fit the noise variances when ``noise`` is None, then filter.
+
+    Returns ``(model, noise, fit, result)``: the state-space model built with
+    the noise used, that noise, the :class:`~mirrorspec.kalman.VarianceFit`
+    (None when ``noise`` was given) and the filter result over ``train_obs``.
+    The filter starts from :func:`~mirrorspec.kalman.default_init` at the
+    first observation.
+    """
+    fit = None
+    if noise is None:
+        fit = estimate_variances(
+            pipeline.factory, train_obs,
+            grid_alpha=fit_grid, grid_beta=fit_grid, max_evaluations=fit_budget,
+        )
+        noise = fit.params
+    model = pipeline.factory(noise)
+    mean0, cov0 = default_init(train_obs[0], noise)
+    result = kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
+    return model, noise, fit, result
+
+
 def run_comparison(
     dataset: list[Field],
     model_specs: list[ModelSpec],
@@ -233,28 +249,22 @@ def run_comparison(
     delta: float = 1.0,
     variant: FlipVariant = DEFAULT_FLIP,
     noise: NoiseParams | None = None,
-    fit_variances: bool = True,
     fit_budget: int = 40,
     fit_grid=(1e-3, 1e-2),
     k_star_factor: int = 4,
-    init_cov_scale: float = 10.0,
-    init_beta_from_increment: bool = False,
 ) -> ComparisonReport:
     """Score every model spec on the dataset.
 
-    ``noise`` seeds the variance fit (and is used as-is when
-    ``fit_variances`` is false).  ``eval_times`` beyond ``train_steps - 1``
-    are forecast; the rest come from the filtered trajectory.  The filter
-    initializes at the first observation with zero forcing by default;
-    ``init_beta_from_increment`` instead seeds the forcing block with the
-    first observed increment ``y_1 - Phi y_0`` (exact for noiseless data).
+    ``noise=None`` fits the noise variances of each model on its training
+    observations; given noise is used as-is for every model.  ``eval_times``
+    beyond ``train_steps - 1`` are forecast; the rest come from the filtered
+    trajectory.  See :func:`fit_and_filter` for the fit and the filter.
     """
     if len(dataset) < max(eval_times) + 1:
         raise ValueError("dataset shorter than the latest evaluation time")
     if train_steps < 2:
         raise ValueError("need at least 2 training steps")
     grid = dataset[0].grid
-    base_noise = noise if noise is not None else NoiseParams(1e-3, 1e-3)
 
     entries = {}
     metadata = {"models": {}, "train_steps": train_steps, "delta": delta}
@@ -264,24 +274,9 @@ def run_comparison(
             delta=delta, variant=variant, k_star_factor=k_star_factor,
         )
         train_obs = pipeline.observations(dataset[:train_steps])
-
-        if fit_variances:
-            fit = estimate_variances(
-                pipeline.factory,
-                train_obs,
-                grid_alpha=fit_grid,
-                grid_beta=fit_grid,
-                max_evaluations=fit_budget,
-            )
-            model_noise = fit.params
-        else:
-            model_noise = base_noise
-
-        model = pipeline.factory(model_noise)
-        mean0, cov0 = default_init(train_obs[0], model_noise, cov_scale=init_cov_scale)
-        if init_beta_from_increment:
-            mean0[model.k:] = train_obs[1] - model.transition.phi @ train_obs[0]
-        result = kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
+        model, model_noise, _, result = fit_and_filter(
+            pipeline, train_obs, noise, fit_budget=fit_budget, fit_grid=fit_grid,
+        )
 
         horizon = max(eval_times) - (train_steps - 1)
         if horizon >= 1:

@@ -68,11 +68,8 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Transition, observation map, and expanded noise covariances.
-
-    ``obs_matrix=None`` means the fast identity-on-alpha observation
-    ``(I_K, 0)``; an explicit array may be supplied for general maps.
-    """
+    """Transition and expanded noise covariances; the observation map is the
+    identity on the alpha block, ``(I_K, 0)``."""
 
     ordering: ModeOrdering
     transition: DiscreteTransition
@@ -80,7 +77,6 @@ class StateSpaceModel:
     v: np.ndarray
     w_alpha: np.ndarray
     w_beta: np.ndarray
-    obs_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         k = self.transition.k
@@ -119,8 +115,7 @@ def direct_model(ordering: ModeOrdering, transition: DiscreteTransition,
 
 def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
                   transfer: FlipTransfer, tie_obs: bool = True,
-                  subspace_ridge: float = 1e-4,
-                  diagonal_approximation: bool = False) -> StateSpaceModel:
+                  subspace_ridge: float = 1e-4) -> StateSpaceModel:
     """Flipped-domain model with noise mapped through the flip transfer.
 
     ``H H^T`` is rank-deficient (rank = original-domain budget), which makes
@@ -129,15 +124,10 @@ def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
     variance, collapsing the filter covariance.  ``subspace_ridge`` adds the
     small isotropic floor that represents that truncation leakage; set it to
     0 to recover the strict rank-deficient form.
-
-    ``diagonal_approximation`` keeps only the diagonal of ``H H^T`` (cheaper
-    factorizations, cruder noise coupling); off by default.
     """
     h = transfer.matrix
     k = transition.k
     hht = h @ h.T + subspace_ridge * np.eye(k)
-    if diagonal_approximation:
-        hht = np.diag(np.diag(hht))
     v = noise.sigma2_obs * np.eye(k)
     if tie_obs:
         v = v + noise.sigma2_alpha * hht
@@ -200,15 +190,7 @@ def _predict(model: StateSpaceModel, mean, cov):
 
 def _update(model: StateSpaceModel, mean, cov, obs):
     k = model.k
-    if model.obs_matrix is None:
-        s = cov[:k, :k] + model.v
-        predicted_obs = mean[:k]
-        cross = cov[:, :k]
-    else:
-        h = model.obs_matrix
-        s = h @ cov @ h.T + model.v
-        predicted_obs = h @ mean
-        cross = cov @ h.T
+    s = cov[:k, :k] + model.v
     try:
         chol = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -216,16 +198,12 @@ def _update(model: StateSpaceModel, mean, cov, obs):
             f"innovation covariance is not positive definite ({exc}); "
             "the model noise scales are likely degenerate"
         ) from exc
-    innovation = obs - predicted_obs
-    gain = scipy.linalg.cho_solve(chol, cross.T, check_finite=False).T
+    innovation = obs - mean[:k]
+    gain = scipy.linalg.cho_solve(chol, cov[:, :k].T, check_finite=False).T
     new_mean = mean + gain @ innovation
-    # Joseph form: (I - G H) P (I - G H)^T + G V G^T
-    if model.obs_matrix is None:
-        ap = cov - gain @ cov[:k, :]
-        new_cov = ap - ap[:, :k] @ gain.T + gain @ model.v @ gain.T
-    else:
-        a = np.eye(cov.shape[0]) - gain @ model.obs_matrix
-        new_cov = a @ cov @ a.T + gain @ model.v @ gain.T
+    # Joseph form: (I - G H) P (I - G H)^T + G V G^T with H = (I_K, 0)
+    ap = cov - gain @ cov[:k, :]
+    new_cov = ap - ap[:, :k] @ gain.T + gain @ model.v @ gain.T
     new_cov = 0.5 * (new_cov + new_cov.T)
     white = scipy.linalg.solve_triangular(
         chol[0], innovation, lower=True, check_finite=False

@@ -18,7 +18,7 @@ Brownian-forcing block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,3 @@ def synthetic_storm_stack(
             pix += amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigmas[b] ** 2))
         frames.append(Field.from_pixels(grid, pix))
     return frames
-
-
-def with_seed(cfg: SimulationConfig, seed: int) -> SimulationConfig:
-    return replace(cfg, seed=seed)

@@ -228,7 +228,6 @@ def benchmark_report():
         eval_times=list(range(11, 21)),
         regions=regions,
         velocity=cfg.velocity,
-        fit_variances=True,
         fit_budget=40,
         fit_grid=(1e-3, 1e-2),
     )
@@ -353,7 +352,6 @@ def test_storm_stack_flip_halves_quiet_quadrant_error():
         regions={"quiet": quiet},
         velocity=vel,
         diffusivity=dif,
-        fit_variances=True,
         fit_budget=30,
         fit_grid=(1e-3, 1e-2),
     )

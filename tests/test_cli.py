@@ -226,3 +226,43 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
     assert result.exit_code == 0, result.output
     rain = next(rout.glob("stack-rain-*"))
     assert json.loads((rain / "manifest.json").read_text())["units"] == "mm/hr"
+
+
+FIT_SIM = {**{k: v for k, v in SMALL_SIM.items() if k != "noise"},
+           "fit": {"enabled": True, "budget": 12, "grid": [1e-3]}}
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("filter", ["--k", "0"], "--k"),
+    ("predict", ["--horizon", "0"], "--horizon"),
+    ("filter", ["--steps", "1"], "at least 3 training frames"),
+    ("fit", ["--steps", "2"], "at least 3 training frames"),
+    ("predict", ["--steps", "100"], "exceeds the 8 frames"),
+])
+def test_bad_model_flags_exit_2(runner, tmp_path, command, flags, message):
+    cfg = write_config(tmp_path, FIT_SIM)
+    sim = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    result = runner.invoke(main, [command, stack, "--config", cfg,
+                                  "--out", str(tmp_path / "o"), *flags])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
+    # estimated velocity: both commands must fit the model with shear diffusivity
+    payload = {**STORM_SMALL, "truncation": {"k": 25, "k_star_factor": 4},
+               "fit": {"enabled": True, "budget": 20, "grid": [1e-3]}}
+    cfg = write_config(tmp_path, payload)
+    sim = tmp_path / "storm"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    for command in ("fit", "filter"):
+        result = runner.invoke(main, [command, stack, "--config", cfg,
+                                      "--out", str(tmp_path / command)])
+        assert result.exit_code == 0, result.output
+    noise = json.loads(next((tmp_path / "fit").glob("noise-*.json")).read_text())
+    log = json.loads(next((tmp_path / "filter").glob("runlog-filter-*.json")).read_text())
+    for key in ("sigma2_alpha", "sigma2_beta", "loglik"):
+        assert noise[key] == log[key], key

@@ -5,13 +5,14 @@ from mirrorspec.evaluate import (
     ModelSpec,
     Region,
     WHOLE_DOMAIN,
+    build_pipeline,
     gibbs_energy,
     mae,
     run_comparison,
     truncated_reconstruction,
 )
 from mirrorspec.grid import Field, GridSpec
-from mirrorspec.kalman import NoiseParams
+from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
 
 
@@ -100,19 +101,19 @@ def test_run_comparison_zero_noise_exact_model():
         noise_modes=None, seed=31,
     )
     frames = simulate_advection(cfg).fields
-    report = run_comparison(
-        frames,
-        [ModelSpec("direct-full", k=16 * 16)],
-        train_steps=8,
-        eval_times=[3, 5, 7],
-        regions={"whole": WHOLE_DOMAIN},
-        velocity=(0.01, 0.0),
-        noise=NoiseParams(1e-9, 1e-9),
-        fit_variances=False,
-        init_beta_from_increment=True,
+    pipeline = build_pipeline(
+        frames[0].grid, ModelSpec("direct-full", k=16 * 16), velocity=(0.01, 0.0)
     )
+    obs = pipeline.observations(frames)
+    noise = NoiseParams(1e-9, 1e-9)
+    model = pipeline.factory(noise)
+    mean0, cov0 = default_init(obs[0], noise)
+    # the first observed increment y_1 - Phi y_0 is the exact forcing of noiseless data
+    mean0[model.k:] = obs[1] - model.transition.phi @ obs[0]
+    result = kf_filter(model, obs, mean0, cov0, store_covariances=False)
     for t in (3, 5, 7):
-        assert report.value("direct-full", t, "whole") <= 1e-6
+        recon = pipeline.reconstruct(result.means_array[t, :model.k])
+        assert mae(frames[t], recon, WHOLE_DOMAIN) <= 1e-6
 
 
 def test_run_comparison_pipeline_and_report():
@@ -130,7 +131,6 @@ def test_run_comparison_pipeline_and_report():
         regions={"whole": WHOLE_DOMAIN, "strip": strip},
         velocity=(0.01, 0.0),
         noise=NoiseParams(0.002, 0.0005),
-        fit_variances=False,
     )
     # complete grid of rows
     for spec in ("direct16", "flip64", "window16"):
@@ -160,7 +160,6 @@ def test_multi_seed_summary():
             frames, [ModelSpec("direct16", k=16)], train_steps=8,
             eval_times=[5, 9], regions={"whole": WHOLE_DOMAIN},
             velocity=(0.01, 0.0), noise=NoiseParams(0.002, 0.0005),
-            fit_variances=False,
         ))
     summary = summarize_over_seeds(reports)
     mean, sd = summary[("direct16", 5, "whole")]
@@ -177,7 +176,6 @@ def test_report_determinism():
         eval_times=[5, 9],
         regions={"whole": WHOLE_DOMAIN},
         velocity=(0.01, 0.0),
-        fit_variances=True,
         fit_budget=15,
         fit_grid=(1e-3,),
     )

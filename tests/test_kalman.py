@@ -180,32 +180,6 @@ def test_loglik_decomposes_over_innovations():
     assert np.isclose(total, result.loglik, atol=1e-9)
 
 
-def test_observation_order_invariance():
-    # permuting the components of the vector observation (with the matching
-    # observation matrix) leaves the filtered state unchanged
-    cfg = SimulationConfig(
-        grid=GridSpec(8, 8), steps=8, noise_alpha=0.01, noise_beta=0.002,
-        noise_modes=None, seed=16,
-    )
-    sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(8)
-    noise = NoiseParams(0.01, 0.002)
-    model = direct_model(ordering, transition, noise)
-    mean0, cov0 = default_init(sim.alphas[0], noise)
-    base = kf_filter(model, sim.alphas, mean0, cov0, store_covariances=False)
-
-    k = ordering.k
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(k)
-    h = np.zeros((k, 2 * k))
-    h[np.arange(k), perm] = 1.0
-    from dataclasses import replace
-
-    permuted = replace(model, obs_matrix=h)
-    result = kf_filter(permuted, sim.alphas[:, perm], mean0, cov0, store_covariances=False)
-    assert np.abs(result.means_array - base.means_array).max() <= 1e-9
-
-
 def test_variance_mle_recovers_within_factor_three():
     cfg = SimulationConfig(
         grid=GridSpec(16, 16), steps=20, noise_alpha=0.005, noise_beta=0.001,
@@ -276,33 +250,6 @@ def test_likelihood_peaks_near_true_parameters():
     true = loglik(NoiseParams(0.005, 0.001))
     assert true > loglik(NoiseParams(0.05, 0.01))
     assert true > loglik(NoiseParams(0.0005, 0.0001))
-
-
-def test_flipped_model_diagonal_approximation():
-    from mirrorspec.kalman import flipped_model
-    from mirrorspec.spectral import flip_transfer
-
-    g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g), 16)
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()), 64)
-    transfer = flip_transfer(g, ordering, ordering_star)
-    gen = assemble_transition(
-        ordering, VelocityField.constant(g, 0.01, 0.0), DiffusivityField.zero(g)
-    )
-    from mirrorspec.dynamics import flipped_generator
-
-    transition = build_transition(flipped_generator(gen, transfer), 1.0)
-    noise = NoiseParams(0.005, 0.001)
-    full = flipped_model(transition, noise, transfer)
-    diag = flipped_model(transition, noise, transfer, diagonal_approximation=True)
-    assert np.array_equal(diag.w_alpha, np.diag(np.diag(full.w_alpha)))
-    assert np.count_nonzero(full.w_alpha - np.diag(np.diag(full.w_alpha))) > 0
-    # the approximation still yields a runnable filter
-    rng = np.random.default_rng(2)
-    obs = rng.normal(scale=0.1, size=(5, diag.k))
-    mean0, cov0 = default_init(obs[0], noise)
-    result = kf_filter(diag, obs, mean0, cov0, store_covariances=False)
-    assert np.isfinite(result.loglik)
 
 
 def test_filter_breakdown_raises_diagnostic():
