@@ -6,7 +6,7 @@ physics-derived coefficient dynamics onto the extended domain, and runs
 Kalman filtering, forecasting, and noise-variance estimation on top.
 """
 
-from .dynamics import AugmentedState, DiscreteTransition, build_transition, flipped_generator, matrix_exp
+from .dynamics import DiscreteTransition, build_transition, flipped_generator, matrix_exp
 from .evaluate import (
     ModelSpec,
     Region,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .evaluate import ModelSpec, build_pipeline, fit_and_filter, run_comparison
+from .evaluate import ModelSpec, build_pipeline, check_comparison, fit_and_filter, run_comparison
 from .galerkin import DiffusivityField, VelocityField
 from .grid import Field, flip_field
 from .gridstack import GridStack, StackError, load_stack, render_heatmap, save_stack
@@ -164,10 +164,9 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
         variant=cfg.flip_variant(),
         k_star_factor=cfg.data["truncation"]["k_star_factor"],
     )
-    fit_cfg = cfg.data["fit"]
     return pipeline, *fit_and_filter(
         pipeline, pipeline.observations(stack.frames[:steps]), noise,
-        fit_budget=fit_cfg["budget"], fit_grid=tuple(fit_cfg["grid"]),
+        fit_budget=cfg.data["fit"]["budget"],
     )
 
 
@@ -311,12 +310,12 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     run = _Run("filter", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
-        pipeline, _, noise, _, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+        pipeline, _, noise, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         _write_filtered(run, cfg, stack, pipeline, result, spec.label)
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"filtering failed: {exc}")
-    run.finish(model=spec.label, loglik=result.loglik,
-               sigma2_alpha=noise.sigma2_alpha, sigma2_beta=noise.sigma2_beta)
+    run.finish(model=spec.label, loglik=result.loglik, sigma2_alpha=noise.sigma2_alpha,
+               sigma2_beta=noise.sigma2_beta, **(fit.diagnostics() if fit else {}))
     click.echo(f"filtered {len(result.means_array)} frames as model {spec.label}")
 
 
@@ -338,7 +337,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     run = _Run("predict", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
-        pipeline, model, _, _, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+        pipeline, model, _, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
         kk = pipeline.ordering.k
         fields = [pipeline.reconstruct(m[:kk]) for m in means]
@@ -348,7 +347,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
         fields, delta=stack.delta, units=stack.units, config_hash=cfg.hash
     )
     save_stack(out_stack, run.path(f"stack-predicted-{spec.label}"))
-    run.finish(model=spec.label, horizon=horizon)
+    run.finish(model=spec.label, horizon=horizon, **(fit.diagnostics() if fit else {}))
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
 
@@ -381,7 +380,11 @@ def evaluate(stack_path, config, out, seed, region):
         if stack_path
         else _generate_dataset(cfg, seed=seed)
     )
-    comp = cfg.data["comparison"]
+    comp, noise = cfg.data["comparison"], cfg.noise()
+    try:
+        check_comparison(stack.steps, comp["train_steps"], comp["eval_times"], noise is None)
+    except ValueError as exc:
+        _fail(2, f"config.comparison: {exc}")
     try:
         velocity, diffusivity = _physics(cfg, stack)
         report = run_comparison(
@@ -393,16 +396,15 @@ def evaluate(stack_path, config, out, seed, region):
             diffusivity=diffusivity,
             delta=stack.delta,
             variant=cfg.flip_variant(),
-            noise=cfg.noise(),
+            noise=noise,
             fit_budget=cfg.data["fit"]["budget"],
-            fit_grid=tuple(cfg.data["fit"]["grid"]),
             k_star_factor=cfg.data["truncation"]["k_star_factor"],
         )
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"comparison failed: {exc}")
     run.path("report", ".csv").write_text(report.to_csv())
     run.path("summary", ".txt").write_text(report.summary() + "\n")
-    run.finish(models=[s.label for s in specs])
+    run.finish(models=report.metadata["models"])
     click.echo(report.summary())
 
 

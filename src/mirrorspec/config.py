@@ -51,7 +51,7 @@ _SCHEMA = {
         "sigma2_beta": (int, float),
         "sigma2_obs": (int, float),
     },
-    "fit": {"enabled": bool, "budget": int, "grid": list},
+    "fit": {"enabled": bool, "budget": int},
     "motion": {
         "block": int,
         "overlap": (int, float),
@@ -83,7 +83,7 @@ _DEFAULTS = {
     },
     "flip": {"x_anchor": "right", "y_anchor": "bottom"},
     "truncation": {"k": 100, "k_star_factor": 4},
-    "fit": {"enabled": True, "budget": 40, "grid": [1e-3, 1e-2]},
+    "fit": {"enabled": True, "budget": 40},
     "motion": {
         "block": 16,
         "overlap": 0.5,
@@ -142,6 +142,9 @@ class RunConfig:
                 if set(spec) != {"x_range", "y_range"}:
                     raise ConfigError(f"config.regions.{name}: need exactly x_range and y_range")
         self.data = _merge(_DEFAULTS, data)
+        budget = self.data["fit"]["budget"]
+        if budget < 2:
+            raise ConfigError(f"config.fit.budget must be at least 2, got {budget}")
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
 

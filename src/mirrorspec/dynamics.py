@@ -21,11 +21,10 @@ import numpy as np
 import scipy.linalg
 
 from .galerkin import TransitionGenerator
-from .spectral import FlipTransfer, SpectralState
+from .spectral import FlipTransfer
 
 __all__ = [
     "DiscreteTransition",
-    "AugmentedState",
     "matrix_exp",
     "flipped_generator",
     "build_transition",
@@ -90,22 +89,3 @@ def build_transition(gen: TransitionGenerator, delta: float) -> DiscreteTransiti
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     return DiscreteTransition(delta, matrix_exp(delta * gen.matrix))
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """State and forcing coefficients sharing one ordering."""
-
-    alpha: SpectralState
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.shape != self.alpha.alpha.shape:
-            raise ValueError("beta length must match alpha")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
-        object.__setattr__(self, "beta", beta)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.alpha.alpha, self.beta])

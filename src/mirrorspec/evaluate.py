@@ -37,6 +37,7 @@ __all__ = [
     "ComparisonReport",
     "mae",
     "fit_and_filter",
+    "check_comparison",
     "run_comparison",
     "truncated_reconstruction",
     "gibbs_energy",
@@ -214,27 +215,32 @@ def build_pipeline(
 
 
 def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
-                   noise: NoiseParams | None = None, *, fit_budget: int = 40,
-                   fit_grid=(1e-3, 1e-2)):
+                   noise: NoiseParams | None = None, *, fit_budget: int = 40):
     """Fit the noise variances when ``noise`` is None, then filter.
 
     Returns ``(model, noise, fit, result)``: the state-space model built with
     the noise used, that noise, the :class:`~mirrorspec.kalman.VarianceFit`
     (None when ``noise`` was given) and the filter result over ``train_obs``.
     The filter starts from :func:`~mirrorspec.kalman.default_init` at the
-    first observation.
+    first observation; a fit's last pass is that filter.
     """
-    fit = None
     if noise is None:
-        fit = estimate_variances(
-            pipeline.factory, train_obs,
-            grid_alpha=fit_grid, grid_beta=fit_grid, max_evaluations=fit_budget,
-        )
-        noise = fit.params
+        fit = estimate_variances(pipeline.factory, train_obs, max_evaluations=fit_budget)
+        return pipeline.factory(fit.params), fit.params, fit, fit.result
     model = pipeline.factory(noise)
     mean0, cov0 = default_init(train_obs[0], noise)
-    result = kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
-    return model, noise, fit, result
+    return model, noise, None, kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
+
+
+def check_comparison(n_frames: int, train_steps: int, eval_times, fit: bool) -> None:
+    """Raise ValueError naming the bad argument unless a dataset of
+    ``n_frames`` frames can score this comparison (``fit``: noise fitted)."""
+    low = 3 if fit else 2
+    if not low <= train_steps <= n_frames:
+        raise ValueError(f"train_steps must be in [{low}, {n_frames}], got {train_steps}")
+    if not eval_times or not all(type(t) is int and 0 <= t < n_frames for t in eval_times):
+        raise ValueError(f"eval_times must be a non-empty list of frame indices in "
+                         f"[0, {n_frames}), got {eval_times}")
 
 
 def run_comparison(
@@ -250,7 +256,6 @@ def run_comparison(
     variant: FlipVariant = DEFAULT_FLIP,
     noise: NoiseParams | None = None,
     fit_budget: int = 40,
-    fit_grid=(1e-3, 1e-2),
     k_star_factor: int = 4,
 ) -> ComparisonReport:
     """Score every model spec on the dataset.
@@ -259,11 +264,9 @@ def run_comparison(
     observations; given noise is used as-is for every model.  ``eval_times``
     beyond ``train_steps - 1`` are forecast; the rest come from the filtered
     trajectory.  See :func:`fit_and_filter` for the fit and the filter.
+    ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics.
     """
-    if len(dataset) < max(eval_times) + 1:
-        raise ValueError("dataset shorter than the latest evaluation time")
-    if train_steps < 2:
-        raise ValueError("need at least 2 training steps")
+    check_comparison(len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
 
     entries = {}
@@ -274,8 +277,8 @@ def run_comparison(
             delta=delta, variant=variant, k_star_factor=k_star_factor,
         )
         train_obs = pipeline.observations(dataset[:train_steps])
-        model, model_noise, _, result = fit_and_filter(
-            pipeline, train_obs, noise, fit_budget=fit_budget, fit_grid=fit_grid,
+        model, model_noise, fit, result = fit_and_filter(
+            pipeline, train_obs, noise, fit_budget=fit_budget,
         )
 
         horizon = max(eval_times) - (train_steps - 1)
@@ -288,6 +291,8 @@ def run_comparison(
             "sigma2_alpha": model_noise.sigma2_alpha,
             "sigma2_beta": model_noise.sigma2_beta,
             "sigma2_obs": model_noise.sigma2_obs,
+            "loglik": result.loglik,
+            **(fit.diagnostics() if fit else {}),
         }
 
         for time in eval_times:

@@ -14,6 +14,11 @@ original-domain coefficient noise through the flip transfer,
 Covariance updates use the Joseph form with per-step symmetrization; a
 failed innovation-covariance factorization aborts with a diagnostic rather
 than silently producing garbage.
+
+The noise fit profiles the scale out of the likelihood (the concentrated
+likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
+7.3): with ``sigma2_obs = 0`` every covariance scales with ``sigma2_alpha`` at
+a fixed ``r = sigma2_beta / sigma2_alpha``, leaving a 1-D search over ``r``.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .dynamics import AugmentedState, DiscreteTransition
-from .spectral import FlipTransfer, ModeOrdering, SpectralState
+from .dynamics import DiscreteTransition
+from .spectral import FlipTransfer, ModeOrdering
 
 __all__ = [
     "NoiseParams",
@@ -43,6 +48,11 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
+SUBSPACE_RIDGE = 1e-4  # isotropic floor on H H^T in flipped_model
+INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
+# search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
+LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
+LOG_RATIO_XATOL = 1e-3
 
 
 class FilterError(RuntimeError):
@@ -114,45 +124,41 @@ def direct_model(ordering: ModeOrdering, transition: DiscreteTransition,
 
 
 def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
-                  transfer: FlipTransfer, tie_obs: bool = True,
-                  subspace_ridge: float = 1e-4) -> StateSpaceModel:
+                  transfer: FlipTransfer) -> StateSpaceModel:
     """Flipped-domain model with noise mapped through the flip transfer.
 
     ``H H^T`` is rank-deficient (rank = original-domain budget), which makes
     the exact printed covariances degenerate: flipped observations carry
     leakage off ``range(H)`` that the model would otherwise assign zero
-    variance, collapsing the filter covariance.  ``subspace_ridge`` adds the
-    small isotropic floor that represents that truncation leakage; set it to
-    0 to recover the strict rank-deficient form.
+    variance, collapsing the filter covariance.  ``SUBSPACE_RIDGE`` is the
+    small isotropic floor that represents that truncation leakage.  The
+    observation covariance shares ``sigma2_alpha`` as in :func:`direct_model`.
     """
     h = transfer.matrix
     k = transition.k
-    hht = h @ h.T + subspace_ridge * np.eye(k)
-    v = noise.sigma2_obs * np.eye(k)
-    if tie_obs:
-        v = v + noise.sigma2_alpha * hht
+    hht = h @ h.T + SUBSPACE_RIDGE * np.eye(k)
     return StateSpaceModel(
         ordering=transfer.flipped_ordering,
         transition=transition,
         noise=noise,
-        v=v,
+        v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
         w_alpha=noise.sigma2_alpha * hht,
         w_beta=noise.sigma2_beta * hht,
     )
 
 
-def default_init(first_obs: np.ndarray, noise: NoiseParams,
-                 cov_scale: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
+def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """Initial mean (first observation, zero forcing) and diagonal covariance."""
     k = first_obs.shape[0]
     mean = np.concatenate([first_obs, np.zeros(k)])
-    cov = cov_scale * max(noise.sigma2_alpha, noise.sigma2_beta) * np.eye(2 * k)
+    cov = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta) * np.eye(2 * k)
     return mean, cov
 
 
 @dataclass
 class FilterResult:
-    """Filtered means, covariances, and the innovations log-likelihood."""
+    """Filtered means, covariances, the innovations log-likelihood and
+    ``whitened_ss``, the sum of squared whitened innovations ``e' S^-1 e``."""
 
     ordering: ModeOrdering
     means_array: np.ndarray
@@ -160,15 +166,8 @@ class FilterResult:
     loglik: float
     loglik_terms: np.ndarray
     innovations: np.ndarray
+    whitened_ss: float
     final_cov: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def means(self) -> list[AugmentedState]:
-        k = self.ordering.k
-        return [
-            AugmentedState(SpectralState(self.ordering, m[:k]), m[k:])
-            for m in self.means_array
-        ]
 
 
 def _predict(model: StateSpaceModel, mean, cov):
@@ -209,8 +208,9 @@ def _update(model: StateSpaceModel, mean, cov, obs):
         chol[0], innovation, lower=True, check_finite=False
     )
     logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    ll = -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + white @ white)
-    return new_mean, new_cov, innovation, ll
+    white_ss = white @ white
+    ll = -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + white_ss)
+    return new_mean, new_cov, innovation, ll, white_ss
 
 
 def kf_filter(
@@ -241,10 +241,11 @@ def kf_filter(
     means = np.empty((steps, 2 * model.k))
     covs: list[np.ndarray] | None = [] if store_covariances else None
     terms = []
+    white_ss = 0.0
     innovations = np.zeros_like(obs)
 
     if update_first:
-        mean, cov, innovations[0], ll = _update(model, mean, cov, obs[0])
+        mean, cov, innovations[0], ll, white_ss = _update(model, mean, cov, obs[0])
         terms.append(ll)
     means[0] = mean
     if store_covariances:
@@ -252,8 +253,9 @@ def kf_filter(
 
     for t in range(1, steps):
         mean, cov = _predict(model, mean, cov)
-        mean, cov, innovations[t], ll = _update(model, mean, cov, obs[t])
+        mean, cov, innovations[t], ll, step_ss = _update(model, mean, cov, obs[t])
         terms.append(ll)
+        white_ss += step_ss
         means[t] = mean
         if store_covariances:
             covs.append(cov.copy())
@@ -266,6 +268,7 @@ def kf_filter(
         loglik=float(terms.sum()),
         loglik_terms=terms,
         innovations=innovations,
+        whitened_ss=float(white_ss),
         final_cov=cov,
     )
 
@@ -292,13 +295,33 @@ def kf_forecast(
 
 @dataclass
 class VarianceFit:
-    """Outcome of the innovations-likelihood maximization."""
+    """Outcome of the innovations-likelihood maximization.
+
+    ``result`` is the full filter pass at ``params``; ``n_evaluations``
+    counts every filter pass the fit made, that last one included."""
 
     params: NoiseParams
-    loglik: float
+    result: FilterResult = field(repr=False)
     converged: bool
     n_evaluations: int
-    grid_logliks: dict
+
+    @property
+    def loglik(self) -> float:
+        return self.result.loglik
+
+    def diagnostics(self) -> dict:
+        """What a run records about its fit: ``ratio`` is the fitted
+        ``sigma2_beta / sigma2_alpha`` and ``ratio_at_bound`` says whether it
+        ended on an end of the search interval."""
+        ratio = self.params.sigma2_beta / self.params.sigma2_alpha
+        lo, hi = LOG_RATIO_BOUNDS
+        log_ratio = np.log(ratio)
+        return {
+            "converged": self.converged,
+            "n_evaluations": self.n_evaluations,
+            "ratio": ratio,
+            "ratio_at_bound": bool(min(log_ratio - lo, hi - log_ratio) <= LOG_RATIO_XATOL),
+        }
 
 
 def estimate_variances(
@@ -306,84 +329,69 @@ def estimate_variances(
     observations: np.ndarray,
     init_factory=None,
     *,
-    fit_obs: bool = False,
-    grid_alpha=(1e-4, 1e-3, 1e-2),
-    grid_beta=(1e-4, 1e-3, 1e-2),
-    grid_obs=(1e-8,),
     max_evaluations: int = 200,
 ) -> VarianceFit:
     """Maximize the innovations log-likelihood over the noise variances.
 
     ``model_factory(params)`` must return a :class:`StateSpaceModel`;
     ``init_factory(params)`` returns ``(init_mean, init_cov)`` and defaults to
-    :func:`default_init` applied to the first observation.  A coarse
-    log-scale grid seeds a Nelder-Mead search in log-variance space, so the
-    returned likelihood is never below the best grid point.  Non-convergence
-    within the budget returns the best point seen, with a warning.
+    :func:`default_init` applied to the first observation.  The fit holds
+    ``sigma2_obs = 0``, and every covariance the two factories return must
+    scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``
+    (both model layouts and :func:`default_init` do).  One filter pass at
+    ``NoiseParams(1, r)`` then gives ``Q``, the squared whitened innovations
+    over ``N`` scalars; ``sigma2_alpha = Q / N`` is the best scale at that
+    ``r``, with profiled log-likelihood ``loglik + (Q - N log(Q/N) - N) / 2``.
+    A bounded scalar search over ``log r`` maximizes it; a last pass at the
+    fitted noise gives ``result``.  ``max_evaluations`` caps the passes; a
+    fit stopped by the cap returns the best point seen, with a warning.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] < 3:
         raise ValueError("variance estimation needs at least 3 time steps")
+    if max_evaluations < 2:
+        raise ValueError(f"the variance fit needs at least 2 evaluations, got {max_evaluations}")
 
     if init_factory is None:
         def init_factory(params):
             return default_init(obs[0], params)
 
-    def params_from_log(x):
-        vals = np.maximum(np.exp(x), VARIANCE_FLOOR)
-        s_obs = vals[2] if fit_obs else 0.0
-        return NoiseParams(float(vals[0]), float(vals[1]), float(s_obs))
+    def run(params):
+        model = model_factory(params)
+        mean0, cov0 = init_factory(params)
+        return kf_filter(model, obs, mean0, cov0, store_covariances=False)
 
-    n_eval = 0
+    def scaled(log_ratio, scale):
+        return NoiseParams(scale, scale * float(np.exp(log_ratio)))
 
-    def negloglik(x):
-        nonlocal n_eval
-        n_eval += 1
-        params = params_from_log(x)
+    scales = {}
+
+    def neg_profile(log_ratio):
         try:
-            model = model_factory(params)
-            mean0, cov0 = init_factory(params)
-            result = kf_filter(model, obs, mean0, cov0, store_covariances=False)
+            result = run(scaled(log_ratio, 1.0))
         except (FilterError, np.linalg.LinAlgError):
             return 1e30
-        if not np.isfinite(result.loglik):
+        q, n = result.whitened_ss, obs.shape[1] * len(result.loglik_terms)
+        scale = max(q / n, VARIANCE_FLOOR)
+        profiled = result.loglik + 0.5 * (q - n * np.log(scale) - q / scale)
+        if not np.isfinite(profiled):
             return 1e30
-        return -result.loglik
+        scales[log_ratio] = scale
+        return -profiled
 
-    grid_logliks = {}
-    best_x, best_f = None, np.inf
-    obs_starts = grid_obs if fit_obs else (0.0,)
-    for sa in grid_alpha:
-        for sb in grid_beta:
-            for so in obs_starts:
-                x = np.log([sa, sb, max(so, VARIANCE_FLOOR)])
-                f = negloglik(x)
-                grid_logliks[(sa, sb, so)] = -f
-                if f < best_f:
-                    best_x, best_f = x, f
-
-    budget = max(max_evaluations - n_eval, 10)
-    dim = 3 if fit_obs else 2
-    opt = scipy.optimize.minimize(
-        lambda z: negloglik(np.concatenate([z, best_x[2:]]) if dim == 2 else z),
-        best_x[:dim],
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-6},
+    opt = scipy.optimize.minimize_scalar(
+        neg_profile, bounds=LOG_RATIO_BOUNDS, method="bounded",
+        options={"xatol": LOG_RATIO_XATOL, "maxiter": max_evaluations - 1},
     )
-    if opt.fun <= best_f:
-        final_x = np.concatenate([opt.x, best_x[2:]]) if dim == 2 else opt.x
-        best_f = opt.fun
-    else:
-        final_x = best_x
     if not opt.success:
         warnings.warn(
-            "variance estimation stopped before convergence; returning best point seen",
+            "variance estimation stopped at its evaluation budget; returning best point seen",
             RuntimeWarning,
         )
+    params = scaled(opt.x, scales.get(opt.x, 1.0))
     return VarianceFit(
-        params=params_from_log(final_x),
-        loglik=-best_f,
+        params=params,
+        result=run(params),
         converged=bool(opt.success),
-        n_evaluations=n_eval,
-        grid_logliks=grid_logliks,
+        n_evaluations=opt.nfev + 1,
     )

@@ -229,7 +229,6 @@ def benchmark_report():
         regions=regions,
         velocity=cfg.velocity,
         fit_budget=40,
-        fit_grid=(1e-3, 1e-2),
     )
     report.metadata["wall_time_s"] = time.time() - started
     return report
@@ -315,7 +314,7 @@ def test_criterion_10_determinism(tmp_path):
         "simulation": {"steps": 8, "noise_alpha": 0.002, "noise_beta": 0.0005,
                         "noise_modes": 21},
         "truncation": {"k": 16, "k_star_factor": 4},
-        "fit": {"enabled": True, "budget": 15, "grid": [1e-3]},
+        "fit": {"enabled": True, "budget": 15},
         "comparison": {
             "models": [{"label": "direct16", "k": 16},
                        {"label": "flip64", "k": 64, "flip": True}],
@@ -353,7 +352,6 @@ def test_storm_stack_flip_halves_quiet_quadrant_error():
         velocity=vel,
         diffusivity=dif,
         fit_budget=30,
-        fit_grid=(1e-3, 1e-2),
     )
     ratios = []
     for t in (5, 6, 7, 8, 9):

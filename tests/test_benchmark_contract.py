@@ -1,0 +1,59 @@
+"""What the benchmark's tracer (``perfbench/tracer.py``) reads of the package.
+
+The tracer wraps functions and methods by name and reads fields of their
+results; a rename would otherwise show only when the benchmark runs.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from mirrorspec.dynamics import DiscreteTransition
+from mirrorspec.grid import GridSpec
+from mirrorspec.kalman import NoiseParams, default_init, direct_model, estimate_variances, kf_filter
+from mirrorspec.spectral import ModeOrdering, build_wavenumbers
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_exist():
+    tracer = load_tracer()
+    for short, names in tracer.TRACED.items():
+        module = importlib.import_module(f"mirrorspec.{short}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"mirrorspec.{short}.{name}"
+    for short, classes in tracer.TRACED_METHODS.items():
+        module = importlib.import_module(f"mirrorspec.{short}")
+        for cname, methods in classes.items():
+            cls = getattr(module, cname)
+            for mname in methods:
+                assert callable(getattr(cls, mname, None)), f"mirrorspec.{short}.{cname}.{mname}"
+
+
+def test_tracer_reads_fit_and_filter_results():
+    extras = load_tracer().EXTRAS
+    ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), 3)
+
+    def factory(params):
+        return direct_model(ordering, DiscreteTransition(1.0, np.eye(ordering.k)), params)
+
+    obs = np.random.default_rng(3).normal(size=(5, ordering.k))
+    fit = estimate_variances(factory, obs, max_evaluations=40)
+    assert extras["kalman.estimate_variances"](fit, factory, obs) == {
+        "converged": fit.converged, "evaluations": fit.n_evaluations,
+    }
+    model = factory(NoiseParams(1e-3, 1e-3))
+    mean0, cov0 = default_init(obs[0], model.noise)
+    result = kf_filter(model, obs, mean0, cov0)
+    assert extras["kalman.kf_filter"](result, model, obs, mean0, cov0) == {
+        "k": ordering.k, "steps": 5, "update_first": False,
+    }

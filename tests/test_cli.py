@@ -22,7 +22,7 @@ SMALL_SIM = {
     },
     "truncation": {"k": 16, "k_star_factor": 4},
     "noise": {"sigma2_alpha": 0.002, "sigma2_beta": 0.0005, "sigma2_obs": 0.0},
-    "fit": {"enabled": False, "budget": 10, "grid": [1e-3]},
+    "fit": {"enabled": False, "budget": 10},
     "comparison": {
         "models": [
             {"label": "direct16", "k": 16},
@@ -51,6 +51,13 @@ def test_config_rejects_unknown_keys():
         RunConfig({"grid": {"n1": 10, "n2": 10, "n3": 2}})
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig({"typo_section": {}})
+    with pytest.raises(ConfigError, match="unknown key 'grid'"):
+        RunConfig({"fit": {"enabled": True, "budget": 40, "grid": [1e-3, 1e-2]}})
+
+
+def test_config_rejects_fit_budget_below_2():
+    with pytest.raises(ConfigError, match="config.fit.budget"):
+        RunConfig({"fit": {"enabled": True, "budget": 1}})
 
 
 def test_config_hash_covers_numeric_parameters():
@@ -144,7 +151,7 @@ def test_fit_writes_noise_json(runner, tmp_path):
     payload = dict(SMALL_SIM)
     payload = json.loads(json.dumps(SMALL_SIM))
     del payload["noise"]
-    payload["fit"] = {"enabled": True, "budget": 12, "grid": [1e-3]}
+    payload["fit"] = {"enabled": True, "budget": 12}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "sim"
     runner_result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
@@ -229,7 +236,7 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
 
 
 FIT_SIM = {**{k: v for k, v in SMALL_SIM.items() if k != "noise"},
-           "fit": {"enabled": True, "budget": 12, "grid": [1e-3]}}
+           "fit": {"enabled": True, "budget": 12}}
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -253,7 +260,7 @@ def test_bad_model_flags_exit_2(runner, tmp_path, command, flags, message):
 def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
     # estimated velocity: both commands must fit the model with shear diffusivity
     payload = {**STORM_SMALL, "truncation": {"k": 25, "k_star_factor": 4},
-               "fit": {"enabled": True, "budget": 20, "grid": [1e-3]}}
+               "fit": {"enabled": True, "budget": 20}}
     cfg = write_config(tmp_path, payload)
     sim = tmp_path / "storm"
     assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
@@ -266,3 +273,43 @@ def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
     log = json.loads(next((tmp_path / "filter").glob("runlog-filter-*.json")).read_text())
     for key in ("sigma2_alpha", "sigma2_beta", "loglik"):
         assert noise[key] == log[key], key
+
+
+@pytest.mark.parametrize("comparison, message", [
+    ({"train_steps": 1}, "train_steps"),
+    ({"train_steps": 2}, "train_steps"),  # the fit needs 3
+    ({"eval_times": [4, 8]}, "eval_times"),  # the stack has 8 frames
+    ({"eval_times": []}, "eval_times"),
+    ({"eval_times": [-1, 4]}, "eval_times"),
+], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative"])
+def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):
+    payload = json.loads(json.dumps(FIT_SIM))
+    payload["comparison"].update(comparison)
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["evaluate", "--config", write_config(tmp_path, payload),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config.comparison: {message}" in result.output
+    assert not list(out.glob("report-*.csv"))
+
+
+def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
+    cfg = write_config(tmp_path, FIT_SIM)
+    sim = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    for command in ("evaluate", "filter", "predict"):
+        result = runner.invoke(main, [command, stack, "--config", cfg,
+                                      "--out", str(tmp_path / command)])
+        assert result.exit_code == 0, result.output
+    log = json.loads(next((tmp_path / "evaluate").glob("runlog-*.json")).read_text())
+    assert set(log["models"]) == {"direct16", "flip64"}
+    for entry in log["models"].values():
+        assert entry["n_evaluations"] <= 12
+        assert isinstance(entry["converged"], bool)
+        assert isinstance(entry["ratio_at_bound"], bool)
+        assert entry["ratio"] == pytest.approx(entry["sigma2_beta"] / entry["sigma2_alpha"])
+        assert np.isfinite(entry["loglik"])
+    for command in ("filter", "predict"):
+        log = json.loads(next((tmp_path / command).glob("runlog-*.json")).read_text())
+        assert isinstance(log["converged"], bool) and 2 <= log["n_evaluations"] <= 12

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mirrorspec.dynamics import (
-    AugmentedState,
     DiscreteTransition,
     build_transition,
     flipped_generator,
@@ -203,13 +202,3 @@ def test_two_steps_with_zero_generator_accumulate_forcing():
     theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
     out = trans.step(trans.step(theta))
     assert np.allclose(out[:4], 1.0)
-
-
-def test_augmented_state_validation():
-    g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
-    alpha = SpectralState(ordering, np.zeros(ordering.k))
-    with pytest.raises(ValueError):
-        AugmentedState(alpha, np.zeros(ordering.k - 1))
-    st = AugmentedState(alpha, np.ones(ordering.k))
-    assert st.stacked().shape == (2 * ordering.k,)

@@ -177,7 +177,6 @@ def test_report_determinism():
         regions={"whole": WHOLE_DOMAIN},
         velocity=(0.01, 0.0),
         fit_budget=15,
-        fit_grid=(1e-3,),
     )
     specs = [ModelSpec("direct16", k=16)]
     a = run_comparison(frames, specs, **kwargs)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from mirrorspec.dynamics import DiscreteTransition, build_transition
+from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import (
@@ -16,6 +17,16 @@ from mirrorspec.kalman import (
 )
 from mirrorspec.simulate import SimulationConfig, simulate_advection
 from mirrorspec.spectral import ModeOrdering, analyze, build_wavenumbers
+
+
+# The 3x3 start grid of the variance fit before it profiled out the scale.
+OLD_GRID = (1e-4, 1e-3, 1e-2)
+
+
+def full_pass_loglik(factory, obs, params):
+    """Log-likelihood of one filter pass from the default initial state."""
+    mean0, cov0 = default_init(obs[0], params)
+    return kf_filter(factory(params), obs, mean0, cov0, store_covariances=False).loglik
 
 
 def identity_model(k, noise):
@@ -202,7 +213,9 @@ def test_variance_mle_recovers_within_factor_three():
     )
     assert 0.005 / 3 <= fit.params.sigma2_alpha <= 0.005 * 3
     assert 0.001 / 3 <= fit.params.sigma2_beta <= 0.001 * 3
-    assert all(fit.loglik >= v - 1e-9 for v in fit.grid_logliks.values())
+    factory = lambda p: direct_model(ordering, transition, p, tie_obs=False)
+    assert all(fit.loglik >= full_pass_loglik(factory, obs, NoiseParams(sa, sb)) - 1e-9
+               for sa in OLD_GRID for sb in OLD_GRID)
 
 
 def test_variance_mle_noiseless_collapses_to_floor():
@@ -264,3 +277,37 @@ def test_estimate_variances_needs_three_steps():
     model = identity_model(3, NoiseParams(1e-3, 1e-3))
     with pytest.raises(ValueError):
         estimate_variances(lambda p: model, np.zeros((2, model.k)))
+
+
+@pytest.fixture(scope="module", params=[ModelSpec("direct16", k=16),
+                                        ModelSpec("flip64", k=64, flip=True)],
+                ids=lambda spec: spec.label)
+def small_fit(request):
+    cfg = SimulationConfig(
+        grid=GridSpec(16, 16), steps=12, noise_alpha=0.005, noise_beta=0.001,
+        noise_modes=33, seed=24,
+    )
+    pipeline = build_pipeline(cfg.grid, request.param, velocity=cfg.velocity)
+    obs = pipeline.observations(simulate_advection(cfg).fields)
+    return pipeline.factory, obs, estimate_variances(pipeline.factory, obs, max_evaluations=40)
+
+
+def test_fit_loglik_is_a_full_pass_at_the_fitted_noise(small_fit):
+    factory, obs, fit = small_fit
+    assert fit.loglik == full_pass_loglik(factory, obs, fit.params)
+
+
+def test_fit_beats_nearby_noise_and_the_old_grid(small_fit):
+    factory, obs, fit = small_fit
+    sa, sb = fit.params.sigma2_alpha, fit.params.sigma2_beta
+    nearby = [NoiseParams(sa * fa, sb * fb) for fa in (0.95, 1.05) for fb in (0.95, 1.05)]
+    grid = [NoiseParams(a, b) for a in OLD_GRID for b in OLD_GRID]
+    for params in nearby + grid:
+        assert full_pass_loglik(factory, obs, params) <= fit.loglik, params
+
+
+def test_fit_converges_within_forty_evaluations(small_fit):
+    _, _, fit = small_fit
+    assert fit.converged
+    assert fit.n_evaluations <= 40
+    assert not fit.diagnostics()["ratio_at_bound"]
