@@ -85,13 +85,6 @@ def _exits_on_config_error(fn):
     return wrapper
 
 
-def _load_config(source: str) -> RunConfig:
-    try:
-        return RunConfig.load(source)
-    except ConfigError as exc:
-        _fail(2, str(exc))
-
-
 def _load_input_stack(path: str) -> GridStack:
     try:
         return load_stack(path)
@@ -104,7 +97,7 @@ def _generate_dataset(cfg: RunConfig, seed=None, steps=None) -> GridStack:
         storm = cfg.data.get("storm", {})
         frames = synthetic_storm_stack(
             cfg.grid(),
-            steps=steps or storm.get("steps", 10),
+            steps=steps if steps is not None else storm.get("steps", 10),
             seed=seed if seed is not None else cfg.data["seed"],
             n_blobs=storm.get("n_blobs", 3),
             peak_dbz=storm.get("peak_dbz", 42.0),
@@ -162,7 +155,6 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
     pipeline = build_pipeline(
         stack.grid, spec, velocity=velocity, diffusivity=diffusivity, delta=stack.delta,
         variant=cfg.flip_variant(),
-        k_star_factor=cfg.data["truncation"]["k_star_factor"],
     )
     return pipeline, *fit_and_filter(
         pipeline, pipeline.observations(stack.frames[:steps]), noise,
@@ -180,11 +172,12 @@ def main():
 @click.option("--config", default="advection", help="profile name or JSON path")
 @click.option("--out", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="override the config seed")
-@click.option("--steps", type=int, default=None, help="override the number of steps")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="override the number of steps")
 @_exits_on_config_error
 def simulate(config, out, seed, steps):
     """Generate a synthetic dataset and save it as a frame stack."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     run = _Run("simulate", cfg, out)
     try:
         stack = _generate_dataset(cfg, seed=seed, steps=steps)
@@ -202,7 +195,7 @@ def simulate(config, out, seed, steps):
 @_exits_on_config_error
 def flip(stack_path, config, out):
     """Mirror-extend every frame of a stack onto the doubled grid."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     run = _Run("flip", cfg, out)
     variant = cfg.flip_variant()
@@ -223,7 +216,7 @@ def flip(stack_path, config, out):
 def velocity(stack_path, config, out):
     """Estimate motion between consecutive frames; write velocity and
     diffusivity stacks."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     if stack.steps < 2:
         _fail(2, "velocity estimation needs at least 2 frames")
@@ -261,7 +254,7 @@ def velocity(stack_path, config, out):
 @_exits_on_config_error
 def fit(stack_path, config, out, k, use_flip, window, steps):
     """Maximum-likelihood noise variances for one model variant."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     run = _Run("fit", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
@@ -284,8 +277,7 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
 
 
 def _write_filtered(run, cfg, stack, pipeline, result, label):
-    k = pipeline.ordering.k
-    fields = [pipeline.reconstruct(m[:k]) for m in result.means_array]
+    fields = [pipeline.reconstruct(m) for m in result.means_array]
     out_stack = GridStack.from_fields(
         fields, delta=stack.delta, units=stack.units, config_hash=cfg.hash
     )
@@ -305,7 +297,7 @@ def _write_filtered(run, cfg, stack, pipeline, result, label):
 @_exits_on_config_error
 def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     """Kalman-filter a stack and write the reconstructed frames."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     run = _Run("filter", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
@@ -332,15 +324,14 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
 @_exits_on_config_error
 def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     """Filter a stack, then forecast ``--horizon`` steps past the data."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     run = _Run("predict", cfg, out)
     spec = _model_spec_from_flags(cfg, k, use_flip, window)
     try:
         pipeline, model, _, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
-        kk = pipeline.ordering.k
-        fields = [pipeline.reconstruct(m[:kk]) for m in means]
+        fields = [pipeline.reconstruct(m) for m in means]
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"forecasting failed: {exc}")
     out_stack = GridStack.from_fields(
@@ -360,13 +351,10 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
 @_exits_on_config_error
 def evaluate(stack_path, config, out, seed, region):
     """Run the multi-model comparison and write the MAE report CSV."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     run = _Run("evaluate", cfg, out)
-    try:
-        specs = cfg.model_specs()
-        regions = cfg.regions()
-    except ConfigError as exc:
-        _fail(2, str(exc))
+    specs = cfg.model_specs()
+    regions = cfg.regions()
     if region is not None:
         try:
             x0, x1, y0, y1 = (float(v) for v in region.split(","))
@@ -398,7 +386,6 @@ def evaluate(stack_path, config, out, seed, region):
             variant=cfg.flip_variant(),
             noise=noise,
             fit_budget=cfg.data["fit"]["budget"],
-            k_star_factor=cfg.data["truncation"]["k_star_factor"],
         )
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"comparison failed: {exc}")
@@ -417,7 +404,7 @@ def evaluate(stack_path, config, out, seed, region):
 @_exits_on_config_error
 def render(stack_path, config, out, frame, scale):
     """Render one frame as a portable graymap with a scale sidecar."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     if not 0 <= frame < stack.steps:
         _fail(2, f"frame {frame} out of range [0, {stack.steps})")
@@ -443,7 +430,7 @@ def render(stack_path, config, out, frame, scale):
 @_exits_on_config_error
 def convert_rain(stack_path, config, out):
     """Convert a reflectivity (dBZ) stack to rain rate (mm/hr)."""
-    cfg = _load_config(config)
+    cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     if stack.units != "dBZ":
         _fail(2, f"expected a dBZ stack, manifest says units={stack.units!r}")

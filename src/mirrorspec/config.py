@@ -45,7 +45,7 @@ _SCHEMA = {
     },
     "storm": {"steps": int, "n_blobs": int, "peak_dbz": (int, float)},
     "flip": {"x_anchor": str, "y_anchor": str},
-    "truncation": {"k": int, "k_star_factor": int},
+    "truncation": {"k": int},
     "noise": {
         "sigma2_alpha": (int, float),
         "sigma2_beta": (int, float),
@@ -82,7 +82,7 @@ _DEFAULTS = {
         "noise_modes": 80,
     },
     "flip": {"x_anchor": "right", "y_anchor": "bottom"},
-    "truncation": {"k": 100, "k_star_factor": 4},
+    "truncation": {"k": 100},
     "fit": {"enabled": True, "budget": 40},
     "motion": {
         "block": 16,
@@ -299,7 +299,7 @@ PROFILES = {
         "seed": 7,
         "storm": {"steps": 10, "n_blobs": 3, "peak_dbz": 42.0},
         "velocity": {"mode": "estimate", "value": [0.0, 0.0]},
-        "truncation": {"k": 50, "k_star_factor": 4},
+        "truncation": {"k": 50},
         "regions": {
             "whole": {"x_range": [0.0, 0.999], "y_range": [0.0, 0.999]},
             "quiet-quadrant": {"x_range": [0.6, 0.99], "y_range": [0.0, 0.4]},

@@ -1,9 +1,9 @@
 """Discrete-time transitions: matrix exponential, conjugation, augmentation.
 
-A generator ``P`` over original-domain coefficients becomes a flipped-domain
-generator by conjugation with the flip transfer, ``H P pinv(H)``.  Either
-generator turns into a one-step transition ``Phi = exp(delta P)``, and the
-augmented transition over the stacked state ``(alpha, beta)`` is
+A generator ``P`` over original-domain coefficients conjugates onto the
+flipped domain as ``H P pinv(H)``, the dense reference that tests hold
+``kalman.flipped_model`` to.  A generator turns into a one-step transition
+``Phi = exp(delta P)``, and the augmented transition over ``(alpha, beta)`` is
 
     G = [[Phi, I],
          [0,   I]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import build_transition, flipped_generator
+from .dynamics import build_transition
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import DEFAULT_FLIP, Field, FlipVariant, flip_field, unflip
 from .kalman import (
@@ -42,6 +42,10 @@ __all__ = [
     "truncated_reconstruction",
     "gibbs_energy",
 ]
+
+# flipped-domain coefficients per original-domain one: the matched budget of
+# the doubled grid (same frequency band, four times the area)
+K_STAR_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -141,23 +145,24 @@ def _coerce_velocity(grid, velocity) -> VelocityField:
 class ModelPipeline:
     """Everything needed to filter one model variant: the observation map
     from raw frames to coefficient vectors, the model factory over noise
-    parameters, and the reconstruction back to fields."""
+    parameters, and the reconstruction back to fields; a flipped model's
+    coefficients are in the ``basis`` ``Q`` of :func:`~mirrorspec.kalman.flipped_model`."""
 
-    spec: ModelSpec
     ordering: ModeOrdering
-    transition: object
     observe: object
     factory: object
     variant: FlipVariant
+    basis: np.ndarray | None = None
 
     def observations(self, frames) -> np.ndarray:
         return np.array([self.observe(f) for f in frames])
 
-    def reconstruct(self, coeffs: np.ndarray) -> Field:
-        recon = synthesize(SpectralState(self.ordering, coeffs))
-        if self.spec.flip:
-            recon = unflip(recon, self.variant)
-        return recon
+    def reconstruct(self, state: np.ndarray) -> Field:
+        """The field of a filter state's leading ``ordering.k`` entries (alpha)."""
+        coeffs = state[:self.ordering.k]
+        if self.basis is None:
+            return synthesize(SpectralState(self.ordering, coeffs))
+        return unflip(synthesize(SpectralState(self.ordering, self.basis @ coeffs)), self.variant)
 
 
 def build_pipeline(
@@ -168,49 +173,31 @@ def build_pipeline(
     diffusivity: DiffusivityField | None = None,
     delta: float = 1.0,
     variant: FlipVariant = DEFAULT_FLIP,
-    k_star_factor: int = 4,
 ) -> ModelPipeline:
-    """Assemble the physics, transforms, and model factory for one spec."""
+    """Assemble the physics, transforms, and model factory for one spec: the
+    original-domain transition over ``spec.k`` modes, or ``spec.k // K_STAR_FACTOR``
+    when flipped, which adds the flip transfer ``H = Q1 R`` and a rotation by ``Q``."""
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
-
-    if spec.flip:
-        ordering = ModeOrdering(build_wavenumbers(grid), spec.k // k_star_factor)
-        ordering_star = ModeOrdering(build_wavenumbers(grid.doubled()), spec.k)
-        transfer = flip_transfer(grid, ordering, ordering_star, variant)
-        gen = flipped_generator(assemble_transition(ordering, vel, dif), transfer)
-        transition = build_transition(gen, delta)
-
-        def observe(f):
-            if window is not None:
-                f = apply_window(f, window)
-            return analyze(flip_field(f, variant), ordering_star).alpha
-
-        return ModelPipeline(
-            spec=spec,
-            ordering=ordering_star,
-            transition=transition,
-            observe=observe,
-            factory=lambda params: flipped_model(transition, params, transfer),
-            variant=variant,
-        )
-
-    ordering = ModeOrdering(build_wavenumbers(grid), spec.k)
+    ordering = ModeOrdering(build_wavenumbers(grid),
+                            spec.k // K_STAR_FACTOR if spec.flip else spec.k)
     transition = build_transition(assemble_transition(ordering, vel, dif), delta)
 
-    def observe(f):
-        if window is not None:
-            f = apply_window(f, window)
-        return analyze(f, ordering).alpha
+    def windowed(f):
+        return f if window is None else apply_window(f, window)
 
+    if not spec.flip:
+        return ModelPipeline(ordering, lambda f: analyze(windowed(f), ordering).alpha,
+                             lambda params: direct_model(ordering, transition, params), variant)
+    ordering_star = ModeOrdering(build_wavenumbers(grid.doubled()), spec.k)
+    transfer = flip_transfer(grid, ordering, ordering_star, variant)
+    q, r = np.linalg.qr(transfer.matrix, mode="complete")
     return ModelPipeline(
-        spec=spec,
-        ordering=ordering,
-        transition=transition,
-        observe=observe,
-        factory=lambda params: direct_model(ordering, transition, params),
-        variant=variant,
+        ordering_star,
+        lambda f: q.T @ analyze(flip_field(windowed(f), variant), ordering_star).alpha,
+        lambda params: flipped_model(ordering_star, transition, params, r[:ordering.k]),
+        variant, basis=q,
     )
 
 
@@ -256,7 +243,6 @@ def run_comparison(
     variant: FlipVariant = DEFAULT_FLIP,
     noise: NoiseParams | None = None,
     fit_budget: int = 40,
-    k_star_factor: int = 4,
 ) -> ComparisonReport:
     """Score every model spec on the dataset.
 
@@ -272,10 +258,8 @@ def run_comparison(
     entries = {}
     metadata = {"models": {}, "train_steps": train_steps, "delta": delta}
     for spec in model_specs:
-        pipeline = build_pipeline(
-            grid, spec, velocity=velocity, diffusivity=diffusivity,
-            delta=delta, variant=variant, k_star_factor=k_star_factor,
-        )
+        pipeline = build_pipeline(grid, spec, velocity=velocity, diffusivity=diffusivity,
+                                  delta=delta, variant=variant)
         train_obs = pipeline.observations(dataset[:train_steps])
         model, model_noise, fit, result = fit_and_filter(
             pipeline, train_obs, noise, fit_budget=fit_budget,
@@ -285,7 +269,6 @@ def run_comparison(
         if horizon >= 1:
             fmeans, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
 
-        k = pipeline.ordering.k
         metadata["models"][spec.label] = {
             "k": spec.k, "flip": spec.flip, "window": spec.window,
             "sigma2_alpha": model_noise.sigma2_alpha,
@@ -296,11 +279,8 @@ def run_comparison(
         }
 
         for time in eval_times:
-            if time < train_steps:
-                coeffs = result.means_array[time, :k]
-            else:
-                coeffs = fmeans[time - train_steps, :k]
-            recon = pipeline.reconstruct(coeffs)
+            state = result.means_array[time] if time < train_steps else fmeans[time - train_steps]
+            recon = pipeline.reconstruct(state)
             for region_name, region in regions.items():
                 entries[(spec.label, time, region_name)] = mae(dataset[time], recon, region)
 
@@ -339,16 +319,14 @@ def truncated_reconstruction(
     *,
     flip: bool = False,
     variant: FlipVariant = DEFAULT_FLIP,
-    k_star_factor: int = 4,
 ) -> Field:
     """Low-pass reconstruction, optionally through the mirror extension.
 
-    The mirrored path retains ``k_star_factor * k`` coefficients on the
-    doubled grid (the matched budget: same spatial frequency band, four times
-    the area) and restricts back to the original quadrant.
+    The mirrored path retains ``K_STAR_FACTOR * k`` coefficients on the
+    doubled grid and restricts back to the original quadrant.
     """
     if flip:
-        ordering = ModeOrdering(build_wavenumbers(f.grid.doubled()), k_star_factor * k)
+        ordering = ModeOrdering(build_wavenumbers(f.grid.doubled()), K_STAR_FACTOR * k)
         return unflip(synthesize(analyze(flip_field(f, variant), ordering)), variant)
     ordering = ModeOrdering(build_wavenumbers(f.grid), k)
     return synthesize(analyze(f, ordering))
@@ -360,8 +338,8 @@ class GibbsEnergy:
     flipped: float
 
 
-def gibbs_energy(f: Field, strip: Region, k: int, variant: FlipVariant = DEFAULT_FLIP,
-                 k_star_factor: int = 4) -> GibbsEnergy:
+def gibbs_energy(f: Field, strip: Region, k: int,
+                 variant: FlipVariant = DEFAULT_FLIP) -> GibbsEnergy:
     """Reconstruction MAE over a (nominally signal-free) strip, both pipelines.
 
     With a boundary discontinuity in ``f`` the direct low-pass reconstruction
@@ -369,8 +347,5 @@ def gibbs_energy(f: Field, strip: Region, k: int, variant: FlipVariant = DEFAULT
     ``flipped < direct`` is the expected outcome at matched budgets.
     """
     direct = mae(f, truncated_reconstruction(f, k), strip)
-    flipped = mae(
-        f, truncated_reconstruction(f, k, flip=True, variant=variant, k_star_factor=k_star_factor),
-        strip,
-    )
+    flipped = mae(f, truncated_reconstruction(f, k, flip=True, variant=variant), strip)
     return GibbsEnergy(direct=direct, flipped=flipped)

@@ -9,7 +9,9 @@ identity on the ``alpha`` block.
 Two noise layouts are provided: the direct model uses isotropic covariances
 ``sigma2 * I`` on its own coefficient space, while the flipped model maps
 original-domain coefficient noise through the flip transfer,
-``sigma2 * H H^T``, on both the observation and process sides.
+``sigma2 * (H H^T + ridge I)``, on both the observation and process sides;
+it is filtered exactly as a K-coefficient block on ``range(H)`` plus
+``K* - K`` leakage channels that share one 2x2 covariance.
 
 Covariance updates use the Joseph form with per-step symmetrization; a
 failed innovation-covariance factorization aborts with a diagnostic rather
@@ -31,7 +33,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .dynamics import DiscreteTransition
-from .spectral import FlipTransfer, ModeOrdering
+from .spectral import ModeOrdering
 
 __all__ = [
     "NoiseParams",
@@ -79,14 +81,19 @@ class NoiseParams:
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Transition and expanded noise covariances; the observation map is the
-    identity on the alpha block, ``(I_K, 0)``."""
+    identity on the alpha block, ``(I_K, 0)``.
 
-    ordering: ModeOrdering
+    ``transition``, ``v`` and ``w_*`` act on the first ``transition.k``
+    coefficients; a flipped model's ``leakage`` is the K=1 model of each other one.
+    """
+
+    ordering: ModeOrdering | None
     transition: DiscreteTransition
     noise: NoiseParams
     v: np.ndarray
     w_alpha: np.ndarray
     w_beta: np.ndarray
+    leakage: StateSpaceModel | None = None
 
     def __post_init__(self):
         k = self.transition.k
@@ -98,10 +105,11 @@ class StateSpaceModel:
 
     @property
     def k(self) -> int:
-        return self.transition.k
+        """Coefficients in each half of the state, leakage channels included."""
+        return self.ordering.k
 
 
-def direct_model(ordering: ModeOrdering, transition: DiscreteTransition,
+def direct_model(ordering: ModeOrdering | None, transition: DiscreteTransition,
                  noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
@@ -123,27 +131,34 @@ def direct_model(ordering: ModeOrdering, transition: DiscreteTransition,
     )
 
 
-def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
-                  transfer: FlipTransfer) -> StateSpaceModel:
-    """Flipped-domain model with noise mapped through the flip transfer.
+def flipped_model(ordering: ModeOrdering, transition: DiscreteTransition,
+                  noise: NoiseParams, r: np.ndarray) -> StateSpaceModel:
+    """Flipped-domain model (``ordering``, K* coefficients) of the
+    original-domain ``transition`` ``Phi`` (K), with noise mapped through the
+    flip transfer ``H = Q1 R``, on the coefficients ``Q' alpha*``, ``Q = [Q1 | Q2]``.
 
-    ``H H^T`` is rank-deficient (rank = original-domain budget), which makes
-    the exact printed covariances degenerate: flipped observations carry
-    leakage off ``range(H)`` that the model would otherwise assign zero
-    variance, collapsing the filter covariance.  ``SUBSPACE_RIDGE`` is the
-    small isotropic floor that represents that truncation leakage.  The
-    observation covariance shares ``sigma2_alpha`` as in :func:`direct_model`.
+    In that basis ``exp(delta H P pinv(H))`` is exactly ``blockdiag(R Phi R^-1, I)``
+    and ``H H^T + ridge I`` is ``blockdiag(R R^T + ridge I, ridge I)``, so the
+    K* - K leakage channels each follow the K=1 random walk of
+    :func:`direct_model`, its noise scaled by ``SUBSPACE_RIDGE``: the floor
+    that keeps the leakage of flipped observations off ``range(H)`` from
+    collapsing the filter covariance.  The observation covariance shares
+    ``sigma2_alpha`` as in :func:`direct_model`.
     """
-    h = transfer.matrix
     k = transition.k
-    hht = h @ h.T + SUBSPACE_RIDGE * np.eye(k)
+    # R Phi R^-1 as the transpose of the solution X' of R' X' = (R Phi)'
+    phi = scipy.linalg.solve_triangular(r, (r @ transition.phi).T, trans="T").T
+    hht = r @ r.T + SUBSPACE_RIDGE * np.eye(k)
+    channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
+                          noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
     return StateSpaceModel(
-        ordering=transfer.flipped_ordering,
-        transition=transition,
+        ordering=ordering,
+        transition=DiscreteTransition(transition.delta, phi),
         noise=noise,
         v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
         w_alpha=noise.sigma2_alpha * hht,
         w_beta=noise.sigma2_beta * hht,
+        leakage=direct_model(None, DiscreteTransition(transition.delta, np.eye(1)), channel),
     )
 
 
@@ -160,7 +175,6 @@ class FilterResult:
     """Filtered means, covariances, the innovations log-likelihood and
     ``whitened_ss``, the sum of squared whitened innovations ``e' S^-1 e``."""
 
-    ordering: ModeOrdering
     means_array: np.ndarray
     covariances: list[np.ndarray] | None
     loglik: float
@@ -171,7 +185,7 @@ class FilterResult:
 
 
 def _predict(model: StateSpaceModel, mean, cov):
-    k = model.k
+    k = model.transition.k
     phi = model.transition.phi
     p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
     x = phi @ p11
@@ -188,7 +202,8 @@ def _predict(model: StateSpaceModel, mean, cov):
 
 
 def _update(model: StateSpaceModel, mean, cov, obs):
-    k = model.k
+    """One update; ``mean`` may carry a trailing axis of channels sharing ``cov``."""
+    k = model.transition.k
     s = cov[:k, :k] + model.v
     try:
         chol = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
@@ -206,11 +221,36 @@ def _update(model: StateSpaceModel, mean, cov, obs):
     new_cov = 0.5 * (new_cov + new_cov.T)
     white = scipy.linalg.solve_triangular(
         chol[0], innovation, lower=True, check_finite=False
-    )
+    ).ravel()
     logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
     white_ss = white @ white
-    ll = -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + white_ss)
-    return new_mean, new_cov, innovation, ll, white_ss
+    ll = -0.5 * (white.size * np.log(2 * np.pi) + white.size // k * logdet + white_ss)
+    return new_mean, new_cov, innovation.ravel(), ll, white_ss
+
+
+def _blocks(model: StateSpaceModel, mean, cov):
+    """The ``(model, mean, cov)`` blocks the filter runs on a full state: the
+    first ``transition.k`` coefficients, then any leakage channels as one
+    ``(2, channels)`` mean with one 2x2 covariance.  Raises ValueError unless
+    ``cov`` is exactly what these blocks join back to."""
+    kr, halves, quarters = model.transition.k, mean.reshape(2, -1), cov.reshape(2, model.k, 2, -1)
+    blocks = [(model, halves[:, :kr].ravel(), quarters[:, :kr, :, :kr].reshape(2 * kr, -1))]
+    if model.leakage is not None:
+        blocks.append((model.leakage, halves[:, kr:], quarters[:, kr, :, kr]))
+        if not np.array_equal(_joined_cov(model, blocks), cov):
+            raise ValueError("a flipped model's covariance must not couple range(H) with the "
+                             "leakage channels and must be the same on every channel")
+    return blocks
+
+
+def _joined_cov(model: StateSpaceModel, blocks) -> np.ndarray:
+    """A new full covariance from the blocks of :func:`_blocks`."""
+    k, kr = model.k, model.transition.k
+    cov = np.zeros((2, k, 2, k))
+    cov[:, :kr, :, :kr] = blocks[0][2].reshape(2, kr, 2, kr)
+    for _, _, channel_cov in blocks[1:]:
+        cov[:, kr:, :, kr:] = np.einsum("ij,ab->iajb", channel_cov, np.eye(k - kr))
+    return cov.reshape(2 * k, 2 * k)
 
 
 def kf_filter(
@@ -227,16 +267,18 @@ def kf_filter(
     ``observations`` has one row per time step.  By default the initial mean
     is taken as the time-0 filtered state (the usual choice when it was built
     from the first observation) and updates start at step 1; pass
-    ``update_first=True`` to assimilate row 0 as well.
+    ``update_first=True`` to assimilate row 0 as well.  A flipped model's
+    ``init_cov`` must split exactly into its blocks, as :func:`default_init`'s does.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    mean = np.asarray(init_mean, dtype=float).copy()
-    cov = np.asarray(init_cov, dtype=float).copy()
+    mean = np.asarray(init_mean, dtype=float)
+    cov = np.asarray(init_cov, dtype=float)
     if mean.shape != (2 * model.k,):
         raise ValueError(f"init_mean must have length {2 * model.k}")
     if cov.shape != (2 * model.k, 2 * model.k):
         raise ValueError("init_cov has wrong shape")
 
+    blocks = _blocks(model, mean, cov)
     steps = obs.shape[0]
     means = np.empty((steps, 2 * model.k))
     covs: list[np.ndarray] | None = [] if store_covariances else None
@@ -244,32 +286,29 @@ def kf_filter(
     white_ss = 0.0
     innovations = np.zeros_like(obs)
 
-    if update_first:
-        mean, cov, innovations[0], ll, white_ss = _update(model, mean, cov, obs[0])
-        terms.append(ll)
-    means[0] = mean
-    if store_covariances:
-        covs.append(cov.copy())
-
-    for t in range(1, steps):
-        mean, cov = _predict(model, mean, cov)
-        mean, cov, innovations[t], ll, step_ss = _update(model, mean, cov, obs[t])
-        terms.append(ll)
-        white_ss += step_ss
-        means[t] = mean
+    for t in range(steps):
+        if t > 0:
+            blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
+        if t > 0 or update_first:
+            rows = np.split(obs[t], [model.transition.k])
+            updates = [_update(b, m, c, row) for (b, m, c), row in zip(blocks, rows)]
+            blocks = [(b, *u[:2]) for (b, _, _), u in zip(blocks, updates)]
+            innovations[t] = np.concatenate([u[2] for u in updates])
+            terms.append(sum(u[3] for u in updates))
+            white_ss += sum(u[4] for u in updates)
+        means[t] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
         if store_covariances:
-            covs.append(cov.copy())
+            covs.append(_joined_cov(model, blocks))
 
     terms = np.asarray(terms)
     return FilterResult(
-        ordering=model.ordering,
         means_array=means,
         covariances=covs,
         loglik=float(terms.sum()),
         loglik_terms=terms,
         innovations=innovations,
         whitened_ss=float(white_ss),
-        final_cov=cov,
+        final_cov=_joined_cov(model, blocks),
     )
 
 
@@ -282,14 +321,13 @@ def kf_forecast(
     """Propagate ``h`` steps ahead without updates."""
     if h < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {h}")
-    mean = np.asarray(last_state, dtype=float).copy()
-    cov = np.asarray(last_cov, dtype=float).copy()
-    means = np.empty((h, mean.shape[0]))
+    blocks = _blocks(model, np.asarray(last_state, dtype=float), np.asarray(last_cov, dtype=float))
+    means = np.empty((h, 2 * model.k))
     covs = []
     for i in range(h):
-        mean, cov = _predict(model, mean, cov)
-        means[i] = mean
-        covs.append(cov.copy())
+        blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
+        means[i] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
+        covs.append(_joined_cov(model, blocks))
     return means, covs
 
 

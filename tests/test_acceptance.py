@@ -313,7 +313,7 @@ def test_criterion_10_determinism(tmp_path):
         "seed": 5,
         "simulation": {"steps": 8, "noise_alpha": 0.002, "noise_beta": 0.0005,
                         "noise_modes": 21},
-        "truncation": {"k": 16, "k_star_factor": 4},
+        "truncation": {"k": 16},
         "fit": {"enabled": True, "budget": 15},
         "comparison": {
             "models": [{"label": "direct16", "k": 16},

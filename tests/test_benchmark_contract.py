@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from mirrorspec.dynamics import DiscreteTransition
+from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, direct_model, estimate_variances, kf_filter
 from mirrorspec.spectral import ModeOrdering, build_wavenumbers
@@ -56,4 +57,18 @@ def test_tracer_reads_fit_and_filter_results():
     result = kf_filter(model, obs, mean0, cov0)
     assert extras["kalman.kf_filter"](result, model, obs, mean0, cov0) == {
         "k": ordering.k, "steps": 5, "update_first": False,
+    }
+
+
+def test_tracer_reads_the_flipped_state_size():
+    # the per-K buckets (k99, k199) count a flipped model at its K* coefficients
+    pipeline = build_pipeline(GridSpec(16, 16), ModelSpec("flip64", k=64, flip=True))
+    model = pipeline.factory(NoiseParams(1e-3, 1e-3))
+    obs = np.random.default_rng(4).normal(size=(4, pipeline.ordering.k))
+    mean0, cov0 = default_init(obs[0], model.noise)
+    result = kf_filter(model, obs, mean0, cov0, update_first=True)
+    assert model.transition.k < pipeline.ordering.k
+    assert load_tracer().EXTRAS["kalman.kf_filter"](
+        result, model, obs, mean0, cov0, update_first=True) == {
+        "k": pipeline.ordering.k, "steps": 4, "update_first": True,
     }

@@ -20,7 +20,7 @@ SMALL_SIM = {
     "simulation": {
         "steps": 8, "noise_alpha": 0.002, "noise_beta": 0.0005, "noise_modes": 21,
     },
-    "truncation": {"k": 16, "k_star_factor": 4},
+    "truncation": {"k": 16},
     "noise": {"sigma2_alpha": 0.002, "sigma2_beta": 0.0005, "sigma2_obs": 0.0},
     "fit": {"enabled": False, "budget": 10},
     "comparison": {
@@ -53,6 +53,8 @@ def test_config_rejects_unknown_keys():
         RunConfig({"typo_section": {}})
     with pytest.raises(ConfigError, match="unknown key 'grid'"):
         RunConfig({"fit": {"enabled": True, "budget": 40, "grid": [1e-3, 1e-2]}})
+    with pytest.raises(ConfigError, match="unknown key 'k_star_factor'"):
+        RunConfig({"truncation": {"k": 100, "k_star_factor": 4}})
 
 
 def test_config_rejects_fit_budget_below_2():
@@ -235,6 +237,16 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
     assert json.loads((rain / "manifest.json").read_text())["units"] == "mm/hr"
 
 
+def test_simulate_rejects_zero_steps(runner, tmp_path):
+    # --steps 0 must not fall back to the storm config's own step count
+    cfg = write_config(tmp_path, STORM_SMALL)
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["simulate", "--config", cfg, "--steps", "0", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--steps" in result.output
+    assert not list(out.glob("stack-simulated-*"))
+
+
 FIT_SIM = {**{k: v for k, v in SMALL_SIM.items() if k != "noise"},
            "fit": {"enabled": True, "budget": 12}}
 
@@ -259,7 +271,7 @@ def test_bad_model_flags_exit_2(runner, tmp_path, command, flags, message):
 
 def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
     # estimated velocity: both commands must fit the model with shear diffusivity
-    payload = {**STORM_SMALL, "truncation": {"k": 25, "k_star_factor": 4},
+    payload = {**STORM_SMALL, "truncation": {"k": 25},
                "fit": {"enabled": True, "budget": 20}}
     cfg = write_config(tmp_path, payload)
     sim = tmp_path / "storm"

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mirrorspec.dynamics import DiscreteTransition, build_transition
+from mirrorspec.dynamics import DiscreteTransition, build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import (
+    SUBSPACE_RIDGE,
     FilterError,
     NoiseParams,
+    StateSpaceModel,
     default_init,
     direct_model,
     estimate_variances,
@@ -16,7 +18,7 @@ from mirrorspec.kalman import (
     kf_forecast,
 )
 from mirrorspec.simulate import SimulationConfig, simulate_advection
-from mirrorspec.spectral import ModeOrdering, analyze, build_wavenumbers
+from mirrorspec.spectral import ModeOrdering, analyze, build_wavenumbers, flip_transfer
 
 
 # The 3x3 start grid of the variance fit before it profiled out the scale.
@@ -311,3 +313,68 @@ def test_fit_converges_within_forty_evaluations(small_fit):
     assert fit.converged
     assert fit.n_evaluations <= 40
     assert not fit.diagnostics()["ratio_at_bound"]
+
+
+def variable_diffusivity(g):
+    _, y = g.mesh()
+    d = 0.002 + 0.001 * np.sin(2 * np.pi * y)
+    return DiffusivityField.isotropic(g, d.flatten(order="F"), periodic=True)
+
+
+@pytest.mark.parametrize("update_first", [False, True], ids=["update-from-1", "update-first"])
+@pytest.mark.parametrize("diffusive", [False, True],
+                         ids=["constant-velocity", "variable-diffusivity"])
+def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update_first):
+    cfg = SimulationConfig(grid=GridSpec(16, 16), steps=8, noise_alpha=0.005, noise_beta=0.001,
+                           noise_modes=33, seed=26)
+    g = cfg.grid
+    vel = VelocityField.constant(g, 0.01, 0.0)
+    dif = variable_diffusivity(g) if diffusive else DiffusivityField.zero(g)
+    pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=vel,
+                              diffusivity=dif)
+    noise = NoiseParams(2e-3, 5e-4, 1e-4)
+    model = pipeline.factory(noise)
+    obs = pipeline.observations(simulate_advection(cfg).fields)
+
+    # the dense oracle: K* coefficients, exp of the conjugated generator, H H^T + ridge I
+    ordering = ModeOrdering(build_wavenumbers(g), 16)
+    transfer = flip_transfer(g, ordering, model.ordering)
+    transition = build_transition(flipped_generator(assemble_transition(ordering, vel, dif),
+                                                    transfer), 1.0)
+    h, eye = transfer.matrix, np.eye(model.k)
+    hht = h @ h.T + SUBSPACE_RIDGE * eye
+    dense = StateSpaceModel(model.ordering, transition, noise,
+                            v=noise.sigma2_obs * eye + noise.sigma2_alpha * hht,
+                            w_alpha=noise.sigma2_alpha * hht, w_beta=noise.sigma2_beta * hht)
+    dense_obs = obs @ pipeline.basis.T
+    assert model.transition.k == ordering.k < model.k == 63
+
+    got = kf_filter(model, obs, *default_init(obs[0], noise), update_first=update_first)
+    want = kf_filter(dense, dense_obs, *default_init(dense_obs[0], noise),
+                     update_first=update_first)
+    assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
+    assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
+    rotate = np.kron(np.eye(2), pipeline.basis)  # state (Q' alpha*, Q' beta*) -> (alpha*, beta*)
+    assert np.abs(got.means_array @ rotate.T - want.means_array).max() <= 1e-9
+    got_f, _ = kf_forecast(model, got.means_array[-1], got.final_cov, 3)
+    want_f, _ = kf_forecast(dense, want.means_array[-1], want.final_cov, 3)
+    assert np.abs(got_f @ rotate.T - want_f).max() <= 1e-9
+
+
+def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
+    g = GridSpec(16, 16)
+    pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
+    model = pipeline.factory(NoiseParams(1e-3, 1e-3))
+    k, kr = model.k, model.transition.k
+    obs = np.zeros((3, k))
+    mean0, cov0 = default_init(obs[0], model.noise)
+    kf_filter(model, obs, mean0, cov0)
+    coupled = cov0.copy()
+    coupled[0, kr] = coupled[kr, 0] = 1e-3  # range block with a leakage channel
+    uneven = cov0.copy()
+    uneven[k - 1, k - 1] *= 2  # one leakage channel differs from the others
+    for cov in (coupled, uneven):
+        with pytest.raises(ValueError, match="leakage channels"):
+            kf_filter(model, obs, mean0, cov)
+        with pytest.raises(ValueError, match="leakage channels"):
+            kf_forecast(model, mean0, cov, 1)
