@@ -15,7 +15,6 @@ from .evaluate import (
     gibbs_energy,
     mae,
     run_comparison,
-    summarize_over_seeds,
     truncated_reconstruction,
 )
 from .galerkin import (
@@ -43,7 +42,6 @@ from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from .preprocess import WindowField, apply_window, hamming2d, reflectivity_to_rain
 from .simulate import SimulationConfig, forcing_field, simulate_advection, synthetic_storm_stack
 from .spectral import (
-    BasisMatrix,
     FlipTransfer,
     ModeOrdering,
     SpectralState,

@@ -138,7 +138,10 @@ def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, Diffusivi
 def _model_spec_from_flags(cfg: RunConfig, k, flip, window) -> ModelSpec:
     k = k if k is not None else cfg.data["truncation"]["k"]
     label = f"{'window-' if window else ''}{'flip' if flip else 'direct'}{k}"
-    return ModelSpec(label=label, k=k, flip=flip, window=window)
+    try:
+        return ModelSpec(label=label, k=k, flip=flip, window=window)
+    except ValueError as exc:
+        _fail(2, str(exc))
 
 
 def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
@@ -236,7 +239,7 @@ def velocity(stack_path, config, out):
         [Field(stack.grid, v.vy) for v in vels], units="domain/step", **meta),
         run.path("stack-velocity-y"))
     save_stack(GridStack.from_fields(
-        [Field(stack.grid, d.dxx) for d in difs], units="domain^2/step", **meta),
+        [Field(stack.grid, dif.d) for dif in difs], units="domain^2/step", **meta),
         run.path("stack-diffusivity"))
     run.finish(max_speed=max(float(v.speed().max()) for v in vels))
     click.echo(f"wrote velocity/diffusivity stacks under {out}")
@@ -370,7 +373,8 @@ def evaluate(stack_path, config, out, seed, region):
     )
     comp, noise = cfg.data["comparison"], cfg.noise()
     try:
-        check_comparison(stack.steps, comp["train_steps"], comp["eval_times"], noise is None)
+        check_comparison(specs, stack.steps, comp["train_steps"], comp["eval_times"],
+                         noise is None)
     except ValueError as exc:
         _fail(2, f"config.comparison: {exc}")
     try:

@@ -244,6 +244,8 @@ class RunConfig:
                 ))
             except KeyError as exc:
                 raise ConfigError(f"config.comparison.models[{i}]: missing {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"config.comparison.models[{i}]: {exc}") from exc
         return specs
 
 

@@ -53,7 +53,6 @@ def flipped_generator(gen: TransitionGenerator, transfer: FlipTransfer) -> Trans
 class DiscreteTransition:
     """One-step transition ``Phi = exp(delta * P)`` plus its augmentation."""
 
-    delta: float
     phi: np.ndarray
 
     def __post_init__(self):
@@ -88,4 +87,4 @@ def build_transition(gen: TransitionGenerator, delta: float) -> DiscreteTransiti
     """Exponentiate a generator over one time step."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return DiscreteTransition(delta, matrix_exp(delta * gen.matrix))
+    return DiscreteTransition(matrix_exp(delta * gen.matrix))

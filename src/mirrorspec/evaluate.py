@@ -94,6 +94,13 @@ class ModelSpec:
     flip: bool = False
     window: bool = False
 
+    def __post_init__(self):
+        # a flipped model keeps k // K_STAR_FACTOR original-domain coefficients
+        low = K_STAR_FACTOR if self.flip else 1
+        if self.k < low:
+            raise ValueError(f"model {self.label!r}: k must be at least {low}"
+                             f"{' when flipped' if self.flip else ''}, got {self.k}")
+
 
 @dataclass
 class ComparisonReport:
@@ -219,9 +226,15 @@ def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
     return model, noise, None, kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
 
 
-def check_comparison(n_frames: int, train_steps: int, eval_times, fit: bool) -> None:
-    """Raise ValueError naming the bad argument unless a dataset of
-    ``n_frames`` frames can score this comparison (``fit``: noise fitted)."""
+def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
+                     fit: bool) -> None:
+    """Raise ValueError naming the bad argument unless the model labels are
+    distinct and a dataset of ``n_frames`` frames can score this comparison
+    (``fit``: noise fitted)."""
+    labels = [spec.label for spec in model_specs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"model labels must be unique, repeated: {', '.join(repeated)}")
     low = 3 if fit else 2
     if not low <= train_steps <= n_frames:
         raise ValueError(f"train_steps must be in [{low}, {n_frames}], got {train_steps}")
@@ -252,7 +265,7 @@ def run_comparison(
     trajectory.  See :func:`fit_and_filter` for the fit and the filter.
     ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics.
     """
-    check_comparison(len(dataset), train_steps, eval_times, noise is None)
+    check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
 
     entries = {}
@@ -291,26 +304,6 @@ def run_comparison(
         regions=list(regions.keys()),
         metadata=metadata,
     )
-
-
-def summarize_over_seeds(reports: list[ComparisonReport]) -> dict:
-    """Mean and standard deviation of MAE cells across repeated runs.
-
-    Input reports must share models, times, and regions (e.g. the same
-    comparison re-run over different simulation seeds).  No significance
-    testing, just the spread.
-    """
-    if not reports:
-        raise ValueError("need at least one report")
-    first = reports[0]
-    for r in reports[1:]:
-        if (r.models, r.times, r.regions) != (first.models, first.times, first.regions):
-            raise ValueError("reports do not share the same comparison layout")
-    out = {}
-    for key in first.entries:
-        values = np.array([r.entries[key] for r in reports])
-        out[key] = (float(values.mean()), float(values.std(ddof=1) if len(values) > 1 else 0.0))
-    return out
 
 
 def truncated_reconstruction(

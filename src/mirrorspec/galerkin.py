@@ -1,12 +1,13 @@
 """Galerkin assembly of the spectral transition generator.
 
-Projecting the advection-diffusion operator
+Projecting the advection-diffusion operator with isotropic diffusivity
+``D(s) = d(s) I``
 
     A f = -v(s).grad f + div(D(s) grad f)
 
 onto the retained trigonometric modes yields a dense generator ``P`` driving
-``da/dt = P a``.  With ``kt = 2 pi k``, the action of ``A`` on a source mode
-is
+``da/dt = P a``.  With ``kt = 2 pi k``, ``kt.D kt = d |kt|^2`` and
+``div D = grad d``, the action of ``A`` on a source mode is
 
     A cos(kt.s) = (v.kt) sin(kt.s) - (kt.D kt) cos(kt.s) - ((div D).kt) sin(kt.s)
     A sin(kt.s) = -(v.kt) cos(kt.s) - (kt.D kt) sin(kt.s) + ((div D).kt) cos(kt.s)
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 from .spectral import ModeOrdering
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 PSI_KINDS = ("A1", "A2", "A3", "A4", "D1", "D2", "D3", "D4")
+ASSEMBLY_CHUNK = 128  # source modes per dense block in assemble_transition
 
 
 def _as_grid_values(grid: GridSpec, values, name: str) -> np.ndarray:
@@ -109,61 +111,42 @@ def spectral_gradient_pixels(grid: GridSpec, pixels: np.ndarray) -> tuple[np.nda
 
 @dataclass(frozen=True)
 class DiffusivityField:
-    """Symmetric diffusivity tensor plus its precomputed divergence.
+    """Isotropic diffusivity ``D = d I`` plus its precomputed divergence.
 
-    ``div_dx``/``div_dy`` hold the components ``sum_i d/dx_i D[i, j]`` used by
-    the Galerkin integrands, so callers control how the divergence was formed
-    (finite differences, spectral, or analytic).
+    ``div_dx``/``div_dy`` hold ``div D = grad d`` as used by the Galerkin
+    integrands, so callers control how it was formed (finite differences,
+    spectral, or analytic).
     """
 
     grid: GridSpec
-    dxx: np.ndarray
-    dxy: np.ndarray
-    dyx: np.ndarray
-    dyy: np.ndarray
+    d: np.ndarray
     div_dx: np.ndarray
     div_dy: np.ndarray
 
     def __post_init__(self):
-        for name in ("dxx", "dxy", "dyx", "dyy", "div_dx", "div_dy"):
+        for name in ("d", "div_dx", "div_dy"):
             object.__setattr__(self, name, _as_grid_values(self.grid, getattr(self, name), name))
-        if not np.allclose(self.dxy, self.dyx, atol=0.0, rtol=0.0):
-            raise ValueError("diffusivity tensor must be symmetric (dxy == dyx)")
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "DiffusivityField":
         z = np.zeros(grid.n)
-        return cls(grid, z, z, z, z, z, z)
-
-    @classmethod
-    def from_tensor(cls, grid, dxx, dxy, dyy, *, periodic=False, divergence="central"):
-        """Build from tensor components, computing ``div D`` on the fly."""
-        dxx = _as_grid_values(grid, dxx, "dxx")
-        dxy = _as_grid_values(grid, dxy, "dxy")
-        dyy = _as_grid_values(grid, dyy, "dyy")
-        if divergence == "central":
-            grad = lambda v: gradient_pixels(grid, v.reshape(grid.shape, order="F"), periodic)
-        elif divergence == "spectral":
-            grad = lambda v: spectral_gradient_pixels(grid, v.reshape(grid.shape, order="F"))
-        else:
-            raise ValueError(f"unknown divergence method {divergence!r}")
-        dxx_dx, _ = grad(dxx)
-        dxy_dx, dxy_dy = grad(dxy)
-        _, dyy_dy = grad(dyy)
-        div_dx = (dxx_dx + dxy_dy).flatten(order="F")
-        div_dy = (dxy_dx + dyy_dy).flatten(order="F")
-        return cls(grid, dxx, dxy, dxy, dyy, div_dx, div_dy)
+        return cls(grid, z, z, z)
 
     @classmethod
     def isotropic(cls, grid, d, *, periodic=False, divergence="central"):
-        """Promote a scalar diffusivity field to ``d * I``."""
+        """Build ``d * I`` from a scalar field, computing ``div D`` on the fly."""
         d = _as_grid_values(grid, d, "d")
-        zero = np.zeros(grid.n)
-        return cls.from_tensor(grid, d, zero, d, periodic=periodic, divergence=divergence)
+        pixels = d.reshape(grid.shape, order="F")
+        if divergence == "central":
+            div_dx, div_dy = gradient_pixels(grid, pixels, periodic)
+        elif divergence == "spectral":
+            div_dx, div_dy = spectral_gradient_pixels(grid, pixels)
+        else:
+            raise ValueError(f"unknown divergence method {divergence!r}")
+        return cls(grid, d, div_dx.flatten(order="F"), div_dy.flatten(order="F"))
 
     def is_zero(self) -> bool:
-        return not (self.dxx.any() or self.dxy.any() or self.dyy.any()
-                    or self.div_dx.any() or self.div_dy.any())
+        return not (self.d.any() or self.div_dx.any() or self.div_dy.any())
 
 
 @dataclass(frozen=True)
@@ -215,7 +198,7 @@ def psi_entry(kind: str, k, kprime, vel: VelocityField, dif: DiffusivityField) -
     ck, sk = _mode_fields(grid, k)
     ckp, skp = _mode_fields(grid, kprime)
     adv = vel.vx * ktx + vel.vy * kty
-    quad = dif.dxx * ktx * ktx + 2 * dif.dxy * ktx * kty + dif.dyy * kty * kty
+    quad = dif.d * (ktx * ktx) + dif.d * (kty * kty)
     divk = dif.div_dx * ktx + dif.div_dy * kty
     integrand = {
         "A1": adv * sk,
@@ -235,7 +218,6 @@ def assemble_transition(
     ordering: ModeOrdering,
     vel: VelocityField,
     dif: DiffusivityField,
-    chunk: int = 128,
 ) -> TransitionGenerator:
     """Assemble the generator over the retained modes.
 
@@ -262,14 +244,12 @@ def assemble_transition(
     ktx = 2 * np.pi * ordering.kx
     kty = 2 * np.pi * ordering.ky
     psi = np.empty((k, k))
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
+    for lo in range(0, k, ASSEMBLY_CHUNK):
+        hi = min(lo + ASSEMBLY_CHUNK, k)
         a = vel.vx[:, None] * ktx[lo:hi] + vel.vy[:, None] * kty[lo:hi]
-        quad = (
-            dif.dxx[:, None] * (ktx[lo:hi] * ktx[lo:hi])
-            + 2 * dif.dxy[:, None] * (ktx[lo:hi] * kty[lo:hi])
-            + dif.dyy[:, None] * (kty[lo:hi] * kty[lo:hi])
-        )
+        # kt.D kt term by term: d * |kt|^2 would round every entry differently
+        quad = (dif.d[:, None] * (ktx[lo:hi] * ktx[lo:hi])
+                + dif.d[:, None] * (kty[lo:hi] * kty[lo:hi]))
         divk = dif.div_dx[:, None] * ktx[lo:hi] + dif.div_dy[:, None] * kty[lo:hi]
         cos_b = cos_all[:, lo:hi]
         sin_b = sin_all[:, lo:hi]

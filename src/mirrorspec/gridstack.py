@@ -9,7 +9,7 @@ Row ``i`` is y-index ``i``, column ``j`` is x-index ``j``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +88,11 @@ def load_stack(path) -> GridStack:
         extra = set(manifest) - MANIFEST_KEYS
         raise StackError(f"{mpath}: manifest keys mismatch (missing {missing or '{}'}, extra {extra or '{}'})")
     grid = GridSpec(int(manifest["n1"]), int(manifest["n2"]))
+    steps = int(manifest["steps"])
+    if steps < 1:
+        raise StackError(f"{mpath}: a stack needs at least one frame, got steps={steps}")
     frames = []
-    for i in range(int(manifest["steps"])):
+    for i in range(steps):
         fpath = root / _frame_name(i)
         if not fpath.exists():
             raise StackError(f"{fpath}: missing frame {i} of {manifest['steps']}")

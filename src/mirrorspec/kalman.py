@@ -153,12 +153,12 @@ def flipped_model(ordering: ModeOrdering, transition: DiscreteTransition,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
     return StateSpaceModel(
         ordering=ordering,
-        transition=DiscreteTransition(transition.delta, phi),
+        transition=DiscreteTransition(phi),
         noise=noise,
         v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
         w_alpha=noise.sigma2_alpha * hht,
         w_beta=noise.sigma2_beta * hht,
-        leakage=direct_model(None, DiscreteTransition(transition.delta, np.eye(1)), channel),
+        leakage=direct_model(None, DiscreteTransition(np.eye(1)), channel),
     )
 
 

@@ -11,7 +11,7 @@ Diffusivity follows the deformation-magnitude rule
 
     D(s) = 0.28 (dx dy) sqrt((dvx/dx - dvy/dy)^2 + (dvx/dy + dvy/dx)^2)
 
-promoted to an isotropic tensor.
+taken as the isotropic diffusivity ``D = d I``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.ndimage as ndimage
 
 from .galerkin import DiffusivityField, VelocityField
-from .grid import Field, GridSpec
+from .grid import Field
 
 __all__ = ["MotionConfig", "estimate_velocity", "diffusivity_from_velocity"]
 

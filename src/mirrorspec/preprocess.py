@@ -32,24 +32,17 @@ class WindowField:
         object.__setattr__(self, "weights", w)
 
 
-def _hamming_axis(n: int, mode: str) -> np.ndarray:
+def _hamming_axis(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("window needs at least 2 points per axis")
-    denom = (n - 1) if mode == "symmetric" else n
-    return 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / denom)
+    return 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
 
 
-def hamming2d(grid: GridSpec, mode: str = "symmetric") -> WindowField:
-    """Outer product of two 1-D Hamming windows.
-
-    ``symmetric`` divides by ``n - 1`` per axis (weights return to 0.08 at the
-    far edge); ``periodic`` divides by ``n`` (DFT-even variant, for
-    comparison).
-    """
-    if mode not in ("symmetric", "periodic"):
-        raise ValueError("mode must be 'symmetric' or 'periodic'")
-    wx = _hamming_axis(grid.n1, mode)
-    wy = _hamming_axis(grid.n2, mode)
+def hamming2d(grid: GridSpec) -> WindowField:
+    """Outer product of two symmetric 1-D Hamming windows (each divides by
+    ``n - 1``, so the weights return to 0.08 at the far edge)."""
+    wx = _hamming_axis(grid.n1)
+    wy = _hamming_axis(grid.n2)
     return WindowField(grid, np.outer(wy, wx).flatten(order="F"))
 
 

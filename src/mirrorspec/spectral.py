@@ -34,7 +34,6 @@ __all__ = [
     "WavenumberSets",
     "ModeOrdering",
     "SpectralState",
-    "BasisMatrix",
     "FlipTransfer",
     "build_wavenumbers",
     "analyze",
@@ -43,6 +42,8 @@ __all__ = [
     "flip_transfer",
     "mirror_phase",
 ]
+
+BASIS_CHUNK = 64  # basis columns evaluated per block in basis_matrix
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,6 @@ class ModeOrdering:
         self._col_neg = (-kx) % grid.n1
         self._self_paired = (self._row == self._row_neg) & (self._col == self._col_neg)
 
-    @property
-    def full(self) -> bool:
-        return self.k == self.grid.n
-
-    def __len__(self) -> int:
-        return self.k
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeOrdering):
             return NotImplemented
@@ -217,34 +211,25 @@ def synthesize(state: SpectralState) -> Field:
     return Field.from_pixels(grid, pixels)
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Dense ``N x K`` matrix whose columns are the (weighted) basis fields."""
-
-    grid: GridSpec
-    ordering: ModeOrdering
-    matrix: np.ndarray
-
-
-def basis_matrix(ordering: ModeOrdering, chunk: int = 64) -> BasisMatrix:
-    """Evaluate every retained basis function at every grid point.
+def basis_matrix(ordering: ModeOrdering) -> np.ndarray:
+    """Dense ``N x K`` matrix: every retained basis function at every grid point.
 
     Columns follow the coefficient layout and carry the synthesis weight
-    (2 on ``K2`` columns), so ``synthesize(a).values == matrix @ a.alpha``.
+    (2 on ``K2`` columns), so ``synthesize(a).values == basis_matrix(ordering) @ a.alpha``.
     """
     grid = ordering.grid
     x, y = grid.mesh()
     xf = x.flatten(order="F")
     yf = y.flatten(order="F")
     out = np.empty((grid.n, ordering.k))
-    for lo in range(0, ordering.k, chunk):
-        hi = min(lo + chunk, ordering.k)
+    for lo in range(0, ordering.k, BASIS_CHUNK):
+        hi = min(lo + BASIS_CHUNK, ordering.k)
         arg = 2.0 * np.pi * (
             xf[:, None] * ordering.kx[lo:hi] + yf[:, None] * ordering.ky[lo:hi]
         )
         block = np.where(ordering.is_sin[lo:hi], np.sin(arg), np.cos(arg))
         out[:, lo:hi] = block * ordering.weight[lo:hi]
-    return BasisMatrix(grid, ordering, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,7 +243,6 @@ class FlipTransfer:
     original_ordering: ModeOrdering
     flipped_ordering: ModeOrdering
     matrix: np.ndarray
-    variant: FlipVariant = DEFAULT_FLIP
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudo-inverse via the normal equations."""
@@ -282,7 +266,7 @@ def flip_transfer(
         raise ValueError("ordering is not defined on the given grid")
     if flipped_ordering.grid != grid.doubled():
         raise ValueError("flipped ordering must live on the doubled grid")
-    fmat = basis_matrix(ordering).matrix
+    fmat = basis_matrix(ordering)
     flipped_cols = fmat[flip_vector_indices(grid, variant), :]
     dg = grid.doubled()
     pix = flipped_cols.reshape((dg.n2, dg.n1, ordering.k), order="F")
@@ -293,7 +277,7 @@ def flip_transfer(
     hdag_h = np.linalg.solve(gram, gram)  # fails loudly if rank-deficient
     if not np.allclose(hdag_h, np.eye(ordering.k), atol=1e-10):
         raise AssertionError("flip transfer lost column rank")
-    return FlipTransfer(ordering, flipped_ordering, h, variant)
+    return FlipTransfer(ordering, flipped_ordering, h)
 
 
 def mirror_phase(ordering: ModeOrdering) -> np.ndarray:

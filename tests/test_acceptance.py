@@ -280,7 +280,7 @@ def test_criterion_8_motion():
     gamma = 0.4
     shear = VelocityField(g, (gamma * y).flatten(order="F"), np.zeros(g.n))
     dif = diffusivity_from_velocity(shear, 0.1, 0.1)
-    shear_err = np.abs(dif.dxx - 0.28 * 0.1 * 0.1 * gamma).max()
+    shear_err = np.abs(dif.d - 0.28 * 0.1 * 0.1 * gamma).max()
     assert shear_err <= 1e-10
 
     frames = synthetic_storm_stack(GridSpec(100, 100), steps=4, seed=7)

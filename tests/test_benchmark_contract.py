@@ -12,6 +12,7 @@ import numpy as np
 
 from mirrorspec.dynamics import DiscreteTransition
 from mirrorspec.evaluate import ModelSpec, build_pipeline
+from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, direct_model, estimate_variances, kf_filter
 from mirrorspec.spectral import ModeOrdering, build_wavenumbers
@@ -45,7 +46,7 @@ def test_tracer_reads_fit_and_filter_results():
     ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), 3)
 
     def factory(params):
-        return direct_model(ordering, DiscreteTransition(1.0, np.eye(ordering.k)), params)
+        return direct_model(ordering, DiscreteTransition(np.eye(ordering.k)), params)
 
     obs = np.random.default_rng(3).normal(size=(5, ordering.k))
     fit = estimate_variances(factory, obs, max_evaluations=40)
@@ -72,3 +73,18 @@ def test_tracer_reads_the_flipped_state_size():
         result, model, obs, mean0, cov0, update_first=True) == {
         "k": pipeline.ordering.k, "steps": 4, "update_first": True,
     }
+
+
+def test_tracer_reads_the_diffusivity_field():
+    # a zero field without motion skips assembly; an isotropic field is assembled
+    extra = load_tracer().EXTRAS["galerkin.assemble_transition"]
+    g = GridSpec(8, 8)
+    ordering = ModeOrdering(build_wavenumbers(g), 9)
+    vel = VelocityField.zero(g)
+    x, _ = g.mesh()
+    shear = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
+    for dif, assembled in ((DiffusivityField.zero(g), False), (shear, True)):
+        gen = assemble_transition(ordering, vel, dif)
+        assert gen.matrix.any() == assembled
+        assert extra(gen, ordering, vel, dif) == {"k": ordering.k, "n": g.n,
+                                                  "assembled": assembled}

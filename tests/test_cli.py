@@ -257,6 +257,8 @@ FIT_SIM = {**{k: v for k, v in SMALL_SIM.items() if k != "noise"},
     ("filter", ["--steps", "1"], "at least 3 training frames"),
     ("fit", ["--steps", "2"], "at least 3 training frames"),
     ("predict", ["--steps", "100"], "exceeds the 8 frames"),
+    # a flipped model keeps k // 4 original-domain coefficients
+    ("filter", ["--k", "3", "--flip", "true"], "'flip3': k must be at least 4 when flipped"),
 ])
 def test_bad_model_flags_exit_2(runner, tmp_path, command, flags, message):
     cfg = write_config(tmp_path, FIT_SIM)
@@ -293,7 +295,8 @@ def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
     ({"eval_times": [4, 8]}, "eval_times"),  # the stack has 8 frames
     ({"eval_times": []}, "eval_times"),
     ({"eval_times": [-1, 4]}, "eval_times"),
-], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative"])
+    ({"models": [{"label": "a", "k": 4}, {"label": "a", "k": 8}]}, "model labels must be unique"),
+], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-label"])
 def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):
     payload = json.loads(json.dumps(FIT_SIM))
     payload["comparison"].update(comparison)
@@ -302,6 +305,17 @@ def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"config.comparison: {message}" in result.output
+    assert not list(out.glob("report-*.csv"))
+
+
+def test_evaluate_rejects_too_small_k(runner, tmp_path):
+    payload = json.loads(json.dumps(SMALL_SIM))
+    payload["comparison"]["models"] = [{"label": "direct0", "k": 0}]
+    out = tmp_path / "e"
+    result = runner.invoke(main, ["evaluate", "--config", write_config(tmp_path, payload),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config.comparison.models[0]: model 'direct0': k must be at least 1" in result.output
     assert not list(out.glob("report-*.csv"))
 
 

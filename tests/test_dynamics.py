@@ -187,7 +187,7 @@ def test_build_transition_zero_generator():
 def test_augmented_step_block_multiplication():
     rng = np.random.default_rng(41)
     phi = rng.normal(size=(5, 5))
-    trans = DiscreteTransition(1.0, phi)
+    trans = DiscreteTransition(phi)
     alpha = rng.normal(size=5)
     beta = rng.normal(size=5)
     theta = np.concatenate([alpha, beta])
@@ -198,7 +198,7 @@ def test_augmented_step_block_multiplication():
 
 
 def test_two_steps_with_zero_generator_accumulate_forcing():
-    trans = DiscreteTransition(1.0, np.eye(4))
+    trans = DiscreteTransition(np.eye(4))
     theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
     out = trans.step(trans.step(theta))
     assert np.allclose(out[:4], 1.0)

@@ -146,29 +146,6 @@ def test_run_comparison_pipeline_and_report():
     assert "direct16" in report.summary()
 
 
-def test_multi_seed_summary():
-    from mirrorspec.evaluate import summarize_over_seeds
-
-    reports = []
-    for seed in (30, 31, 32):
-        cfg = SimulationConfig(
-            grid=GridSpec(24, 24), steps=10, noise_alpha=0.002, noise_beta=0.0005,
-            noise_modes=21, seed=seed,
-        )
-        frames = simulate_advection(cfg).fields
-        reports.append(run_comparison(
-            frames, [ModelSpec("direct16", k=16)], train_steps=8,
-            eval_times=[5, 9], regions={"whole": WHOLE_DOMAIN},
-            velocity=(0.01, 0.0), noise=NoiseParams(0.002, 0.0005),
-        ))
-    summary = summarize_over_seeds(reports)
-    mean, sd = summary[("direct16", 5, "whole")]
-    assert mean > 0 and sd > 0
-    values = [r.value("direct16", 5, "whole") for r in reports]
-    assert np.isclose(mean, np.mean(values))
-    assert np.isclose(sd, np.std(values, ddof=1))
-
-
 def test_report_determinism():
     frames = small_dataset()
     kwargs = dict(

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from mirrorspec.dynamics import matrix_exp
 from mirrorspec.galerkin import (
@@ -203,11 +202,8 @@ def test_generator_matches_pointwise_operator_application():
     # analytic divergence of D = d * I: (dd/dx, dd/dy)
     dd_dx = 0.001 * 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
     dd_dy = -0.001 * 2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    zero = np.zeros(g.n)
     dif = DiffusivityField(
-        g,
-        d.flatten(order="F"), zero, zero, d.flatten(order="F"),
-        dd_dx.flatten(order="F"), dd_dy.flatten(order="F"),
+        g, d.flatten(order="F"), dd_dx.flatten(order="F"), dd_dy.flatten(order="F"),
     )
     gen = assemble_transition(ordering, vel, dif)
 
@@ -223,10 +219,3 @@ def test_generator_matches_pointwise_operator_application():
     lhs = gen.matrix @ analyze(field, ordering).alpha
     rhs = analyze(Field.from_pixels(g, af), ordering).alpha
     assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_diffusivity_requires_symmetry():
-    g = GridSpec(4, 4)
-    z = np.zeros(g.n)
-    with pytest.raises(ValueError):
-        DiffusivityField(g, z, z + 1.0, z, z, z, z)

@@ -54,6 +54,15 @@ def test_manifest_key_validation(tmp_path):
         load_stack(root)
 
 
+def test_empty_stack_rejected(tmp_path):
+    root = save_stack(random_stack(), tmp_path / "s")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["steps"] = 0
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StackError, match="at least one frame"):
+        load_stack(root)
+
+
 def test_parse_failure_has_context(tmp_path):
     stack = random_stack()
     root = save_stack(stack, tmp_path / "s")

@@ -33,7 +33,7 @@ def full_pass_loglik(factory, obs, params):
 
 def identity_model(k, noise):
     ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), k)
-    return direct_model(ordering, DiscreteTransition(1.0, np.eye(ordering.k)), noise)
+    return direct_model(ordering, DiscreteTransition(np.eye(ordering.k)), noise)
 
 
 def advection_setup(n, k=None, velocity=(0.01, 0.0), delta=1.0):

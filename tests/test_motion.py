@@ -67,8 +67,7 @@ def test_diffusivity_constant_velocity_is_zero():
     g = GridSpec(32, 32)
     vel = VelocityField.constant(g, 0.02, -0.01)
     dif = diffusivity_from_velocity(vel, 0.08, 0.08)
-    assert np.abs(dif.dxx).max() <= 1e-15
-    assert np.abs(dif.dyy).max() <= 1e-15
+    assert np.abs(dif.d).max() <= 1e-15
 
 
 def test_diffusivity_pure_shear_closed_form():
@@ -79,9 +78,7 @@ def test_diffusivity_pure_shear_closed_form():
     dx = dy = 0.0625
     dif = diffusivity_from_velocity(vel, dx, dy)
     expected = 0.28 * dx * dy * gamma
-    assert np.abs(dif.dxx - expected).max() <= 1e-10
-    assert np.abs(dif.dyy - expected).max() <= 1e-10
-    assert np.abs(dif.dxy).max() <= 1e-15
+    assert np.abs(dif.d - expected).max() <= 1e-10
 
 
 def test_diffusivity_invariant_to_constant_offset():
@@ -94,15 +91,15 @@ def test_diffusivity_invariant_to_constant_offset():
     vel_b = VelocityField(g, vel_a.vx + 0.5, vel_a.vy - 0.2)
     da = diffusivity_from_velocity(vel_a, 0.1, 0.1)
     db = diffusivity_from_velocity(vel_b, 0.1, 0.1)
-    assert np.allclose(da.dxx, db.dxx, atol=1e-14)
+    assert np.allclose(da.d, db.d, atol=1e-14)
 
 
 def test_diffusivity_nonnegative_on_storm_motion():
     frames = synthetic_storm_stack(GridSpec(64, 64), steps=3, seed=3)
     vel = estimate_velocity(frames[0], frames[1])
     dif = diffusivity_from_velocity(vel, 0.125, 0.125)
-    assert dif.dxx.min() >= 0.0
-    assert np.all(np.isfinite(dif.dxx))
+    assert dif.d.min() >= 0.0
+    assert np.all(np.isfinite(dif.d))
 
 
 def test_motion_config_validation():

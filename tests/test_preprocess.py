@@ -62,13 +62,6 @@ def test_hamming_separable_rank_one():
     assert s[1] / s[0] <= 1e-12
 
 
-def test_hamming_periodic_variant():
-    g = GridSpec(8, 8)
-    pix = hamming2d(g, mode="periodic").weights.reshape(g.shape, order="F")
-    wx = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(8) / 8)
-    assert np.allclose(pix, np.outer(wx, wx))
-
-
 def test_apply_window_identity_and_constant():
     g = GridSpec(8, 8)
     rng = np.random.default_rng(1)

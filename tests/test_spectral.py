@@ -42,7 +42,7 @@ def enumerate_k2_bruteforce(n1, n2):
 
 def lstsq_analyze_oracle(field, ordering):
     """Normal-equation least squares against the explicit basis matrix."""
-    f = basis_matrix(ordering).matrix
+    f = basis_matrix(ordering)
     return np.linalg.solve(f.T @ f, f.T @ field.values)
 
 
@@ -151,14 +151,14 @@ def test_synthesize_matches_basis_matrix():
         ordering = ModeOrdering(sets, k)
         alpha = rng.normal(size=ordering.k)
         f = synthesize(SpectralState(ordering, alpha))
-        assert np.allclose(f.values, basis_matrix(ordering).matrix @ alpha, atol=1e-10)
+        assert np.allclose(f.values, basis_matrix(ordering) @ alpha, atol=1e-10)
 
 
 def test_basis_orthogonality_2x2_and_8x8():
     for n in (2, 8):
         g = GridSpec(n, n)
         ordering = ModeOrdering(build_wavenumbers(g))
-        f = basis_matrix(ordering).matrix
+        f = basis_matrix(ordering)
         gram = f.T @ f
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 1e-9
@@ -170,7 +170,7 @@ def test_basis_orthogonality_2x2_and_8x8():
 def test_basis_nyquist_column_alternates():
     g = GridSpec(8, 8)
     ordering = ModeOrdering(build_wavenumbers(g))
-    f = basis_matrix(ordering).matrix
+    f = basis_matrix(ordering)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 4) & ~ordering.is_sin)
     col = f[:, pos[0]].reshape(g.shape, order="F")
     _, i = np.meshgrid(np.arange(g.n1), np.arange(g.n2))
