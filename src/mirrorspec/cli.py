@@ -25,7 +25,7 @@ from .galerkin import DiffusivityField, VelocityField
 from .grid import Field, flip_field
 from .gridstack import GridStack, StackError, load_stack, render_heatmap, save_stack
 from .kalman import FilterError, NoiseParams, kf_forecast
-from .motion import diffusivity_from_velocity, estimate_velocity
+from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from .preprocess import reflectivity_to_rain
 from .simulate import simulate_advection, synthetic_storm_stack
 
@@ -111,10 +111,9 @@ def _generate_dataset(cfg: RunConfig, seed=None, steps=None) -> GridStack:
     )
 
 
-def _estimated_physics(cfg: RunConfig, a: Field, b: Field):
+def _estimated_physics(mcfg: MotionConfig, a: Field, b: Field):
     """Block-matching velocity from frame ``a`` to frame ``b`` and the shear
     diffusivity it implies at the block stride."""
-    mcfg = cfg.motion()
     vel = estimate_velocity(a, b, mcfg)
     grid = a.grid
     return vel, diffusivity_from_velocity(vel, mcfg.stride / grid.n1, mcfg.stride / grid.n2)
@@ -131,7 +130,7 @@ def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, Diffusivi
     if mode == "estimate":
         if stack.steps < 2:
             _fail(2, "velocity estimation needs at least 2 frames")
-        return _estimated_physics(cfg, stack.frames[0], stack.frames[1])
+        return _estimated_physics(cfg.motion(), stack.frames[0], stack.frames[1])
     _fail(2, f"config.velocity.mode must be 'constant' or 'estimate', got {mode!r}")
 
 
@@ -220,13 +219,14 @@ def velocity(stack_path, config, out):
     """Estimate motion between consecutive frames; write velocity and
     diffusivity stacks."""
     cfg = RunConfig.load(config)
+    mcfg = cfg.motion()
     stack = _load_input_stack(stack_path)
     if stack.steps < 2:
         _fail(2, "velocity estimation needs at least 2 frames")
     run = _Run("velocity", cfg, out)
     try:
         vels, difs = zip(*(
-            _estimated_physics(cfg, a, b)
+            _estimated_physics(mcfg, a, b)
             for a, b in zip(stack.frames[:-1], stack.frames[1:])
         ))
     except NUMERICAL_ERRORS as exc:

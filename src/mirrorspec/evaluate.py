@@ -263,7 +263,9 @@ def run_comparison(
     observations; given noise is used as-is for every model.  ``eval_times``
     beyond ``train_steps - 1`` are forecast; the rest come from the filtered
     trajectory.  See :func:`fit_and_filter` for the fit and the filter.
-    ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics.
+    ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics,
+    and as ``k`` the coefficient count it was built with (the budget after
+    :class:`~mirrorspec.spectral.ModeOrdering` rounds it down and caps it at the grid).
     """
     check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
@@ -283,7 +285,7 @@ def run_comparison(
             fmeans, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
 
         metadata["models"][spec.label] = {
-            "k": spec.k, "flip": spec.flip, "window": spec.window,
+            "k": pipeline.ordering.k, "flip": spec.flip, "window": spec.window,
             "sigma2_alpha": model_noise.sigma2_alpha,
             "sigma2_beta": model_noise.sigma2_beta,
             "sigma2_obs": model_noise.sigma2_obs,

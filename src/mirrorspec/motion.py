@@ -7,6 +7,12 @@ frame, and the resulting vector field is smoothed and interpolated to every
 grid point.  Low-energy blocks inherit the vector of their neighborhood
 instead of contributing spurious matches.
 
+One array pass scores all ``(2r+1)^2`` candidate shifts of a block, taken
+from a single periodic window of the second frame.  Candidates are ranked by
+smallest displacement, then lexicographically in ``(dy, dx)``; walking them
+in that order, a later candidate replaces the best only when its score is
+higher by more than 1e-12, so near-ties resolve to the smallest shift.
+
 Diffusivity follows the deformation-magnitude rule
 
     D(s) = 0.28 (dx dy) sqrt((dvx/dx - dvy/dy)^2 + (dvx/dy + dvy/dx)^2)
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .galerkin import DiffusivityField, VelocityField
 from .grid import Field
@@ -43,41 +50,55 @@ class MotionConfig:
             raise ValueError("overlap must lie in [0, 1)")
         if self.search_radius < 1:
             raise ValueError("search_radius must be >= 1")
+        if not self.min_block_energy >= 0:
+            raise ValueError("min_block_energy must be >= 0")
+        if not self.smooth_sigma >= 0:
+            raise ValueError("smooth_sigma must be >= 0")
 
     @property
     def stride(self) -> int:
         return max(1, round(self.block * (1.0 - self.overlap)))
 
 
-def _block_displacement(a, b, r0, c0, blk, radius):
-    """Best integer displacement of one block by normalized cross-correlation.
+def _candidate_shifts(radius):
+    """The ``(2r+1)^2`` candidate shifts ``(dy, dx)`` as two arrays, smallest
+    displacement first, then lexicographic."""
+    d = np.arange(-radius, radius + 1)
+    dy, dx = (g.ravel() for g in np.meshgrid(d, d, indexing="ij"))
+    order = np.lexsort((dx, dy, dy * dy + dx * dx))
+    return dy[order], dx[order]
 
-    Periodic wrap keeps every candidate window defined; ties resolve to the
-    smallest displacement (then lexicographic) for determinism.
+
+def _block_displacement(patch, b, r0, c0, radius, shifts):
+    """Best integer displacement of the block ``patch`` of the first frame,
+    whose top-left pixel is ``(r0, c0)``, by normalized cross-correlation
+    against frame ``b``; ``shifts`` comes from :func:`_candidate_shifts`.
+
+    Periodic wrap keeps every candidate window defined.  Candidates with a
+    flat window score nothing; the rest are walked in ``shifts`` order and a
+    later one wins only by more than 1e-12.
     """
-    n2, n1 = a.shape
-    rows = (r0 + np.arange(blk)) % n2
-    cols = (c0 + np.arange(blk)) % n1
-    patch = a[np.ix_(rows, cols)]
     pa = patch - patch.mean()
     na = np.sqrt((pa * pa).sum())
     if na == 0:
         return None
+    blk = len(patch)
+    n2, n1 = b.shape
+    span = np.arange(blk + 2 * radius) - radius
+    window = b[np.ix_((r0 + span) % n2, (c0 + span) % n1)]
+    dy, dx = shifts
+    # one contiguous row per candidate, in candidate order: each row's mean and
+    # sums reduce exactly as the candidate's own (blk, blk) array would
+    cand = sliding_window_view(window, patch.shape)[dy + radius, dx + radius].reshape(len(dy), -1)
+    pb = cand - cand.mean(axis=1, keepdims=True)
+    nb = np.sqrt((pb * pb).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = ((pa.ravel() * pb).sum(axis=1) / (na * nb)).tolist()
     best = None
-    candidates = sorted(
-        ((dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)),
-        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
-    )
-    for dy, dx in candidates:
-        cand = b[np.ix_((rows + dy) % n2, (cols + dx) % n1)]
-        pb = cand - cand.mean()
-        nb = np.sqrt((pb * pb).sum())
-        if nb == 0:
-            continue
-        score = float((pa * pb).sum() / (na * nb))
-        if best is None or score > best[0] + 1e-12:
-            best = (score, dy, dx)
-    return None if best is None else (best[1], best[2])
+    for i in np.flatnonzero(nb).tolist():
+        if best is None or scores[i] > scores[best] + 1e-12:
+            best = i
+    return None if best is None else (int(dy[best]), int(dx[best]))
 
 
 def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = MotionConfig()) -> VelocityField:
@@ -97,13 +118,14 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
     vy_blk = np.zeros_like(vx_blk)
     valid = np.zeros_like(vx_blk, dtype=bool)
 
+    shifts = _candidate_shifts(cfg.search_radius)
+    offsets = np.arange(cfg.block)
     for bi, r0 in enumerate(r_starts):
         for bj, c0 in enumerate(c_starts):
-            patch = a[np.ix_((r0 + np.arange(cfg.block)) % grid.n2,
-                             (c0 + np.arange(cfg.block)) % grid.n1)]
+            patch = a[np.ix_((r0 + offsets) % grid.n2, (c0 + offsets) % grid.n1)]
             if patch.var() < cfg.min_block_energy:
                 continue
-            disp = _block_displacement(a, b, r0, c0, cfg.block, cfg.search_radius)
+            disp = _block_displacement(patch, b, r0, c0, cfg.search_radius, shifts)
             if disp is None:
                 continue
             dy, dx = disp

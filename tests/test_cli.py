@@ -237,6 +237,23 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
     assert json.loads((rain / "manifest.json").read_text())["units"] == "mm/hr"
 
 
+@pytest.mark.parametrize("key, value", [("smooth_sigma", -1.0), ("min_block_energy", -1e-4)])
+def test_negative_motion_setting_exits_2(runner, tmp_path, key, value):
+    sim = tmp_path / "storm"
+    assert runner.invoke(main, ["simulate", "--config", write_config(tmp_path, STORM_SMALL),
+                                "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    payload = json.loads(json.dumps(STORM_SMALL))
+    payload["motion"][key] = value
+    cfg = write_config(tmp_path, payload)
+    for command in ("velocity", "filter"):
+        out = tmp_path / command
+        result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"config.motion: {key} must be >= 0" in result.output
+        assert not list(out.glob("stack-*"))
+
+
 def test_simulate_rejects_zero_steps(runner, tmp_path):
     # --steps 0 must not fall back to the storm config's own step count
     cfg = write_config(tmp_path, STORM_SMALL)

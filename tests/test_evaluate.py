@@ -159,3 +159,18 @@ def test_report_determinism():
     a = run_comparison(frames, specs, **kwargs)
     b = run_comparison(frames, specs, **kwargs)
     assert a.to_csv() == b.to_csv()
+
+
+def test_metadata_records_the_coefficients_built():
+    # the 24x24 grid holds 576 coefficients, so a larger budget is capped;
+    # budgets that would split a cos/sin pair are rounded down (2 -> 1, 64 -> 63)
+    frames = small_dataset()
+    specs = [ModelSpec("direct1000", k=1000), ModelSpec("direct2", k=2),
+             ModelSpec("flip64", k=64, flip=True)]
+    report = run_comparison(frames, specs, train_steps=3, eval_times=[2],
+                            regions={"whole": WHOLE_DOMAIN}, velocity=(0.01, 0.0),
+                            noise=NoiseParams(0.002, 0.0005))
+    models = report.metadata["models"]
+    assert models["direct1000"]["k"] == 576
+    assert models["direct2"]["k"] == 1
+    assert models["flip64"]["k"] == 63

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mirrorspec import motion
 from mirrorspec.galerkin import VelocityField
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
@@ -109,3 +110,124 @@ def test_motion_config_validation():
         MotionConfig(overlap=1.0)
     with pytest.raises(ValueError):
         MotionConfig(search_radius=0)
+    with pytest.raises(ValueError, match="smooth_sigma"):
+        MotionConfig(smooth_sigma=-1.0)
+    with pytest.raises(ValueError, match="min_block_energy"):
+        MotionConfig(min_block_energy=-1e-4)
+    MotionConfig(smooth_sigma=0.0, min_block_energy=0.0)  # zero still means "off"
+
+
+def reference_displacement(a, b, r0, c0, blk, radius):
+    """The per-candidate matcher: one periodic gather and one NCC score per
+    shift, candidates sorted smallest displacement first, then lexicographic;
+    a later candidate wins only by more than 1e-12."""
+    n2, n1 = a.shape
+    rows = (r0 + np.arange(blk)) % n2
+    cols = (c0 + np.arange(blk)) % n1
+    patch = a[np.ix_(rows, cols)]
+    pa = patch - patch.mean()
+    na = np.sqrt((pa * pa).sum())
+    if na == 0:
+        return None
+    best = None
+    candidates = sorted(
+        ((dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)),
+        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
+    )
+    for dy, dx in candidates:
+        cand = b[np.ix_((rows + dy) % n2, (cols + dx) % n1)]
+        pb = cand - cand.mean()
+        nb = np.sqrt((pb * pb).sum())
+        if nb == 0:
+            continue
+        score = float((pa * pb).sum() / (na * nb))
+        if best is None or score > best[0] + 1e-12:
+            best = (score, dy, dx)
+    return None if best is None else (best[1], best[2])
+
+
+def batched_displacement(a, b, r0, c0, blk, radius):
+    patch = a[np.ix_((r0 + np.arange(blk)) % a.shape[0], (c0 + np.arange(blk)) % a.shape[1])]
+    return motion._block_displacement(patch, b, r0, c0, radius, motion._candidate_shifts(radius))
+
+
+def assert_matchers_agree(a, b, blk, radius, starts):
+    found = []
+    for r0 in starts:
+        for c0 in starts:
+            expected = reference_displacement(a, b, r0, c0, blk, radius)
+            assert batched_displacement(a, b, r0, c0, blk, radius) == expected, (r0, c0)
+            found.append(expected)
+    return found
+
+
+def test_candidate_order_is_smallest_shift_then_lexicographic():
+    dy, dx = motion._candidate_shifts(2)
+    pairs = list(zip(dy.tolist(), dx.tolist()))
+    assert pairs[:5] == [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert pairs == sorted(pairs, key=lambda d: (d[0] ** 2 + d[1] ** 2, d[0], d[1]))
+    assert len(set(pairs)) == 25
+
+
+def test_batched_matcher_matches_reference_on_random_fields():
+    rng = np.random.default_rng(41)
+    for n2, n1, blk, radius in ((32, 32, 8, 4), (24, 40, 5, 3), (20, 20, 16, 6)):
+        a = rng.standard_normal((n2, n1))
+        b = np.roll(a, (2, -1), axis=(0, 1)) + 0.3 * rng.standard_normal((n2, n1))
+        assert_matchers_agree(a, b, blk, radius, range(0, min(n1, n2), 7))
+        assert_matchers_agree(a, rng.standard_normal((n2, n1)), blk, radius, range(0, 20, 9))
+
+
+def test_batched_matcher_matches_reference_on_ties():
+    rng = np.random.default_rng(42)
+    # a 4-periodic second frame: every shift by a multiple of 4 scores the same
+    tile = rng.integers(0, 3, size=(4, 4)).astype(float)
+    b = np.tile(tile, (8, 8))
+    a = np.roll(b, (1, 3), axis=(0, 1))
+    found = assert_matchers_agree(a, b, 8, 6, range(0, 32, 5))
+    assert all(max(abs(d) for d in disp) <= 2 for disp in found)
+    # scores within 1e-12 of each other still resolve to the smallest shift
+    near = b + 1e-14 * rng.standard_normal(b.shape)
+    found = assert_matchers_agree(a, near, 8, 6, range(0, 32, 5))
+    assert all(max(abs(d) for d in disp) <= 2 for disp in found)
+    # two-level fields: small blocks produce many equal scores
+    a = rng.integers(0, 2, size=(24, 24)).astype(float)
+    b = rng.integers(0, 2, size=(24, 24)).astype(float)
+    assert_matchers_agree(a, b, 4, 5, range(0, 24, 3))
+
+
+def test_batched_matcher_matches_reference_on_flat_windows():
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((32, 32))
+    b = np.zeros((32, 32))
+    b[14:18, 14:18] = rng.standard_normal((4, 4))  # most candidate windows are flat
+    found = assert_matchers_agree(a, b, 6, 4, range(0, 32, 4))
+    assert None in found and any(d is not None for d in found)
+    flat = np.full((32, 32), 2.5)  # a flat block has no match
+    assert reference_displacement(flat, b, 3, 3, 6, 4) is None
+    assert batched_displacement(flat, b, 3, 3, 6, 4) is None
+
+
+def test_batched_matcher_matches_reference_when_candidates_alias():
+    # a radius of at least half the grid makes opposite shifts the same window
+    rng = np.random.default_rng(44)
+    a = rng.standard_normal((16, 16))
+    for b in (np.roll(a, (8, -5), axis=(0, 1)), rng.standard_normal((16, 16)), a):
+        assert_matchers_agree(a, b, 4, 8, range(0, 16, 3))
+        assert_matchers_agree(a, b, 6, 10, range(0, 16, 5))
+
+
+def test_storm_velocity_matches_reference_driven_run(monkeypatch):
+    frames = synthetic_storm_stack(GridSpec(100, 100), steps=3, seed=101, n_blobs=6)
+    a, b = frames[1], frames[2]
+    fast = estimate_velocity(a, b)
+    pixels = a.pixels()
+    monkeypatch.setattr(
+        motion, "_block_displacement",
+        lambda patch, bb, r0, c0, radius, shifts:
+            reference_displacement(pixels, bb, r0, c0, len(patch), radius),
+    )
+    slow = estimate_velocity(a, b)
+    assert np.array_equal(fast.vx, slow.vx)
+    assert np.array_equal(fast.vy, slow.vy)
+    assert np.abs(fast.vx).max() > 0
