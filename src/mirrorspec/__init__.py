@@ -43,6 +43,7 @@ from .preprocess import WindowField, apply_window, hamming2d, reflectivity_to_ra
 from .simulate import SimulationConfig, forcing_field, simulate_advection, synthetic_storm_stack
 from .spectral import (
     FlipTransfer,
+    MirrorBand,
     ModeOrdering,
     SpectralState,
     WavenumberSets,

@@ -134,11 +134,31 @@ def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, Diffusivi
     _fail(2, f"config.velocity.mode must be 'constant' or 'estimate', got {mode!r}")
 
 
-def _model_spec_from_flags(cfg: RunConfig, k, flip, window) -> ModelSpec:
+def _model_flags(fn):
+    """The stack, config, output and model flags of ``fit``, ``filter`` and ``predict``."""
+    for flag in reversed((
+        click.argument("stack_path", type=click.Path(exists=True)),
+        click.option("--config", default="advection"),
+        click.option("--out", required=True, type=click.Path()),
+        click.option("--k", type=click.IntRange(min=1), default=None),
+        click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True),
+        click.option("--window", type=click.BOOL, default=False, show_default=True),
+        click.option("--steps", type=click.IntRange(min=1), default=None,
+                     help="training steps (default: all)"),
+    )):
+        fn = flag(fn)
+    return fn
+
+
+def _model_run(command, stack_path, config, out, k, flip, window):
+    """The config, stack, run and model spec of a command given :func:`_model_flags`."""
+    cfg = RunConfig.load(config)
+    stack = _load_input_stack(stack_path)
+    run = _Run(command, cfg, out)
     k = k if k is not None else cfg.data["truncation"]["k"]
     label = f"{'window-' if window else ''}{'flip' if flip else 'direct'}{k}"
     try:
-        return ModelSpec(label=label, k=k, flip=flip, window=window)
+        return cfg, stack, run, ModelSpec(label=label, k=k, flip=flip, window=window)
     except ValueError as exc:
         _fail(2, str(exc))
 
@@ -154,10 +174,8 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
     if noise is None and steps < 3:
         _fail(2, f"the variance fit needs at least 3 training frames, got {steps}")
     velocity, diffusivity = _physics(cfg, stack)
-    pipeline = build_pipeline(
-        stack.grid, spec, velocity=velocity, diffusivity=diffusivity, delta=stack.delta,
-        variant=cfg.flip_variant(),
-    )
+    pipeline = build_pipeline(stack.grid, spec, velocity=velocity, diffusivity=diffusivity,
+                              delta=stack.delta)
     return pipeline, *fit_and_filter(
         pipeline, pipeline.observations(stack.frames[:steps]), noise,
         fit_budget=cfg.data["fit"]["budget"],
@@ -246,21 +264,11 @@ def velocity(stack_path, config, out):
 
 
 @main.command()
-@click.argument("stack_path", type=click.Path(exists=True))
-@click.option("--config", default="advection")
-@click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=click.IntRange(min=1), default=None)
-@click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
-@click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=None,
-              help="training steps (default: all)")
+@_model_flags
 @_exits_on_config_error
 def fit(stack_path, config, out, k, use_flip, window, steps):
     """Maximum-likelihood noise variances for one model variant."""
-    cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
-    run = _Run("fit", cfg, out)
-    spec = _model_spec_from_flags(cfg, k, use_flip, window)
+    cfg, stack, run, spec = _model_run("fit", stack_path, config, out, k, use_flip, window)
     try:
         _, _, _, variance_fit, _ = _fitted_model(cfg, stack, spec, steps, noise=None)
     except NUMERICAL_ERRORS as exc:
@@ -279,34 +287,22 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
     click.echo(json.dumps(payload, indent=2))
 
 
-def _write_filtered(run, cfg, stack, pipeline, result, label):
-    fields = [pipeline.reconstruct(m) for m in result.means_array]
-    out_stack = GridStack.from_fields(
-        fields, delta=stack.delta, units=stack.units, config_hash=cfg.hash
-    )
-    save_stack(out_stack, run.path(f"stack-filtered-{label}"))
-    return out_stack
+def _save_fields(run, cfg, stack, stem, fields):
+    """Save a model's fields as a stack with the time step and units of ``stack``."""
+    save_stack(GridStack.from_fields(fields, delta=stack.delta, units=stack.units,
+                                     config_hash=cfg.hash), run.path(stem))
 
 
 @main.command(name="filter")
-@click.argument("stack_path", type=click.Path(exists=True))
-@click.option("--config", default="advection")
-@click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=click.IntRange(min=1), default=None)
-@click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
-@click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=None,
-              help="training steps (default: all)")
+@_model_flags
 @_exits_on_config_error
 def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     """Kalman-filter a stack and write the reconstructed frames."""
-    cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
-    run = _Run("filter", cfg, out)
-    spec = _model_spec_from_flags(cfg, k, use_flip, window)
+    cfg, stack, run, spec = _model_run("filter", stack_path, config, out, k, use_flip, window)
     try:
         pipeline, _, noise, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
-        _write_filtered(run, cfg, stack, pipeline, result, spec.label)
+        _save_fields(run, cfg, stack, f"stack-filtered-{spec.label}",
+                     [pipeline.reconstruct(m) for m in result.means_array])
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"filtering failed: {exc}")
     run.finish(model=spec.label, loglik=result.loglik, sigma2_alpha=noise.sigma2_alpha,
@@ -315,32 +311,19 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
 
 
 @main.command()
-@click.argument("stack_path", type=click.Path(exists=True))
-@click.option("--config", default="advection")
-@click.option("--out", required=True, type=click.Path())
-@click.option("--k", type=click.IntRange(min=1), default=None)
-@click.option("--flip", "use_flip", type=click.BOOL, default=False, show_default=True)
-@click.option("--window", type=click.BOOL, default=False, show_default=True)
-@click.option("--steps", type=click.IntRange(min=1), default=None,
-              help="training steps (default: all)")
+@_model_flags
 @click.option("--horizon", type=click.IntRange(min=1), default=3, show_default=True)
 @_exits_on_config_error
 def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     """Filter a stack, then forecast ``--horizon`` steps past the data."""
-    cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
-    run = _Run("predict", cfg, out)
-    spec = _model_spec_from_flags(cfg, k, use_flip, window)
+    cfg, stack, run, spec = _model_run("predict", stack_path, config, out, k, use_flip, window)
     try:
         pipeline, model, _, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
         means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
         fields = [pipeline.reconstruct(m) for m in means]
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"forecasting failed: {exc}")
-    out_stack = GridStack.from_fields(
-        fields, delta=stack.delta, units=stack.units, config_hash=cfg.hash
-    )
-    save_stack(out_stack, run.path(f"stack-predicted-{spec.label}"))
+    _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}", fields)
     run.finish(model=spec.label, horizon=horizon, **(fit.diagnostics() if fit else {}))
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
@@ -387,7 +370,6 @@ def evaluate(stack_path, config, out, seed, region):
             velocity=velocity,
             diffusivity=diffusivity,
             delta=stack.delta,
-            variant=cfg.flip_variant(),
             noise=noise,
             fit_budget=cfg.data["fit"]["budget"],
         )

@@ -44,7 +44,7 @@ _SCHEMA = {
         "noise_modes": (int, type(None)),
     },
     "storm": {"steps": int, "n_blobs": int, "peak_dbz": (int, float)},
-    "flip": {"x_anchor": str, "y_anchor": str},
+    "flip": {"x_anchor": str, "y_anchor": str},  # the layout the flip command writes
     "truncation": {"k": int},
     "noise": {
         "sigma2_alpha": (int, float),
@@ -145,6 +145,7 @@ class RunConfig:
         budget = self.data["fit"]["budget"]
         if budget < 2:
             raise ConfigError(f"config.fit.budget must be at least 2, got {budget}")
+        self.flip_variant()
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -192,6 +193,7 @@ class RunConfig:
             raise ConfigError(f"config.simulation: {exc}") from exc
 
     def flip_variant(self) -> FlipVariant:
+        """The anchors of the layout the ``flip`` command writes (no model reads them)."""
         f = self.data["flip"]
         try:
             return FlipVariant(f["x_anchor"], f["y_anchor"])

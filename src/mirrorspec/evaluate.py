@@ -2,11 +2,11 @@
 multi-model comparison runner.
 
 ``run_comparison`` drives the full pipeline for a list of model variants on
-one dataset: optional Hamming windowing, optional mirror extension, spectral
-truncation, noise-variance fitting, Kalman filtering over the training
-window, forecasting beyond it, and region-restricted MAE scoring against the
-unmodified dataset frames (mirrored-model outputs are restricted back to the
-original quadrant before scoring).
+one dataset: optional Hamming windowing, spectral truncation (of the mirror
+extension, through its DCT-II band on the original grid, for a mirrored
+model), noise-variance fitting, Kalman filtering over the training window,
+forecasting beyond it, and region-restricted MAE scoring against the
+unmodified dataset frames.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import build_transition
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
-from .grid import DEFAULT_FLIP, Field, FlipVariant, flip_field, unflip
+from .grid import Field
 from .kalman import (
     NoiseParams,
     default_init,
@@ -29,7 +29,8 @@ from .kalman import (
     kf_forecast,
 )
 from .preprocess import apply_window, hamming2d
-from .spectral import ModeOrdering, SpectralState, analyze, build_wavenumbers, flip_transfer, synthesize
+from .spectral import (MirrorBand, ModeOrdering, SpectralState, analyze, build_wavenumbers,
+                       synthesize)
 
 __all__ = [
     "Region",
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 # flipped-domain coefficients per original-domain one: the matched budget of
-# the doubled grid (same frequency band, four times the area)
+# the doubled grid (same frequency band, four times the area) sets the MirrorBand
 K_STAR_FACTOR = 4
 
 
@@ -151,25 +152,20 @@ def _coerce_velocity(grid, velocity) -> VelocityField:
 @dataclass
 class ModelPipeline:
     """Everything needed to filter one model variant: the observation map
-    from raw frames to coefficient vectors, the model factory over noise
-    parameters, and the reconstruction back to fields; a flipped model's
-    coefficients are in the ``basis`` ``Q`` of :func:`~mirrorspec.kalman.flipped_model`."""
+    from raw frames to ``k`` coefficients, the model factory over noise
+    parameters, and ``to_field`` from coefficients back to a field."""
 
-    ordering: ModeOrdering
+    k: int
     observe: object
     factory: object
-    variant: FlipVariant
-    basis: np.ndarray | None = None
+    to_field: object
 
     def observations(self, frames) -> np.ndarray:
         return np.array([self.observe(f) for f in frames])
 
     def reconstruct(self, state: np.ndarray) -> Field:
-        """The field of a filter state's leading ``ordering.k`` entries (alpha)."""
-        coeffs = state[:self.ordering.k]
-        if self.basis is None:
-            return synthesize(SpectralState(self.ordering, coeffs))
-        return unflip(synthesize(SpectralState(self.ordering, self.basis @ coeffs)), self.variant)
+        """The field of a filter state's leading ``k`` entries (alpha)."""
+        return self.to_field(state[:self.k])
 
 
 def build_pipeline(
@@ -179,11 +175,11 @@ def build_pipeline(
     velocity=None,
     diffusivity: DiffusivityField | None = None,
     delta: float = 1.0,
-    variant: FlipVariant = DEFAULT_FLIP,
 ) -> ModelPipeline:
     """Assemble the physics, transforms, and model factory for one spec: the
     original-domain transition over ``spec.k`` modes, or ``spec.k // K_STAR_FACTOR``
-    when flipped, which adds the flip transfer ``H = Q1 R`` and a rotation by ``Q``."""
+    when flipped, which observes the ``MirrorBand`` of ``spec.k`` rotated by
+    ``Q`` from its transfer ``H_S = Q R``."""
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
@@ -195,16 +191,16 @@ def build_pipeline(
         return f if window is None else apply_window(f, window)
 
     if not spec.flip:
-        return ModelPipeline(ordering, lambda f: analyze(windowed(f), ordering).alpha,
-                             lambda params: direct_model(ordering, transition, params), variant)
-    ordering_star = ModeOrdering(build_wavenumbers(grid.doubled()), spec.k)
-    transfer = flip_transfer(grid, ordering, ordering_star, variant)
-    q, r = np.linalg.qr(transfer.matrix, mode="complete")
+        return ModelPipeline(ordering.k, lambda f: analyze(windowed(f), ordering).alpha,
+                             lambda params: direct_model(transition, params),
+                             lambda coeffs: synthesize(SpectralState(ordering, coeffs)))
+    band = MirrorBand(grid, spec.k)
+    q, r = np.linalg.qr(band.transfer(ordering), mode="complete")
     return ModelPipeline(
-        ordering_star,
-        lambda f: q.T @ analyze(flip_field(windowed(f), variant), ordering_star).alpha,
-        lambda params: flipped_model(ordering_star, transition, params, r[:ordering.k]),
-        variant, basis=q,
+        band.k,
+        lambda f: q.T @ band.observe(windowed(f)),
+        lambda params: flipped_model(transition, params, r),
+        lambda coeffs: band.reconstruct(q @ coeffs),
     )
 
 
@@ -253,7 +249,6 @@ def run_comparison(
     velocity=None,
     diffusivity: DiffusivityField | None = None,
     delta: float = 1.0,
-    variant: FlipVariant = DEFAULT_FLIP,
     noise: NoiseParams | None = None,
     fit_budget: int = 40,
 ) -> ComparisonReport:
@@ -264,8 +259,10 @@ def run_comparison(
     beyond ``train_steps - 1`` are forecast; the rest come from the filtered
     trajectory.  See :func:`fit_and_filter` for the fit and the filter.
     ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics,
-    and as ``k`` the coefficient count it was built with (the budget after
-    :class:`~mirrorspec.spectral.ModeOrdering` rounds it down and caps it at the grid).
+    and as ``k`` the coefficients it observes per frame (the budget rounded
+    down and capped by :class:`~mirrorspec.spectral.ModeOrdering`, or a mirrored
+    model's band size).  A mirrored model adds ``leakage_fraction``, the median
+    over training frames of the observation's norm share outside ``range(H_S)``.
     """
     check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
@@ -274,7 +271,7 @@ def run_comparison(
     metadata = {"models": {}, "train_steps": train_steps, "delta": delta}
     for spec in model_specs:
         pipeline = build_pipeline(grid, spec, velocity=velocity, diffusivity=diffusivity,
-                                  delta=delta, variant=variant)
+                                  delta=delta)
         train_obs = pipeline.observations(dataset[:train_steps])
         model, model_noise, fit, result = fit_and_filter(
             pipeline, train_obs, noise, fit_budget=fit_budget,
@@ -284,14 +281,17 @@ def run_comparison(
         if horizon >= 1:
             fmeans, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
 
-        metadata["models"][spec.label] = {
-            "k": pipeline.ordering.k, "flip": spec.flip, "window": spec.window,
+        entry = metadata["models"][spec.label] = {
+            "k": pipeline.k, "flip": spec.flip, "window": spec.window,
             "sigma2_alpha": model_noise.sigma2_alpha,
             "sigma2_beta": model_noise.sigma2_beta,
             "sigma2_obs": model_noise.sigma2_obs,
             "loglik": result.loglik,
             **(fit.diagnostics() if fit else {}),
         }
+        if model.channels:
+            leak = np.linalg.norm(train_obs[:, model.transition.k:], axis=1)
+            entry["leakage_fraction"] = float(np.median(leak / np.linalg.norm(train_obs, axis=1)))
 
         for time in eval_times:
             state = result.means_array[time] if time < train_steps else fmeans[time - train_steps]
@@ -308,21 +308,15 @@ def run_comparison(
     )
 
 
-def truncated_reconstruction(
-    f: Field,
-    k: int,
-    *,
-    flip: bool = False,
-    variant: FlipVariant = DEFAULT_FLIP,
-) -> Field:
+def truncated_reconstruction(f: Field, k: int, *, flip: bool = False) -> Field:
     """Low-pass reconstruction, optionally through the mirror extension.
 
-    The mirrored path retains ``K_STAR_FACTOR * k`` coefficients on the
-    doubled grid and restricts back to the original quadrant.
+    The mirrored path keeps the :class:`~mirrorspec.spectral.MirrorBand` of
+    ``K_STAR_FACTOR * k`` doubled-grid coefficients.
     """
     if flip:
-        ordering = ModeOrdering(build_wavenumbers(f.grid.doubled()), K_STAR_FACTOR * k)
-        return unflip(synthesize(analyze(flip_field(f, variant), ordering)), variant)
+        band = MirrorBand(f.grid, K_STAR_FACTOR * k)
+        return band.reconstruct(band.observe(f))
     ordering = ModeOrdering(build_wavenumbers(f.grid), k)
     return synthesize(analyze(f, ordering))
 
@@ -333,8 +327,7 @@ class GibbsEnergy:
     flipped: float
 
 
-def gibbs_energy(f: Field, strip: Region, k: int,
-                 variant: FlipVariant = DEFAULT_FLIP) -> GibbsEnergy:
+def gibbs_energy(f: Field, strip: Region, k: int) -> GibbsEnergy:
     """Reconstruction MAE over a (nominally signal-free) strip, both pipelines.
 
     With a boundary discontinuity in ``f`` the direct low-pass reconstruction
@@ -342,5 +335,5 @@ def gibbs_energy(f: Field, strip: Region, k: int,
     ``flipped < direct`` is the expected outcome at matched budgets.
     """
     direct = mae(f, truncated_reconstruction(f, k), strip)
-    flipped = mae(f, truncated_reconstruction(f, k, flip=True, variant=variant), strip)
+    flipped = mae(f, truncated_reconstruction(f, k, flip=True), strip)
     return GibbsEnergy(direct=direct, flipped=flipped)

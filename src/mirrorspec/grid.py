@@ -7,7 +7,9 @@ Fields live on a uniform ``n1 x n2`` grid over ``[0,1)^2``.  The pixel array
 
 Mirror flipping doubles the grid along both axes by pure index reversal,
 producing a field whose periodic extension is continuous: the original image
-occupies one quadrant and the other three quadrants are its reflections.
+occupies one quadrant and the other three quadrants are its reflections.  The
+flip serves the ``flip`` command and the test oracles; the mirrored model
+observes the same spectrum on the original grid (``spectral.MirrorBand``).
 """
 
 from __future__ import annotations
@@ -162,8 +164,7 @@ def flip_field(f: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
     of the output has no boundary jumps beyond interior-scale differences.
     """
     rows, cols = _flip_index_maps(f.grid, variant)
-    doubled = f.grid.doubled()
-    return Field.from_pixels(doubled, f.pixels()[np.ix_(rows, cols)])
+    return Field.from_pixels(f.grid.doubled(), f.pixels()[np.ix_(rows, cols)])
 
 
 def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:
@@ -186,11 +187,7 @@ def unflip(fstar: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
 
     Inverse of :func:`flip_field` in the sense ``unflip(flip_field(f)) == f``.
     """
-    n1s, n2s = fstar.grid.n1, fstar.grid.n2
-    if n1s % 2 != 0 or n2s % 2 != 0:
-        raise ValueError(f"grid dimensions ({n1s}, {n2s}) not divisible by 2")
-    half = GridSpec(n1s // 2, n2s // 2)
-    pix = fstar.pixels()
+    half = GridSpec(fstar.grid.n1 // 2, fstar.grid.n2 // 2)  # raises unless both are even
     r0 = 0 if variant.y_anchor == "bottom" else half.n2
     c0 = 0 if variant.x_anchor == "right" else half.n1
-    return Field.from_pixels(half, pix[r0 : r0 + half.n2, c0 : c0 + half.n1])
+    return Field.from_pixels(half, fstar.pixels()[r0 : r0 + half.n2, c0 : c0 + half.n1])

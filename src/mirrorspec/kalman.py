@@ -8,10 +8,10 @@ identity on the ``alpha`` block.
 
 Two noise layouts are provided: the direct model uses isotropic covariances
 ``sigma2 * I`` on its own coefficient space, while the flipped model maps
-original-domain coefficient noise through the flip transfer,
-``sigma2 * (H H^T + ridge I)``, on both the observation and process sides;
-it is filtered exactly as a K-coefficient block on ``range(H)`` plus
-``K* - K`` leakage channels that share one 2x2 covariance.
+original-domain coefficient noise through the band transfer ``H_S`` of
+:class:`~mirrorspec.spectral.MirrorBand`, ``sigma2 * (H_S H_S^T + ridge I)``,
+on both sides; its ``dim S`` coefficients (the band's) are filtered exactly as
+a K-coefficient block plus ``dim S - K`` leakage channels sharing a 2x2 covariance.
 
 Covariance updates use the Joseph form with per-step symmetrization; a
 failed innovation-covariance factorization aborts with a diagnostic rather
@@ -33,7 +33,6 @@ import scipy.linalg
 import scipy.optimize
 
 from .dynamics import DiscreteTransition
-from .spectral import ModeOrdering
 
 __all__ = [
     "NoiseParams",
@@ -84,16 +83,16 @@ class StateSpaceModel:
     identity on the alpha block, ``(I_K, 0)``.
 
     ``transition``, ``v`` and ``w_*`` act on the first ``transition.k``
-    coefficients; a flipped model's ``leakage`` is the K=1 model of each other one.
+    coefficients; ``leakage`` is the K=1 model of each of the ``channels`` after them.
     """
 
-    ordering: ModeOrdering | None
     transition: DiscreteTransition
     noise: NoiseParams
     v: np.ndarray
     w_alpha: np.ndarray
     w_beta: np.ndarray
     leakage: StateSpaceModel | None = None
+    channels: int = 0
 
     def __post_init__(self):
         k = self.transition.k
@@ -106,11 +105,11 @@ class StateSpaceModel:
     @property
     def k(self) -> int:
         """Coefficients in each half of the state, leakage channels included."""
-        return self.ordering.k
+        return self.transition.k + self.channels
 
 
-def direct_model(ordering: ModeOrdering | None, transition: DiscreteTransition,
-                 noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
+def direct_model(transition: DiscreteTransition, noise: NoiseParams,
+                 tie_obs: bool = True) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
     ``tie_obs`` makes the observation covariance share ``sigma2_alpha`` (the
@@ -122,7 +121,6 @@ def direct_model(ordering: ModeOrdering | None, transition: DiscreteTransition,
     eye = np.eye(k)
     v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
     return StateSpaceModel(
-        ordering=ordering,
         transition=transition,
         noise=noise,
         v=v_scale * eye,
@@ -131,34 +129,36 @@ def direct_model(ordering: ModeOrdering | None, transition: DiscreteTransition,
     )
 
 
-def flipped_model(ordering: ModeOrdering, transition: DiscreteTransition,
-                  noise: NoiseParams, r: np.ndarray) -> StateSpaceModel:
-    """Flipped-domain model (``ordering``, K* coefficients) of the
-    original-domain ``transition`` ``Phi`` (K), with noise mapped through the
-    flip transfer ``H = Q1 R``, on the coefficients ``Q' alpha*``, ``Q = [Q1 | Q2]``.
+def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
+                  r: np.ndarray) -> StateSpaceModel:
+    """Mirrored model of the original-domain ``transition`` ``Phi`` (K) on the
+    band coordinates ``Q' y`` of a :class:`~mirrorspec.spectral.MirrorBand`,
+    with ``r`` the complete ``dim S x K`` factor of ``H_S = Q r``.
 
-    In that basis ``exp(delta H P pinv(H))`` is exactly ``blockdiag(R Phi R^-1, I)``
-    and ``H H^T + ridge I`` is ``blockdiag(R R^T + ridge I, ridge I)``, so the
-    K* - K leakage channels each follow the K=1 random walk of
+    In that basis ``exp(delta H_S P pinv(H_S))`` is exactly
+    ``blockdiag(R Phi R^-1, I)``, ``R = r[:K]``, and
+    ``H_S H_S^T + ridge I`` is ``blockdiag(R R^T + ridge I, ridge I)``, so the
+    ``dim S - K`` leakage channels each follow the K=1 random walk of
     :func:`direct_model`, its noise scaled by ``SUBSPACE_RIDGE``: the floor
-    that keeps the leakage of flipped observations off ``range(H)`` from
+    that keeps the leakage of mirrored observations off ``range(H_S)`` from
     collapsing the filter covariance.  The observation covariance shares
     ``sigma2_alpha`` as in :func:`direct_model`.
     """
-    k = transition.k
+    k, channels = transition.k, r.shape[0] - transition.k
+    r = r[:k]
     # R Phi R^-1 as the transpose of the solution X' of R' X' = (R Phi)'
     phi = scipy.linalg.solve_triangular(r, (r @ transition.phi).T, trans="T").T
     hht = r @ r.T + SUBSPACE_RIDGE * np.eye(k)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
     return StateSpaceModel(
-        ordering=ordering,
         transition=DiscreteTransition(phi),
         noise=noise,
         v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
         w_alpha=noise.sigma2_alpha * hht,
         w_beta=noise.sigma2_beta * hht,
-        leakage=direct_model(None, DiscreteTransition(np.eye(1)), channel),
+        leakage=direct_model(DiscreteTransition(np.eye(1)), channel),
+        channels=channels,
     )
 
 
@@ -238,7 +238,7 @@ def _blocks(model: StateSpaceModel, mean, cov):
     if model.leakage is not None:
         blocks.append((model.leakage, halves[:, kr:], quarters[:, kr, :, kr]))
         if not np.array_equal(_joined_cov(model, blocks), cov):
-            raise ValueError("a flipped model's covariance must not couple range(H) with the "
+            raise ValueError("a flipped model's covariance must not couple range(H_S) with the "
                              "leakage channels and must be the same on every channel")
     return blocks
 
@@ -349,8 +349,9 @@ class VarianceFit:
 
     def diagnostics(self) -> dict:
         """What a run records about its fit: ``ratio`` is the fitted
-        ``sigma2_beta / sigma2_alpha`` and ``ratio_at_bound`` says whether it
-        ended on an end of the search interval."""
+        ``sigma2_beta / sigma2_alpha``, ``ratio_at_bound`` says whether it
+        ended on an end of the search interval and ``n_scalars`` is the ``N``
+        that the profiled scale divides by."""
         ratio = self.params.sigma2_beta / self.params.sigma2_alpha
         lo, hi = LOG_RATIO_BOUNDS
         log_ratio = np.log(ratio)
@@ -359,6 +360,7 @@ class VarianceFit:
             "n_evaluations": self.n_evaluations,
             "ratio": ratio,
             "ratio_at_bound": bool(min(log_ratio - lo, hi - log_ratio) <= LOG_RATIO_XATOL),
+            "n_scalars": self.result.innovations.shape[1] * len(self.result.loglik_terms),
         }
 
 

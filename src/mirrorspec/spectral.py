@@ -1,4 +1,4 @@
-"""Real Fourier basis, wavenumber bookkeeping, transforms, and flip transfer.
+"""Real Fourier basis, wavenumber bookkeeping, transforms, and the mirror band.
 
 A field on an ``n1 x n2`` grid decomposes as
 
@@ -27,14 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
-from .grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_vector_indices
+from .grid import Field, GridSpec, flip_vector_indices
 
 __all__ = [
     "WavenumberSets",
     "ModeOrdering",
     "SpectralState",
     "FlipTransfer",
+    "MirrorBand",
     "build_wavenumbers",
     "analyze",
     "synthesize",
@@ -99,19 +101,15 @@ class ModeOrdering:
         total = m1 + 2 * m2
 
         modes = list(sets.k1_list) + list(sets.k2_list)
-        coeff_groups = []  # per mode: tuple of layout positions
-        for pos in range(m1):
-            coeff_groups.append((pos,))
-        for i in range(m2):
-            coeff_groups.append((m1 + i, m1 + m2 + i))
+        # per mode: tuple of layout positions
+        coeff_groups = [(pos,) for pos in range(m1)] + [(m1 + i, m1 + m2 + i) for i in range(m2)]
 
         order = sorted(
             range(len(modes)),
             key=lambda i: (modes[i][0] ** 2 + modes[i][1] ** 2, modes[i][0], modes[i][1]),
         )
 
-        if n_coeffs is None:
-            n_coeffs = total
+        n_coeffs = total if n_coeffs is None else n_coeffs
         if n_coeffs < 1:
             raise ValueError(f"n_coeffs must be >= 1, got {n_coeffs}")
         n_coeffs = min(n_coeffs, total)
@@ -130,28 +128,17 @@ class ModeOrdering:
         self.k = len(prefix)
 
         # per-coefficient metadata in layout (alpha) order
-        kx = np.empty(self.k, dtype=int)
-        ky = np.empty(self.k, dtype=int)
-        is_sin = np.zeros(self.k, dtype=bool)
-        for out, pos in enumerate(self.indices):
-            if pos < m1:
-                kx[out], ky[out] = sets.k1_list[pos]
-            elif pos < m1 + m2:
-                kx[out], ky[out] = sets.k2_list[pos - m1]
-            else:
-                kx[out], ky[out] = sets.k2_list[pos - m1 - m2]
-                is_sin[out] = True
+        layout = modes + list(sets.k2_list)  # the mode of each layout position
+        self.kx, self.ky = np.array([layout[pos] for pos in self.indices], dtype=int).T
         in_k1 = self.indices < m1
-        self.kx = kx
-        self.ky = ky
-        self.is_sin = is_sin
+        self.is_sin = self.indices >= m1 + m2
         self.weight = np.where(in_k1, 1.0, 2.0)
         self.cnorm = np.where(in_k1, 1.0, 0.5)
         # FFT cell of mode k and of its conjugate partner
-        self._row = ky % grid.n2
-        self._col = kx % grid.n1
-        self._row_neg = (-ky) % grid.n2
-        self._col_neg = (-kx) % grid.n1
+        self._row = self.ky % grid.n2
+        self._col = self.kx % grid.n1
+        self._row_neg = (-self.ky) % grid.n2
+        self._col_neg = (-self.kx) % grid.n1
         self._self_paired = (self._row == self._row_neg) & (self._col == self._col_neg)
 
     def __eq__(self, other) -> bool:
@@ -254,7 +241,6 @@ def flip_transfer(
     grid: GridSpec,
     ordering: ModeOrdering,
     flipped_ordering: ModeOrdering,
-    variant: FlipVariant = DEFAULT_FLIP,
 ) -> FlipTransfer:
     """Build ``H = pinv(F*) R F`` restricted to the retained columns.
 
@@ -267,7 +253,7 @@ def flip_transfer(
     if flipped_ordering.grid != grid.doubled():
         raise ValueError("flipped ordering must live on the doubled grid")
     fmat = basis_matrix(ordering)
-    flipped_cols = fmat[flip_vector_indices(grid, variant), :]
+    flipped_cols = fmat[flip_vector_indices(grid), :]
     dg = grid.doubled()
     pix = flipped_cols.reshape((dg.n2, dg.n1, ordering.k), order="F")
     c = np.fft.fft2(pix, axes=(0, 1)) / dg.n
@@ -291,3 +277,40 @@ def mirror_phase(ordering: ModeOrdering) -> np.ndarray:
     return np.pi * (
         ordering.kx / ordering.grid.n1 + ordering.ky / ordering.grid.n2
     )
+
+
+class MirrorBand:
+    """The mirrored model's observations: the orthonormal 2-D DCT-II of a frame
+    at the indices ``(|k_y|, |k_x|)`` of the modes that ``k_star``
+    coefficients keep on the doubled grid, scaled by ``1/sqrt(2 n)`` (the
+    constant mode by ``sqrt(2)`` more).
+
+    A flipped frame is even about two half-sample axes, so its doubled-grid
+    coefficient at ``k`` is ``exp(i phi_k)`` (:func:`mirror_phase`) times the
+    DCT-II one (Makhoul 1980, IEEE TASSP 28(1); Martucci 1994, IEEE TSP 42(5)):
+    the band coordinates have the norm of ``analyze(flip_field(f), star).alpha``
+    when ``star`` keeps both modes ``(k_x, +-k_y)`` of each index.  A budget
+    that splits such a pair at its edge gets the whole pair.
+    """
+
+    def __init__(self, grid: GridSpec, k_star: int):
+        star = ModeOrdering(build_wavenumbers(grid.doubled()), k_star)
+        inside = (star.kx < grid.n1) & (np.abs(star.ky) < grid.n2)  # the doubled Nyquist is 0
+        self.grid = grid
+        self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)
+        self.k = len(self.rows)
+        self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
+
+    def observe(self, f: Field) -> np.ndarray:
+        return scipy.fft.dctn(f.pixels(), norm="ortho")[self.rows, self.cols] * self.scale
+
+    def transfer(self, ordering: ModeOrdering) -> np.ndarray:
+        """``H_S`` (``k x ordering.k``): the band coordinates of each basis column."""
+        cols = basis_matrix(ordering).reshape((*self.grid.shape, ordering.k), order="F")
+        c = scipy.fft.dctn(cols, axes=(0, 1), norm="ortho")
+        return c[self.rows, self.cols] * self.scale[:, None]
+
+    def reconstruct(self, coeffs: np.ndarray) -> Field:
+        c = np.zeros(self.grid.shape)
+        c[self.rows, self.cols] = coeffs / self.scale
+        return Field.from_pixels(self.grid, scipy.fft.idctn(c, norm="ortho"))

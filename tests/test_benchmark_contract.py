@@ -46,7 +46,7 @@ def test_tracer_reads_fit_and_filter_results():
     ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), 3)
 
     def factory(params):
-        return direct_model(ordering, DiscreteTransition(np.eye(ordering.k)), params)
+        return direct_model(DiscreteTransition(np.eye(ordering.k)), params)
 
     obs = np.random.default_rng(3).normal(size=(5, ordering.k))
     fit = estimate_variances(factory, obs, max_evaluations=40)
@@ -62,16 +62,17 @@ def test_tracer_reads_fit_and_filter_results():
 
 
 def test_tracer_reads_the_flipped_state_size():
-    # the per-K buckets (k99, k199) count a flipped model at its K* coefficients
+    # the per-K buckets count a flipped model at the size of its band, the
+    # coefficients it observes per frame
     pipeline = build_pipeline(GridSpec(16, 16), ModelSpec("flip64", k=64, flip=True))
     model = pipeline.factory(NoiseParams(1e-3, 1e-3))
-    obs = np.random.default_rng(4).normal(size=(4, pipeline.ordering.k))
+    obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
     mean0, cov0 = default_init(obs[0], model.noise)
     result = kf_filter(model, obs, mean0, cov0, update_first=True)
-    assert model.transition.k < pipeline.ordering.k
+    assert model.transition.k < pipeline.k == 21
     assert load_tracer().EXTRAS["kalman.kf_filter"](
         result, model, obs, mean0, cov0, update_first=True) == {
-        "k": pipeline.ordering.k, "steps": 4, "update_first": True,
+        "k": pipeline.k, "steps": 4, "update_first": True,
     }
 
 

@@ -92,6 +92,18 @@ def test_bad_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["velocity", "evaluate"])
+def test_bad_flip_anchor_exits_2(runner, tmp_path, command):
+    # the anchors only lay out what flip writes, yet every command checks them
+    _, stack = _simulated(runner, tmp_path)
+    cfg = write_config(tmp_path, {**SMALL_SIM, "flip": {"x_anchor": "up"}})
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config.flip: x_anchor must be 'right' or 'left', got 'up'" in result.output
+    assert not list(out.glob("*"))
+
+
 def _simulated(runner, tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "sim"

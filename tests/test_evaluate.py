@@ -14,6 +14,7 @@ from mirrorspec.evaluate import (
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
+from mirrorspec.spectral import ModeOrdering, SpectralState, build_wavenumbers, synthesize
 
 
 def test_mae_trivial_cases():
@@ -163,7 +164,8 @@ def test_report_determinism():
 
 def test_metadata_records_the_coefficients_built():
     # the 24x24 grid holds 576 coefficients, so a larger budget is capped;
-    # budgets that would split a cos/sin pair are rounded down (2 -> 1, 64 -> 63)
+    # budgets that would split a cos/sin pair are rounded down (2 -> 1), and
+    # flip64 observes the 21 coefficients of its band
     frames = small_dataset()
     specs = [ModelSpec("direct1000", k=1000), ModelSpec("direct2", k=2),
              ModelSpec("flip64", k=64, flip=True)]
@@ -173,4 +175,20 @@ def test_metadata_records_the_coefficients_built():
     models = report.metadata["models"]
     assert models["direct1000"]["k"] == 576
     assert models["direct2"]["k"] == 1
-    assert models["flip64"]["k"] == 63
+    assert models["flip64"]["k"] == 21
+
+
+def test_leakage_fraction_of_frames_in_range_of_the_transfer():
+    # frames made of the K retained original modes lie in range(H_S): no leakage
+    g = GridSpec(16, 16)
+    ordering = ModeOrdering(build_wavenumbers(g), 16)
+    rng = np.random.default_rng(33)
+    frames = [synthesize(SpectralState(ordering, rng.normal(size=ordering.k))) for _ in range(4)]
+    kwargs = dict(train_steps=3, eval_times=[3], regions={"whole": WHOLE_DOMAIN},
+                  velocity=(0.01, 0.0), noise=NoiseParams(0.002, 0.0005))
+    specs = [ModelSpec("direct16", k=16), ModelSpec("flip64", k=64, flip=True)]
+    models = run_comparison(frames, specs, **kwargs).metadata["models"]
+    assert "leakage_fraction" not in models["direct16"]
+    assert models["flip64"]["leakage_fraction"] < 1e-12
+    models = run_comparison(small_dataset(), specs[1:], **kwargs).metadata["models"]
+    assert 0.01 < models["flip64"]["leakage_fraction"] < 1

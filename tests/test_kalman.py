@@ -5,7 +5,7 @@ import scipy.linalg
 from mirrorspec.dynamics import DiscreteTransition, build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
-from mirrorspec.grid import GridSpec
+from mirrorspec.grid import GridSpec, flip_field, unflip
 from mirrorspec.kalman import (
     SUBSPACE_RIDGE,
     FilterError,
@@ -18,7 +18,16 @@ from mirrorspec.kalman import (
     kf_forecast,
 )
 from mirrorspec.simulate import SimulationConfig, simulate_advection
-from mirrorspec.spectral import ModeOrdering, analyze, build_wavenumbers, flip_transfer
+from mirrorspec.spectral import (
+    FlipTransfer,
+    MirrorBand,
+    ModeOrdering,
+    SpectralState,
+    analyze,
+    build_wavenumbers,
+    flip_transfer,
+    synthesize,
+)
 
 
 # The 3x3 start grid of the variance fit before it profiled out the scale.
@@ -33,7 +42,7 @@ def full_pass_loglik(factory, obs, params):
 
 def identity_model(k, noise):
     ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), k)
-    return direct_model(ordering, DiscreteTransition(np.eye(ordering.k)), noise)
+    return direct_model(DiscreteTransition(np.eye(ordering.k)), noise)
 
 
 def advection_setup(n, k=None, velocity=(0.01, 0.0), delta=1.0):
@@ -64,7 +73,7 @@ def test_noiseless_exact_model_reproduces_simulation():
     g, ordering, transition = advection_setup(16)
     obs = sim.alphas
     floor = NoiseParams(1e-10, 1e-10)
-    model = direct_model(ordering, transition, floor)
+    model = direct_model(transition, floor)
     mean0 = np.concatenate([sim.alphas[0], sim.betas[0]])
     result = kf_filter(model, obs, mean0, 1e-8 * np.eye(2 * ordering.k))
     for t in range(cfg.steps):
@@ -84,7 +93,7 @@ def test_filtered_mae_bounded_by_noise_on_replica():
                          noise_beta=0.0, noise_modes=None, seed=6)
     )
     g, ordering, transition = advection_setup(32)
-    model = direct_model(ordering, transition, NoiseParams(0.005, 0.001))
+    model = direct_model(transition, NoiseParams(0.005, 0.001))
     mean0, cov0 = default_init(noisy.alphas[0], model.noise)
     result = kf_filter(model, noisy.alphas, mean0, cov0, store_covariances=False)
     t = cfg.steps - 1
@@ -118,7 +127,7 @@ def test_forecast_pure_advection_translates():
     )
     sim = simulate_advection(cfg)
     g, ordering, transition = advection_setup(16)
-    model = direct_model(ordering, transition, NoiseParams(1e-10, 1e-10))
+    model = direct_model(transition, NoiseParams(1e-10, 1e-10))
     state = np.concatenate([sim.alphas[2], sim.betas[2]])
     means, _ = kf_forecast(model, state, 1e-10 * np.eye(2 * ordering.k), 1)
     assert np.abs(means[0][: ordering.k] - sim.alphas[3]).max() <= 1e-5
@@ -131,7 +140,7 @@ def test_forecast_error_grows_with_horizon():
     )
     sim = simulate_advection(cfg)
     g, ordering, transition = advection_setup(16)
-    model = direct_model(ordering, transition, NoiseParams(0.002, 0.0005))
+    model = direct_model(transition, NoiseParams(0.002, 0.0005))
     train = 6
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     result = kf_filter(model, sim.alphas[:train], mean0, cov0, store_covariances=False)
@@ -149,7 +158,7 @@ def test_covariances_stay_symmetric_psd():
     )
     sim = simulate_advection(cfg)
     g, ordering, transition = advection_setup(8)
-    model = direct_model(ordering, transition, NoiseParams(0.01, 0.002))
+    model = direct_model(transition, NoiseParams(0.01, 0.002))
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     result = kf_filter(model, sim.alphas, mean0, cov0)
     for cov in result.covariances:
@@ -164,7 +173,7 @@ def test_loglik_decomposes_over_innovations():
     )
     sim = simulate_advection(cfg)
     g, ordering, transition = advection_setup(8)
-    model = direct_model(ordering, transition, NoiseParams(0.004, 0.001))
+    model = direct_model(transition, NoiseParams(0.004, 0.001))
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     result = kf_filter(model, sim.alphas, mean0, cov0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
@@ -209,13 +218,13 @@ def test_variance_mle_recovers_within_factor_three():
     )
     obs = sim.alphas[:, sub]
     fit = estimate_variances(
-        lambda p: direct_model(ordering, transition, p, tie_obs=False),
+        lambda p: direct_model(transition, p, tie_obs=False),
         obs,
         max_evaluations=150,
     )
     assert 0.005 / 3 <= fit.params.sigma2_alpha <= 0.005 * 3
     assert 0.001 / 3 <= fit.params.sigma2_beta <= 0.001 * 3
-    factory = lambda p: direct_model(ordering, transition, p, tie_obs=False)
+    factory = lambda p: direct_model(transition, p, tie_obs=False)
     assert all(fit.loglik >= full_pass_loglik(factory, obs, NoiseParams(sa, sb)) - 1e-9
                for sa in OLD_GRID for sb in OLD_GRID)
 
@@ -233,7 +242,7 @@ def test_variance_mle_noiseless_collapses_to_floor():
         return mean, cov
 
     fit = estimate_variances(
-        lambda p: direct_model(ordering, transition, p, tie_obs=False),
+        lambda p: direct_model(transition, p, tie_obs=False),
         sim.alphas,
         exact_init,
         max_evaluations=250,
@@ -258,7 +267,7 @@ def test_likelihood_peaks_near_true_parameters():
     obs = sim.alphas[:, sub]
 
     def loglik(params):
-        model = direct_model(ordering, transition, params)
+        model = direct_model(transition, params)
         mean0, cov0 = default_init(obs[0], params)
         return kf_filter(model, obs, mean0, cov0, store_covariances=False).loglik
 
@@ -308,6 +317,14 @@ def test_fit_beats_nearby_noise_and_the_old_grid(small_fit):
         assert full_pass_loglik(factory, obs, params) <= fit.loglik, params
 
 
+def test_fit_counts_the_scalars_it_observes(small_fit):
+    # 11 updates of 12 steps of 15 coefficients (direct16), or of the
+    # 21-coefficient band (flip64), not of its K* = 63 doubled-grid coefficients
+    factory, _, fit = small_fit
+    per_step = 21 if factory(fit.params).channels else 15
+    assert fit.diagnostics()["n_scalars"] == per_step * 11
+
+
 def test_fit_converges_within_forty_evaluations(small_fit):
     _, _, fit = small_fit
     assert fit.converged
@@ -321,44 +338,87 @@ def variable_diffusivity(g):
     return DiffusivityField.isotropic(g, d.flatten(order="F"), periodic=True)
 
 
-@pytest.mark.parametrize("update_first", [False, True], ids=["update-from-1", "update-first"])
-@pytest.mark.parametrize("diffusive", [False, True],
-                         ids=["constant-velocity", "variable-diffusivity"])
-def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update_first):
+def flipped_case(diffusive, k):
+    """16x16 advection data, the physics and the pipeline of ``flip{k}``."""
     cfg = SimulationConfig(grid=GridSpec(16, 16), steps=8, noise_alpha=0.005, noise_beta=0.001,
                            noise_modes=33, seed=26)
     g = cfg.grid
     vel = VelocityField.constant(g, 0.01, 0.0)
     dif = variable_diffusivity(g) if diffusive else DiffusivityField.zero(g)
-    pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=vel,
+    pipeline = build_pipeline(g, ModelSpec(f"flip{k}", k=k, flip=True), velocity=vel,
                               diffusivity=dif)
+    ordering = ModeOrdering(build_wavenumbers(g), k // 4)
+    return simulate_advection(cfg).fields, assemble_transition(ordering, vel, dif), pipeline
+
+
+def dense_model(transition, h, noise):
+    """The conjugated model on every coefficient of ``h``'s rows: noise ``H H^T + ridge I``."""
+    hht = h @ h.T + SUBSPACE_RIDGE * np.eye(h.shape[0])
+    return StateSpaceModel(transition, noise, v=noise.sigma2_obs * np.eye(h.shape[0])
+                           + noise.sigma2_alpha * hht,
+                           w_alpha=noise.sigma2_alpha * hht, w_beta=noise.sigma2_beta * hht)
+
+
+def filter_and_forecast(model, obs, noise, update_first):
+    result = kf_filter(model, obs, *default_init(obs[0], noise), update_first=update_first)
+    forecast, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 3)
+    return result, np.vstack([result.means_array, forecast])
+
+
+UPDATE_FIRST = pytest.mark.parametrize("update_first", [False, True],
+                                       ids=["update-from-1", "update-first"])
+DIFFUSIVE = pytest.mark.parametrize("diffusive", [False, True],
+                                    ids=["constant-velocity", "variable-diffusivity"])
+
+
+@UPDATE_FIRST
+@DIFFUSIVE
+def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update_first):
+    frames, gen, pipeline = flipped_case(diffusive, 64)
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     model = pipeline.factory(noise)
-    obs = pipeline.observations(simulate_advection(cfg).fields)
+    obs = pipeline.observations(frames)
 
-    # the dense oracle: K* coefficients, exp of the conjugated generator, H H^T + ridge I
-    ordering = ModeOrdering(build_wavenumbers(g), 16)
-    transfer = flip_transfer(g, ordering, model.ordering)
-    transition = build_transition(flipped_generator(assemble_transition(ordering, vel, dif),
-                                                    transfer), 1.0)
-    h, eye = transfer.matrix, np.eye(model.k)
-    hht = h @ h.T + SUBSPACE_RIDGE * eye
-    dense = StateSpaceModel(model.ordering, transition, noise,
-                            v=noise.sigma2_obs * eye + noise.sigma2_alpha * hht,
-                            w_alpha=noise.sigma2_alpha * hht, w_beta=noise.sigma2_beta * hht)
-    dense_obs = obs @ pipeline.basis.T
-    assert model.transition.k == ordering.k < model.k == 63
+    # the dense oracle on all dim S band coordinates: exp of H_S P pinv(H_S), whose
+    # flipped-domain coordinates are the band's (it stands in for the flipped ordering)
+    band = MirrorBand(GridSpec(16, 16), 64)
+    h_s = band.transfer(gen.ordering)
+    q, _ = np.linalg.qr(h_s, mode="complete")
+    transfer = FlipTransfer(gen.ordering, band, h_s)
+    dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
+    assert model.transition.k == gen.ordering.k == 15 < model.k == band.k == 21
 
-    got = kf_filter(model, obs, *default_init(obs[0], noise), update_first=update_first)
-    want = kf_filter(dense, dense_obs, *default_init(dense_obs[0], noise),
-                     update_first=update_first)
+    got, got_means = filter_and_forecast(model, obs, noise, update_first)
+    want, want_means = filter_and_forecast(dense, obs @ q.T, noise, update_first)
     assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
-    rotate = np.kron(np.eye(2), pipeline.basis)  # state (Q' alpha*, Q' beta*) -> (alpha*, beta*)
-    assert np.abs(got.means_array @ rotate.T - want.means_array).max() <= 1e-9
-    got_f, _ = kf_forecast(model, got.means_array[-1], got.final_cov, 3)
-    want_f, _ = kf_forecast(dense, want.means_array[-1], want.final_cov, 3)
-    assert np.abs(got_f @ rotate.T - want_f).max() <= 1e-9
+    rotate = np.kron(np.eye(2), q)  # state (Q' y, Q' beta) -> (y, beta)
+    assert np.abs(got_means @ rotate.T - want_means).max() <= 1e-9
+
+
+@UPDATE_FIRST
+@DIFFUSIVE
+def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first):
+    # flip65 keeps both (k_x, +-k_y) of every doubled-grid mode it holds, so the
+    # band is exactly the paper's truncation: the K*-state model of H P pinv(H)
+    # on analyze(flip_field(f), star) must give the same fields
+    frames, gen, pipeline = flipped_case(diffusive, 65)
+    noise = NoiseParams(2e-3, 5e-4, 1e-4)
+    g = frames[0].grid
+    star = ModeOrdering(build_wavenumbers(g.doubled()), 65)
+    transfer = flip_transfer(g, gen.ordering, star)
+    dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
+                        transfer.matrix, noise)
+    dense_obs = np.array([analyze(flip_field(f), star).alpha for f in frames])
+    assert dense.k == 65 > pipeline.k == 21
+
+    _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise,
+                                 update_first)
+    _, want = filter_and_forecast(dense, dense_obs, noise, update_first)
+    for g_mean, w_mean in zip(got, want):
+        got_field = pipeline.reconstruct(g_mean).values
+        want_field = unflip(synthesize(SpectralState(star, w_mean[:65]))).values
+        assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
 
 
 def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mirrorspec.grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field
+from mirrorspec.grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field, unflip
 from mirrorspec.spectral import (
+    MirrorBand,
     ModeOrdering,
     SpectralState,
     analyze,
@@ -229,6 +230,48 @@ def test_mirror_symmetry_sine_sparsity(variant):
             rotated = (ac - 1j * asin) * np.exp(-1j * ph)
             assert abs(rotated.imag) <= 1e-9 * max(1.0, scale)
         assert cos_idx.any()
+
+
+@pytest.mark.parametrize("variant", [
+    FlipVariant(x, y) for x in ("right", "left") for y in ("bottom", "top")
+], ids=lambda v: f"{v.x_anchor}-{v.y_anchor}")
+def test_mirror_band_is_the_doubled_grid_truncation(variant):
+    # k* = 65 keeps both (k_x, +-k_y) of every doubled-grid mode it holds, so the
+    # band is exactly the truncation of the flipped field, whatever the anchors
+    rng = np.random.default_rng(14)
+    g = GridSpec(12, 8)
+    star = ModeOrdering(build_wavenumbers(g.doubled()), 65)
+    band = MirrorBand(g, 65)
+    assert (star.k, band.k) == (65, 21)
+    for _ in range(5):
+        f = Field(g, rng.normal(size=g.n))
+        alpha = analyze(flip_field(f, variant), star).alpha
+        y = band.observe(f)
+        want = unflip(synthesize(SpectralState(star, alpha)), variant)
+        assert np.abs(band.reconstruct(y).values - want.values).max() <= 1e-12
+        assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(alpha), rel=1e-12)
+
+
+def test_mirror_band_completes_a_split_pair():
+    # k* = 64 keeps one of the two doubled-grid modes (k_x, +-k_y) at its edge;
+    # the band holds their shared DCT-II index, so it holds the whole pair
+    g = GridSpec(12, 8)
+    star = ModeOrdering(build_wavenumbers(g.doubled()), 64)
+    band = MirrorBand(g, 64)
+    assert band.k == MirrorBand(g, 65).k == 21 and star.k == 63
+    f = Field(g, np.random.default_rng(15).normal(size=g.n))
+    alpha = analyze(flip_field(f), star).alpha
+    assert np.linalg.norm(band.observe(f)) > np.linalg.norm(alpha)
+
+
+def test_mirror_band_transfer_observes_the_basis_columns():
+    rng = np.random.default_rng(16)
+    g = GridSpec(12, 8)
+    ordering = ModeOrdering(build_wavenumbers(g), 16)
+    band = MirrorBand(g, 65)
+    a = rng.normal(size=ordering.k)
+    y = band.observe(synthesize(SpectralState(ordering, a)))
+    assert np.abs(band.transfer(ordering) @ a - y).max() <= 1e-12
 
 
 def test_flip_transfer_constant_maps_to_constant():
