@@ -46,10 +46,8 @@ from .spectral import (
     MirrorBand,
     ModeOrdering,
     SpectralState,
-    WavenumberSets,
     analyze,
     basis_matrix,
-    build_wavenumbers,
     flip_transfer,
     mirror_phase,
     synthesize,

@@ -273,15 +273,10 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
         _, _, _, variance_fit, _ = _fitted_model(cfg, stack, spec, steps, noise=None)
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"variance estimation failed: {exc}")
-    payload = {
-        "model": spec.label,
-        "sigma2_alpha": variance_fit.params.sigma2_alpha,
-        "sigma2_beta": variance_fit.params.sigma2_beta,
-        "sigma2_obs": variance_fit.params.sigma2_obs,
-        "loglik": variance_fit.loglik,
-        "converged": variance_fit.converged,
-        "n_evaluations": variance_fit.n_evaluations,
-    }
+    noise = variance_fit.params
+    payload = {"model": spec.label, "sigma2_alpha": noise.sigma2_alpha,
+               "sigma2_beta": noise.sigma2_beta, "sigma2_obs": noise.sigma2_obs,
+               "loglik": variance_fit.loglik, **variance_fit.diagnostics()}
     run.path("noise", ".json").write_text(json.dumps(payload, indent=2) + "\n")
     run.finish(**payload)
     click.echo(json.dumps(payload, indent=2))
@@ -403,7 +398,7 @@ def render(stack_path, config, out, frame, scale):
         bounds = (lo, hi)
     else:
         cfg_scale = cfg.data["render"]["scale"]
-        bounds = None if cfg_scale == "auto" else (cfg_scale[0], cfg_scale[1])
+        bounds = None if cfg_scale == "auto" else tuple(cfg_scale)
     render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}", ".pgm"), bounds)
     run.finish(frame=frame)
     click.echo(f"rendered frame {frame} to {run.outputs[0]}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .evaluate import ModelSpec, Region
@@ -122,6 +123,14 @@ def _validate(node, schema, path="config"):
             raise ConfigError(f"{path}: expected {schema}, got {type(node).__name__}")
 
 
+def _check_pair(value, path: str, expected: str = "two finite numbers") -> None:
+    """Raise ConfigError unless ``value`` is a list of two finite numbers."""
+    if not (isinstance(value, list) and len(value) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in value)):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
 def _merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -145,6 +154,12 @@ class RunConfig:
         budget = self.data["fit"]["budget"]
         if budget < 2:
             raise ConfigError(f"config.fit.budget must be at least 2, got {budget}")
+        for section, key in (("velocity", "value"), ("simulation", "velocity"),
+                             ("simulation", "source_center")):
+            _check_pair(self.data[section][key], f"config.{section}.{key}")
+        if self.data["render"]["scale"] != "auto":
+            _check_pair(self.data["render"]["scale"], "config.render.scale",
+                        "'auto' or two finite numbers")
         self.flip_variant()
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:12]

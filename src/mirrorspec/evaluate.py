@@ -29,8 +29,7 @@ from .kalman import (
     kf_forecast,
 )
 from .preprocess import apply_window, hamming2d
-from .spectral import (MirrorBand, ModeOrdering, SpectralState, analyze, build_wavenumbers,
-                       synthesize)
+from .spectral import MirrorBand, ModeOrdering, SpectralState, analyze, synthesize
 
 __all__ = [
     "Region",
@@ -183,8 +182,7 @@ def build_pipeline(
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
-    ordering = ModeOrdering(build_wavenumbers(grid),
-                            spec.k // K_STAR_FACTOR if spec.flip else spec.k)
+    ordering = ModeOrdering(grid, spec.k // K_STAR_FACTOR if spec.flip else spec.k)
     transition = build_transition(assemble_transition(ordering, vel, dif), delta)
 
     def windowed(f):
@@ -219,7 +217,7 @@ def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
         return pipeline.factory(fit.params), fit.params, fit, fit.result
     model = pipeline.factory(noise)
     mean0, cov0 = default_init(train_obs[0], noise)
-    return model, noise, None, kf_filter(model, train_obs, mean0, cov0, store_covariances=False)
+    return model, noise, None, kf_filter(model, train_obs, mean0, cov0)
 
 
 def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
@@ -317,7 +315,7 @@ def truncated_reconstruction(f: Field, k: int, *, flip: bool = False) -> Field:
     if flip:
         band = MirrorBand(f.grid, K_STAR_FACTOR * k)
         return band.reconstruct(band.observe(f))
-    ordering = ModeOrdering(build_wavenumbers(f.grid), k)
+    ordering = ModeOrdering(f.grid, k)
     return synthesize(analyze(f, ordering))
 
 

@@ -172,16 +172,16 @@ def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray,
 
 @dataclass
 class FilterResult:
-    """Filtered means, covariances, the innovations log-likelihood and
-    ``whitened_ss``, the sum of squared whitened innovations ``e' S^-1 e``."""
+    """Filtered means, the last step's covariance, the innovations
+    log-likelihood and ``whitened_ss``, the sum of squared whitened
+    innovations ``e' S^-1 e``."""
 
     means_array: np.ndarray
-    covariances: list[np.ndarray] | None
     loglik: float
     loglik_terms: np.ndarray
     innovations: np.ndarray
     whitened_ss: float
-    final_cov: np.ndarray = field(repr=False, default=None)
+    final_cov: np.ndarray = field(repr=False)
 
 
 def _predict(model: StateSpaceModel, mean, cov):
@@ -260,7 +260,6 @@ def kf_filter(
     init_cov: np.ndarray,
     *,
     update_first: bool = False,
-    store_covariances: bool = True,
 ) -> FilterResult:
     """Run the predict/update recursion over a sequence of observations.
 
@@ -281,7 +280,6 @@ def kf_filter(
     blocks = _blocks(model, mean, cov)
     steps = obs.shape[0]
     means = np.empty((steps, 2 * model.k))
-    covs: list[np.ndarray] | None = [] if store_covariances else None
     terms = []
     white_ss = 0.0
     innovations = np.zeros_like(obs)
@@ -297,13 +295,10 @@ def kf_filter(
             terms.append(sum(u[3] for u in updates))
             white_ss += sum(u[4] for u in updates)
         means[t] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
-        if store_covariances:
-            covs.append(_joined_cov(model, blocks))
 
     terms = np.asarray(terms)
     return FilterResult(
         means_array=means,
-        covariances=covs,
         loglik=float(terms.sum()),
         loglik_terms=terms,
         innovations=innovations,
@@ -399,7 +394,7 @@ def estimate_variances(
     def run(params):
         model = model_factory(params)
         mean0, cov0 = init_factory(params)
-        return kf_filter(model, obs, mean0, cov0, store_covariances=False)
+        return kf_filter(model, obs, mean0, cov0)
 
     def scaled(log_ratio, scale):
         return NoiseParams(scale, scale * float(np.exp(log_ratio)))

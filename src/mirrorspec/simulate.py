@@ -9,11 +9,12 @@ with a Gaussian source ``Q`` near the bottom edge of the unit square and a
 constant rightward drift, in coefficient space at full spectral resolution.
 For constant velocity the generator is block-diagonal (each cos/sin pair
 rotates at its own rate and the corner modes are frozen), so the exact
-one-step map is applied per mode instead of exponentiating an N x N matrix.
+one-step map is applied per mode, pairing coefficients through
+``ModeOrdering.partner``, instead of exponentiating an N x N matrix.
 White Gaussian perturbations are injected into the state and forcing
-coefficients every step over a configurable low-frequency support; the
-forcing perturbation accumulates (random walk), matching the model's
-Brownian-forcing block.
+coefficients every step over the low-frequency support
+``ModeOrdering(grid, noise_modes)``; the forcing perturbation accumulates
+(random walk), matching the model's Brownian-forcing block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec
-from .spectral import ModeOrdering, SpectralState, analyze, build_wavenumbers, synthesize
+from .spectral import ModeOrdering, SpectralState, analyze, synthesize
 
 __all__ = [
     "SimulationConfig",
@@ -92,15 +93,6 @@ class AdvectionRotation:
         omega = delta * 2 * np.pi * (vx * ordering.kx + vy * ordering.ky)
         omega[ordering.weight == 1.0] = 0.0
         self.ordering = ordering
-        # partner index of each coefficient (itself for corner modes)
-        partner = np.arange(ordering.k)
-        key = {}
-        for i in range(ordering.k):
-            key.setdefault((ordering.kx[i], ordering.ky[i]), []).append(i)
-        for pair in key.values():
-            if len(pair) == 2:
-                partner[pair[0]], partner[pair[1]] = pair[1], pair[0]
-        self.partner = partner
         self.cos = np.cos(omega)
         self.sin = np.sin(omega)
         sign = np.where(ordering.is_sin, 1.0, -1.0)
@@ -108,7 +100,7 @@ class AdvectionRotation:
 
     def apply(self, alpha: np.ndarray) -> np.ndarray:
         # cos' = c*cos - s*sin ; sin' = s*cos + c*sin
-        return self.cos * alpha + self.cross * alpha[self.partner]
+        return self.cos * alpha + self.cross * alpha[self.ordering.partner]
 
 
 def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
@@ -120,7 +112,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     ``noise_modes`` coefficients (all of them when ``None``); the run is a
     pure function of the config, including the seed.
     """
-    ordering = ModeOrdering(build_wavenumbers(cfg.grid))
+    ordering = ModeOrdering(cfg.grid)
     q = forcing_field(cfg)
     beta = analyze(q, ordering).alpha.copy()
     alpha = beta.copy()
@@ -129,7 +121,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     if cfg.noise_modes is None:
         support = np.arange(ordering.k)
     else:
-        sub = ModeOrdering(ordering.sets, cfg.noise_modes)
+        sub = ModeOrdering(ordering.grid, cfg.noise_modes)
         support = np.searchsorted(ordering.indices, sub.indices)
     rng = np.random.default_rng(cfg.seed)
     sd_a = np.sqrt(cfg.noise_alpha)

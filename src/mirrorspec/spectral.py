@@ -1,4 +1,4 @@
-"""Real Fourier basis, wavenumber bookkeeping, transforms, and the mirror band.
+"""Real Fourier basis, its mode table, transforms, and the mirror band.
 
 A field on an ``n1 x n2`` grid decomposes as
 
@@ -13,7 +13,9 @@ conjugate pair, so that ``|K1| + 2 |K2| = n1*n2`` real degrees of freedom.
 The coefficient vector is laid out in three segments
 ``[cos over K1 | cos over K2 | sin over K2]``.  Truncation retains modes in
 ascending ``||k||_2`` order (lexicographic tie-break), always keeping a
-cos/sin pair together.
+cos/sin pair together.  :class:`ModeOrdering` is the one table of that
+decision: built from one sort, it says which coefficients a budget keeps,
+where each sits in the layout, its mode, and its cos/sin partner.
 
 Analysis and synthesis run through the FFT; an explicit basis matrix and the
 normal-equation least-squares path exist for verification.  The factor 2 on
@@ -32,12 +34,10 @@ import scipy.fft
 from .grid import Field, GridSpec, flip_vector_indices
 
 __all__ = [
-    "WavenumberSets",
     "ModeOrdering",
     "SpectralState",
     "FlipTransfer",
     "MirrorBand",
-    "build_wavenumbers",
     "analyze",
     "synthesize",
     "basis_matrix",
@@ -48,92 +48,53 @@ __all__ = [
 BASIS_CHUNK = 64  # basis columns evaluated per block in basis_matrix
 
 
-@dataclass(frozen=True)
-class WavenumberSets:
-    """The index sets ``K1`` and ``K2`` for a grid, in a fixed order."""
-
-    grid: GridSpec
-    k1_list: tuple[tuple[int, int], ...]
-    k2_list: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.k1_list) + 2 * len(self.k2_list) != self.grid.n:
-            raise ValueError("wavenumber sets do not account for all degrees of freedom")
-
-
-def build_wavenumbers(grid: GridSpec) -> WavenumberSets:
-    """Enumerate ``K1`` and ``K2`` for a grid.
-
-    ``K2`` takes each conjugate pair's representative with
-    ``0 <= k1 <= n1/2`` and ``-n2/2 < k2 <= n2/2``: every ``k2`` for interior
-    ``k1``, and ``k2 = 1 .. n2/2 - 1`` on the self-conjugate columns
-    ``k1 = 0`` and ``k1 = n1/2``.  Listed in ``(k1, k2)`` lexicographic order.
-    """
-    h1, h2 = grid.n1 // 2, grid.n2 // 2
-    k1_list = ((0, 0), (0, h2), (h1, 0), (h1, h2))
-    k2 = []
-    for kx in range(0, h1 + 1):
-        if kx in (0, h1):
-            k2.extend((kx, ky) for ky in range(1, h2))
-        else:
-            k2.extend((kx, ky) for ky in range(-h2 + 1, h2 + 1))
-    k2.sort()
-    return WavenumberSets(grid, k1_list, tuple(k2))
-
-
 class ModeOrdering:
-    """A truncation of the full coefficient layout.
+    """The coefficient layout of a grid, truncated to a budget.
 
-    ``retained`` lists the kept coefficient indices (positions in the full
-    ``[cos K1 | cos K2 | sin K2]`` layout of length ``N``) as a prefix of the
-    low-frequency ordering: modes sorted by ``(||k||^2, k1, k2)``, each
-    ``K2`` mode contributing its cos and sin coefficient together.  The
-    coefficient vectors themselves (``SpectralState.alpha``) follow the
-    layout order, i.e. ``sorted(retained)``.
+    The full layout is ``[cos K1 | cos K2 | sin K2]``: ``K1`` lists the corners
+    ``(0, 0), (0, n2/2), (n1/2, 0), (n1/2, n2/2)`` and ``K2`` one representative
+    of every other conjugate pair, ``0 <= k1 <= n1/2`` and ``-n2/2 < k2 <= n2/2``
+    (only ``k2 = 1 .. n2/2 - 1`` on the self-conjugate columns ``k1 = 0`` and
+    ``k1 = n1/2``), in ``(k1, k2)`` lexicographic order.
 
-    Requested sizes that would split a cos/sin pair are rounded down to the
-    largest admissible prefix.
+    ``retained`` lists the kept layout positions as a prefix of the modes
+    sorted by ``(||k||^2, k1, k2)``, each ``K2`` mode contributing its cos and
+    sin coefficient together; a budget that would split a pair is rounded down.
+    The coefficient vector (``SpectralState.alpha``) follows the layout order,
+    ``indices = sorted(retained)``, and ``kx``, ``ky``, ``is_sin``, ``weight``,
+    ``cnorm`` and ``partner`` (the position of each coefficient's cos/sin
+    partner in that vector, itself for a corner) describe its entries.
     """
 
-    def __init__(self, sets: WavenumberSets, n_coeffs: int | None = None):
-        grid = sets.grid
-        m1, m2 = len(sets.k1_list), len(sets.k2_list)
-        total = m1 + 2 * m2
-
-        modes = list(sets.k1_list) + list(sets.k2_list)
-        # per mode: tuple of layout positions
-        coeff_groups = [(pos,) for pos in range(m1)] + [(m1 + i, m1 + m2 + i) for i in range(m2)]
-
-        order = sorted(
-            range(len(modes)),
-            key=lambda i: (modes[i][0] ** 2 + modes[i][1] ** 2, modes[i][0], modes[i][1]),
-        )
-
-        n_coeffs = total if n_coeffs is None else n_coeffs
+    def __init__(self, grid: GridSpec, n_coeffs: int | None = None):
+        n_coeffs = grid.n if n_coeffs is None else n_coeffs
         if n_coeffs < 1:
             raise ValueError(f"n_coeffs must be >= 1, got {n_coeffs}")
-        n_coeffs = min(n_coeffs, total)
+        h1, h2 = grid.n1 // 2, grid.n2 // 2
+        kx, ky = np.meshgrid(np.arange(h1 + 1), np.arange(1 - h2, h2 + 1), indexing="ij")
+        in_k2 = ((kx > 0) & (kx < h1)) | ((ky > 0) & (ky < h2))
+        m2 = int(in_k2.sum())
+        # mode i's cos coefficient sits at layout position i, a K2 mode's sin at i + m2
+        mode_x = np.concatenate([[0, 0, h1, h1], kx[in_k2]])
+        mode_y = np.concatenate([[0, h2, 0, h2], ky[in_k2]])
+        size = np.where(np.arange(4 + m2) < 4, 1, 2)
+        order = np.lexsort((mode_y, mode_x, mode_x**2 + mode_y**2))
+        kept = order[np.cumsum(size[order]) <= n_coeffs]
+        retained = np.column_stack([kept, np.where(kept < 4, -1, kept + m2)]).ravel()
+        retained = retained[retained >= 0]
 
-        prefix: list[int] = []
-        for mi in order:
-            group = coeff_groups[mi]
-            if len(prefix) + len(group) > n_coeffs:
-                break
-            prefix.extend(group)
-
-        self.sets = sets
         self.grid = grid
-        self.retained = tuple(prefix)
-        self.indices = np.sort(np.asarray(prefix, dtype=int))
-        self.k = len(prefix)
-
-        # per-coefficient metadata in layout (alpha) order
-        layout = modes + list(sets.k2_list)  # the mode of each layout position
-        self.kx, self.ky = np.array([layout[pos] for pos in self.indices], dtype=int).T
-        in_k1 = self.indices < m1
-        self.is_sin = self.indices >= m1 + m2
+        self.retained = tuple(retained.tolist())
+        self.indices = np.sort(retained)
+        self.k = len(self.retained)
+        self.kx = np.concatenate([mode_x, mode_x[4:]])[self.indices]
+        self.ky = np.concatenate([mode_y, mode_y[4:]])[self.indices]
+        in_k1 = self.indices < 4
+        self.is_sin = self.indices >= 4 + m2
         self.weight = np.where(in_k1, 1.0, 2.0)
         self.cnorm = np.where(in_k1, 1.0, 0.5)
+        partner = self.indices + np.where(in_k1, 0, np.where(self.is_sin, -m2, m2))
+        self.partner = np.searchsorted(self.indices, partner)
         # FFT cell of mode k and of its conjugate partner
         self._row = self.ky % grid.n2
         self._col = self.kx % grid.n1
@@ -144,10 +105,10 @@ class ModeOrdering:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeOrdering):
             return NotImplemented
-        return self.sets == other.sets and self.retained == other.retained
+        return self.grid == other.grid and self.retained == other.retained
 
     def __hash__(self):
-        return hash((self.sets, self.retained))
+        return hash((self.grid, self.retained))
 
     def __repr__(self):
         return f"ModeOrdering(grid=({self.grid.n1}, {self.grid.n2}), k={self.k})"
@@ -294,7 +255,7 @@ class MirrorBand:
     """
 
     def __init__(self, grid: GridSpec, k_star: int):
-        star = ModeOrdering(build_wavenumbers(grid.doubled()), k_star)
+        star = ModeOrdering(grid.doubled(), k_star)
         inside = (star.kx < grid.n1) & (np.abs(star.ky) < grid.n2)  # the doubled Nyquist is 0
         self.grid = grid
         self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)

@@ -30,7 +30,6 @@ from mirrorspec.spectral import (
     ModeOrdering,
     SpectralState,
     analyze,
-    build_wavenumbers,
     flip_transfer,
     synthesize,
 )
@@ -79,7 +78,7 @@ def test_criterion_2_spectral_round_trip():
     for n1, n2 in ((6, 4), (16, 16), (64, 32), (64, 64)):
         g = GridSpec(n1, n2)
         f = Field(g, rng.normal(size=g.n))
-        ordering = ModeOrdering(build_wavenumbers(g))
+        ordering = ModeOrdering(g)
         back = synthesize(analyze(f, ordering))
         rel = np.abs(back.values - f.values).max() / np.abs(f.values).max()
         worst = max(worst, rel)
@@ -106,7 +105,7 @@ def shifted_synthesis(ordering, alpha, shift):
 
 def test_criterion_3_physics_oracles():
     g = GridSpec(32, 32)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     vel = VelocityField.constant(g, 0.01, 0.0)
     gen = assemble_transition(ordering, vel, DiffusivityField.zero(g))
     phi = matrix_exp(gen.matrix)
@@ -140,8 +139,8 @@ def test_criterion_3_physics_oracles():
 def test_criterion_4_flip_conjugation_equivalence():
     rng = np.random.default_rng(104)
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g)
+    ordering_star = ModeOrdering(g.doubled())
     transfer = flip_transfer(g, ordering, ordering_star)
     h = transfer.matrix
     gram_err = np.abs(transfer.pinv() @ h - np.eye(ordering.k)).max()

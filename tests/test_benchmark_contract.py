@@ -15,7 +15,7 @@ from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, direct_model, estimate_variances, kf_filter
-from mirrorspec.spectral import ModeOrdering, build_wavenumbers
+from mirrorspec.spectral import ModeOrdering
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,7 +43,7 @@ def test_traced_names_exist():
 
 def test_tracer_reads_fit_and_filter_results():
     extras = load_tracer().EXTRAS
-    ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), 3)
+    ordering = ModeOrdering(GridSpec(4, 4), 3)
 
     def factory(params):
         return direct_model(DiscreteTransition(np.eye(ordering.k)), params)
@@ -80,7 +80,7 @@ def test_tracer_reads_the_diffusivity_field():
     # a zero field without motion skips assembly; an isotropic field is assembled
     extra = load_tracer().EXTRAS["galerkin.assemble_transition"]
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g), 9)
+    ordering = ModeOrdering(g, 9)
     vel = VelocityField.zero(g)
     x, _ = g.mesh()
     shear = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)

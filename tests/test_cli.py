@@ -90,6 +90,32 @@ def test_bad_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["simulate", "--config", "nonexistent", "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
+    # pairs are checked when the config is built, before a command unpacks them
+    _, stack = _simulated(runner, tmp_path)
+    for commands, override, message in (
+        (("filter", "fit", "predict", "evaluate"), {"velocity": {"value": [0.01]}},
+         "config.velocity.value: expected two finite numbers, got [0.01]"),
+        (("simulate",), {"simulation": {"velocity": [0.01]}},
+         "config.simulation.velocity: expected two finite numbers"),
+        (("simulate",), {"simulation": {"source_center": [0.1]}},
+         "config.simulation.source_center: expected two finite numbers"),
+        (("simulate",), {"simulation": {"velocity": [0.01, "0"]}},
+         "config.simulation.velocity: expected two finite numbers"),
+        (("evaluate",), {"velocity": {"value": [float("nan"), 0.0]}},
+         "config.velocity.value: expected two finite numbers"),
+        (("render",), {"render": {"scale": [1]}},
+         "config.render.scale: expected 'auto' or two finite numbers, got [1]"),
+        (("render",), {"render": {"scale": "fixed"}},
+         "config.render.scale: expected 'auto' or two finite numbers, got 'fixed'"),
+    ):
+        cfg = write_config(tmp_path, {**SMALL_SIM, **override})
+        for command in commands:
+            out = tmp_path / f"bad-{command}"
+            args = [] if command == "simulate" else [stack]
+            result = runner.invoke(main, [command, *args, "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 2, (command, override, result.output)
+            assert message in result.output, (command, result.output)
+            assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("command", ["velocity", "evaluate"])
@@ -353,7 +379,7 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
     sim = tmp_path / "sim"
     assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
     stack = str(next(sim.glob("stack-simulated-*")))
-    for command in ("evaluate", "filter", "predict"):
+    for command in ("evaluate", "filter", "predict", "fit"):
         result = runner.invoke(main, [command, stack, "--config", cfg,
                                       "--out", str(tmp_path / command)])
         assert result.exit_code == 0, result.output
@@ -368,3 +394,12 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
     for command in ("filter", "predict"):
         log = json.loads(next((tmp_path / command).glob("runlog-*.json")).read_text())
         assert isinstance(log["converged"], bool) and 2 <= log["n_evaluations"] <= 12
+    # fit records the same fit as filter: the same model over the same frames
+    noise = json.loads(next((tmp_path / "fit").glob("noise-*.json")).read_text())
+    fit_log = json.loads(next((tmp_path / "fit").glob("runlog-fit-*.json")).read_text())
+    filter_log = json.loads(next((tmp_path / "filter").glob("runlog-*.json")).read_text())
+    for key in ("ratio", "ratio_at_bound", "n_scalars", "converged", "n_evaluations"):
+        assert noise[key] == fit_log[key] == filter_log[key], key
+    assert isinstance(noise["ratio_at_bound"], bool)
+    assert noise["ratio"] == pytest.approx(noise["sigma2_beta"] / noise["sigma2_alpha"])
+    assert noise["n_scalars"] == 15 * 7  # direct16 keeps 15 coefficients; 7 updates

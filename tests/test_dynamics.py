@@ -18,7 +18,6 @@ from mirrorspec.spectral import (
     ModeOrdering,
     SpectralState,
     analyze,
-    build_wavenumbers,
     flip_transfer,
     synthesize,
 )
@@ -90,8 +89,8 @@ def test_matrix_exp_rejects_nonfinite():
 
 
 def _transfer(g):
-    ordering = ModeOrdering(build_wavenumbers(g))
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g)
+    ordering_star = ModeOrdering(g.doubled())
     return ordering, ordering_star, flip_transfer(g, ordering, ordering_star)
 
 
@@ -139,9 +138,7 @@ def test_flipped_generator_eigenvalues_on_column_space():
 def test_truncation_containment_discrepancy_shrinks():
     rng = np.random.default_rng(39)
     g = GridSpec(8, 8)
-    sets = build_wavenumbers(g)
-    sets_star = build_wavenumbers(g.doubled())
-    full = ModeOrdering(sets)
+    full = ModeOrdering(g)
     vel, dif = smooth_random_physics(g, rng)
     gen_full = assemble_transition(full, vel, dif)
     phi_full = build_transition(gen_full, 1.0).phi
@@ -154,8 +151,8 @@ def test_truncation_containment_discrepancy_shrinks():
 
     discrepancies = []
     for k in (17, 33, 64):
-        ordering = ModeOrdering(sets, k)
-        ordering_star = ModeOrdering(sets_star, 4 * k)
+        ordering = ModeOrdering(g, k)
+        ordering_star = ModeOrdering(g.doubled(), 4 * k)
         transfer = flip_transfer(g, ordering, ordering_star)
         gen = assemble_transition(ordering, vel, dif)
         phi_star = build_transition(flipped_generator(gen, transfer), 1.0).phi
@@ -175,7 +172,7 @@ def test_truncation_containment_discrepancy_shrinks():
 
 def test_build_transition_zero_generator():
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     gen = TransitionGenerator(ordering, np.zeros((ordering.k, ordering.k)))
     trans = build_transition(gen, 2.0)
     k = ordering.k

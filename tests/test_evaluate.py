@@ -14,7 +14,7 @@ from mirrorspec.evaluate import (
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
-from mirrorspec.spectral import ModeOrdering, SpectralState, build_wavenumbers, synthesize
+from mirrorspec.spectral import ModeOrdering, SpectralState, synthesize
 
 
 def test_mae_trivial_cases():
@@ -111,7 +111,7 @@ def test_run_comparison_zero_noise_exact_model():
     mean0, cov0 = default_init(obs[0], noise)
     # the first observed increment y_1 - Phi y_0 is the exact forcing of noiseless data
     mean0[model.k:] = obs[1] - model.transition.phi @ obs[0]
-    result = kf_filter(model, obs, mean0, cov0, store_covariances=False)
+    result = kf_filter(model, obs, mean0, cov0)
     for t in (3, 5, 7):
         recon = pipeline.reconstruct(result.means_array[t, :model.k])
         assert mae(frames[t], recon, WHOLE_DOMAIN) <= 1e-6
@@ -181,7 +181,7 @@ def test_metadata_records_the_coefficients_built():
 def test_leakage_fraction_of_frames_in_range_of_the_transfer():
     # frames made of the K retained original modes lie in range(H_S): no leakage
     g = GridSpec(16, 16)
-    ordering = ModeOrdering(build_wavenumbers(g), 16)
+    ordering = ModeOrdering(g, 16)
     rng = np.random.default_rng(33)
     frames = [synthesize(SpectralState(ordering, rng.normal(size=ordering.k))) for _ in range(4)]
     kwargs = dict(train_steps=3, eval_times=[3], regions={"whole": WHOLE_DOMAIN},

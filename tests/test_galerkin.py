@@ -9,12 +9,12 @@ from mirrorspec.galerkin import (
     psi_entry,
 )
 from mirrorspec.grid import Field, GridSpec
-from mirrorspec.spectral import ModeOrdering, SpectralState, analyze, build_wavenumbers, synthesize
+from mirrorspec.spectral import ModeOrdering, SpectralState, analyze, synthesize
 
 
 def full_ordering(n1, n2=None):
     g = GridSpec(n1, n2 if n2 is not None else n1)
-    return ModeOrdering(build_wavenumbers(g))
+    return ModeOrdering(g)
 
 
 def test_psi_zero_velocity_advection_entries_vanish():
@@ -64,7 +64,7 @@ def test_assemble_zero_physics_gives_zero_matrix():
 def test_assemble_matches_psi_entry_elementwise():
     rng = np.random.default_rng(21)
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     # smooth random velocity and diffusivity
     x, y = g.mesh()
     vel = VelocityField(
@@ -105,7 +105,7 @@ def translation_reference(ordering, alpha, shift):
 
 def test_constant_velocity_advection_matches_translation():
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     vel = VelocityField.constant(g, 0.01, 0.0)
     gen = assemble_transition(ordering, vel, DiffusivityField.zero(g))
     phi = matrix_exp(1.0 * gen.matrix)
@@ -124,7 +124,7 @@ def test_constant_velocity_advection_matches_translation():
 def test_constant_diffusion_matches_heat_kernel_decay():
     g = GridSpec(8, 8)
     d0 = 3e-3
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, d0))
     phi = matrix_exp(1.0 * gen.matrix)
     norms2 = ordering.kx**2 + ordering.ky**2
@@ -134,7 +134,7 @@ def test_constant_diffusion_matches_heat_kernel_decay():
 
 def test_mean_mode_row_is_zero():
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     (zero_pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
     x, y = g.mesh()
 
@@ -164,9 +164,8 @@ def test_block_consistency_full_vs_truncated():
         (0.01 * np.cos(2 * np.pi * x)).flatten(order="F"),
     )
     dif = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
-    sets = build_wavenumbers(g)
-    full = ModeOrdering(sets)
-    small = ModeOrdering(sets, 11)
+    full = ModeOrdering(g)
+    small = ModeOrdering(g, 11)
     p_full = assemble_transition(full, vel, dif).matrix
     p_small = assemble_transition(small, vel, dif).matrix
     pos = [list(full.indices).index(i) for i in small.indices]
@@ -175,7 +174,7 @@ def test_block_consistency_full_vs_truncated():
 
 def test_pure_advection_pairs_are_rotation_generators():
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     vel = VelocityField.constant(g, 0.02, -0.01)
     gen = assemble_transition(ordering, vel, DiffusivityField.zero(g))
     m = gen.matrix
@@ -194,7 +193,7 @@ def test_generator_matches_pointwise_operator_application():
     # this must equal P @ analyze(f) because both use the same quadrature.
     g = GridSpec(6, 6)
     x, y = g.mesh()
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     vx = 0.02 + 0.01 * np.sin(2 * np.pi * y)
     vy = -0.01 * np.cos(2 * np.pi * x)
     vel = VelocityField(g, vx.flatten(order="F"), vy.flatten(order="F"))

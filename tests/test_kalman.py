@@ -24,7 +24,6 @@ from mirrorspec.spectral import (
     ModeOrdering,
     SpectralState,
     analyze,
-    build_wavenumbers,
     flip_transfer,
     synthesize,
 )
@@ -37,17 +36,17 @@ OLD_GRID = (1e-4, 1e-3, 1e-2)
 def full_pass_loglik(factory, obs, params):
     """Log-likelihood of one filter pass from the default initial state."""
     mean0, cov0 = default_init(obs[0], params)
-    return kf_filter(factory(params), obs, mean0, cov0, store_covariances=False).loglik
+    return kf_filter(factory(params), obs, mean0, cov0).loglik
 
 
 def identity_model(k, noise):
-    ordering = ModeOrdering(build_wavenumbers(GridSpec(4, 4)), k)
+    ordering = ModeOrdering(GridSpec(4, 4), k)
     return direct_model(DiscreteTransition(np.eye(ordering.k)), noise)
 
 
 def advection_setup(n, k=None, velocity=(0.01, 0.0), delta=1.0):
     g = GridSpec(n, n)
-    ordering = ModeOrdering(build_wavenumbers(g), k)
+    ordering = ModeOrdering(g, k)
     gen = assemble_transition(
         ordering, VelocityField.constant(g, *velocity), DiffusivityField.zero(g)
     )
@@ -95,7 +94,7 @@ def test_filtered_mae_bounded_by_noise_on_replica():
     g, ordering, transition = advection_setup(32)
     model = direct_model(transition, NoiseParams(0.005, 0.001))
     mean0, cov0 = default_init(noisy.alphas[0], model.noise)
-    result = kf_filter(model, noisy.alphas, mean0, cov0, store_covariances=False)
+    result = kf_filter(model, noisy.alphas, mean0, cov0)
     t = cfg.steps - 1
     from mirrorspec.spectral import SpectralState, synthesize
 
@@ -143,7 +142,7 @@ def test_forecast_error_grows_with_horizon():
     model = direct_model(transition, NoiseParams(0.002, 0.0005))
     train = 6
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
-    result = kf_filter(model, sim.alphas[:train], mean0, cov0, store_covariances=False)
+    result = kf_filter(model, sim.alphas[:train], mean0, cov0)
     means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 10)
     errs = [np.abs(means[h][: ordering.k] - sim.alphas[train + h]).mean() for h in range(10)]
     # smooth out single-step wiggles: compare 3-step block averages
@@ -160,8 +159,8 @@ def test_covariances_stay_symmetric_psd():
     g, ordering, transition = advection_setup(8)
     model = direct_model(transition, NoiseParams(0.01, 0.002))
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
-    result = kf_filter(model, sim.alphas, mean0, cov0)
-    for cov in result.covariances:
+    for t in range(len(sim.alphas)):
+        cov = kf_filter(model, sim.alphas[: t + 1], mean0, cov0).final_cov
         assert np.abs(cov - cov.T).max() == 0.0
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
@@ -209,12 +208,12 @@ def test_variance_mle_recovers_within_factor_three():
     )
     sim = simulate_advection(cfg)
     g, _, _ = advection_setup(16)
-    ordering = ModeOrdering(build_wavenumbers(g), 33)
+    ordering = ModeOrdering(g, 33)
     gen = assemble_transition(ordering, VelocityField.constant(g, 0.01, 0.0),
                               DiffusivityField.zero(g))
     transition = build_transition(gen, 1.0)
     sub = np.searchsorted(
-        ModeOrdering(build_wavenumbers(g)).indices, ordering.indices
+        ModeOrdering(g).indices, ordering.indices
     )
     obs = sim.alphas[:, sub]
     fit = estimate_variances(
@@ -259,17 +258,17 @@ def test_likelihood_peaks_near_true_parameters():
     )
     sim = simulate_advection(cfg)
     g = cfg.grid
-    ordering = ModeOrdering(build_wavenumbers(g), 33)
+    ordering = ModeOrdering(g, 33)
     gen = assemble_transition(ordering, VelocityField.constant(g, 0.01, 0.0),
                               DiffusivityField.zero(g))
     transition = build_transition(gen, 1.0)
-    sub = np.searchsorted(ModeOrdering(build_wavenumbers(g)).indices, ordering.indices)
+    sub = np.searchsorted(ModeOrdering(g).indices, ordering.indices)
     obs = sim.alphas[:, sub]
 
     def loglik(params):
         model = direct_model(transition, params)
         mean0, cov0 = default_init(obs[0], params)
-        return kf_filter(model, obs, mean0, cov0, store_covariances=False).loglik
+        return kf_filter(model, obs, mean0, cov0).loglik
 
     true = loglik(NoiseParams(0.005, 0.001))
     assert true > loglik(NoiseParams(0.05, 0.01))
@@ -347,7 +346,7 @@ def flipped_case(diffusive, k):
     dif = variable_diffusivity(g) if diffusive else DiffusivityField.zero(g)
     pipeline = build_pipeline(g, ModelSpec(f"flip{k}", k=k, flip=True), velocity=vel,
                               diffusivity=dif)
-    ordering = ModeOrdering(build_wavenumbers(g), k // 4)
+    ordering = ModeOrdering(g, k // 4)
     return simulate_advection(cfg).fields, assemble_transition(ordering, vel, dif), pipeline
 
 
@@ -405,7 +404,7 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
     frames, gen, pipeline = flipped_case(diffusive, 65)
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     g = frames[0].grid
-    star = ModeOrdering(build_wavenumbers(g.doubled()), 65)
+    star = ModeOrdering(g.doubled(), 65)
     transfer = flip_transfer(g, gen.ordering, star)
     dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
                         transfer.matrix, noise)

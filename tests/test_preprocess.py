@@ -86,7 +86,7 @@ def test_windowing_biases_strong_edge_signal():
     # crushes the edge signal and no truncation budget recovers it
     from mirrorspec.evaluate import Region, mae
     from mirrorspec.simulate import SimulationConfig, forcing_field
-    from mirrorspec.spectral import ModeOrdering, analyze, build_wavenumbers, synthesize
+    from mirrorspec.spectral import ModeOrdering, analyze, synthesize
 
     cfg = SimulationConfig(grid=GridSpec(50, 50))
     truth = forcing_field(cfg)
@@ -94,7 +94,7 @@ def test_windowing_biases_strong_edge_signal():
     bottom = Region((0.0, 0.99), (0.0, 0.05))
     errs = {}
     for k in (25, 100, 400):
-        ordering = ModeOrdering(build_wavenumbers(truth.grid), k)
+        ordering = ModeOrdering(truth.grid, k)
         recon_plain = synthesize(analyze(truth, ordering))
         recon_windowed = synthesize(analyze(apply_window(truth, w), ordering))
         errs[k] = (mae(truth, recon_windowed, bottom), mae(truth, recon_plain, bottom))

@@ -11,7 +11,7 @@ from mirrorspec.simulate import (
     simulate_advection,
     synthetic_storm_stack,
 )
-from mirrorspec.spectral import ModeOrdering, build_wavenumbers
+from mirrorspec.spectral import ModeOrdering
 
 
 def small_cfg(**kw):
@@ -61,7 +61,7 @@ def test_zero_velocity_accumulates_forcing():
 
 def test_rotation_stepper_equals_matrix_exponential():
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     vel = (0.013, -0.007)
     rot = AdvectionRotation(ordering, vel, 1.0)
     gen = assemble_transition(
@@ -138,8 +138,8 @@ def test_noise_support_restricted():
     cfg = small_cfg(noise_alpha=0.005, noise_beta=0.001, noise_modes=10, steps=4)
     out = simulate_advection(cfg)
     clean = simulate_advection(small_cfg(steps=4))
-    ordering = ModeOrdering(build_wavenumbers(cfg.grid))
-    sub = ModeOrdering(ordering.sets, 10)
+    ordering = ModeOrdering(cfg.grid)
+    sub = ModeOrdering(cfg.grid, 10)
     support = np.searchsorted(ordering.indices, sub.indices)
     mask = np.zeros(ordering.k, dtype=bool)
     mask[support] = True

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mirrorspec.spectral import (
     SpectralState,
     analyze,
     basis_matrix,
-    build_wavenumbers,
     flip_transfer,
     mirror_phase,
     synthesize,
@@ -47,44 +48,123 @@ def lstsq_analyze_oracle(field, ordering):
     return np.linalg.solve(f.T @ f, f.T @ field.values)
 
 
+def reference_ordering(grid, n_coeffs=None):
+    """The mode table built mode by mode: list K1 and K2, sort the modes in
+    Python by ``(||k||^2, k1, k2)``, take whole cos/sin groups while they fit,
+    and pair coefficients through a ``(kx, ky)`` dictionary."""
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
+    k1_list = [(0, 0), (0, h2), (h1, 0), (h1, h2)]
+    k2_list = []
+    for kx in range(0, h1 + 1):
+        if kx in (0, h1):
+            k2_list.extend((kx, ky) for ky in range(1, h2))
+        else:
+            k2_list.extend((kx, ky) for ky in range(-h2 + 1, h2 + 1))
+    k2_list.sort()
+    m1, m2 = len(k1_list), len(k2_list)
+    assert m1 + 2 * m2 == grid.n
+    modes = k1_list + k2_list
+    groups = [(pos,) for pos in range(m1)] + [(m1 + i, m1 + m2 + i) for i in range(m2)]
+    order = sorted(range(len(modes)),
+                   key=lambda i: (modes[i][0] ** 2 + modes[i][1] ** 2, modes[i][0], modes[i][1]))
+    n_coeffs = grid.n if n_coeffs is None else min(n_coeffs, grid.n)
+    retained = []
+    for mi in order:
+        if len(retained) + len(groups[mi]) > n_coeffs:
+            break
+        retained.extend(groups[mi])
+    indices = np.sort(np.asarray(retained, dtype=int))
+    layout = modes + k2_list
+    kx, ky = np.array([layout[pos] for pos in indices], dtype=int).reshape(-1, 2).T
+    partner = np.arange(len(indices))
+    by_mode = {}
+    for i in range(len(indices)):
+        by_mode.setdefault((kx[i], ky[i]), []).append(i)
+    for pair in by_mode.values():
+        if len(pair) == 2:
+            partner[pair[0]], partner[pair[1]] = pair[1], pair[0]
+    return SimpleNamespace(retained=tuple(retained), indices=indices, kx=kx, ky=ky,
+                           is_sin=indices >= m1 + m2, partner=partner)
+
+
+def table_grids():
+    """Every even square size 2-24 with every budget from 1 to past N and
+    None, then 64, 100 and 200 at budgets around their edges and the shipped ones."""
+    for n in range(2, 25, 2):
+        for k in [*range(1, n * n + 3), None]:
+            yield GridSpec(n, n), k
+    for n1, n2 in ((2, 8), (6, 4), (10, 6), (4, 12)):
+        for k in [*range(1, n1 * n2 + 2), None]:
+            yield GridSpec(n1, n2), k
+    for n in (64, 100, 200):
+        for k in (1, 2, 5, 6, 25, 50, 99, 100, 196, 199, 200, 400, 800, n * n - 1, n * n, None):
+            yield GridSpec(n, n), k
+
+
+def test_mode_table_matches_the_reference_construction():
+    cases = 0
+    for grid, k in table_grids():
+        table, ref = ModeOrdering(grid, k), reference_ordering(grid, k)
+        assert table.retained == ref.retained, (grid, k)
+        assert table.k == len(ref.retained)
+        for name in ("indices", "kx", "ky", "is_sin", "partner"):
+            assert np.array_equal(getattr(table, name), getattr(ref, name)), (grid, k, name)
+        cases += 1
+    assert cases > 600
+
+
+def test_mode_table_rejects_an_empty_budget():
+    with pytest.raises(ValueError, match="n_coeffs"):
+        ModeOrdering(GridSpec(4, 4), 0)
+
+
+def corners_and_pairs(grid):
+    """The ``K1`` modes (the ``weight == 1`` rows) and ``K2`` modes (the modes
+    of the ``is_sin`` rows) of the full table, in layout order."""
+    table = ModeOrdering(grid)
+    corner = table.weight == 1.0
+    return (list(zip(table.kx[corner].tolist(), table.ky[corner].tolist())),
+            list(zip(table.kx[table.is_sin].tolist(), table.ky[table.is_sin].tolist())))
+
+
 def test_wavenumbers_4x4():
-    sets = build_wavenumbers(GridSpec(4, 4))
-    assert sets.k1_list == ((0, 0), (0, 2), (2, 0), (2, 2))
-    assert len(sets.k2_list) == 6
+    k1, k2 = corners_and_pairs(GridSpec(4, 4))
+    assert k1 == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert len(k2) == 6
     assert 4 + 2 * 6 == 16
-    assert set(sets.k2_list) == set(enumerate_k2_bruteforce(4, 4))
+    assert set(k2) == set(enumerate_k2_bruteforce(4, 4))
 
 
 def test_wavenumbers_2x2():
-    sets = build_wavenumbers(GridSpec(2, 2))
-    assert sets.k1_list == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert sets.k2_list == ()
+    k1, k2 = corners_and_pairs(GridSpec(2, 2))
+    assert k1 == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert k2 == []
 
 
 def test_wavenumbers_100x100():
-    sets = build_wavenumbers(GridSpec(100, 100))
-    assert 4 + 2 * len(sets.k2_list) == 10000
+    _, k2 = corners_and_pairs(GridSpec(100, 100))
+    assert 4 + 2 * len(k2) == 10000
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 4), (6, 4), (8, 8), (6, 10)])
 def test_wavenumbers_match_bruteforce(n1, n2):
-    sets = build_wavenumbers(GridSpec(n1, n2))
-    assert set(sets.k2_list) == set(enumerate_k2_bruteforce(n1, n2))
-    assert len(sets.k2_list) == len(set(sets.k2_list))
-    for k1, k2 in sets.k2_list:
+    _, pairs = corners_and_pairs(GridSpec(n1, n2))
+    assert set(pairs) == set(enumerate_k2_bruteforce(n1, n2))
+    assert len(pairs) == len(set(pairs))
+    for k1, k2 in pairs:
         assert 0 <= k1 <= n1 // 2
         assert -n2 // 2 < k2 <= n2 // 2
 
 
 def test_ordering_prefix_and_pairing():
-    sets = build_wavenumbers(GridSpec(8, 8))
-    full = ModeOrdering(sets)
+    g = GridSpec(8, 8)
+    full = ModeOrdering(g)
     assert full.k == 64
-    trunc = ModeOrdering(sets, 9)
+    trunc = ModeOrdering(g, 9)
     assert trunc.k == 9  # (0,0) + four cos/sin pairs
-    smaller = ModeOrdering(sets, 10)
+    smaller = ModeOrdering(g, 10)
     assert smaller.k == 9  # cannot split a pair
-    assert trunc.retained == ModeOrdering(sets, 9).retained
+    assert trunc.retained == ModeOrdering(g, 9).retained
     assert full.retained[: trunc.k] == trunc.retained
     # norms along the prefix are non-decreasing
     norms = [full.kx[list(full.indices).index(p)] ** 2
@@ -96,7 +176,7 @@ def test_analyze_single_cosine_mode():
     g = GridSpec(8, 8)
     x, _ = g.mesh()
     f = Field.from_pixels(g, np.cos(2 * np.pi * x))
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     state = analyze(f, ordering)
     expected = np.zeros(ordering.k)
     (pos,) = np.where((ordering.kx == 1) & (ordering.ky == 0) & ~ordering.is_sin)
@@ -109,7 +189,7 @@ def test_analyze_single_cosine_mode():
 def test_analyze_constant_field():
     g = GridSpec(6, 4)
     f = Field(g, np.ones(g.n))
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     state = analyze(f, ordering)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
     assert np.isclose(state.alpha[pos[0]], 1.0, atol=1e-13)
@@ -122,13 +202,13 @@ def test_roundtrip_and_lstsq_oracle_6x4():
     rng = np.random.default_rng(2)
     g = GridSpec(6, 4)
     f = Field(g, rng.normal(size=g.n))
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     state = analyze(f, ordering)
     assert np.allclose(state.alpha, lstsq_analyze_oracle(f, ordering), atol=1e-10)
     back = synthesize(state)
     assert np.abs(back.values - f.values).max() <= 1e-9 * max(1.0, np.abs(f.values).max())
     # truncated projection is still the least-squares fit on the subspace
-    truncated = ModeOrdering(ordering.sets, 9)
+    truncated = ModeOrdering(g, 9)
     assert np.allclose(
         analyze(f, truncated).alpha, lstsq_analyze_oracle(f, truncated), atol=1e-10
     )
@@ -136,7 +216,7 @@ def test_roundtrip_and_lstsq_oracle_6x4():
 
 def test_synthesize_unit_constant():
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     alpha = np.zeros(ordering.k)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
     alpha[pos] = 1.0
@@ -147,9 +227,8 @@ def test_synthesize_unit_constant():
 def test_synthesize_matches_basis_matrix():
     rng = np.random.default_rng(4)
     g = GridSpec(6, 8)
-    sets = build_wavenumbers(g)
     for k in (1, 9, g.n):
-        ordering = ModeOrdering(sets, k)
+        ordering = ModeOrdering(g, k)
         alpha = rng.normal(size=ordering.k)
         f = synthesize(SpectralState(ordering, alpha))
         assert np.allclose(f.values, basis_matrix(ordering) @ alpha, atol=1e-10)
@@ -158,7 +237,7 @@ def test_synthesize_matches_basis_matrix():
 def test_basis_orthogonality_2x2_and_8x8():
     for n in (2, 8):
         g = GridSpec(n, n)
-        ordering = ModeOrdering(build_wavenumbers(g))
+        ordering = ModeOrdering(g)
         f = basis_matrix(ordering)
         gram = f.T @ f
         off = gram - np.diag(np.diag(gram))
@@ -170,7 +249,7 @@ def test_basis_orthogonality_2x2_and_8x8():
 
 def test_basis_nyquist_column_alternates():
     g = GridSpec(8, 8)
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     f = basis_matrix(ordering)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 4) & ~ordering.is_sin)
     col = f[:, pos[0]].reshape(g.shape, order="F")
@@ -182,7 +261,7 @@ def test_parseval_consistency():
     rng = np.random.default_rng(6)
     g = GridSpec(8, 6)
     f = Field(g, rng.normal(size=g.n))
-    ordering = ModeOrdering(build_wavenumbers(g))
+    ordering = ModeOrdering(g)
     a = analyze(f, ordering).alpha
     k1 = ordering.weight == 1.0
     energy = np.sum(a[k1] ** 2) + 2 * np.sum(a[~k1] ** 2)
@@ -193,10 +272,9 @@ def test_truncation_error_monotone():
     rng = np.random.default_rng(8)
     g = GridSpec(10, 8)
     f = Field(g, rng.normal(size=g.n))
-    sets = build_wavenumbers(g)
     errs = []
     for k in (1, 5, 11, 23, 41, g.n):
-        ordering = ModeOrdering(sets, k)
+        ordering = ModeOrdering(g, k)
         recon = synthesize(analyze(f, ordering))
         errs.append(np.linalg.norm(f.values - recon.values))
     assert all(a >= b - 1e-12 for a, b in zip(errs[:-1], errs[1:]))
@@ -212,7 +290,7 @@ def test_mirror_symmetry_sine_sparsity(variant):
     # exactly zero sine branch: Im(c_k * exp(-i phi_k)) == 0.
     rng = np.random.default_rng(10)
     g = GridSpec(6, 4)
-    ordering = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g.doubled())
     phase = mirror_phase(ordering)
     for _ in range(10):
         f = Field(g, rng.normal(size=g.n))
@@ -240,7 +318,7 @@ def test_mirror_band_is_the_doubled_grid_truncation(variant):
     # band is exactly the truncation of the flipped field, whatever the anchors
     rng = np.random.default_rng(14)
     g = GridSpec(12, 8)
-    star = ModeOrdering(build_wavenumbers(g.doubled()), 65)
+    star = ModeOrdering(g.doubled(), 65)
     band = MirrorBand(g, 65)
     assert (star.k, band.k) == (65, 21)
     for _ in range(5):
@@ -256,7 +334,7 @@ def test_mirror_band_completes_a_split_pair():
     # k* = 64 keeps one of the two doubled-grid modes (k_x, +-k_y) at its edge;
     # the band holds their shared DCT-II index, so it holds the whole pair
     g = GridSpec(12, 8)
-    star = ModeOrdering(build_wavenumbers(g.doubled()), 64)
+    star = ModeOrdering(g.doubled(), 64)
     band = MirrorBand(g, 64)
     assert band.k == MirrorBand(g, 65).k == 21 and star.k == 63
     f = Field(g, np.random.default_rng(15).normal(size=g.n))
@@ -267,7 +345,7 @@ def test_mirror_band_completes_a_split_pair():
 def test_mirror_band_transfer_observes_the_basis_columns():
     rng = np.random.default_rng(16)
     g = GridSpec(12, 8)
-    ordering = ModeOrdering(build_wavenumbers(g), 16)
+    ordering = ModeOrdering(g, 16)
     band = MirrorBand(g, 65)
     a = rng.normal(size=ordering.k)
     y = band.observe(synthesize(SpectralState(ordering, a)))
@@ -276,8 +354,8 @@ def test_mirror_band_transfer_observes_the_basis_columns():
 
 def test_flip_transfer_constant_maps_to_constant():
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g)
+    ordering_star = ModeOrdering(g.doubled())
     transfer = flip_transfer(g, ordering, ordering_star)
     alpha = np.zeros(ordering.k)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
@@ -292,8 +370,8 @@ def test_flip_transfer_constant_maps_to_constant():
 def test_flip_transfer_full_retention_equivalence():
     rng = np.random.default_rng(12)
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g)
+    ordering_star = ModeOrdering(g.doubled())
     transfer = flip_transfer(g, ordering, ordering_star)
     for _ in range(50):
         alpha = rng.normal(size=ordering.k)
@@ -304,8 +382,8 @@ def test_flip_transfer_full_retention_equivalence():
 
 def test_flip_transfer_pinv_property():
     g = GridSpec(4, 4)
-    ordering = ModeOrdering(build_wavenumbers(g))
-    ordering_star = ModeOrdering(build_wavenumbers(g.doubled()))
+    ordering = ModeOrdering(g)
+    ordering_star = ModeOrdering(g.doubled())
     transfer = flip_transfer(g, ordering, ordering_star)
     h = transfer.matrix
     assert np.abs(transfer.pinv() @ h - np.eye(ordering.k)).max() <= 1e-10
@@ -315,6 +393,6 @@ def test_flip_transfer_pinv_property():
 
 def test_analyze_grid_mismatch():
     f = Field(GridSpec(4, 4), np.zeros(16))
-    ordering = ModeOrdering(build_wavenumbers(GridSpec(6, 4)))
+    ordering = ModeOrdering(GridSpec(6, 4))
     with pytest.raises(ValueError):
         analyze(f, ordering)
