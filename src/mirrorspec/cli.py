@@ -4,7 +4,9 @@ Every command reads a :class:`~mirrorspec.config.RunConfig` (named profile or
 JSON path), writes its outputs under ``--out`` with the config hash embedded
 in filenames, and drops a machine-readable run log (parameters, library
 versions, wall time).  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+3 numerical failure.  SciPy is imported inside the functions that call it,
+so a command that needs none of it (``simulate``, ``flip``, ``render``,
+``convert-rain``) starts without paying its import time.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ class _Run:
         return p
 
     def finish(self, **extra):
+        versions = {"mirrorspec": __version__, "python": platform.python_version(),
+                    "numpy": np.__version__}
+        if "scipy" in sys.modules:  # recorded only when the command used it
+            versions["scipy"] = sys.modules["scipy"].__version__
         log = {
             "command": self.command,
             "config_hash": self.config.hash,
             "config": self.config.data,
             "outputs": self.outputs,
             "wall_time_s": round(time.time() - self.started, 3),
-            "versions": {
-                "mirrorspec": __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
+            "versions": versions,
             **extra,
         }
         path = self.out / f"runlog-{self.command}-{self.config.hash}.json"
@@ -399,7 +401,10 @@ def render(stack_path, config, out, frame, scale):
     else:
         cfg_scale = cfg.data["render"]["scale"]
         bounds = None if cfg_scale == "auto" else tuple(cfg_scale)
-    render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}", ".pgm"), bounds)
+    try:
+        render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}", ".pgm"), bounds)
+    except ValueError as exc:
+        _fail(2, f"--scale: {exc}")
     run.finish(frame=frame)
     click.echo(f"rendered frame {frame} to {run.outputs[0]}")
 

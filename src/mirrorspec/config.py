@@ -157,9 +157,11 @@ class RunConfig:
         for section, key in (("velocity", "value"), ("simulation", "velocity"),
                              ("simulation", "source_center")):
             _check_pair(self.data[section][key], f"config.{section}.{key}")
-        if self.data["render"]["scale"] != "auto":
-            _check_pair(self.data["render"]["scale"], "config.render.scale",
-                        "'auto' or two finite numbers")
+        scale = self.data["render"]["scale"]
+        if scale != "auto":
+            _check_pair(scale, "config.render.scale", "'auto' or two finite numbers")
+            if not scale[0] < scale[1]:
+                raise ConfigError(f"config.render.scale: expected min < max, got {scale!r}")
         self.flip_variant()
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:12]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .galerkin import TransitionGenerator
 from .spectral import FlipTransfer
@@ -38,6 +37,8 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite input")
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 __all__ = [
     "GridSpec",
@@ -167,7 +166,7 @@ def flip_field(f: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
     return Field.from_pixels(f.grid.doubled(), f.pixels()[np.ix_(rows, cols)])
 
 
-def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:
+def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> "scipy.sparse.csr_matrix":
     """The sparse ``4N x N`` permutation-like matrix ``R`` of the double flip.
 
     ``R @ f.values == flip_field(f).values`` for every field ``f``; each row
@@ -176,6 +175,8 @@ def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.c
     x-factor first (the factor order is fixed by the column-stacking
     convention, validated against the worked 2x2 example in the tests).
     """
+    import scipy.sparse as sparse
+
     n = grid.n
     cols = flip_vector_indices(grid, variant)
     data = np.ones(4 * n)

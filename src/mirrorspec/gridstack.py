@@ -117,13 +117,19 @@ def load_stack(path) -> GridStack:
 
 def render_heatmap(f: Field, path, scale: tuple[float, float] | None = None) -> Path:
     """Write a binary PGM (P5) with a linear gray scale plus a sidecar
-    recording the scale; row order puts y=max at the top of the image."""
+    recording the scale; row order puts y=max at the top of the image.
+
+    An explicit ``scale`` must be two finite numbers ``(min, max)`` with
+    ``min < max`` (ValueError otherwise); the auto scale of a constant frame
+    spans 1 from its value."""
     path = Path(path)
     pix = f.pixels()
     if scale is None:
         lo, hi = float(pix.min()), float(pix.max())
     else:
         lo, hi = float(scale[0]), float(scale[1])
+        if not (np.isfinite([lo, hi]).all() and lo < hi):
+            raise ValueError(f"render scale must be finite with min < max, got ({lo}, {hi})")
     span = hi - lo if hi > lo else 1.0
     levels = np.clip(np.round((pix - lo) / span * 255.0), 0, 255).astype(np.uint8)
     levels = levels[::-1, :]  # y increases upward in the rendered image

@@ -29,8 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .dynamics import DiscreteTransition
 
@@ -144,6 +142,8 @@ def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
     collapsing the filter covariance.  The observation covariance shares
     ``sigma2_alpha`` as in :func:`direct_model`.
     """
+    import scipy.linalg
+
     k, channels = transition.k, r.shape[0] - transition.k
     r = r[:k]
     # R Phi R^-1 as the transpose of the solution X' of R' X' = (R Phi)'
@@ -203,6 +203,8 @@ def _predict(model: StateSpaceModel, mean, cov):
 
 def _update(model: StateSpaceModel, mean, cov, obs):
     """One update; ``mean`` may carry a trailing axis of channels sharing ``cov``."""
+    import scipy.linalg
+
     k = model.transition.k
     s = cov[:k, :k] + model.v
     try:
@@ -312,18 +314,17 @@ def kf_forecast(
     last_state: np.ndarray,
     last_cov: np.ndarray,
     h: int,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Propagate ``h`` steps ahead without updates."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate ``h`` steps ahead without updates; returns the ``h`` means
+    and the covariance after the last step."""
     if h < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {h}")
     blocks = _blocks(model, np.asarray(last_state, dtype=float), np.asarray(last_cov, dtype=float))
     means = np.empty((h, 2 * model.k))
-    covs = []
     for i in range(h):
         blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
         means[i] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
-        covs.append(_joined_cov(model, blocks))
-    return means, covs
+    return means, _joined_cov(model, blocks)
 
 
 @dataclass
@@ -413,6 +414,8 @@ def estimate_variances(
             return 1e30
         scales[log_ratio] = scale
         return -profiled
+
+    import scipy.optimize
 
     opt = scipy.optimize.minimize_scalar(
         neg_profile, bounds=LOG_RATIO_BOUNDS, method="bounded",

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndimage
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .galerkin import DiffusivityField, VelocityField
@@ -137,6 +136,8 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
         warnings.warn("no block passed the energy threshold; returning zero velocity",
                       RuntimeWarning)
         return VelocityField.zero(grid)
+
+    import scipy.ndimage as ndimage
 
     # low-energy blocks inherit the smoothed neighborhood vector
     # (normalized convolution over the valid blocks)

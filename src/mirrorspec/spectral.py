@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grid import Field, GridSpec, flip_vector_indices
 
@@ -263,15 +262,21 @@ class MirrorBand:
         self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
 
     def observe(self, f: Field) -> np.ndarray:
+        import scipy.fft
+
         return scipy.fft.dctn(f.pixels(), norm="ortho")[self.rows, self.cols] * self.scale
 
     def transfer(self, ordering: ModeOrdering) -> np.ndarray:
         """``H_S`` (``k x ordering.k``): the band coordinates of each basis column."""
+        import scipy.fft
+
         cols = basis_matrix(ordering).reshape((*self.grid.shape, ordering.k), order="F")
         c = scipy.fft.dctn(cols, axes=(0, 1), norm="ortho")
         return c[self.rows, self.cols] * self.scale[:, None]
 
     def reconstruct(self, coeffs: np.ndarray) -> Field:
+        import scipy.fft
+
         c = np.zeros(self.grid.shape)
         c[self.rows, self.cols] = coeffs / self.scale
         return Field.from_pixels(self.grid, scipy.fft.idctn(c, norm="ortho"))

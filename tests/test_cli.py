@@ -107,6 +107,8 @@ def test_bad_config_exits_2(runner, tmp_path):
          "config.render.scale: expected 'auto' or two finite numbers, got [1]"),
         (("render",), {"render": {"scale": "fixed"}},
          "config.render.scale: expected 'auto' or two finite numbers, got 'fixed'"),
+        (("render",), {"render": {"scale": [5, 1]}},
+         "config.render.scale: expected min < max, got [5, 1]"),
     ):
         cfg = write_config(tmp_path, {**SMALL_SIM, **override})
         for command in commands:
@@ -156,6 +158,16 @@ def test_flip_and_render_pipeline(runner, tmp_path):
     pgm = next(rout.glob("frame-0002-*.pgm"))
     assert pgm.read_bytes().startswith(b"P5\n48 48\n255\n")
     assert pgm.with_suffix(".pgm.scale.json").exists()
+
+
+def test_reversed_render_scale_exits_2(runner, tmp_path):
+    cfg, stack = _simulated(runner, tmp_path)
+    out = tmp_path / "r"
+    result = runner.invoke(main, ["render", stack, "--config", cfg, "--out", str(out),
+                                  "--scale", "5,1"])
+    assert result.exit_code == 2, result.output
+    assert "--scale: render scale must be finite with min < max, got (5.0, 1.0)" in result.output
+    assert not list(out.glob("*"))
 
 
 def test_render_frame_out_of_range(runner, tmp_path):

@@ -103,6 +103,15 @@ def test_render_fixed_scale_deterministic(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("scale", [(5.0, 1.0), (2.0, 2.0), (0.0, float("nan"))])
+def test_render_rejects_a_scale_without_min_below_max(tmp_path, scale):
+    g = GridSpec(4, 4)
+    f = Field(g, np.arange(g.n) % 5.0)
+    with pytest.raises(ValueError, match="min < max"):
+        render_heatmap(f, tmp_path / "r.pgm", scale)
+    assert not list(tmp_path.iterdir())
+
+
 def test_render_orientation_puts_high_y_on_top(tmp_path):
     g = GridSpec(2, 4)
     pix = np.zeros(g.shape)

@@ -111,12 +111,13 @@ def test_forecast_constant_under_identity():
     model = identity_model(3, noise)
     k = model.k
     state = np.concatenate([np.array([1.0, 2.0, -1.0][:k]), np.zeros(k)])
-    means, covs = kf_forecast(model, state, np.zeros((2 * k, 2 * k)), 5)
+    _, cov1 = kf_forecast(model, state, np.zeros((2 * k, 2 * k)), 1)
+    means, cov5 = kf_forecast(model, state, np.zeros((2 * k, 2 * k)), 5)
     for m in means:
         assert np.allclose(m[:k], state[:k])
     # covariance grows by W each step
-    assert np.allclose(covs[0][:k, :k], model.w_alpha)
-    assert np.allclose(covs[4][:k, :k], 5 * model.w_alpha)
+    assert np.allclose(cov1[:k, :k], model.w_alpha)
+    assert np.allclose(cov5[:k, :k], 5 * model.w_alpha)
 
 
 def test_forecast_pure_advection_translates():
