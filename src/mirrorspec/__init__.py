@@ -6,7 +6,7 @@ physics-derived coefficient dynamics onto the extended domain, and runs
 Kalman filtering, forecasting, and noise-variance estimation on top.
 """
 
-from .dynamics import DiscreteTransition, build_transition, flipped_generator, matrix_exp
+from .dynamics import build_transition, flipped_generator, matrix_exp
 from .evaluate import (
     ModelSpec,
     Region,
@@ -19,7 +19,6 @@ from .evaluate import (
 )
 from .galerkin import (
     DiffusivityField,
-    TransitionGenerator,
     VelocityField,
     assemble_transition,
     normalization_c,
@@ -45,7 +44,6 @@ from .spectral import (
     FlipTransfer,
     MirrorBand,
     ModeOrdering,
-    SpectralState,
     analyze,
     basis_matrix,
     flip_transfer,

@@ -65,6 +65,8 @@ _SCHEMA = {
     "comparison": {"models": list, "train_steps": int, "eval_times": list},
     "render": {"scale": (list, str)},
 }
+# one entry of comparison.models; label and k are required
+_MODEL_SCHEMA = {"label": str, "k": int, "flip": bool, "window": bool}
 
 _DEFAULTS = {
     "dataset": "advection",
@@ -253,18 +255,19 @@ class RunConfig:
             raise ConfigError("config.comparison is required for this command")
         specs = []
         for i, m in enumerate(comp["models"]):
-            extra = set(m) - {"label", "k", "flip", "window"}
-            if extra:
-                raise ConfigError(f"config.comparison.models[{i}]: unknown keys {extra}")
+            path = f"config.comparison.models[{i}]"
+            _validate(m, _MODEL_SCHEMA, path)
+            missing = sorted({"label", "k"} - set(m))
+            if missing:
+                raise ConfigError(f"{path}: missing {', '.join(missing)}")
+            # a comma or line break in a label would shift the columns of the report CSV
+            if set(m["label"]) & set(",\r\n"):
+                raise ConfigError(f"{path}.label: must hold no comma or line break, "
+                                  f"got {m['label']!r}")
             try:
-                specs.append(ModelSpec(
-                    label=m["label"], k=int(m["k"]),
-                    flip=bool(m.get("flip", False)), window=bool(m.get("window", False)),
-                ))
-            except KeyError as exc:
-                raise ConfigError(f"config.comparison.models[{i}]: missing {exc}") from exc
+                specs.append(ModelSpec(**m))
             except ValueError as exc:
-                raise ConfigError(f"config.comparison.models[{i}]: {exc}") from exc
+                raise ConfigError(f"{path}: {exc}") from exc
         return specs
 
 

@@ -29,7 +29,7 @@ from .kalman import (
     kf_forecast,
 )
 from .preprocess import apply_window, hamming2d
-from .spectral import MirrorBand, ModeOrdering, SpectralState, analyze, synthesize
+from .spectral import MirrorBand, ModeOrdering, analyze, synthesize
 
 __all__ = [
     "Region",
@@ -183,21 +183,21 @@ def build_pipeline(
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
     ordering = ModeOrdering(grid, spec.k // K_STAR_FACTOR if spec.flip else spec.k)
-    transition = build_transition(assemble_transition(ordering, vel, dif), delta)
+    phi = build_transition(assemble_transition(ordering, vel, dif), delta)
 
     def windowed(f):
         return f if window is None else apply_window(f, window)
 
     if not spec.flip:
-        return ModelPipeline(ordering.k, lambda f: analyze(windowed(f), ordering).alpha,
-                             lambda params: direct_model(transition, params),
-                             lambda coeffs: synthesize(SpectralState(ordering, coeffs)))
+        return ModelPipeline(ordering.k, lambda f: analyze(windowed(f), ordering),
+                             lambda params: direct_model(phi, params),
+                             lambda coeffs: synthesize(ordering, coeffs))
     band = MirrorBand(grid, spec.k)
     q, r = np.linalg.qr(band.transfer(ordering), mode="complete")
     return ModelPipeline(
         band.k,
         lambda f: q.T @ band.observe(windowed(f)),
-        lambda params: flipped_model(transition, params, r),
+        lambda params: flipped_model(phi, params, r),
         lambda coeffs: band.reconstruct(q @ coeffs),
     )
 
@@ -288,7 +288,7 @@ def run_comparison(
             **(fit.diagnostics() if fit else {}),
         }
         if model.channels:
-            leak = np.linalg.norm(train_obs[:, model.transition.k:], axis=1)
+            leak = np.linalg.norm(train_obs[:, len(model.phi):], axis=1)
             entry["leakage_fraction"] = float(np.median(leak / np.linalg.norm(train_obs, axis=1)))
 
         for time in eval_times:
@@ -316,7 +316,7 @@ def truncated_reconstruction(f: Field, k: int, *, flip: bool = False) -> Field:
         band = MirrorBand(f.grid, K_STAR_FACTOR * k)
         return band.reconstruct(band.observe(f))
     ordering = ModeOrdering(f.grid, k)
-    return synthesize(analyze(f, ordering))
+    return synthesize(ordering, analyze(f, ordering))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .spectral import ModeOrdering
 __all__ = [
     "VelocityField",
     "DiffusivityField",
-    "TransitionGenerator",
     "normalization_c",
     "psi_entry",
     "assemble_transition",
@@ -149,22 +148,6 @@ class DiffusivityField:
         return not (self.d.any() or self.div_dx.any() or self.div_dy.any())
 
 
-@dataclass(frozen=True)
-class TransitionGenerator:
-    """Dense ``K x K`` generator over a mode ordering."""
-
-    ordering: ModeOrdering
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.ordering.k, self.ordering.k):
-            raise ValueError(f"matrix must be {self.ordering.k} x {self.ordering.k}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator entries must be finite")
-        object.__setattr__(self, "matrix", m)
-
-
 def normalization_c(k: tuple[int, int], grid: GridSpec) -> float:
     """Discrete mean of ``cos^2(2 pi k.s)`` over the grid.
 
@@ -218,8 +201,8 @@ def assemble_transition(
     ordering: ModeOrdering,
     vel: VelocityField,
     dif: DiffusivityField,
-) -> TransitionGenerator:
-    """Assemble the generator over the retained modes.
+) -> np.ndarray:
+    """Assemble the ``K x K`` generator over the retained modes.
 
     Entrywise identical to :func:`psi_entry` with the weight/normalization
     scalings applied, but evaluated blockwise with dense products.  Only
@@ -230,7 +213,7 @@ def assemble_transition(
         raise ValueError("velocity/diffusivity grid does not match the ordering")
     k = ordering.k
     if not (vel.vx.any() or vel.vy.any()) and dif.is_zero():
-        return TransitionGenerator(ordering, np.zeros((k, k)))
+        return np.zeros((k, k))
 
     x, y = grid.mesh()
     xf = x.flatten(order="F")
@@ -262,5 +245,4 @@ def assemble_transition(
     psi /= grid.n
 
     scale_row = 1.0 / (ordering.weight * ordering.cnorm)
-    matrix = psi * scale_row[:, None] * ordering.weight[None, :]
-    return TransitionGenerator(ordering, matrix)
+    return psi * scale_row[:, None] * ordering.weight[None, :]

@@ -91,6 +91,9 @@ def load_stack(path) -> GridStack:
     steps = int(manifest["steps"])
     if steps < 1:
         raise StackError(f"{mpath}: a stack needs at least one frame, got steps={steps}")
+    delta = manifest["delta"]
+    if type(delta) not in (int, float) or not 0 < delta < np.inf:
+        raise StackError(f"{mpath}: delta must be finite and positive, got {delta!r}")
     frames = []
     for i in range(steps):
         fpath = root / _frame_name(i)
@@ -108,7 +111,7 @@ def load_stack(path) -> GridStack:
     return GridStack(
         grid,
         frames,
-        delta=float(manifest["delta"]),
+        delta=float(delta),
         units=str(manifest["units"]),
         created=str(manifest["created"]),
         config_hash=str(manifest["config_hash"]),

@@ -1,10 +1,16 @@
 """Linear-Gaussian filtering, forecasting, and noise-variance estimation.
 
 The state stacks the field coefficients and the forcing coefficients,
-``theta = (alpha, beta)``, and evolves through the augmented transition of
-:mod:`mirrorspec.dynamics`.  Observations are coefficient vectors (fields are
-analyzed before entering the filter), so the observation matrix is the
-identity on the ``alpha`` block.
+``theta = (alpha, beta)``, and evolves through the augmentation of the
+one-step transition ``Phi`` (:func:`mirrorspec.dynamics.build_transition`)
+
+    G = [[Phi, I],
+         [0,   I]]
+
+so one step maps ``(alpha, beta) -> (Phi alpha + beta, beta)``: the forcing
+coefficients accumulate into the state as a random walk with constant mean.
+Observations are coefficient vectors (fields are analyzed before entering the
+filter), so the observation matrix is the identity on the ``alpha`` block.
 
 Two noise layouts are provided: the direct model uses isotropic covariances
 ``sigma2 * I`` on its own coefficient space, while the flipped model maps
@@ -29,8 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .dynamics import DiscreteTransition
 
 __all__ = [
     "NoiseParams",
@@ -80,11 +84,12 @@ class StateSpaceModel:
     """Transition and expanded noise covariances; the observation map is the
     identity on the alpha block, ``(I_K, 0)``.
 
-    ``transition``, ``v`` and ``w_*`` act on the first ``transition.k``
-    coefficients; ``leakage`` is the K=1 model of each of the ``channels`` after them.
+    ``phi`` (the one-step transition), ``v`` and ``w_*`` act on the first
+    ``len(phi)`` coefficients; ``leakage`` is the K=1 model of each of the
+    ``channels`` after them.
     """
 
-    transition: DiscreteTransition
+    phi: np.ndarray
     noise: NoiseParams
     v: np.ndarray
     w_alpha: np.ndarray
@@ -93,8 +98,8 @@ class StateSpaceModel:
     channels: int = 0
 
     def __post_init__(self):
-        k = self.transition.k
-        for name in ("v", "w_alpha", "w_beta"):
+        k = len(self.phi)
+        for name in ("phi", "v", "w_alpha", "w_beta"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (k, k):
                 raise ValueError(f"{name} must be {k} x {k}, got {m.shape}")
@@ -103,11 +108,10 @@ class StateSpaceModel:
     @property
     def k(self) -> int:
         """Coefficients in each half of the state, leakage channels included."""
-        return self.transition.k + self.channels
+        return len(self.phi) + self.channels
 
 
-def direct_model(transition: DiscreteTransition, noise: NoiseParams,
-                 tie_obs: bool = True) -> StateSpaceModel:
+def direct_model(phi: np.ndarray, noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
     ``tie_obs`` makes the observation covariance share ``sigma2_alpha`` (the
@@ -115,11 +119,10 @@ def direct_model(transition: DiscreteTransition, noise: NoiseParams,
     observation side, which is the identifiable layout when observations are
     exact coefficient snapshots.
     """
-    k = transition.k
-    eye = np.eye(k)
+    eye = np.eye(len(phi))
     v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
     return StateSpaceModel(
-        transition=transition,
+        phi=phi,
         noise=noise,
         v=v_scale * eye,
         w_alpha=noise.sigma2_alpha * eye,
@@ -127,9 +130,8 @@ def direct_model(transition: DiscreteTransition, noise: NoiseParams,
     )
 
 
-def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
-                  r: np.ndarray) -> StateSpaceModel:
-    """Mirrored model of the original-domain ``transition`` ``Phi`` (K) on the
+def flipped_model(phi: np.ndarray, noise: NoiseParams, r: np.ndarray) -> StateSpaceModel:
+    """Mirrored model of the original-domain transition ``Phi`` (K x K) on the
     band coordinates ``Q' y`` of a :class:`~mirrorspec.spectral.MirrorBand`,
     with ``r`` the complete ``dim S x K`` factor of ``H_S = Q r``.
 
@@ -144,20 +146,20 @@ def flipped_model(transition: DiscreteTransition, noise: NoiseParams,
     """
     import scipy.linalg
 
-    k, channels = transition.k, r.shape[0] - transition.k
+    k, channels = len(phi), r.shape[0] - len(phi)
     r = r[:k]
     # R Phi R^-1 as the transpose of the solution X' of R' X' = (R Phi)'
-    phi = scipy.linalg.solve_triangular(r, (r @ transition.phi).T, trans="T").T
+    phi = scipy.linalg.solve_triangular(r, (r @ phi).T, trans="T").T
     hht = r @ r.T + SUBSPACE_RIDGE * np.eye(k)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
     return StateSpaceModel(
-        transition=DiscreteTransition(phi),
+        phi=phi,
         noise=noise,
         v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
         w_alpha=noise.sigma2_alpha * hht,
         w_beta=noise.sigma2_beta * hht,
-        leakage=direct_model(DiscreteTransition(np.eye(1)), channel),
+        leakage=direct_model(np.eye(1), channel),
         channels=channels,
     )
 
@@ -185,8 +187,10 @@ class FilterResult:
 
 
 def _predict(model: StateSpaceModel, mean, cov):
-    k = model.transition.k
-    phi = model.transition.phi
+    """One step of the augmented transition; ``mean`` may carry a trailing
+    axis of channels sharing ``cov``."""
+    phi = model.phi
+    k = len(phi)
     p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
     x = phi @ p11
     y = phi @ p12
@@ -198,14 +202,17 @@ def _predict(model: StateSpaceModel, mean, cov):
     out[k:, :k] = top_right.T
     out[k:, k:] = p22 + model.w_beta
     out = 0.5 * (out + out.T)
-    return model.transition.step(mean), out
+    new_mean = np.empty_like(mean)
+    new_mean[:k] = phi @ mean[:k] + mean[k:]
+    new_mean[k:] = mean[k:]
+    return new_mean, out
 
 
 def _update(model: StateSpaceModel, mean, cov, obs):
     """One update; ``mean`` may carry a trailing axis of channels sharing ``cov``."""
     import scipy.linalg
 
-    k = model.transition.k
+    k = len(model.phi)
     s = cov[:k, :k] + model.v
     try:
         chol = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
@@ -232,10 +239,10 @@ def _update(model: StateSpaceModel, mean, cov, obs):
 
 def _blocks(model: StateSpaceModel, mean, cov):
     """The ``(model, mean, cov)`` blocks the filter runs on a full state: the
-    first ``transition.k`` coefficients, then any leakage channels as one
+    first ``len(model.phi)`` coefficients, then any leakage channels as one
     ``(2, channels)`` mean with one 2x2 covariance.  Raises ValueError unless
     ``cov`` is exactly what these blocks join back to."""
-    kr, halves, quarters = model.transition.k, mean.reshape(2, -1), cov.reshape(2, model.k, 2, -1)
+    kr, halves, quarters = len(model.phi), mean.reshape(2, -1), cov.reshape(2, model.k, 2, -1)
     blocks = [(model, halves[:, :kr].ravel(), quarters[:, :kr, :, :kr].reshape(2 * kr, -1))]
     if model.leakage is not None:
         blocks.append((model.leakage, halves[:, kr:], quarters[:, kr, :, kr]))
@@ -247,7 +254,7 @@ def _blocks(model: StateSpaceModel, mean, cov):
 
 def _joined_cov(model: StateSpaceModel, blocks) -> np.ndarray:
     """A new full covariance from the blocks of :func:`_blocks`."""
-    k, kr = model.k, model.transition.k
+    k, kr = model.k, len(model.phi)
     cov = np.zeros((2, k, 2, k))
     cov[:, :kr, :, :kr] = blocks[0][2].reshape(2, kr, 2, kr)
     for _, _, channel_cov in blocks[1:]:
@@ -290,7 +297,7 @@ def kf_filter(
         if t > 0:
             blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
         if t > 0 or update_first:
-            rows = np.split(obs[t], [model.transition.k])
+            rows = np.split(obs[t], [len(model.phi)])
             updates = [_update(b, m, c, row) for (b, m, c), row in zip(blocks, rows)]
             blocks = [(b, *u[:2]) for (b, _, _), u in zip(blocks, updates)]
             innovations[t] = np.concatenate([u[2] for u in updates])
@@ -363,17 +370,15 @@ class VarianceFit:
 def estimate_variances(
     model_factory,
     observations: np.ndarray,
-    init_factory=None,
     *,
     max_evaluations: int = 200,
 ) -> VarianceFit:
     """Maximize the innovations log-likelihood over the noise variances.
 
-    ``model_factory(params)`` must return a :class:`StateSpaceModel`;
-    ``init_factory(params)`` returns ``(init_mean, init_cov)`` and defaults to
-    :func:`default_init` applied to the first observation.  The fit holds
-    ``sigma2_obs = 0``, and every covariance the two factories return must
-    scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``
+    ``model_factory(params)`` must return a :class:`StateSpaceModel`; every
+    pass starts from :func:`default_init` at the first observation.  The fit
+    holds ``sigma2_obs = 0``, and every covariance of the factory's models
+    must scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``
     (both model layouts and :func:`default_init` do).  One filter pass at
     ``NoiseParams(1, r)`` then gives ``Q``, the squared whitened innovations
     over ``N`` scalars; ``sigma2_alpha = Q / N`` is the best scale at that
@@ -388,14 +393,8 @@ def estimate_variances(
     if max_evaluations < 2:
         raise ValueError(f"the variance fit needs at least 2 evaluations, got {max_evaluations}")
 
-    if init_factory is None:
-        def init_factory(params):
-            return default_init(obs[0], params)
-
     def run(params):
-        model = model_factory(params)
-        mean0, cov0 = init_factory(params)
-        return kf_filter(model, obs, mean0, cov0)
+        return kf_filter(model_factory(params), obs, *default_init(obs[0], params))
 
     def scaled(log_ratio, scale):
         return NoiseParams(scale, scale * float(np.exp(log_ratio)))

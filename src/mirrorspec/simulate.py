@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec
-from .spectral import ModeOrdering, SpectralState, analyze, synthesize
+from .spectral import ModeOrdering, analyze, synthesize
 
 __all__ = [
     "SimulationConfig",
@@ -56,6 +56,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if self.noise_modes is not None and self.noise_modes < 1:
+            raise ValueError(f"noise_modes must be >= 1 or null, got {self.noise_modes}")
         if self.source_scale <= 0:
             raise ValueError("source_scale must be positive")
         if self.noise_alpha < 0 or self.noise_beta < 0:
@@ -114,7 +118,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     """
     ordering = ModeOrdering(cfg.grid)
     q = forcing_field(cfg)
-    beta = analyze(q, ordering).alpha.copy()
+    beta = analyze(q, ordering)
     alpha = beta.copy()
     rot = AdvectionRotation(ordering, cfg.velocity, cfg.delta)
 
@@ -139,7 +143,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
             beta[support] += sd_b * rng.standard_normal(support.size)
         alphas[t], betas[t] = alpha, beta
 
-    fields = [synthesize(SpectralState(ordering, a)) for a in alphas]
+    fields = [synthesize(ordering, a) for a in alphas]
     return SimulationResult(fields, alphas, betas, cfg)
 
 

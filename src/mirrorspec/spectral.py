@@ -21,7 +21,7 @@ Analysis and synthesis run through the FFT; an explicit basis matrix and the
 normal-equation least-squares path exist for verification.  The factor 2 on
 ``K2`` terms is a synthesis-side weight: analysis stores the plain projection
 ``(1/N) <f, cos>``, and the weight appears in the basis-matrix columns, so
-``synthesize(a) == basis_matrix @ a`` exactly.
+``synthesize(ordering, a) == basis_matrix @ a`` exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .grid import Field, GridSpec, flip_vector_indices
 
 __all__ = [
     "ModeOrdering",
-    "SpectralState",
     "FlipTransfer",
     "MirrorBand",
     "analyze",
@@ -59,7 +58,7 @@ class ModeOrdering:
     ``retained`` lists the kept layout positions as a prefix of the modes
     sorted by ``(||k||^2, k1, k2)``, each ``K2`` mode contributing its cos and
     sin coefficient together; a budget that would split a pair is rounded down.
-    The coefficient vector (``SpectralState.alpha``) follows the layout order,
+    The coefficient vector (what :func:`analyze` returns) follows the layout order,
     ``indices = sorted(retained)``, and ``kx``, ``ky``, ``is_sin``, ``weight``,
     ``cnorm`` and ``partner`` (the position of each coefficient's cos/sin
     partner in that vector, itself for a corner) describe its entries.
@@ -113,43 +112,28 @@ class ModeOrdering:
         return f"ModeOrdering(grid=({self.grid.n1}, {self.grid.n2}), k={self.k})"
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Coefficient vector in a given ordering's layout."""
-
-    ordering: ModeOrdering
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (self.ordering.k,):
-            raise ValueError(f"alpha must have shape ({self.ordering.k},), got {alpha.shape}")
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "alpha", alpha)
-
-
-def analyze(f: Field, ordering: ModeOrdering) -> SpectralState:
+def analyze(f: Field, ordering: ModeOrdering) -> np.ndarray:
     """Project a field onto the retained modes (FFT fast path).
 
     Equals the least-squares fit over the retained subspace because the basis
     columns are mutually orthogonal on the grid; with full retention,
-    ``synthesize(analyze(f))`` reproduces ``f`` to rounding.
+    ``synthesize(ordering, analyze(f, ordering))`` reproduces ``f`` to rounding.
     """
     if f.grid != ordering.grid:
         raise ValueError(f"field grid {f.grid} does not match ordering grid {ordering.grid}")
     c = np.fft.fft2(f.pixels()) / f.grid.n
     vals = c[ordering._row, ordering._col]
-    alpha = np.where(ordering.is_sin, -vals.imag, vals.real)
-    return SpectralState(ordering, alpha)
+    return np.where(ordering.is_sin, -vals.imag, vals.real)
 
 
-def synthesize(state: SpectralState) -> Field:
-    """Evaluate the (possibly truncated) expansion on its grid."""
-    ordering = state.ordering
+def synthesize(ordering: ModeOrdering, alpha: np.ndarray) -> Field:
+    """Evaluate the (possibly truncated) expansion ``alpha`` on its grid."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (ordering.k,):
+        raise ValueError(f"alpha must have shape ({ordering.k},), got {alpha.shape}")
     grid = ordering.grid
     c = np.zeros(grid.shape, dtype=complex)
-    z = np.where(ordering.is_sin, -1j * state.alpha, state.alpha + 0j)
+    z = np.where(ordering.is_sin, -1j * alpha, alpha + 0j)
     sp = ordering._self_paired
     np.add.at(c, (ordering._row[sp], ordering._col[sp]), z[sp])
     np.add.at(c, (ordering._row[~sp], ordering._col[~sp]), z[~sp])
@@ -162,7 +146,7 @@ def basis_matrix(ordering: ModeOrdering) -> np.ndarray:
     """Dense ``N x K`` matrix: every retained basis function at every grid point.
 
     Columns follow the coefficient layout and carry the synthesis weight
-    (2 on ``K2`` columns), so ``synthesize(a).values == basis_matrix(ordering) @ a.alpha``.
+    (2 on ``K2`` columns), so ``synthesize(ordering, a).values == basis_matrix(ordering) @ a``.
     """
     grid = ordering.grid
     x, y = grid.mesh()
@@ -206,7 +190,7 @@ def flip_transfer(
 
     Column ``j`` is the flipped-domain analysis of the flipped ``j``-th basis
     field, so with full retention on both sides
-    ``synthesize*(H a) == flip_field(synthesize(a))`` exactly.
+    ``synthesize(star, H a) == flip_field(synthesize(ordering, a))`` exactly.
     """
     if ordering.grid != grid:
         raise ValueError("ordering is not defined on the given grid")
@@ -248,7 +232,7 @@ class MirrorBand:
     A flipped frame is even about two half-sample axes, so its doubled-grid
     coefficient at ``k`` is ``exp(i phi_k)`` (:func:`mirror_phase`) times the
     DCT-II one (Makhoul 1980, IEEE TASSP 28(1); Martucci 1994, IEEE TSP 42(5)):
-    the band coordinates have the norm of ``analyze(flip_field(f), star).alpha``
+    the band coordinates have the norm of ``analyze(flip_field(f), star)``
     when ``star`` keeps both modes ``(k_x, +-k_y)`` of each index.  A budget
     that splits such a pair at its edge gets the whole pair.
     """

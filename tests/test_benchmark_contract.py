@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mirrorspec.dynamics import DiscreteTransition
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
@@ -46,7 +45,7 @@ def test_tracer_reads_fit_and_filter_results():
     ordering = ModeOrdering(GridSpec(4, 4), 3)
 
     def factory(params):
-        return direct_model(DiscreteTransition(np.eye(ordering.k)), params)
+        return direct_model(np.eye(ordering.k), params)
 
     obs = np.random.default_rng(3).normal(size=(5, ordering.k))
     fit = estimate_variances(factory, obs, max_evaluations=40)
@@ -69,7 +68,7 @@ def test_tracer_reads_the_flipped_state_size():
     obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
     mean0, cov0 = default_init(obs[0], model.noise)
     result = kf_filter(model, obs, mean0, cov0, update_first=True)
-    assert model.transition.k < pipeline.k == 21
+    assert len(model.phi) < pipeline.k == 21
     assert load_tracer().EXTRAS["kalman.kf_filter"](
         result, model, obs, mean0, cov0, update_first=True) == {
         "k": pipeline.k, "steps": 4, "update_first": True,
@@ -86,6 +85,6 @@ def test_tracer_reads_the_diffusivity_field():
     shear = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
     for dif, assembled in ((DiffusivityField.zero(g), False), (shear, True)):
         gen = assemble_transition(ordering, vel, dif)
-        assert gen.matrix.any() == assembled
+        assert gen.any() == assembled
         assert extra(gen, ordering, vel, dif) == {"k": ordering.k, "n": g.n,
                                                   "assembled": assembled}

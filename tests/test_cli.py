@@ -109,6 +109,14 @@ def test_bad_config_exits_2(runner, tmp_path):
          "config.render.scale: expected 'auto' or two finite numbers, got 'fixed'"),
         (("render",), {"render": {"scale": [5, 1]}},
          "config.render.scale: expected min < max, got [5, 1]"),
+        (("simulate",), {"simulation": {"noise_modes": 0}},
+         "config.simulation: noise_modes must be >= 1 or null, got 0"),
+        (("simulate",), {"simulation": {"noise_modes": -5}},
+         "config.simulation: noise_modes must be >= 1 or null, got -5"),
+        (("simulate",), {"simulation": {"delta": -1}},
+         "config.simulation: delta must be finite and positive, got -1.0"),
+        (("simulate",), {"simulation": {"delta": 0}},
+         "config.simulation: delta must be finite and positive, got 0.0"),
     ):
         cfg = write_config(tmp_path, {**SMALL_SIM, **override})
         for command in commands:
@@ -304,6 +312,22 @@ def test_negative_motion_setting_exits_2(runner, tmp_path, key, value):
         assert not list(out.glob("stack-*"))
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0])
+def test_stack_with_nonpositive_delta_exits_2(runner, tmp_path, delta):
+    # a hand-edited manifest: every command that reads the stack rejects it
+    cfg, stack = _simulated(runner, tmp_path)
+    manifest_path = Path(stack) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["delta"] = delta
+    manifest_path.write_text(json.dumps(manifest))
+    for command in ("filter", "predict", "evaluate", "flip"):
+        out = tmp_path / f"bad-{command}"
+        result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, (command, result.output)
+        assert f"delta must be finite and positive, got {delta}" in result.output
+        assert not list(out.glob("*"))
+
+
 def test_simulate_rejects_zero_steps(runner, tmp_path):
     # --steps 0 must not fall back to the storm config's own step count
     cfg = write_config(tmp_path, STORM_SMALL)
@@ -356,14 +380,34 @@ def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
         assert noise[key] == log[key], key
 
 
+def _second_model(**entry):
+    """A comparison whose second model is ``entry``."""
+    return {"models": [{"label": "direct16", "k": 16}, entry]}
+
+
+MODEL_1 = "config.comparison.models[1]"
+
+
 @pytest.mark.parametrize("comparison, message", [
-    ({"train_steps": 1}, "train_steps"),
-    ({"train_steps": 2}, "train_steps"),  # the fit needs 3
-    ({"eval_times": [4, 8]}, "eval_times"),  # the stack has 8 frames
-    ({"eval_times": []}, "eval_times"),
-    ({"eval_times": [-1, 4]}, "eval_times"),
-    ({"models": [{"label": "a", "k": 4}, {"label": "a", "k": 8}]}, "model labels must be unique"),
-], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-label"])
+    ({"train_steps": 1}, "config.comparison: train_steps"),
+    ({"train_steps": 2}, "config.comparison: train_steps"),  # the fit needs 3
+    ({"eval_times": [4, 8]}, "config.comparison: eval_times"),  # the stack has 8 frames
+    ({"eval_times": []}, "config.comparison: eval_times"),
+    ({"eval_times": [-1, 4]}, "config.comparison: eval_times"),
+    ({"models": [{"label": "a", "k": 4}, {"label": "a", "k": 8}]},
+     "config.comparison: model labels must be unique"),
+    (_second_model(label="flip64", k=64, flip="false"), f"{MODEL_1}.flip: expected"),
+    (_second_model(label="flip64", k=64, flip=1), f"{MODEL_1}.flip: expected"),
+    (_second_model(label="w16", k=16, window="true"), f"{MODEL_1}.window: expected"),
+    (_second_model(label="d100", k=100.5), f"{MODEL_1}.k: expected"),
+    (_second_model(label="d1", k=True), f"{MODEL_1}.k: expected"),
+    (_second_model(label="d,16", k=16), f"{MODEL_1}.label: must hold no comma or line break"),
+    (_second_model(label="d\n16", k=16), f"{MODEL_1}.label: must hold no comma or line break"),
+    (_second_model(label=16, k=16), f"{MODEL_1}.label: expected"),
+    (_second_model(k=16), f"{MODEL_1}: missing label"),
+], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-label",
+        "flip-string", "flip-int", "window-string", "k-float", "k-bool", "label-comma",
+        "label-newline", "label-int", "label-missing"])
 def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):
     payload = json.loads(json.dumps(FIT_SIM))
     payload["comparison"].update(comparison)
@@ -371,7 +415,7 @@ def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):
     result = runner.invoke(main, ["evaluate", "--config", write_config(tmp_path, payload),
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert f"config.comparison: {message}" in result.output
+    assert message in result.output
     assert not list(out.glob("report-*.csv"))
 
 

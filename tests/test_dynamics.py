@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 from mirrorspec.dynamics import (
-    DiscreteTransition,
     build_transition,
     flipped_generator,
     matrix_exp,
 )
 from mirrorspec.galerkin import (
     DiffusivityField,
-    TransitionGenerator,
     VelocityField,
     assemble_transition,
 )
 from mirrorspec.grid import Field, GridSpec, flip_field
+from mirrorspec.kalman import NoiseParams, _predict, direct_model, kf_forecast
 from mirrorspec.spectral import (
     ModeOrdering,
-    SpectralState,
     analyze,
     flip_transfer,
     synthesize,
@@ -97,10 +95,16 @@ def _transfer(g):
 def test_flipped_generator_zero():
     g = GridSpec(4, 4)
     ordering, ordering_star, transfer = _transfer(g)
-    gen = TransitionGenerator(ordering, np.zeros((ordering.k, ordering.k)))
-    out = flipped_generator(gen, transfer)
-    assert out.ordering is ordering_star
-    assert not out.matrix.any()
+    out = flipped_generator(np.zeros((ordering.k, ordering.k)), transfer)
+    assert out.shape == (ordering_star.k, ordering_star.k)
+    assert not out.any()
+
+
+def test_flipped_generator_rejects_another_orderings_generator():
+    g = GridSpec(4, 4)
+    ordering, _, transfer = _transfer(g)
+    with pytest.raises(ValueError, match=f"must be {ordering.k} x {ordering.k}"):
+        flipped_generator(np.zeros((ordering.k - 2, ordering.k - 2)), transfer)
 
 
 def test_conjugated_dynamics_evolve_then_flip_commutes():
@@ -109,8 +113,8 @@ def test_conjugated_dynamics_evolve_then_flip_commutes():
     ordering, ordering_star, transfer = _transfer(g)
     vel, dif = smooth_random_physics(g, rng)
     gen = assemble_transition(ordering, vel, dif)
-    phi = build_transition(gen, 1.0).phi
-    phi_star = build_transition(flipped_generator(gen, transfer), 1.0).phi
+    phi = build_transition(gen, 1.0)
+    phi_star = build_transition(flipped_generator(gen, transfer), 1.0)
     h = transfer.matrix
     alpha = rng.normal(size=ordering.k)
     a_direct = alpha.copy()
@@ -127,8 +131,8 @@ def test_flipped_generator_eigenvalues_on_column_space():
     ordering, _, transfer = _transfer(g)
     vel, dif = smooth_random_physics(g, rng)
     gen = assemble_transition(ordering, vel, dif)
-    conj = flipped_generator(gen, transfer).matrix
-    ev_p = np.sort_complex(np.linalg.eigvals(gen.matrix))
+    conj = flipped_generator(gen, transfer)
+    ev_p = np.sort_complex(np.linalg.eigvals(gen))
     ev_c = np.linalg.eigvals(conj)
     # conjugated spectrum = spectrum of P plus zeros from the cokernel
     ev_c = np.sort_complex(ev_c[np.argsort(np.abs(ev_c))[-ordering.k:]])
@@ -141,13 +145,13 @@ def test_truncation_containment_discrepancy_shrinks():
     full = ModeOrdering(g)
     vel, dif = smooth_random_physics(g, rng)
     gen_full = assemble_transition(full, vel, dif)
-    phi_full = build_transition(gen_full, 1.0).phi
+    phi_full = build_transition(gen_full, 1.0)
     alpha0 = analyze(
         Field.from_pixels(
             g, np.exp(-((g.mesh()[0] - 0.4) ** 2 + (g.mesh()[1] - 0.3) ** 2) / (2 * 0.2**2))
         ),
         full,
-    ).alpha
+    )
 
     discrepancies = []
     for k in (17, 33, 64):
@@ -155,47 +159,71 @@ def test_truncation_containment_discrepancy_shrinks():
         ordering_star = ModeOrdering(g.doubled(), 4 * k)
         transfer = flip_transfer(g, ordering, ordering_star)
         gen = assemble_transition(ordering, vel, dif)
-        phi_star = build_transition(flipped_generator(gen, transfer), 1.0).phi
+        phi_star = build_transition(flipped_generator(gen, transfer), 1.0)
 
         alpha = alpha0.copy()
-        a_star = analyze(flip_field(synthesize(SpectralState(full, alpha0))), ordering_star).alpha
+        a_star = analyze(flip_field(synthesize(full, alpha0)), ordering_star)
         worst = 0.0
         for _ in range(10):
             alpha = phi_full @ alpha
             a_star = phi_star @ a_star
-            truth = analyze(flip_field(synthesize(SpectralState(full, alpha))), ordering_star).alpha
+            truth = analyze(flip_field(synthesize(full, alpha)), ordering_star)
             worst = max(worst, np.abs(truth - a_star).max())
         discrepancies.append(worst)
     assert discrepancies[0] >= discrepancies[1] >= discrepancies[2]
     assert discrepancies[2] <= 1e-8
 
 
+def augmented(phi):
+    """The augmented transition ``G = [[Phi, I], [0, I]]`` over ``(alpha, beta)``."""
+    k = len(phi)
+    return np.block([[phi, np.eye(k)], [np.zeros((k, k)), np.eye(k)]])
+
+
 def test_build_transition_zero_generator():
     g = GridSpec(4, 4)
     ordering = ModeOrdering(g)
-    gen = TransitionGenerator(ordering, np.zeros((ordering.k, ordering.k)))
-    trans = build_transition(gen, 2.0)
     k = ordering.k
-    assert np.array_equal(trans.phi, np.eye(k))
+    phi = build_transition(np.zeros((k, k)), 2.0)
+    assert np.array_equal(phi, np.eye(k))
     expected = np.block([[np.eye(k), np.eye(k)], [np.zeros((k, k)), np.eye(k)]])
-    assert np.array_equal(trans.augmented, expected)
+    assert np.array_equal(augmented(phi), expected)
+    # _predict is G theta and G P G' + blockdiag(W_alpha, W_beta); exact on integers
+    model = direct_model(phi, NoiseParams(1.0, 0.5))
+    rng = np.random.default_rng(40)
+    theta = rng.integers(-9, 10, size=2 * k).astype(float)
+    root = rng.integers(-3, 4, size=(2 * k, 2 * k)).astype(float)
+    cov = root @ root.T
+    mean, pred = _predict(model, theta, cov)
+    noise = np.block([[model.w_alpha, np.zeros((k, k))], [np.zeros((k, k)), model.w_beta]])
+    assert np.array_equal(mean, expected @ theta)
+    assert np.array_equal(pred, expected @ cov @ expected.T + noise)
 
 
 def test_augmented_step_block_multiplication():
     rng = np.random.default_rng(41)
     phi = rng.normal(size=(5, 5))
-    trans = DiscreteTransition(phi)
+    model = direct_model(phi, NoiseParams(1e-3, 1e-3))
     alpha = rng.normal(size=5)
     beta = rng.normal(size=5)
     theta = np.concatenate([alpha, beta])
-    out = trans.step(theta)
+    out, _ = _predict(model, theta, np.eye(10))
     assert np.allclose(out[:5], phi @ alpha + beta)
     assert np.array_equal(out[5:], beta)
-    assert np.allclose(trans.augmented @ theta, out)
+    assert np.allclose(augmented(phi) @ theta, out)
+
+
+def test_augmented_step_of_leakage_channels():
+    # a flipped model's leakage channels share one K=1 model: the mean is (2, channels)
+    rng = np.random.default_rng(42)
+    model = direct_model(np.eye(1), NoiseParams(1e-3, 1e-3))
+    theta = rng.normal(size=(2, 6))
+    out, _ = _predict(model, theta, np.eye(2))
+    assert np.array_equal(out, np.stack([theta[0] + theta[1], theta[1]]))
 
 
 def test_two_steps_with_zero_generator_accumulate_forcing():
-    trans = DiscreteTransition(np.eye(4))
+    model = direct_model(np.eye(4), NoiseParams(1e-3, 1e-3))
     theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
-    out = trans.step(trans.step(theta))
-    assert np.allclose(out[:4], 1.0)
+    means, _ = kf_forecast(model, theta, np.zeros((8, 8)), 2)
+    assert np.allclose(means[1][:4], 1.0)

@@ -14,7 +14,7 @@ from mirrorspec.evaluate import (
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
-from mirrorspec.spectral import ModeOrdering, SpectralState, synthesize
+from mirrorspec.spectral import ModeOrdering, synthesize
 
 
 def test_mae_trivial_cases():
@@ -110,7 +110,7 @@ def test_run_comparison_zero_noise_exact_model():
     model = pipeline.factory(noise)
     mean0, cov0 = default_init(obs[0], noise)
     # the first observed increment y_1 - Phi y_0 is the exact forcing of noiseless data
-    mean0[model.k:] = obs[1] - model.transition.phi @ obs[0]
+    mean0[model.k:] = obs[1] - model.phi @ obs[0]
     result = kf_filter(model, obs, mean0, cov0)
     for t in (3, 5, 7):
         recon = pipeline.reconstruct(result.means_array[t, :model.k])
@@ -183,7 +183,7 @@ def test_leakage_fraction_of_frames_in_range_of_the_transfer():
     g = GridSpec(16, 16)
     ordering = ModeOrdering(g, 16)
     rng = np.random.default_rng(33)
-    frames = [synthesize(SpectralState(ordering, rng.normal(size=ordering.k))) for _ in range(4)]
+    frames = [synthesize(ordering, rng.normal(size=ordering.k)) for _ in range(4)]
     kwargs = dict(train_steps=3, eval_times=[3], regions={"whole": WHOLE_DOMAIN},
                   velocity=(0.01, 0.0), noise=NoiseParams(0.002, 0.0005))
     specs = [ModelSpec("direct16", k=16), ModelSpec("flip64", k=64, flip=True)]

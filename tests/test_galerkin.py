@@ -9,7 +9,7 @@ from mirrorspec.galerkin import (
     psi_entry,
 )
 from mirrorspec.grid import Field, GridSpec
-from mirrorspec.spectral import ModeOrdering, SpectralState, analyze, synthesize
+from mirrorspec.spectral import ModeOrdering, analyze, synthesize
 
 
 def full_ordering(n1, n2=None):
@@ -58,7 +58,7 @@ def test_assemble_zero_physics_gives_zero_matrix():
     ordering = full_ordering(6)
     g = ordering.grid
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.zero(g))
-    assert not gen.matrix.any()
+    assert not gen.any()
 
 
 def test_assemble_matches_psi_entry_elementwise():
@@ -85,7 +85,7 @@ def test_assemble_matches_psi_entry_elementwise():
                 kinds = ("A1", "D1") if not ordering.is_sin[i] else ("A3", "D3")
             psi = sum(psi_entry(kind, k_src, k_tst, vel, dif) for kind in kinds)
             scale = ordering.weight[j] / (ordering.weight[i] * ordering.cnorm[i])
-            assert np.isclose(gen.matrix[i, j], scale * psi, atol=1e-12)
+            assert np.isclose(gen[i, j], scale * psi, atol=1e-12)
 
 
 def translation_reference(ordering, alpha, shift):
@@ -108,15 +108,15 @@ def test_constant_velocity_advection_matches_translation():
     ordering = ModeOrdering(g)
     vel = VelocityField.constant(g, 0.01, 0.0)
     gen = assemble_transition(ordering, vel, DiffusivityField.zero(g))
-    phi = matrix_exp(1.0 * gen.matrix)
+    phi = matrix_exp(1.0 * gen)
 
     x, y = g.mesh()
     bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.15**2))
-    alpha = analyze(Field.from_pixels(g, bump), ordering).alpha
+    alpha = analyze(Field.from_pixels(g, bump), ordering)
     # corner (Nyquist) modes have no sine partner on the grid, so their
     # translation is not representable; a band-limited state excludes them
     alpha[ordering.weight == 1.0] = 0.0
-    stepped = synthesize(SpectralState(ordering, phi @ alpha))
+    stepped = synthesize(ordering, phi @ alpha)
     expected = translation_reference(ordering, alpha, (0.01, 0.0))
     assert np.abs(stepped.values - expected).max() <= 1e-6
 
@@ -126,7 +126,7 @@ def test_constant_diffusion_matches_heat_kernel_decay():
     d0 = 3e-3
     ordering = ModeOrdering(g)
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, d0))
-    phi = matrix_exp(1.0 * gen.matrix)
+    phi = matrix_exp(1.0 * gen)
     norms2 = ordering.kx**2 + ordering.ky**2
     expected = np.diag(np.exp(-((2 * np.pi) ** 2) * d0 * norms2))
     assert np.abs(phi - expected).max() <= 1e-8
@@ -142,17 +142,17 @@ def test_mean_mode_row_is_zero():
     gen = assemble_transition(
         ordering, VelocityField.constant(g, 0.03, -0.02), DiffusivityField.zero(g)
     )
-    assert np.abs(gen.matrix[zero_pos[0]]).max() <= 1e-14
+    assert np.abs(gen[zero_pos[0]]).max() <= 1e-14
 
     # constant diffusivity conserves the mean exactly
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, 0.01))
-    assert np.abs(gen.matrix[zero_pos[0]]).max() <= 1e-14
+    assert np.abs(gen[zero_pos[0]]).max() <= 1e-14
 
     # variable diffusivity: exact with a spectrally-consistent divergence
     d = 0.01 + 0.004 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     dif = DiffusivityField.isotropic(g, d, divergence="spectral")
     gen = assemble_transition(ordering, VelocityField.zero(g), dif)
-    assert np.abs(gen.matrix[zero_pos[0]]).max() <= 1e-12
+    assert np.abs(gen[zero_pos[0]]).max() <= 1e-12
 
 
 def test_block_consistency_full_vs_truncated():
@@ -166,8 +166,8 @@ def test_block_consistency_full_vs_truncated():
     dif = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
     full = ModeOrdering(g)
     small = ModeOrdering(g, 11)
-    p_full = assemble_transition(full, vel, dif).matrix
-    p_small = assemble_transition(small, vel, dif).matrix
+    p_full = assemble_transition(full, vel, dif)
+    p_small = assemble_transition(small, vel, dif)
     pos = [list(full.indices).index(i) for i in small.indices]
     assert np.allclose(p_small, p_full[np.ix_(pos, pos)], atol=1e-12)
 
@@ -176,8 +176,7 @@ def test_pure_advection_pairs_are_rotation_generators():
     g = GridSpec(8, 8)
     ordering = ModeOrdering(g)
     vel = VelocityField.constant(g, 0.02, -0.01)
-    gen = assemble_transition(ordering, vel, DiffusivityField.zero(g))
-    m = gen.matrix
+    m = assemble_transition(ordering, vel, DiffusivityField.zero(g))
     for kx, ky in [(1, 0), (2, 1), (1, -2)]:
         (ic,) = np.where((ordering.kx == kx) & (ordering.ky == ky) & ~ordering.is_sin)
         (isn,) = np.where((ordering.kx == kx) & (ordering.ky == ky) & ordering.is_sin)
@@ -215,6 +214,6 @@ def test_generator_matches_pointwise_operator_application():
     fxy = -8 * np.pi**2 * np.cos(2 * np.pi * (x + 2 * y)) + 4 * np.pi**2 * np.sin(2 * np.pi * (2 * x - y))
     af = -(vx * fx + vy * fy) + (dd_dx * fx + dd_dy * fy) + d * (fxx + fyy) + 0.0 * fxy
     field = Field.from_pixels(g, f)
-    lhs = gen.matrix @ analyze(field, ordering).alpha
-    rhs = analyze(Field.from_pixels(g, af), ordering).alpha
+    lhs = gen @ analyze(field, ordering)
+    rhs = analyze(Field.from_pixels(g, af), ordering)
     assert np.abs(lhs - rhs).max() <= 1e-10

@@ -63,6 +63,16 @@ def test_empty_stack_rejected(tmp_path):
         load_stack(root)
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), float("inf"), None, "1.0", True])
+def test_manifest_delta_must_be_a_finite_positive_number(tmp_path, delta):
+    root = save_stack(random_stack(), tmp_path / "s")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["delta"] = delta
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StackError, match="delta must be finite and positive"):
+        load_stack(root)
+
+
 def test_parse_failure_has_context(tmp_path):
     stack = random_stack()
     root = save_stack(stack, tmp_path / "s")

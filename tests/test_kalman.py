@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mirrorspec.dynamics import DiscreteTransition, build_transition, flipped_generator
+from mirrorspec.dynamics import build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec, flip_field, unflip
@@ -22,7 +22,6 @@ from mirrorspec.spectral import (
     FlipTransfer,
     MirrorBand,
     ModeOrdering,
-    SpectralState,
     analyze,
     flip_transfer,
     synthesize,
@@ -41,7 +40,7 @@ def full_pass_loglik(factory, obs, params):
 
 def identity_model(k, noise):
     ordering = ModeOrdering(GridSpec(4, 4), k)
-    return direct_model(DiscreteTransition(np.eye(ordering.k)), noise)
+    return direct_model(np.eye(ordering.k), noise)
 
 
 def advection_setup(n, k=None, velocity=(0.01, 0.0), delta=1.0):
@@ -69,10 +68,10 @@ def test_noiseless_exact_model_reproduces_simulation():
         noise_modes=None, seed=4,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(16)
+    g, ordering, phi = advection_setup(16)
     obs = sim.alphas
     floor = NoiseParams(1e-10, 1e-10)
-    model = direct_model(transition, floor)
+    model = direct_model(phi, floor)
     mean0 = np.concatenate([sim.alphas[0], sim.betas[0]])
     result = kf_filter(model, obs, mean0, 1e-8 * np.eye(2 * ordering.k))
     for t in range(cfg.steps):
@@ -91,14 +90,12 @@ def test_filtered_mae_bounded_by_noise_on_replica():
         SimulationConfig(grid=GridSpec(32, 32), steps=20, noise_alpha=0.0,
                          noise_beta=0.0, noise_modes=None, seed=6)
     )
-    g, ordering, transition = advection_setup(32)
-    model = direct_model(transition, NoiseParams(0.005, 0.001))
+    g, ordering, phi = advection_setup(32)
+    model = direct_model(phi, NoiseParams(0.005, 0.001))
     mean0, cov0 = default_init(noisy.alphas[0], model.noise)
     result = kf_filter(model, noisy.alphas, mean0, cov0)
     t = cfg.steps - 1
-    from mirrorspec.spectral import SpectralState, synthesize
-
-    filtered = synthesize(SpectralState(ordering, result.means_array[t, : ordering.k]))
+    filtered = synthesize(ordering, result.means_array[t, : ordering.k])
     noise_scale = np.abs(noisy.fields[t].values - clean.fields[t].values).mean()
     mae_filtered = np.abs(filtered.values - clean.fields[t].values).mean()
     # injected noise lives in the state, so the filter tracks it rather than
@@ -126,8 +123,8 @@ def test_forecast_pure_advection_translates():
         noise_modes=None, seed=8, source_amplitude=1.0,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(16)
-    model = direct_model(transition, NoiseParams(1e-10, 1e-10))
+    g, ordering, phi = advection_setup(16)
+    model = direct_model(phi, NoiseParams(1e-10, 1e-10))
     state = np.concatenate([sim.alphas[2], sim.betas[2]])
     means, _ = kf_forecast(model, state, 1e-10 * np.eye(2 * ordering.k), 1)
     assert np.abs(means[0][: ordering.k] - sim.alphas[3]).max() <= 1e-5
@@ -139,8 +136,8 @@ def test_forecast_error_grows_with_horizon():
         noise_modes=20, seed=10,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(16)
-    model = direct_model(transition, NoiseParams(0.002, 0.0005))
+    g, ordering, phi = advection_setup(16)
+    model = direct_model(phi, NoiseParams(0.002, 0.0005))
     train = 6
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     result = kf_filter(model, sim.alphas[:train], mean0, cov0)
@@ -157,8 +154,8 @@ def test_covariances_stay_symmetric_psd():
         noise_modes=None, seed=12,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(8)
-    model = direct_model(transition, NoiseParams(0.01, 0.002))
+    g, ordering, phi = advection_setup(8)
+    model = direct_model(phi, NoiseParams(0.01, 0.002))
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     for t in range(len(sim.alphas)):
         cov = kf_filter(model, sim.alphas[: t + 1], mean0, cov0).final_cov
@@ -172,8 +169,8 @@ def test_loglik_decomposes_over_innovations():
         noise_modes=None, seed=14,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(8)
-    model = direct_model(transition, NoiseParams(0.004, 0.001))
+    g, ordering, phi = advection_setup(8)
+    model = direct_model(phi, NoiseParams(0.004, 0.001))
     mean0, cov0 = default_init(sim.alphas[0], model.noise)
     result = kf_filter(model, sim.alphas, mean0, cov0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
@@ -182,7 +179,6 @@ def test_loglik_decomposes_over_innovations():
     # the data, so rebuild S_t and score the stored innovations
     k = ordering.k
     cov = cov0.copy()
-    phi = transition.phi
     total = 0.0
     for t in range(1, cfg.steps):
         p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
@@ -212,19 +208,19 @@ def test_variance_mle_recovers_within_factor_three():
     ordering = ModeOrdering(g, 33)
     gen = assemble_transition(ordering, VelocityField.constant(g, 0.01, 0.0),
                               DiffusivityField.zero(g))
-    transition = build_transition(gen, 1.0)
+    phi = build_transition(gen, 1.0)
     sub = np.searchsorted(
         ModeOrdering(g).indices, ordering.indices
     )
     obs = sim.alphas[:, sub]
     fit = estimate_variances(
-        lambda p: direct_model(transition, p, tie_obs=False),
+        lambda p: direct_model(phi, p, tie_obs=False),
         obs,
         max_evaluations=150,
     )
     assert 0.005 / 3 <= fit.params.sigma2_alpha <= 0.005 * 3
     assert 0.001 / 3 <= fit.params.sigma2_beta <= 0.001 * 3
-    factory = lambda p: direct_model(transition, p, tie_obs=False)
+    factory = lambda p: direct_model(phi, p, tie_obs=False)
     assert all(fit.loglik >= full_pass_loglik(factory, obs, NoiseParams(sa, sb)) - 1e-9
                for sa in OLD_GRID for sb in OLD_GRID)
 
@@ -235,16 +231,12 @@ def test_variance_mle_noiseless_collapses_to_floor():
         noise_modes=None, seed=20,
     )
     sim = simulate_advection(cfg)
-    g, ordering, transition = advection_setup(8)
-    def exact_init(params):
-        mean = np.concatenate([sim.alphas[0], sim.betas[0]])
-        cov = 10 * max(params.sigma2_alpha, params.sigma2_beta) * np.eye(2 * ordering.k)
-        return mean, cov
-
+    g, ordering, phi = advection_setup(8)
+    # d(t) = alpha(t+1) - alpha(t) follows d(t+1) = Phi d(t) with no forcing, so
+    # the fit's start from default_init (first observation, zero forcing) is exact
     fit = estimate_variances(
-        lambda p: direct_model(transition, p, tie_obs=False),
-        sim.alphas,
-        exact_init,
+        lambda p: direct_model(phi, p, tie_obs=False),
+        np.diff(sim.alphas, axis=0),
         max_evaluations=250,
     )
     assert fit.params.sigma2_alpha <= 1e-5
@@ -262,12 +254,12 @@ def test_likelihood_peaks_near_true_parameters():
     ordering = ModeOrdering(g, 33)
     gen = assemble_transition(ordering, VelocityField.constant(g, 0.01, 0.0),
                               DiffusivityField.zero(g))
-    transition = build_transition(gen, 1.0)
+    phi = build_transition(gen, 1.0)
     sub = np.searchsorted(ModeOrdering(g).indices, ordering.indices)
     obs = sim.alphas[:, sub]
 
     def loglik(params):
-        model = direct_model(transition, params)
+        model = direct_model(phi, params)
         mean0, cov0 = default_init(obs[0], params)
         return kf_filter(model, obs, mean0, cov0).loglik
 
@@ -282,6 +274,11 @@ def test_filter_breakdown_raises_diagnostic():
     obs = np.zeros((4, model.k))
     with pytest.raises(FilterError, match="not positive definite"):
         kf_filter(model, obs, np.zeros(k2), -np.eye(k2), update_first=True)
+
+
+def test_model_rejects_a_transition_that_is_not_square():
+    with pytest.raises(ValueError, match=r"phi must be 3 x 3, got \(3, 2\)"):
+        direct_model(np.zeros((3, 2)), NoiseParams(1e-3, 1e-3))
 
 
 def test_estimate_variances_needs_three_steps():
@@ -339,7 +336,8 @@ def variable_diffusivity(g):
 
 
 def flipped_case(diffusive, k):
-    """16x16 advection data, the physics and the pipeline of ``flip{k}``."""
+    """16x16 advection data, the ordering and generator of the physics, and
+    the pipeline of ``flip{k}``."""
     cfg = SimulationConfig(grid=GridSpec(16, 16), steps=8, noise_alpha=0.005, noise_beta=0.001,
                            noise_modes=33, seed=26)
     g = cfg.grid
@@ -348,13 +346,13 @@ def flipped_case(diffusive, k):
     pipeline = build_pipeline(g, ModelSpec(f"flip{k}", k=k, flip=True), velocity=vel,
                               diffusivity=dif)
     ordering = ModeOrdering(g, k // 4)
-    return simulate_advection(cfg).fields, assemble_transition(ordering, vel, dif), pipeline
+    return simulate_advection(cfg).fields, ordering, assemble_transition(ordering, vel, dif), pipeline
 
 
-def dense_model(transition, h, noise):
+def dense_model(phi, h, noise):
     """The conjugated model on every coefficient of ``h``'s rows: noise ``H H^T + ridge I``."""
     hht = h @ h.T + SUBSPACE_RIDGE * np.eye(h.shape[0])
-    return StateSpaceModel(transition, noise, v=noise.sigma2_obs * np.eye(h.shape[0])
+    return StateSpaceModel(phi, noise, v=noise.sigma2_obs * np.eye(h.shape[0])
                            + noise.sigma2_alpha * hht,
                            w_alpha=noise.sigma2_alpha * hht, w_beta=noise.sigma2_beta * hht)
 
@@ -374,7 +372,7 @@ DIFFUSIVE = pytest.mark.parametrize("diffusive", [False, True],
 @UPDATE_FIRST
 @DIFFUSIVE
 def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update_first):
-    frames, gen, pipeline = flipped_case(diffusive, 64)
+    frames, ordering, gen, pipeline = flipped_case(diffusive, 64)
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     model = pipeline.factory(noise)
     obs = pipeline.observations(frames)
@@ -382,11 +380,11 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update
     # the dense oracle on all dim S band coordinates: exp of H_S P pinv(H_S), whose
     # flipped-domain coordinates are the band's (it stands in for the flipped ordering)
     band = MirrorBand(GridSpec(16, 16), 64)
-    h_s = band.transfer(gen.ordering)
+    h_s = band.transfer(ordering)
     q, _ = np.linalg.qr(h_s, mode="complete")
-    transfer = FlipTransfer(gen.ordering, band, h_s)
+    transfer = FlipTransfer(ordering, band, h_s)
     dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
-    assert model.transition.k == gen.ordering.k == 15 < model.k == band.k == 21
+    assert len(model.phi) == ordering.k == 15 < model.k == band.k == 21
 
     got, got_means = filter_and_forecast(model, obs, noise, update_first)
     want, want_means = filter_and_forecast(dense, obs @ q.T, noise, update_first)
@@ -402,14 +400,14 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
     # flip65 keeps both (k_x, +-k_y) of every doubled-grid mode it holds, so the
     # band is exactly the paper's truncation: the K*-state model of H P pinv(H)
     # on analyze(flip_field(f), star) must give the same fields
-    frames, gen, pipeline = flipped_case(diffusive, 65)
+    frames, ordering, gen, pipeline = flipped_case(diffusive, 65)
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     g = frames[0].grid
     star = ModeOrdering(g.doubled(), 65)
-    transfer = flip_transfer(g, gen.ordering, star)
+    transfer = flip_transfer(g, ordering, star)
     dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
                         transfer.matrix, noise)
-    dense_obs = np.array([analyze(flip_field(f), star).alpha for f in frames])
+    dense_obs = np.array([analyze(flip_field(f), star) for f in frames])
     assert dense.k == 65 > pipeline.k == 21
 
     _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise,
@@ -417,7 +415,7 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
     _, want = filter_and_forecast(dense, dense_obs, noise, update_first)
     for g_mean, w_mean in zip(got, want):
         got_field = pipeline.reconstruct(g_mean).values
-        want_field = unflip(synthesize(SpectralState(star, w_mean[:65]))).values
+        want_field = unflip(synthesize(star, w_mean[:65])).values
         assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
 
 
@@ -425,7 +423,7 @@ def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
     g = GridSpec(16, 16)
     pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
     model = pipeline.factory(NoiseParams(1e-3, 1e-3))
-    k, kr = model.k, model.transition.k
+    k, kr = model.k, len(model.phi)
     obs = np.zeros((3, k))
     mean0, cov0 = default_init(obs[0], model.noise)
     kf_filter(model, obs, mean0, cov0)

@@ -95,8 +95,8 @@ def test_windowing_biases_strong_edge_signal():
     errs = {}
     for k in (25, 100, 400):
         ordering = ModeOrdering(truth.grid, k)
-        recon_plain = synthesize(analyze(truth, ordering))
-        recon_windowed = synthesize(analyze(apply_window(truth, w), ordering))
+        recon_plain = synthesize(ordering, analyze(truth, ordering))
+        recon_windowed = synthesize(ordering, analyze(apply_window(truth, w), ordering))
         errs[k] = (mae(truth, recon_windowed, bottom), mae(truth, recon_plain, bottom))
     for windowed_err, plain_err in errs.values():
         assert windowed_err > plain_err

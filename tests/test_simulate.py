@@ -67,7 +67,7 @@ def test_rotation_stepper_equals_matrix_exponential():
     gen = assemble_transition(
         ordering, VelocityField.constant(g, *vel), DiffusivityField.zero(g)
     )
-    phi = matrix_exp(gen.matrix)
+    phi = matrix_exp(gen)
     rng = np.random.default_rng(3)
     for _ in range(5):
         alpha = rng.normal(size=ordering.k)

@@ -7,7 +7,6 @@ from mirrorspec.grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_fie
 from mirrorspec.spectral import (
     MirrorBand,
     ModeOrdering,
-    SpectralState,
     analyze,
     basis_matrix,
     flip_transfer,
@@ -177,25 +176,25 @@ def test_analyze_single_cosine_mode():
     x, _ = g.mesh()
     f = Field.from_pixels(g, np.cos(2 * np.pi * x))
     ordering = ModeOrdering(g)
-    state = analyze(f, ordering)
+    alpha = analyze(f, ordering)
     expected = np.zeros(ordering.k)
     (pos,) = np.where((ordering.kx == 1) & (ordering.ky == 0) & ~ordering.is_sin)
     expected[pos] = 0.5
-    assert np.allclose(state.alpha, expected, atol=1e-12)
+    assert np.allclose(alpha, expected, atol=1e-12)
     oracle = lstsq_analyze_oracle(f, ordering)
-    assert np.allclose(state.alpha, oracle, atol=1e-10)
+    assert np.allclose(alpha, oracle, atol=1e-10)
 
 
 def test_analyze_constant_field():
     g = GridSpec(6, 4)
     f = Field(g, np.ones(g.n))
     ordering = ModeOrdering(g)
-    state = analyze(f, ordering)
+    alpha = analyze(f, ordering)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
-    assert np.isclose(state.alpha[pos[0]], 1.0, atol=1e-13)
+    assert np.isclose(alpha[pos[0]], 1.0, atol=1e-13)
     mask = np.ones(ordering.k, dtype=bool)
     mask[pos] = False
-    assert np.abs(state.alpha[mask]).max() < 1e-13
+    assert np.abs(alpha[mask]).max() < 1e-13
 
 
 def test_roundtrip_and_lstsq_oracle_6x4():
@@ -203,14 +202,14 @@ def test_roundtrip_and_lstsq_oracle_6x4():
     g = GridSpec(6, 4)
     f = Field(g, rng.normal(size=g.n))
     ordering = ModeOrdering(g)
-    state = analyze(f, ordering)
-    assert np.allclose(state.alpha, lstsq_analyze_oracle(f, ordering), atol=1e-10)
-    back = synthesize(state)
+    alpha = analyze(f, ordering)
+    assert np.allclose(alpha, lstsq_analyze_oracle(f, ordering), atol=1e-10)
+    back = synthesize(ordering, alpha)
     assert np.abs(back.values - f.values).max() <= 1e-9 * max(1.0, np.abs(f.values).max())
     # truncated projection is still the least-squares fit on the subspace
     truncated = ModeOrdering(g, 9)
     assert np.allclose(
-        analyze(f, truncated).alpha, lstsq_analyze_oracle(f, truncated), atol=1e-10
+        analyze(f, truncated), lstsq_analyze_oracle(f, truncated), atol=1e-10
     )
 
 
@@ -220,8 +219,14 @@ def test_synthesize_unit_constant():
     alpha = np.zeros(ordering.k)
     (pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
     alpha[pos] = 1.0
-    out = synthesize(SpectralState(ordering, alpha))
+    out = synthesize(ordering, alpha)
     assert np.allclose(out.values, 1.0, atol=1e-13)
+
+
+def test_synthesize_rejects_a_vector_of_another_ordering():
+    ordering = ModeOrdering(GridSpec(4, 4), 9)
+    with pytest.raises(ValueError, match=r"alpha must have shape \(9,\), got \(16,\)"):
+        synthesize(ordering, np.zeros(16))
 
 
 def test_synthesize_matches_basis_matrix():
@@ -230,7 +235,7 @@ def test_synthesize_matches_basis_matrix():
     for k in (1, 9, g.n):
         ordering = ModeOrdering(g, k)
         alpha = rng.normal(size=ordering.k)
-        f = synthesize(SpectralState(ordering, alpha))
+        f = synthesize(ordering, alpha)
         assert np.allclose(f.values, basis_matrix(ordering) @ alpha, atol=1e-10)
 
 
@@ -262,7 +267,7 @@ def test_parseval_consistency():
     g = GridSpec(8, 6)
     f = Field(g, rng.normal(size=g.n))
     ordering = ModeOrdering(g)
-    a = analyze(f, ordering).alpha
+    a = analyze(f, ordering)
     k1 = ordering.weight == 1.0
     energy = np.sum(a[k1] ** 2) + 2 * np.sum(a[~k1] ** 2)
     assert np.isclose(energy, np.mean(f.values**2), rtol=1e-9)
@@ -275,7 +280,7 @@ def test_truncation_error_monotone():
     errs = []
     for k in (1, 5, 11, 23, 41, g.n):
         ordering = ModeOrdering(g, k)
-        recon = synthesize(analyze(f, ordering))
+        recon = synthesize(ordering, analyze(f, ordering))
         errs.append(np.linalg.norm(f.values - recon.values))
     assert all(a >= b - 1e-12 for a, b in zip(errs[:-1], errs[1:]))
     assert errs[-1] < 1e-9
@@ -294,7 +299,7 @@ def test_mirror_symmetry_sine_sparsity(variant):
     phase = mirror_phase(ordering)
     for _ in range(10):
         f = Field(g, rng.normal(size=g.n))
-        a = analyze(flip_field(f, variant), ordering).alpha
+        a = analyze(flip_field(f, variant), ordering)
         cos_idx = ~ordering.is_sin
         c = np.zeros(ordering.k // 1, dtype=complex)
         # rebuild complex coefficients c_k = alpha_c - i alpha_s per mode
@@ -323,9 +328,9 @@ def test_mirror_band_is_the_doubled_grid_truncation(variant):
     assert (star.k, band.k) == (65, 21)
     for _ in range(5):
         f = Field(g, rng.normal(size=g.n))
-        alpha = analyze(flip_field(f, variant), star).alpha
+        alpha = analyze(flip_field(f, variant), star)
         y = band.observe(f)
-        want = unflip(synthesize(SpectralState(star, alpha)), variant)
+        want = unflip(synthesize(star, alpha), variant)
         assert np.abs(band.reconstruct(y).values - want.values).max() <= 1e-12
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(alpha), rel=1e-12)
 
@@ -338,7 +343,7 @@ def test_mirror_band_completes_a_split_pair():
     band = MirrorBand(g, 64)
     assert band.k == MirrorBand(g, 65).k == 21 and star.k == 63
     f = Field(g, np.random.default_rng(15).normal(size=g.n))
-    alpha = analyze(flip_field(f), star).alpha
+    alpha = analyze(flip_field(f), star)
     assert np.linalg.norm(band.observe(f)) > np.linalg.norm(alpha)
 
 
@@ -348,7 +353,7 @@ def test_mirror_band_transfer_observes_the_basis_columns():
     ordering = ModeOrdering(g, 16)
     band = MirrorBand(g, 65)
     a = rng.normal(size=ordering.k)
-    y = band.observe(synthesize(SpectralState(ordering, a)))
+    y = band.observe(synthesize(ordering, a))
     assert np.abs(band.transfer(ordering) @ a - y).max() <= 1e-12
 
 
@@ -375,8 +380,8 @@ def test_flip_transfer_full_retention_equivalence():
     transfer = flip_transfer(g, ordering, ordering_star)
     for _ in range(50):
         alpha = rng.normal(size=ordering.k)
-        via_h = synthesize(SpectralState(ordering_star, transfer.matrix @ alpha))
-        direct = flip_field(synthesize(SpectralState(ordering, alpha)))
+        via_h = synthesize(ordering_star, transfer.matrix @ alpha)
+        direct = flip_field(synthesize(ordering, alpha))
         assert np.abs(via_h.values - direct.values).max() <= 1e-9
 
 
