@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import build_transition
+from .dynamics import block_transition, build_transition
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import Field
 from .kalman import (
@@ -167,6 +167,15 @@ class ModelPipeline:
         return self.to_field(state[:self.k])
 
 
+def _constant_coefficients(vel: VelocityField, dif: DiffusivityField):
+    """``((vx, vy), d)`` when the velocity samples are all equal and the
+    diffusivity is one constant ``d`` with zero divergence, else None."""
+    if (np.all(vel.vx == vel.vx[0]) and np.all(vel.vy == vel.vy[0])
+            and np.all(dif.d == dif.d[0]) and not (dif.div_dx.any() or dif.div_dy.any())):
+        return (vel.vx[0], vel.vy[0]), dif.d[0]
+    return None
+
+
 def build_pipeline(
     grid,
     spec: ModelSpec,
@@ -178,12 +187,21 @@ def build_pipeline(
     """Assemble the physics, transforms, and model factory for one spec: the
     original-domain transition over ``spec.k`` modes, or ``spec.k // K_STAR_FACTOR``
     when flipped, which observes the ``MirrorBand`` of ``spec.k`` rotated by
-    ``Q`` from its transfer ``H_S = Q R``."""
+    ``Q`` from its transfer ``H_S = Q R``.
+
+    A direct or windowed model of constant coefficients (equal velocity samples,
+    constant diffusivity without divergence) gets its transition in closed form
+    as cos/sin-pair and corner blocks (:func:`~mirrorspec.dynamics.block_transition`);
+    every other model assembles the Galerkin generator and exponentiates it."""
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
     ordering = ModeOrdering(grid, spec.k // K_STAR_FACTOR if spec.flip else spec.k)
-    phi = build_transition(assemble_transition(ordering, vel, dif), delta)
+    constant = None if spec.flip else _constant_coefficients(vel, dif)
+    if constant is not None:
+        phi = block_transition(ordering, constant[0], delta, constant[1])
+    else:
+        phi = build_transition(assemble_transition(ordering, vel, dif), delta)
 
     def windowed(f):
         return f if window is None else apply_window(f, window)
@@ -288,7 +306,7 @@ def run_comparison(
             **(fit.diagnostics() if fit else {}),
         }
         if model.channels:
-            leak = np.linalg.norm(train_obs[:, len(model.phi):], axis=1)
+            leak = np.linalg.norm(train_obs[:, model.k - model.channels:], axis=1)
             entry["leakage_fraction"] = float(np.median(leak / np.linalg.norm(train_obs, axis=1)))
 
         for time in eval_times:

@@ -87,8 +87,11 @@ def load_stack(path) -> GridStack:
         missing = MANIFEST_KEYS - set(manifest)
         extra = set(manifest) - MANIFEST_KEYS
         raise StackError(f"{mpath}: manifest keys mismatch (missing {missing or '{}'}, extra {extra or '{}'})")
-    grid = GridSpec(int(manifest["n1"]), int(manifest["n2"]))
-    steps = int(manifest["steps"])
+    for key in ("n1", "n2", "steps"):
+        if type(manifest[key]) is not int:
+            raise StackError(f"{mpath}: {key} must be a JSON integer, got {manifest[key]!r}")
+    grid = GridSpec(manifest["n1"], manifest["n2"])
+    steps = manifest["steps"]
     if steps < 1:
         raise StackError(f"{mpath}: a stack needs at least one frame, got steps={steps}")
     delta = manifest["delta"]

@@ -12,12 +12,25 @@ coefficients accumulate into the state as a random walk with constant mean.
 Observations are coefficient vectors (fields are analyzed before entering the
 filter), so the observation matrix is the identity on the ``alpha`` block.
 
-Two noise layouts are provided: the direct model uses isotropic covariances
-``sigma2 * I`` on its own coefficient space, while the flipped model maps
-original-domain coefficient noise through the band transfer ``H_S`` of
+A model is a set of independent blocks of coefficients (:class:`Blocks`), and
+the filter runs each batch of equal-size blocks at once along a leading batch
+axis, with NumPy's batched Cholesky factorization and solves:
+
+- a dense model is one block of all K coefficients;
+- a model of constant velocity and constant diffusivity is a batch of 2-blocks,
+  one per cos/sin pair, plus a batch of 1-blocks, one per corner mode: its
+  transition is block-diagonal in closed form
+  (:func:`~mirrorspec.dynamics.block_transition`) and its noise is isotropic, so
+  each block's 4x4 or 2x2 recursion is exact and a pass costs O(K) (the
+  spectral Kalman filter of Sigrist, Kunsch & Stahel 2015, JRSS-B 77(1));
+- the mirrored model is one dense block of K coefficients plus a batch of
+  ``dim S - K`` leakage 1-blocks that run one model and share one covariance.
+
+The direct model uses isotropic covariances ``sigma2 * I`` on its own
+coefficient space, while the flipped model maps original-domain coefficient
+noise through the band transfer ``H_S`` of
 :class:`~mirrorspec.spectral.MirrorBand`, ``sigma2 * (H_S H_S^T + ridge I)``,
-on both sides; its ``dim S`` coefficients (the band's) are filtered exactly as
-a K-coefficient block plus ``dim S - K`` leakage channels sharing a 2x2 covariance.
+on both sides.
 
 Covariance updates use the Joseph form with per-step symmetrization; a
 failed innovation-covariance factorization aborts with a diagnostic rather
@@ -38,6 +51,7 @@ import numpy as np
 
 __all__ = [
     "NoiseParams",
+    "Blocks",
     "StateSpaceModel",
     "FilterResult",
     "FilterError",
@@ -79,55 +93,131 @@ class NoiseParams:
             raise ValueError("sigma2_obs must be non-negative")
 
 
-@dataclass(frozen=True)
-class StateSpaceModel:
-    """Transition and expanded noise covariances; the observation map is the
-    identity on the alpha block, ``(I_K, 0)``.
+BLOCK_MATRICES = ("phi", "v", "w_alpha", "w_beta")
 
-    ``phi`` (the one-step transition), ``v`` and ``w_*`` act on the first
-    ``len(phi)`` coefficients; ``leakage`` is the K=1 model of each of the
-    ``channels`` after them.
+
+@dataclass(frozen=True)
+class Blocks:
+    """``len(index)`` independent blocks of ``m`` alpha coefficients each.
+
+    ``index[b]`` holds the positions of block ``b``'s coefficients in alpha.
+    ``phi`` (the one-step transition), ``v``, ``w_alpha`` and ``w_beta`` stack
+    the blocks' ``m x m`` matrices along a leading batch axis of length
+    ``len(index)``, or of length 1 for one matrix that every block uses.  The
+    filter keeps one covariance per block, or one for all of them when every
+    matrix has batch length 1.
     """
 
+    index: np.ndarray
     phi: np.ndarray
-    noise: NoiseParams
     v: np.ndarray
     w_alpha: np.ndarray
     w_beta: np.ndarray
-    leakage: StateSpaceModel | None = None
-    channels: int = 0
 
     def __post_init__(self):
-        k = len(self.phi)
-        for name in ("phi", "v", "w_alpha", "w_beta"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (k, k):
-                raise ValueError(f"{name} must be {k} x {k}, got {m.shape}")
-            object.__setattr__(self, name, m)
+        index = np.asarray(self.index)
+        if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be a 2-D integer array, got shape {index.shape}")
+        object.__setattr__(self, "index", index)
+        n, m = index.shape
+        for name in BLOCK_MATRICES:
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.ndim != 3 or a.shape[0] not in (1, n) or a.shape[1:] != (m, m):
+                raise ValueError(f"{name} must stack {m} x {m} matrices for 1 or {n} blocks, "
+                                 f"got shape {a.shape}")
+            object.__setattr__(self, name, a)
+
+    @property
+    def covariances(self) -> int:
+        """How many covariances the filter keeps for these blocks."""
+        return max(len(getattr(self, name)) for name in BLOCK_MATRICES)
+
+    @property
+    def shared(self) -> bool:
+        """Whether several blocks run one model and share one covariance."""
+        return self.covariances == 1 < len(self.index)
+
+
+def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams,
+               tie_obs: bool = True) -> Blocks:
+    """Blocks of transitions ``phi`` with the isotropic noise of :func:`direct_model`."""
+    eye = np.eye(index.shape[1])[None]
+    v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
+    return Blocks(index, phi, v_scale * eye, noise.sigma2_alpha * eye, noise.sigma2_beta * eye)
+
+
+def _dense(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, phi)`` of one block of all ``len(phi)`` coefficients."""
+    k = len(phi)
+    if np.shape(phi) != (k, k):
+        raise ValueError(f"phi must be {k} x {k}, got {np.shape(phi)}")
+    return np.arange(k)[None], np.asarray(phi, dtype=float)[None]
+
+
+class StateSpaceModel:
+    """Noise variances and the independent :class:`Blocks` that together hold
+    the ``k`` alpha coefficients and their forcing; the observation map is the
+    identity on the alpha block, ``(I_K, 0)``.
+
+    ``StateSpaceModel(phi, noise, v, w_alpha, w_beta)`` is the dense model, one
+    block of all ``len(phi)`` coefficients; :meth:`from_blocks` builds any other
+    layout.  ``phi``, ``v`` and ``w_*`` read the ``K x K`` matrices of the
+    coefficients with blocks of their own (the leading ones); ``channels``
+    counts the coefficients after them whose blocks share one model.
+    """
+
+    def __init__(self, phi, noise: NoiseParams, v, w_alpha, w_beta):
+        index, phi = _dense(phi)
+        self.noise = noise
+        self.blocks = (Blocks(index, phi, *(np.asarray(m, dtype=float)[None]
+                                            for m in (v, w_alpha, w_beta))),)
+
+    @classmethod
+    def from_blocks(cls, noise: NoiseParams, blocks) -> StateSpaceModel:
+        model = cls.__new__(cls)
+        model.noise = noise
+        model.blocks = tuple(b for b in blocks if b.index.size)
+        return model
 
     @property
     def k(self) -> int:
         """Coefficients in each half of the state, leakage channels included."""
-        return len(self.phi) + self.channels
+        return sum(b.index.size for b in self.blocks)
+
+    @property
+    def channels(self) -> int:
+        """Coefficients whose blocks share one model (the leakage channels)."""
+        return sum(b.index.size for b in self.blocks if b.shared)
+
+    def _joined(self, name: str) -> np.ndarray:
+        """The ``K x K`` matrix ``name`` of the coefficients before the channels."""
+        k = self.k - self.channels
+        out = np.zeros((k, k))
+        for b in self.blocks:
+            if not b.shared:
+                out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, name)
+        return out
+
+    phi = property(lambda self: self._joined("phi"))
+    v = property(lambda self: self._joined("v"))
+    w_alpha = property(lambda self: self._joined("w_alpha"))
+    w_beta = property(lambda self: self._joined("w_beta"))
 
 
-def direct_model(phi: np.ndarray, noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
+def direct_model(phi, noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
+    ``phi`` is the ``K x K`` transition (one dense block), or a block-diagonal
+    one as its ``(index, phi)`` batches
+    (:func:`~mirrorspec.dynamics.block_transition`).
     ``tie_obs`` makes the observation covariance share ``sigma2_alpha`` (the
     printed model structure); with it off, only ``sigma2_obs`` enters the
     observation side, which is the identifiable layout when observations are
     exact coefficient snapshots.
     """
-    eye = np.eye(len(phi))
-    v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
-    return StateSpaceModel(
-        phi=phi,
-        noise=noise,
-        v=v_scale * eye,
-        w_alpha=noise.sigma2_alpha * eye,
-        w_beta=noise.sigma2_beta * eye,
-    )
+    batches = [_dense(phi)] if isinstance(phi, np.ndarray) else phi
+    return StateSpaceModel.from_blocks(
+        noise, [_isotropic(index, p, noise, tie_obs) for index, p in batches])
 
 
 def flipped_model(phi: np.ndarray, noise: NoiseParams, r: np.ndarray) -> StateSpaceModel:
@@ -138,8 +228,8 @@ def flipped_model(phi: np.ndarray, noise: NoiseParams, r: np.ndarray) -> StateSp
     In that basis ``exp(delta H_S P pinv(H_S))`` is exactly
     ``blockdiag(R Phi R^-1, I)``, ``R = r[:K]``, and
     ``H_S H_S^T + ridge I`` is ``blockdiag(R R^T + ridge I, ridge I)``, so the
-    ``dim S - K`` leakage channels each follow the K=1 random walk of
-    :func:`direct_model`, its noise scaled by ``SUBSPACE_RIDGE``: the floor
+    ``dim S - K`` leakage channels are 1-blocks that share the K=1 random walk
+    of :func:`direct_model`, its noise scaled by ``SUBSPACE_RIDGE``: the floor
     that keeps the leakage of mirrored observations off ``range(H_S)`` from
     collapsing the filter covariance.  The observation covariance shares
     ``sigma2_alpha`` as in :func:`direct_model`.
@@ -153,15 +243,12 @@ def flipped_model(phi: np.ndarray, noise: NoiseParams, r: np.ndarray) -> StateSp
     hht = r @ r.T + SUBSPACE_RIDGE * np.eye(k)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
-    return StateSpaceModel(
-        phi=phi,
-        noise=noise,
-        v=noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht,
-        w_alpha=noise.sigma2_alpha * hht,
-        w_beta=noise.sigma2_beta * hht,
-        leakage=direct_model(np.eye(1), channel),
-        channels=channels,
-    )
+    return StateSpaceModel.from_blocks(noise, [
+        Blocks(np.arange(k)[None], phi[None],
+               (noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht)[None],
+               (noise.sigma2_alpha * hht)[None], (noise.sigma2_beta * hht)[None]),
+        _isotropic(np.arange(k, k + channels)[:, None], np.ones((1, 1, 1)), channel),
+    ])
 
 
 def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -186,80 +273,85 @@ class FilterResult:
     final_cov: np.ndarray = field(repr=False)
 
 
-def _predict(model: StateSpaceModel, mean, cov):
-    """One step of the augmented transition; ``mean`` may carry a trailing
-    axis of channels sharing ``cov``."""
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
+def _predict(model, mean, cov):
+    """One step of the augmented transition of ``model.phi``, ``w_alpha`` and
+    ``w_beta``; a leading axis of ``mean`` and ``cov`` runs over blocks and
+    broadcasts against the batch axis of :class:`Blocks`."""
     phi = model.phi
-    k = len(phi)
-    p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
+    k = phi.shape[-1]
+    p11, p12, p22 = cov[..., :k, :k], cov[..., :k, k:], cov[..., k:, k:]
     x = phi @ p11
     y = phi @ p12
-    top_left = x @ phi.T + y + y.T + p22 + model.w_alpha
     top_right = y + p22
     out = np.empty_like(cov)
-    out[:k, :k] = top_left
-    out[:k, k:] = top_right
-    out[k:, :k] = top_right.T
-    out[k:, k:] = p22 + model.w_beta
-    out = 0.5 * (out + out.T)
+    out[..., :k, :k] = x @ _t(phi) + y + _t(y) + p22 + model.w_alpha
+    out[..., :k, k:] = top_right
+    out[..., k:, :k] = _t(top_right)
+    out[..., k:, k:] = p22 + model.w_beta
+    out = 0.5 * (out + _t(out))
     new_mean = np.empty_like(mean)
-    new_mean[:k] = phi @ mean[:k] + mean[k:]
-    new_mean[k:] = mean[k:]
+    new_mean[..., :k] = (phi @ mean[..., :k, None])[..., 0] + mean[..., k:]
+    new_mean[..., k:] = mean[..., k:]
     return new_mean, out
 
 
-def _update(model: StateSpaceModel, mean, cov, obs):
-    """One update; ``mean`` may carry a trailing axis of channels sharing ``cov``."""
-    import scipy.linalg
-
-    k = len(model.phi)
-    s = cov[:k, :k] + model.v
+def _update(block: Blocks, mean, cov, obs):
+    """One update of a batch of blocks: ``mean`` and ``obs`` hold one row per
+    block, ``cov`` one covariance per block or one that they share."""
+    k = block.index.shape[1]
+    s = cov[..., :k, :k] + block.v
     try:
-        chol = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
         raise FilterError(
             f"innovation covariance is not positive definite ({exc}); "
             "the model noise scales are likely degenerate"
         ) from exc
-    innovation = obs - mean[:k]
-    gain = scipy.linalg.cho_solve(chol, cov[:, :k].T, check_finite=False).T
-    new_mean = mean + gain @ innovation
+    innovation = obs - mean[..., :k]
+    gain = _t(np.linalg.solve(s, cov[..., :k, :]))
+    new_mean = mean + (gain @ innovation[..., None])[..., 0]
     # Joseph form: (I - G H) P (I - G H)^T + G V G^T with H = (I_K, 0)
-    ap = cov - gain @ cov[:k, :]
-    new_cov = ap - ap[:, :k] @ gain.T + gain @ model.v @ gain.T
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    white = scipy.linalg.solve_triangular(
-        chol[0], innovation, lower=True, check_finite=False
-    ).ravel()
-    logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    white_ss = white @ white
-    ll = -0.5 * (white.size * np.log(2 * np.pi) + white.size // k * logdet + white_ss)
-    return new_mean, new_cov, innovation.ravel(), ll, white_ss
+    ap = cov - gain @ cov[..., :k, :]
+    new_cov = ap - ap[..., :k] @ _t(gain) + gain @ block.v @ _t(gain)
+    new_cov = 0.5 * (new_cov + _t(new_cov))
+    white = np.linalg.solve(chol, innovation[..., None])
+    # a covariance shared by n blocks enters the likelihood n times
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum() * (len(obs) / len(chol))
+    white_ss = float(np.sum(white * white))
+    ll = -0.5 * (innovation.size * np.log(2 * np.pi) + logdet + white_ss)
+    return new_mean, new_cov, innovation, ll, white_ss
 
 
 def _blocks(model: StateSpaceModel, mean, cov):
-    """The ``(model, mean, cov)`` blocks the filter runs on a full state: the
-    first ``len(model.phi)`` coefficients, then any leakage channels as one
-    ``(2, channels)`` mean with one 2x2 covariance.  Raises ValueError unless
-    ``cov`` is exactly what these blocks join back to."""
-    kr, halves, quarters = len(model.phi), mean.reshape(2, -1), cov.reshape(2, model.k, 2, -1)
-    blocks = [(model, halves[:, :kr].ravel(), quarters[:, :kr, :, :kr].reshape(2 * kr, -1))]
-    if model.leakage is not None:
-        blocks.append((model.leakage, halves[:, kr:], quarters[:, kr, :, kr]))
-        if not np.array_equal(_joined_cov(model, blocks), cov):
-            raise ValueError("a flipped model's covariance must not couple range(H_S) with the "
-                             "leakage channels and must be the same on every channel")
-    return blocks
+    """The ``(blocks, rows, mean, cov)`` batches the filter runs on a full
+    state: ``rows`` are the state positions ``(alpha, beta)`` of each block,
+    ``mean`` has one row per block and ``cov`` one covariance per block or,
+    for blocks sharing one model, a single one.  Raises ValueError unless
+    ``cov`` is exactly what these batches join back to."""
+    batches = []
+    for b in model.blocks:
+        rows = np.concatenate([b.index, b.index + model.k], axis=1)
+        own = rows[:b.covariances]
+        batches.append((b, rows, mean[rows], cov[own[:, :, None], own[:, None, :]]))
+    if not np.array_equal(_joined_cov(model, batches), cov):
+        raise ValueError("the covariance must split into the model's blocks: no covariance "
+                         "between two blocks (such as two cos/sin pairs, or range(H_S) and the "
+                         "leakage channels), and one covariance on blocks that share it "
+                         "(the leakage channels)")
+    return batches
 
 
-def _joined_cov(model: StateSpaceModel, blocks) -> np.ndarray:
-    """A new full covariance from the blocks of :func:`_blocks`."""
-    k, kr = model.k, len(model.phi)
-    cov = np.zeros((2, k, 2, k))
-    cov[:, :kr, :, :kr] = blocks[0][2].reshape(2, kr, 2, kr)
-    for _, _, channel_cov in blocks[1:]:
-        cov[:, kr:, :, kr:] = np.einsum("ij,ab->iajb", channel_cov, np.eye(k - kr))
-    return cov.reshape(2 * k, 2 * k)
+def _joined_cov(model: StateSpaceModel, batches) -> np.ndarray:
+    """A new full covariance from the batches of :func:`_blocks`."""
+    cov = np.zeros((2 * model.k, 2 * model.k))
+    for _, rows, _, block_cov in batches:
+        cov[rows[:, :, None], rows[:, None, :]] = block_cov
+    return cov
+
 
 
 def kf_filter(
@@ -275,8 +367,8 @@ def kf_filter(
     ``observations`` has one row per time step.  By default the initial mean
     is taken as the time-0 filtered state (the usual choice when it was built
     from the first observation) and updates start at step 1; pass
-    ``update_first=True`` to assimilate row 0 as well.  A flipped model's
-    ``init_cov`` must split exactly into its blocks, as :func:`default_init`'s does.
+    ``update_first=True`` to assimilate row 0 as well.  ``init_cov`` must
+    split exactly into the model's blocks, as :func:`default_init`'s does.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     mean = np.asarray(init_mean, dtype=float)
@@ -286,7 +378,7 @@ def kf_filter(
     if cov.shape != (2 * model.k, 2 * model.k):
         raise ValueError("init_cov has wrong shape")
 
-    blocks = _blocks(model, mean, cov)
+    batches = _blocks(model, mean, cov)
     steps = obs.shape[0]
     means = np.empty((steps, 2 * model.k))
     terms = []
@@ -295,15 +387,16 @@ def kf_filter(
 
     for t in range(steps):
         if t > 0:
-            blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
+            batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
         if t > 0 or update_first:
-            rows = np.split(obs[t], [len(model.phi)])
-            updates = [_update(b, m, c, row) for (b, m, c), row in zip(blocks, rows)]
-            blocks = [(b, *u[:2]) for (b, _, _), u in zip(blocks, updates)]
-            innovations[t] = np.concatenate([u[2] for u in updates])
+            updates = [_update(b, m, c, obs[t, b.index]) for b, _, m, c in batches]
+            batches = [(b, rows, *u[:2]) for (b, rows, _, _), u in zip(batches, updates)]
+            for (b, *_), u in zip(batches, updates):
+                innovations[t, b.index] = u[2]
             terms.append(sum(u[3] for u in updates))
             white_ss += sum(u[4] for u in updates)
-        means[t] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
+        for _, rows, m, _ in batches:
+            means[t, rows] = m
 
     terms = np.asarray(terms)
     return FilterResult(
@@ -312,7 +405,7 @@ def kf_filter(
         loglik_terms=terms,
         innovations=innovations,
         whitened_ss=float(white_ss),
-        final_cov=_joined_cov(model, blocks),
+        final_cov=_joined_cov(model, batches),
     )
 
 
@@ -326,12 +419,14 @@ def kf_forecast(
     and the covariance after the last step."""
     if h < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {h}")
-    blocks = _blocks(model, np.asarray(last_state, dtype=float), np.asarray(last_cov, dtype=float))
+    batches = _blocks(model, np.asarray(last_state, dtype=float),
+                      np.asarray(last_cov, dtype=float))
     means = np.empty((h, 2 * model.k))
     for i in range(h):
-        blocks = [(b, *_predict(b, m, c)) for b, m, c in blocks]
-        means[i] = np.concatenate([m.reshape(2, -1) for _, m, _ in blocks], axis=1).ravel()
-    return means, _joined_cov(model, blocks)
+        batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
+        for _, rows, m, _ in batches:
+            means[i, rows] = m
+    return means, _joined_cov(model, batches)
 
 
 @dataclass

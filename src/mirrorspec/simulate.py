@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import mode_step
 from .grid import Field, GridSpec
 from .spectral import ModeOrdering, analyze, synthesize
 
@@ -88,23 +89,18 @@ class AdvectionRotation:
 
     Each retained cos/sin pair rotates by ``omega = delta * 2 pi v.k``; corner
     modes (no sine partner on the grid) stay fixed, matching the assembled
-    generator.  Equals ``expm(delta * P)`` applied to the coefficient vector,
-    which the tests verify against the dense path on small grids.
+    generator.  This is the closed form :func:`mirrorspec.dynamics.mode_step`
+    (with no diffusivity) that the constant-coefficient model's
+    transition blocks come from; it equals ``expm(delta * P)`` applied to the
+    coefficient vector, which the tests verify against the dense path.
     """
 
     def __init__(self, ordering: ModeOrdering, velocity, delta: float):
-        vx, vy = velocity
-        omega = delta * 2 * np.pi * (vx * ordering.kx + vy * ordering.ky)
-        omega[ordering.weight == 1.0] = 0.0
         self.ordering = ordering
-        self.cos = np.cos(omega)
-        self.sin = np.sin(omega)
-        sign = np.where(ordering.is_sin, 1.0, -1.0)
-        self.cross = sign * self.sin
+        self.own, self.cross = mode_step(ordering, velocity, delta)
 
     def apply(self, alpha: np.ndarray) -> np.ndarray:
-        # cos' = c*cos - s*sin ; sin' = s*cos + c*sin
-        return self.cos * alpha + self.cross * alpha[self.ordering.partner]
+        return self.own * alpha + self.cross * alpha[self.ordering.partner]
 
 
 def simulate_advection(cfg: SimulationConfig) -> SimulationResult:

@@ -214,12 +214,14 @@ def test_augmented_step_block_multiplication():
 
 
 def test_augmented_step_of_leakage_channels():
-    # a flipped model's leakage channels share one K=1 model: the mean is (2, channels)
+    # a flipped model's leakage channels share one K=1 model: the mean is one
+    # (alpha, beta) row per channel and the covariance one 2x2 for all of them
     rng = np.random.default_rng(42)
     model = direct_model(np.eye(1), NoiseParams(1e-3, 1e-3))
-    theta = rng.normal(size=(2, 6))
-    out, _ = _predict(model, theta, np.eye(2))
-    assert np.array_equal(out, np.stack([theta[0] + theta[1], theta[1]]))
+    theta = rng.normal(size=(6, 2))
+    out, cov = _predict(model.blocks[0], theta, np.eye(2)[None])
+    assert np.array_equal(out, np.column_stack([theta[:, 0] + theta[:, 1], theta[:, 1]]))
+    assert cov.shape == (1, 2, 2)
 
 
 def test_two_steps_with_zero_generator_accumulate_forcing():

@@ -93,6 +93,38 @@ def test_benchmark_size_stack_loads_quickly(tmp_path):
     assert elapsed < 2.0
 
 
+
+BAD_INTEGERS = [(key, value) for key in ("n1", "n2", "steps")
+                for value in (None, 2.7, "30", True)]
+
+
+def _with_manifest_value(root, key, value):
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest[key] = value
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+@pytest.mark.parametrize("key,value", BAD_INTEGERS)
+def test_manifest_sizes_must_be_json_integers(tmp_path, key, value):
+    root = _with_manifest_value(save_stack(random_stack(), tmp_path / "s"), key, value)
+    with pytest.raises(StackError, match=f"{key} must be a JSON integer"):
+        load_stack(root)
+
+
+@pytest.mark.parametrize("key,value", BAD_INTEGERS)
+def test_render_exits_2_on_a_manifest_size_that_is_not_an_integer(tmp_path, key, value):
+    from click.testing import CliRunner
+
+    from mirrorspec.cli import main
+
+    root = _with_manifest_value(save_stack(random_stack(), tmp_path / "s"), key, value)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["render", str(root), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{key} must be a JSON integer, got {value!r}" in result.output
+    assert not list(out.glob("*"))
+
 def test_render_constant_field_uniform(tmp_path):
     g = GridSpec(4, 4)
     f = Field(g, np.full(g.n, 2.0))

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 import scipy
 
+from mirrorspec.config import RunConfig
 from mirrorspec.grid import GridSpec
 from mirrorspec.gridstack import GridStack, save_stack
-from mirrorspec.simulate import synthetic_storm_stack
+from mirrorspec.simulate import simulate_advection, synthetic_storm_stack
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,3 +80,23 @@ def test_evaluate_records_the_scipy_version(tmp_path):
     assert "scipy.linalg" in scipy_modules("evaluate", "--config", str(config), "--out", str(out))
     log = json.loads(next(out.glob("runlog-evaluate-*.json")).read_text())
     assert log["versions"]["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize("command", ["filter", "predict"])
+def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, command):
+    # a direct model of constant velocity runs its closed-form pair blocks:
+    # no Galerkin assembly, no expm and no scipy.linalg in the filter
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"n1": 16, "n2": 16},
+        "simulation": {"steps": 6},
+        "velocity": {"mode": "constant", "value": [0.01, 0.0]},
+        "noise": {"sigma2_alpha": 0.002, "sigma2_beta": 0.0005, "sigma2_obs": 0.0},
+    }))
+    frames = simulate_advection(RunConfig.load(str(config)).simulation()).fields
+    stack = save_stack(GridStack.from_fields(frames, config_hash="test"), tmp_path / "stack")
+    out = tmp_path / "out"
+    assert scipy_modules(command, str(stack), "--config", str(config), "--k", "36",
+                         "--out", str(out)) == set()
+    log = json.loads(next(out.glob(f"runlog-{command}-*.json")).read_text())
+    assert "scipy" not in log["versions"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mirrorspec.dynamics import build_transition, flipped_generator
+from mirrorspec.dynamics import block_transition, build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec, flip_field, unflip
@@ -436,3 +436,104 @@ def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
             kf_filter(model, obs, mean0, cov)
         with pytest.raises(ValueError, match="leakage channels"):
             kf_forecast(model, mean0, cov, 1)
+
+
+# --- constant coefficients: the filter one cos/sin pair at a time -----------
+
+def joined_transition(batches, k):
+    """The dense ``K x K`` transition of :func:`block_transition`'s batches."""
+    phi = np.zeros((k, k))
+    for index, blocks in batches:
+        phi[index[:, :, None], index[:, None, :]] = blocks
+    return phi
+
+
+# GridSpec takes even sizes only, so the non-square case is 14 x 18; at full
+# retention both hold their Nyquist-edge pairs (k_x = n1/2 or k_y = n2/2)
+@pytest.mark.parametrize("shape", [(16, 16), (14, 18)], ids=["16x16", "14x18"])
+@pytest.mark.parametrize("d", [0.0, 3e-4], ids=["no-diffusion", "constant-d"])
+def test_block_transition_equals_the_matrix_exponential(shape, d):
+    g = GridSpec(*shape)
+    ordering = ModeOrdering(g)
+    velocity, delta = (0.013, -0.007), 1.5
+    dif = DiffusivityField.isotropic(g, np.full(g.n, d)) if d else DiffusivityField.zero(g)
+    assert not (dif.div_dx.any() or dif.div_dy.any())
+    want = build_transition(
+        assemble_transition(ordering, VelocityField.constant(g, *velocity), dif), delta)
+    batches = block_transition(ordering, velocity, delta, d)
+    assert [index.shape[1] for index, _ in batches] == [2, 1]
+    assert sum(index.size for index, _ in batches) == ordering.k == g.n
+    got = joined_transition(batches, ordering.k)
+    assert np.abs(got - want).max() <= 1e-12
+    if d:
+        assert np.abs(np.diag(want)).min() < 0.5  # the decay is not negligible
+
+
+def pair_case():
+    cfg = SimulationConfig(grid=GridSpec(16, 16), steps=10, noise_alpha=0.005,
+                           noise_beta=0.001, noise_modes=33, seed=28)
+    ordering = ModeOrdering(cfg.grid, 60)
+    batches = block_transition(ordering, cfg.velocity, 1.0, 2e-4)
+    sub = np.searchsorted(ModeOrdering(cfg.grid).indices, ordering.indices)
+    return batches, ordering, simulate_advection(cfg).alphas[:, sub]
+
+
+@UPDATE_FIRST
+def test_pair_filter_equals_the_dense_filter(update_first):
+    batches, ordering, obs = pair_case()
+    noise = NoiseParams(2e-3, 5e-4, 1e-4)
+    pairs = direct_model(batches, noise)
+    dense = direct_model(joined_transition(batches, ordering.k), noise)
+    assert [b.index.shape for b in pairs.blocks] == [(29, 2), (1, 1)]
+    assert [b.index.shape for b in dense.blocks] == [(1, 59)]
+
+    got, got_means = filter_and_forecast(pairs, obs, noise, update_first)
+    want, want_means = filter_and_forecast(dense, obs, noise, update_first)
+    assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
+    assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
+    assert np.abs(got.innovations - want.innovations).max() <= 1e-9
+    assert np.abs(got_means - want_means).max() <= 1e-9
+    assert np.abs(got.final_cov - want.final_cov).max() <= 1e-9
+    _, got_cov = kf_forecast(pairs, got.means_array[-1], got.final_cov, 2)
+    _, want_cov = kf_forecast(dense, want.means_array[-1], want.final_cov, 2)
+    assert np.abs(got_cov - want_cov).max() <= 1e-9
+
+
+def test_pair_filter_rejects_a_covariance_that_couples_two_pairs():
+    batches, ordering, obs = pair_case()
+    noise = NoiseParams(1e-3, 1e-3)
+    model = direct_model(batches, noise)
+    mean0, cov0 = default_init(obs[0], noise)
+    first, second = model.blocks[0].index[:2, 0]
+    coupled = cov0.copy()
+    coupled[first, second] = coupled[second, first] = 1e-3
+    with pytest.raises(ValueError, match="two cos/sin pairs"):
+        kf_filter(model, obs, mean0, coupled)
+    with pytest.raises(ValueError, match="two cos/sin pairs"):
+        kf_forecast(model, mean0, coupled, 1)
+
+
+def test_pair_filter_breakdown_raises_diagnostic():
+    batches, ordering, obs = pair_case()
+    model = direct_model(batches, NoiseParams(1e-6, 1e-6))
+    k2 = 2 * model.k
+    with pytest.raises(FilterError, match="not positive definite"):
+        kf_filter(model, obs, np.zeros(k2), -np.eye(k2), update_first=True)
+
+
+@pytest.mark.parametrize("physics,layout", [
+    ("constant", [((10, 2), False), ((1, 1), False)]),
+    ("constant-d", [((10, 2), False), ((1, 1), False)]),
+    ("variable-d", [((1, 21), False)]),
+    ("flip", [((1, 15), False), ((6, 1), True)]),
+], ids=["constant", "constant-d", "variable-d", "flip"])
+def test_build_pipeline_picks_the_blocks_from_the_physics(physics, layout):
+    # pairs and corners for constant coefficients, one dense block otherwise;
+    # a mirrored model adds leakage channels that share one covariance
+    g = GridSpec(16, 16)
+    dif = {"constant-d": DiffusivityField.isotropic(g, np.full(g.n, 1e-4)),
+           "variable-d": variable_diffusivity(g)}.get(physics)
+    spec = ModelSpec("flip64", k=64, flip=True) if physics == "flip" else ModelSpec("d21", k=21)
+    model = build_pipeline(g, spec, velocity=(0.01, 0.0), diffusivity=dif).factory(
+        NoiseParams(1e-3, 1e-3))
+    assert [(b.index.shape, b.shared) for b in model.blocks] == layout
