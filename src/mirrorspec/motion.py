@@ -7,11 +7,24 @@ frame, and the resulting vector field is smoothed and interpolated to every
 grid point.  Low-energy blocks inherit the vector of their neighborhood
 instead of contributing spurious matches.
 
-One array pass scores all ``(2r+1)^2`` candidate shifts of a block, taken
-from a single periodic window of the second frame.  Candidates are ranked by
-smallest displacement, then lexicographically in ``(dy, dx)``; walking them
-in that order, a later candidate replaces the best only when its score is
-higher by more than 1e-12, so near-ties resolve to the smallest shift.
+Candidates are ranked by smallest displacement, then lexicographically in
+``(dy, dx)``; walking them in that order, a later candidate replaces the best
+only when its score is higher by more than 1e-12, so near-ties resolve to the
+smallest shift.
+
+The unit of work is the frame pair, not the block (the fast normalized
+cross-correlation of Lewis, 1995).  Each periodic window of the second frame
+is centred and normed once, one row of windows at a time, whatever number of
+blocks score it; each block of the first frame is centred and normed once.
+For each row of windows, one matrix product of the centred windows with the
+centred blocks whose candidates land in that row gives all their score
+numerators.  The means and norms reduce each window and block as one
+contiguous row, as a block's own array would, so they and the flat-window
+test are exact.  A numerator from the product may differ from the
+elementwise sum by a few ulps, about 1e-16 in a score, so it can change a
+winner only where two scores differ by the 1e-12 margin to within that.
+The walk runs only for a block whose top score has another within the
+margin.
 
 Diffusivity follows the deformation-magnitude rule
 
@@ -68,36 +81,87 @@ def _candidate_shifts(radius):
     return dy[order], dx[order]
 
 
-def _block_displacement(patch, b, r0, c0, radius, shifts):
-    """Best integer displacement of the block ``patch`` of the first frame,
-    whose top-left pixel is ``(r0, c0)``, by normalized cross-correlation
-    against frame ``b``; ``shifts`` comes from :func:`_candidate_shifts`.
+def _winners(scores, scorable):
+    """Index of the walk's winner in each row of ``scores`` (candidates in walk
+    order; only ``scorable`` ones compete) and whether the row has one."""
+    # A later candidate replaces the best only when s_i > best + 1e-12, so the
+    # best score never falls.  When the walk reaches a candidate of the top
+    # score M, either that candidate leads or M <= best + 1e-12 already, and
+    # this holds to the end: the winner lies in T = {i : M <= s_i + 1e-12}.
+    # Where T has one member, that member is the winner and no walk is needed.
+    top = np.where(scorable, scores, -np.inf).max(axis=1)
+    tied = scorable & (top[:, None] <= scores + 1e-12)
+    best = tied.argmax(axis=1)
+    found = tied.sum(axis=1) == 1
+    for j in np.flatnonzero(~found).tolist():
+        s = scores[j].tolist()
+        w = None
+        for i in np.flatnonzero(scorable[j]).tolist():
+            if w is None or s[i] > s[w] + 1e-12:
+                w = i
+        if w is not None:
+            best[j], found[j] = w, True
+    return best, found
 
-    Periodic wrap keeps every candidate window defined.  Candidates with a
-    flat window score nothing; the rest are walked in ``shifts`` order and a
-    later one wins only by more than 1e-12.
+
+def _block_displacements(a, b, cfg):
+    """Best integer displacement of every block of frame ``a`` by normalized
+    cross-correlation against frame ``b``.
+
+    Blocks start every ``cfg.stride`` pixels down and across.  Returns ``dy``,
+    ``dx`` and ``valid``, each of shape ``(blocks down, blocks across)``; a
+    block with too little energy, a flat block, and a block whose candidate
+    windows are all flat have no displacement (``valid`` false, ``dy = dx = 0``).
     """
-    pa = patch - patch.mean()
-    na = np.sqrt((pa * pa).sum())
-    if na == 0:
-        return None
-    blk = len(patch)
-    n2, n1 = b.shape
-    span = np.arange(blk + 2 * radius) - radius
-    window = b[np.ix_((r0 + span) % n2, (c0 + span) % n1)]
-    dy, dx = shifts
-    # one contiguous row per candidate, in candidate order: each row's mean and
-    # sums reduce exactly as the candidate's own (blk, blk) array would
-    cand = sliding_window_view(window, patch.shape)[dy + radius, dx + radius].reshape(len(dy), -1)
-    pb = cand - cand.mean(axis=1, keepdims=True)
-    nb = np.sqrt((pb * pb).sum(axis=1))
+    n2, n1 = a.shape
+    blk = cfg.block
+    r_starts = np.arange(0, n2, cfg.stride)
+    c_starts = np.arange(0, n1, cfg.stride)
+    offsets = np.arange(blk)
+    rows = (r_starts[:, None] + offsets) % n2
+    cols = (c_starts[:, None] + offsets) % n1
+    # one contiguous row per block: a strided view would reduce in another order
+    patches = a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, blk * blk)
+    pa = patches - patches.mean(axis=1, keepdims=True)
+    na = np.sqrt((pa * pa).sum(axis=1))
+    live = np.flatnonzero(~(patches.var(axis=1) < cfg.min_block_energy) & (na != 0))
+
+    dy, dx = _candidate_shifts(cfg.search_radius)
+    block_r, block_c = np.divmod(live, len(c_starts))
+    # top-left pixel of the window each (block, candidate) pair scores
+    win_r = (r_starts[block_r, None] + dy) % n2
+    win_c = ((c_starts[block_c, None] + dx) % n1).ravel()
+    by_row = np.argsort(win_r, axis=None, kind="stable")
+    bounds = np.searchsorted(win_r.ravel()[by_row], np.arange(n2 + 1))
+    numer = np.empty(win_c.shape)
+    nb = np.empty(win_c.shape)
+    periodic = b[np.ix_(np.arange(n2 + blk - 1) % n2, np.arange(n1 + blk - 1) % n1)]
+    windows_at = sliding_window_view(periodic, (blk, blk))
+    for r in np.flatnonzero(np.diff(bounds)).tolist():
+        # the n1 windows of row r, centred and normed once each
+        windows = windows_at[r].reshape(n1, -1)
+        pb = windows - windows.mean(axis=1, keepdims=True)
+        pairs = by_row[bounds[r]:bounds[r + 1]]
+        c = win_c[pairs]
+        # the sort was stable, so each row's pairs come in block order
+        k = pairs // len(dy)
+        first = np.concatenate(([True], k[1:] != k[:-1]))
+        users, user = k[first], np.cumsum(first) - 1
+        numer[pairs] = (pa[live[users]] @ pb.T)[user, c]
+        nb[pairs] = np.sqrt((pb * pb).sum(axis=1))[c]
+    nb = nb.reshape(win_r.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = ((pa.ravel() * pb).sum(axis=1) / (na * nb)).tolist()
-    best = None
-    for i in np.flatnonzero(nb).tolist():
-        if best is None or scores[i] > scores[best] + 1e-12:
-            best = i
-    return None if best is None else (int(dy[best]), int(dx[best]))
+        scores = numer.reshape(win_r.shape) / (na[live, None] * nb)
+
+    best, found = _winners(scores, nb != 0)
+
+    shape = (len(r_starts), len(c_starts))
+    disp_y, disp_x, valid = np.zeros(shape, int), np.zeros(shape, int), np.zeros(shape, bool)
+    hit = live[found]
+    disp_y.flat[hit] = dy[best[found]]
+    disp_x.flat[hit] = dx[best[found]]
+    valid.flat[hit] = True
+    return disp_y, disp_x, valid
 
 
 def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = MotionConfig()) -> VelocityField:
@@ -111,26 +175,9 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
         return VelocityField.zero(grid)
 
     stride = cfg.stride
-    r_starts = np.arange(0, grid.n2, stride)
-    c_starts = np.arange(0, grid.n1, stride)
-    vx_blk = np.zeros((len(r_starts), len(c_starts)))
-    vy_blk = np.zeros_like(vx_blk)
-    valid = np.zeros_like(vx_blk, dtype=bool)
-
-    shifts = _candidate_shifts(cfg.search_radius)
-    offsets = np.arange(cfg.block)
-    for bi, r0 in enumerate(r_starts):
-        for bj, c0 in enumerate(c_starts):
-            patch = a[np.ix_((r0 + offsets) % grid.n2, (c0 + offsets) % grid.n1)]
-            if patch.var() < cfg.min_block_energy:
-                continue
-            disp = _block_displacement(patch, b, r0, c0, cfg.search_radius, shifts)
-            if disp is None:
-                continue
-            dy, dx = disp
-            vy_blk[bi, bj] = dy / grid.n2
-            vx_blk[bi, bj] = dx / grid.n1
-            valid[bi, bj] = True
+    disp_y, disp_x, valid = _block_displacements(a, b, cfg)
+    vy_blk = disp_y / grid.n2
+    vx_blk = disp_x / grid.n1
 
     if not valid.any():
         warnings.warn("no block passed the energy threshold; returning zero velocity",
@@ -153,8 +200,8 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
 
     # bilinear interpolation from block centers to every pixel
     half = (cfg.block - 1) / 2.0
-    bi = np.clip((np.arange(grid.n2) - (r_starts[0] + half)) / stride, 0, len(r_starts) - 1)
-    bj = np.clip((np.arange(grid.n1) - (c_starts[0] + half)) / stride, 0, len(c_starts) - 1)
+    bi = np.clip((np.arange(grid.n2) - half) / stride, 0, valid.shape[0] - 1)
+    bj = np.clip((np.arange(grid.n1) - half) / stride, 0, valid.shape[1] - 1)
     jj, ii = np.meshgrid(bj, bi)
     coords = np.stack([ii.ravel(), jj.ravel()])
     vx = ndimage.map_coordinates(vx_blk, coords, order=1, mode="nearest").reshape(grid.shape)

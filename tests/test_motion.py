@@ -146,19 +146,32 @@ def reference_displacement(a, b, r0, c0, blk, radius):
     return None if best is None else (best[1], best[2])
 
 
-def batched_displacement(a, b, r0, c0, blk, radius):
-    patch = a[np.ix_((r0 + np.arange(blk)) % a.shape[0], (c0 + np.arange(blk)) % a.shape[1])]
-    return motion._block_displacement(patch, b, r0, c0, radius, motion._candidate_shifts(radius))
-
-
-def assert_matchers_agree(a, b, blk, radius, starts):
+def reference_blocks(a, b, cfg):
+    """:func:`reference_displacement` over every block, tiled and energy-tested
+    as ``estimate_velocity`` does: one displacement or None per block, in
+    row-major block order."""
+    n2, n1 = a.shape
+    offsets = np.arange(cfg.block)
     found = []
-    for r0 in starts:
-        for c0 in starts:
-            expected = reference_displacement(a, b, r0, c0, blk, radius)
-            assert batched_displacement(a, b, r0, c0, blk, radius) == expected, (r0, c0)
-            found.append(expected)
+    for r0 in range(0, n2, cfg.stride):
+        for c0 in range(0, n1, cfg.stride):
+            patch = a[np.ix_((r0 + offsets) % n2, (c0 + offsets) % n1)]
+            found.append(None if patch.var() < cfg.min_block_energy else
+                         reference_displacement(a, b, r0, c0, cfg.block, cfg.search_radius))
     return found
+
+
+def matcher_blocks(a, b, cfg):
+    dy, dx, valid = motion._block_displacements(a, b, cfg)
+    return [(y, x) if v else None
+            for y, x, v in zip(dy.ravel().tolist(), dx.ravel().tolist(), valid.ravel().tolist())]
+
+
+def assert_matchers_agree(a, b, blk, radius, overlap=0.5):
+    cfg = MotionConfig(block=blk, overlap=overlap, search_radius=radius, min_block_energy=0.0)
+    expected = reference_blocks(a, b, cfg)
+    assert matcher_blocks(a, b, cfg) == expected
+    return expected
 
 
 def test_candidate_order_is_smallest_shift_then_lexicographic():
@@ -171,11 +184,12 @@ def test_candidate_order_is_smallest_shift_then_lexicographic():
 
 def test_batched_matcher_matches_reference_on_random_fields():
     rng = np.random.default_rng(41)
-    for n2, n1, blk, radius in ((32, 32, 8, 4), (24, 40, 5, 3), (20, 20, 16, 6)):
+    for n2, n1, blk, radius in ((32, 32, 8, 4), (24, 40, 5, 3), (20, 20, 16, 6), (12, 12, 16, 5)):
         a = rng.standard_normal((n2, n1))
         b = np.roll(a, (2, -1), axis=(0, 1)) + 0.3 * rng.standard_normal((n2, n1))
-        assert_matchers_agree(a, b, blk, radius, range(0, min(n1, n2), 7))
-        assert_matchers_agree(a, rng.standard_normal((n2, n1)), blk, radius, range(0, 20, 9))
+        for overlap in (0.0, 0.5, 0.75):
+            assert_matchers_agree(a, b, blk, radius, overlap)
+        assert_matchers_agree(a, rng.standard_normal((n2, n1)), blk, radius)
 
 
 def test_batched_matcher_matches_reference_on_ties():
@@ -184,16 +198,47 @@ def test_batched_matcher_matches_reference_on_ties():
     tile = rng.integers(0, 3, size=(4, 4)).astype(float)
     b = np.tile(tile, (8, 8))
     a = np.roll(b, (1, 3), axis=(0, 1))
-    found = assert_matchers_agree(a, b, 8, 6, range(0, 32, 5))
+    found = assert_matchers_agree(a, b, 8, 6)
     assert all(max(abs(d) for d in disp) <= 2 for disp in found)
     # scores within 1e-12 of each other still resolve to the smallest shift
     near = b + 1e-14 * rng.standard_normal(b.shape)
-    found = assert_matchers_agree(a, near, 8, 6, range(0, 32, 5))
+    found = assert_matchers_agree(a, near, 8, 6, overlap=0.75)
     assert all(max(abs(d) for d in disp) <= 2 for disp in found)
     # two-level fields: small blocks produce many equal scores
     a = rng.integers(0, 2, size=(24, 24)).astype(float)
     b = rng.integers(0, 2, size=(24, 24)).astype(float)
-    assert_matchers_agree(a, b, 4, 5, range(0, 24, 3))
+    assert_matchers_agree(a, b, 4, 5)
+    assert_matchers_agree(a, b, 4, 5, overlap=0.0)
+
+
+def test_winner_shortcut_falls_back_to_the_walk_on_ties(monkeypatch):
+    # the top score has a rival within 1e-12 that comes first; the walk keeps
+    # candidate 0 past candidate 1, so candidate 2 wins
+    best, found = motion._winners(np.array([[0.0, 1e-12, 1.5e-12, -1.0]]), np.ones((1, 4), bool))
+    assert best.tolist() == [2] and found.tolist() == [True]
+    # an unscorable candidate never wins, and a row with none has no winner
+    best, found = motion._winners(np.array([[0.9, 0.2], [0.1, 0.3]]),
+                                  np.array([[False, True], [False, False]]))
+    assert best[0] == 1 and found.tolist() == [True, False]
+    # on a tile-periodic field every block's top score is shared by several
+    # shifts, so each block takes the walk
+    rng = np.random.default_rng(45)
+    b = np.tile(rng.standard_normal((4, 4)), (6, 6))
+    a = np.roll(b, (1, 1), axis=(0, 1))
+    cfg = MotionConfig(block=8, search_radius=5, min_block_energy=0.0)
+    walked = []
+    real_winners = motion._winners
+
+    def spy(scores, scorable):
+        top = np.where(scorable, scores, -np.inf).max(axis=1)
+        walked.append((scorable & (top[:, None] <= scores + 1e-12)).sum(axis=1))
+        return real_winners(scores, scorable)
+
+    monkeypatch.setattr(motion, "_winners", spy)
+    found = matcher_blocks(a, b, cfg)
+    assert len(walked) == 1 and (walked[0] > 1).all()
+    assert found == reference_blocks(a, b, cfg)
+    assert set(found) == {(-1, -1)}
 
 
 def test_batched_matcher_matches_reference_on_flat_windows():
@@ -201,11 +246,10 @@ def test_batched_matcher_matches_reference_on_flat_windows():
     a = rng.standard_normal((32, 32))
     b = np.zeros((32, 32))
     b[14:18, 14:18] = rng.standard_normal((4, 4))  # most candidate windows are flat
-    found = assert_matchers_agree(a, b, 6, 4, range(0, 32, 4))
+    found = assert_matchers_agree(a, b, 6, 4)
     assert None in found and any(d is not None for d in found)
     flat = np.full((32, 32), 2.5)  # a flat block has no match
-    assert reference_displacement(flat, b, 3, 3, 6, 4) is None
-    assert batched_displacement(flat, b, 3, 3, 6, 4) is None
+    assert set(assert_matchers_agree(flat, b, 6, 4)) == {None}
 
 
 def test_batched_matcher_matches_reference_when_candidates_alias():
@@ -213,21 +257,48 @@ def test_batched_matcher_matches_reference_when_candidates_alias():
     rng = np.random.default_rng(44)
     a = rng.standard_normal((16, 16))
     for b in (np.roll(a, (8, -5), axis=(0, 1)), rng.standard_normal((16, 16)), a):
-        assert_matchers_agree(a, b, 4, 8, range(0, 16, 3))
-        assert_matchers_agree(a, b, 6, 10, range(0, 16, 5))
+        assert_matchers_agree(a, b, 4, 8)
+        assert_matchers_agree(a, b, 6, 10)
+
+
+def storm_pairs():
+    frames = synthetic_storm_stack(GridSpec(100, 100), steps=10, seed=101, n_blobs=6)
+    return list(zip(frames[:-1], frames[1:]))
 
 
 def test_storm_velocity_matches_reference_driven_run(monkeypatch):
-    frames = synthetic_storm_stack(GridSpec(100, 100), steps=3, seed=101, n_blobs=6)
-    a, b = frames[1], frames[2]
-    fast = estimate_velocity(a, b)
-    pixels = a.pixels()
-    monkeypatch.setattr(
-        motion, "_block_displacement",
-        lambda patch, bb, r0, c0, radius, shifts:
-            reference_displacement(pixels, bb, r0, c0, len(patch), radius),
-    )
-    slow = estimate_velocity(a, b)
-    assert np.array_equal(fast.vx, slow.vx)
-    assert np.array_equal(fast.vy, slow.vy)
-    assert np.abs(fast.vx).max() > 0
+    pairs = storm_pairs()
+    fast = [estimate_velocity(a, b) for a, b in pairs]
+    calls = []
+
+    def reference_matcher(a, b, cfg):
+        found = reference_blocks(a, b, cfg)
+        calls.append(len(found))
+        shape = (len(range(0, a.shape[0], cfg.stride)), len(range(0, a.shape[1], cfg.stride)))
+        valid = np.array([d is not None for d in found]).reshape(shape)
+        dy, dx = (np.array([d[i] if d else 0 for d in found]).reshape(shape) for i in (0, 1))
+        return dy, dx, valid
+
+    monkeypatch.setattr(motion, "_block_displacements", reference_matcher)
+    slow = [estimate_velocity(a, b) for a, b in pairs]
+    assert calls == [13 * 13] * 9
+    for f, s in zip(fast, slow):
+        assert np.array_equal(f.vx, s.vx)
+        assert np.array_equal(f.vy, s.vy)
+    assert max(np.abs(f.vx).max() for f in fast) > 0
+
+
+def test_storm_velocity_memory_stays_streamed():
+    # one row of centred windows at a time: a table of every window of the
+    # second frame alone would take over 20 MB
+    import tracemalloc
+
+    a, b = storm_pairs()[1]
+    estimate_velocity(a, b)  # SciPy imported before the measurement
+    tracemalloc.start()
+    try:
+        estimate_velocity(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
