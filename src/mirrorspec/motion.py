@@ -23,8 +23,6 @@ contiguous row, as a block's own array would, so they and the flat-window
 test are exact.  A numerator from the product may differ from the
 elementwise sum by a few ulps, about 1e-16 in a score, so it can change a
 winner only where two scores differ by the 1e-12 margin to within that.
-The walk runs only for a block whose top score has another within the
-margin.
 
 Diffusivity follows the deformation-magnitude rule
 
@@ -84,20 +82,12 @@ def _candidate_shifts(radius):
 def _winners(scores, scorable):
     """Index of the walk's winner in each row of ``scores`` (candidates in walk
     order; only ``scorable`` ones compete) and whether the row has one."""
-    # A later candidate replaces the best only when s_i > best + 1e-12, so the
-    # best score never falls.  When the walk reaches a candidate of the top
-    # score M, either that candidate leads or M <= best + 1e-12 already, and
-    # this holds to the end: the winner lies in T = {i : M <= s_i + 1e-12}.
-    # Where T has one member, that member is the winner and no walk is needed.
-    top = np.where(scorable, scores, -np.inf).max(axis=1)
-    tied = scorable & (top[:, None] <= scores + 1e-12)
-    best = tied.argmax(axis=1)
-    found = tied.sum(axis=1) == 1
-    for j in np.flatnonzero(~found).tolist():
-        s = scores[j].tolist()
+    best = np.zeros(len(scores), int)
+    found = np.zeros(len(scores), bool)
+    for j, (row, live) in enumerate(zip(scores.tolist(), scorable)):
         w = None
-        for i in np.flatnonzero(scorable[j]).tolist():
-            if w is None or s[i] > s[w] + 1e-12:
+        for i in np.flatnonzero(live).tolist():
+            if w is None or row[i] > row[w] + 1e-12:
                 w = i
         if w is not None:
             best[j], found[j] = w, True
