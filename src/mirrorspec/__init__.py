@@ -33,7 +33,6 @@ from .kalman import (
     StateSpaceModel,
     direct_model,
     estimate_variances,
-    flipped_model,
     kf_filter,
     kf_forecast,
 )

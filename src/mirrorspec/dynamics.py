@@ -1,10 +1,11 @@
 """Discrete-time transitions: matrix exponential, closed form and conjugation.
 
 A ``K x K`` generator ``P`` over original-domain coefficients conjugates onto
-the flipped domain as ``H P pinv(H)``, the dense reference that tests hold
-``kalman.flipped_model`` to.  A generator turns into the one-step transition
-``Phi = exp(delta P)``, which :mod:`mirrorspec.kalman` augments with the
-forcing coefficients.
+the flipped domain as ``H P pinv(H)``, the dense reference that tests hold the
+mirrored model to: on the least-squares coefficients of its observations
+(:func:`mirrorspec.evaluate.build_pipeline`) that conjugation is ``P`` itself.
+A generator turns into the one-step transition ``Phi = exp(delta P)``, which
+:mod:`mirrorspec.kalman` augments with the forcing coefficients.
 
 With a constant velocity ``v`` and a constant diffusivity ``d`` every Fourier
 mode is an eigenfunction of the operator, so ``exp(delta P)`` is known in

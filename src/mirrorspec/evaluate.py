@@ -24,7 +24,6 @@ from .kalman import (
     default_init,
     direct_model,
     estimate_variances,
-    flipped_model,
     kf_filter,
     kf_forecast,
 )
@@ -152,12 +151,15 @@ def _coerce_velocity(grid, velocity) -> VelocityField:
 class ModelPipeline:
     """Everything needed to filter one model variant: the observation map
     from raw frames to ``k`` coefficients, the model factory over noise
-    parameters, and ``to_field`` from coefficients back to a field."""
+    parameters, ``to_field`` from coefficients back to a field and, for a
+    mirrored model, ``leakage`` from observation rows to
+    ``leakage_fraction``."""
 
     k: int
     observe: object
     factory: object
     to_field: object
+    leakage: object = None
 
     def observations(self, frames) -> np.ndarray:
         return np.array([self.observe(f) for f in frames])
@@ -176,6 +178,14 @@ def _constant_coefficients(vel: VelocityField, dif: DiffusivityField):
     return None
 
 
+def _median_share(part: np.ndarray, whole: np.ndarray) -> float:
+    """Median over rows of ``|part| / |whole|``, skipping rows where ``whole``
+    is zero (a dry frame); 0.0 when every row is."""
+    norm = np.linalg.norm(whole, axis=1)
+    share = np.linalg.norm(part, axis=1)[norm > 0] / norm[norm > 0]
+    return float(np.median(share)) if share.size else 0.0
+
+
 def build_pipeline(
     grid,
     spec: ModelSpec,
@@ -185,19 +195,27 @@ def build_pipeline(
     delta: float = 1.0,
 ) -> ModelPipeline:
     """Assemble the physics, transforms, and model factory for one spec: the
-    original-domain transition over ``spec.k`` modes, or ``spec.k // K_STAR_FACTOR``
-    when flipped, which observes the ``MirrorBand`` of ``spec.k`` rotated by
-    ``Q`` from its transfer ``H_S = Q R``.
+    :func:`~mirrorspec.kalman.direct_model` of the original-domain transition
+    over ``spec.k`` modes, or over ``spec.k // K_STAR_FACTOR`` when flipped.
 
-    A direct or windowed model of constant coefficients (equal velocity samples,
-    constant diffusivity without divergence) gets its transition in closed form
-    as cos/sin-pair and corner blocks (:func:`~mirrorspec.dynamics.block_transition`);
+    A flipped model observes the ``MirrorBand`` ``y`` of ``spec.k`` in the
+    coordinates of ``T = [H_S | Q2]``: ``H_S`` is the band transfer of the K
+    modes and ``Q2`` the orthonormal complement of its range, from the
+    complete QR of ``H_S``.  ``T^-1 y = (z, Q2' y)`` holds the least-squares
+    Fourier coefficients ``z`` of the band, which the original dynamics run
+    on (the conjugation ``H_S P pinv(H_S)`` is ``P`` on ``z``), and the
+    ``dim S - K`` leakage channels off ``range(H_S)``; a state maps back to
+    the band by ``T``.
+
+    A model of constant coefficients (equal velocity samples, constant
+    diffusivity without divergence) gets its transition in closed form as
+    cos/sin-pair and corner blocks (:func:`~mirrorspec.dynamics.block_transition`);
     every other model assembles the Galerkin generator and exponentiates it."""
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
     window = hamming2d(grid) if spec.window else None
     ordering = ModeOrdering(grid, spec.k // K_STAR_FACTOR if spec.flip else spec.k)
-    constant = None if spec.flip else _constant_coefficients(vel, dif)
+    constant = _constant_coefficients(vel, dif)
     if constant is not None:
         phi = block_transition(ordering, constant[0], delta, constant[1])
     else:
@@ -211,12 +229,15 @@ def build_pipeline(
                              lambda params: direct_model(phi, params),
                              lambda coeffs: synthesize(ordering, coeffs))
     band = MirrorBand(grid, spec.k)
-    q, r = np.linalg.qr(band.transfer(ordering), mode="complete")
+    h = band.transfer(ordering)
+    t = np.column_stack([h, np.linalg.qr(h, mode="complete")[0][:, ordering.k:]])
+    t_inv = np.linalg.inv(t)
     return ModelPipeline(
         band.k,
-        lambda f: q.T @ band.observe(windowed(f)),
-        lambda params: flipped_model(phi, params, r),
-        lambda coeffs: band.reconstruct(q @ coeffs),
+        lambda f: t_inv @ band.observe(windowed(f)),
+        lambda params: direct_model(phi, params, leakage=band.k - ordering.k),
+        lambda coeffs: band.reconstruct(t @ coeffs),
+        lambda obs: _median_share(obs[:, ordering.k:], obs @ t.T),
     )
 
 
@@ -277,8 +298,9 @@ def run_comparison(
     ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics,
     and as ``k`` the coefficients it observes per frame (the budget rounded
     down and capped by :class:`~mirrorspec.spectral.ModeOrdering`, or a mirrored
-    model's band size).  A mirrored model adds ``leakage_fraction``, the median
-    over training frames of the observation's norm share outside ``range(H_S)``.
+    model's band size).  A mirrored model adds ``leakage_fraction``: the median,
+    over training frames of nonzero norm, of the share of the band
+    observation's norm outside ``range(H_S)`` (0.0 when every frame is zero).
     """
     check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
@@ -305,9 +327,8 @@ def run_comparison(
             "loglik": result.loglik,
             **(fit.diagnostics() if fit else {}),
         }
-        if model.channels:
-            leak = np.linalg.norm(train_obs[:, model.k - model.channels:], axis=1)
-            entry["leakage_fraction"] = float(np.median(leak / np.linalg.norm(train_obs, axis=1)))
+        if pipeline.leakage is not None:
+            entry["leakage_fraction"] = pipeline.leakage(train_obs)
 
         for time in eval_times:
             state = result.means_array[time] if time < train_steps else fmeans[time - train_steps]

@@ -23,14 +23,13 @@ axis, with NumPy's batched Cholesky factorization and solves:
   (:func:`~mirrorspec.dynamics.block_transition`) and its noise is isotropic, so
   each block's 4x4 or 2x2 recursion is exact and a pass costs O(K) (the
   spectral Kalman filter of Sigrist, Kunsch & Stahel 2015, JRSS-B 77(1));
-- the mirrored model is one dense block of K coefficients plus a batch of
-  ``dim S - K`` leakage 1-blocks that run one model and share one covariance.
+- a mirrored model is either of these on the least-squares Fourier
+  coefficients of its observations
+  (:func:`~mirrorspec.evaluate.build_pipeline`), plus a batch of ``dim S - K``
+  leakage 1-blocks, each with its own covariance.
 
-The direct model uses isotropic covariances ``sigma2 * I`` on its own
-coefficient space, while the flipped model maps original-domain coefficient
-noise through the band transfer ``H_S`` of
-:class:`~mirrorspec.spectral.MirrorBand`, ``sigma2 * (H_S H_S^T + ridge I)``,
-on both sides.
+Every model uses isotropic covariances ``sigma2 * I`` on its own coefficients;
+a leakage channel scales them by ``SUBSPACE_RIDGE``.
 
 Covariance updates use the Joseph form with per-step symmetrization; a
 failed innovation-covariance factorization aborts with a diagnostic rather
@@ -57,7 +56,6 @@ __all__ = [
     "FilterError",
     "VarianceFit",
     "direct_model",
-    "flipped_model",
     "default_init",
     "kf_filter",
     "kf_forecast",
@@ -65,7 +63,7 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
-SUBSPACE_RIDGE = 1e-4  # isotropic floor on H H^T in flipped_model
+SUBSPACE_RIDGE = 1e-4  # noise scale of a leakage channel over the coefficients' one
 INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
 # search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
 LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
@@ -104,8 +102,7 @@ class Blocks:
     ``phi`` (the one-step transition), ``v``, ``w_alpha`` and ``w_beta`` stack
     the blocks' ``m x m`` matrices along a leading batch axis of length
     ``len(index)``, or of length 1 for one matrix that every block uses.  The
-    filter keeps one covariance per block, or one for all of them when every
-    matrix has batch length 1.
+    filter keeps one covariance per block.
     """
 
     index: np.ndarray
@@ -126,16 +123,6 @@ class Blocks:
                 raise ValueError(f"{name} must stack {m} x {m} matrices for 1 or {n} blocks, "
                                  f"got shape {a.shape}")
             object.__setattr__(self, name, a)
-
-    @property
-    def covariances(self) -> int:
-        """How many covariances the filter keeps for these blocks."""
-        return max(len(getattr(self, name)) for name in BLOCK_MATRICES)
-
-    @property
-    def shared(self) -> bool:
-        """Whether several blocks run one model and share one covariance."""
-        return self.covariances == 1 < len(self.index)
 
 
 def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams,
@@ -161,9 +148,8 @@ class StateSpaceModel:
 
     ``StateSpaceModel(phi, noise, v, w_alpha, w_beta)`` is the dense model, one
     block of all ``len(phi)`` coefficients; :meth:`from_blocks` builds any other
-    layout.  ``phi``, ``v`` and ``w_*`` read the ``K x K`` matrices of the
-    coefficients with blocks of their own (the leading ones); ``channels``
-    counts the coefficients after them whose blocks share one model.
+    layout.  ``phi``, ``v`` and ``w_*`` read the ``k x k`` matrices that the
+    blocks join to.
     """
 
     def __init__(self, phi, noise: NoiseParams, v, w_alpha, w_beta):
@@ -184,18 +170,11 @@ class StateSpaceModel:
         """Coefficients in each half of the state, leakage channels included."""
         return sum(b.index.size for b in self.blocks)
 
-    @property
-    def channels(self) -> int:
-        """Coefficients whose blocks share one model (the leakage channels)."""
-        return sum(b.index.size for b in self.blocks if b.shared)
-
     def _joined(self, name: str) -> np.ndarray:
-        """The ``K x K`` matrix ``name`` of the coefficients before the channels."""
-        k = self.k - self.channels
-        out = np.zeros((k, k))
+        """The ``k x k`` matrix ``name`` of all blocks."""
+        out = np.zeros((self.k, self.k))
         for b in self.blocks:
-            if not b.shared:
-                out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, name)
+            out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, name)
         return out
 
     phi = property(lambda self: self._joined("phi"))
@@ -204,7 +183,8 @@ class StateSpaceModel:
     w_beta = property(lambda self: self._joined("w_beta"))
 
 
-def direct_model(phi, noise: NoiseParams, tie_obs: bool = True) -> StateSpaceModel:
+def direct_model(phi, noise: NoiseParams, tie_obs: bool = True,
+                 leakage: int = 0) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
     ``phi`` is the ``K x K`` transition (one dense block), or a block-diagonal
@@ -214,41 +194,21 @@ def direct_model(phi, noise: NoiseParams, tie_obs: bool = True) -> StateSpaceMod
     printed model structure); with it off, only ``sigma2_obs`` enters the
     observation side, which is the identifiable layout when observations are
     exact coefficient snapshots.
+
+    ``leakage`` appends that many channels after the K coefficients, the part
+    of a mirrored observation off the span of the original modes: 1-blocks of
+    the random walk ``phi = 1`` with the noise variances scaled by
+    ``SUBSPACE_RIDGE``, the floor that keeps the filter covariance of these
+    channels from collapsing.
     """
     batches = [_dense(phi)] if isinstance(phi, np.ndarray) else phi
-    return StateSpaceModel.from_blocks(
-        noise, [_isotropic(index, p, noise, tie_obs) for index, p in batches])
-
-
-def flipped_model(phi: np.ndarray, noise: NoiseParams, r: np.ndarray) -> StateSpaceModel:
-    """Mirrored model of the original-domain transition ``Phi`` (K x K) on the
-    band coordinates ``Q' y`` of a :class:`~mirrorspec.spectral.MirrorBand`,
-    with ``r`` the complete ``dim S x K`` factor of ``H_S = Q r``.
-
-    In that basis ``exp(delta H_S P pinv(H_S))`` is exactly
-    ``blockdiag(R Phi R^-1, I)``, ``R = r[:K]``, and
-    ``H_S H_S^T + ridge I`` is ``blockdiag(R R^T + ridge I, ridge I)``, so the
-    ``dim S - K`` leakage channels are 1-blocks that share the K=1 random walk
-    of :func:`direct_model`, its noise scaled by ``SUBSPACE_RIDGE``: the floor
-    that keeps the leakage of mirrored observations off ``range(H_S)`` from
-    collapsing the filter covariance.  The observation covariance shares
-    ``sigma2_alpha`` as in :func:`direct_model`.
-    """
-    import scipy.linalg
-
-    k, channels = len(phi), r.shape[0] - len(phi)
-    r = r[:k]
-    # R Phi R^-1 as the transpose of the solution X' of R' X' = (R Phi)'
-    phi = scipy.linalg.solve_triangular(r, (r @ phi).T, trans="T").T
-    hht = r @ r.T + SUBSPACE_RIDGE * np.eye(k)
+    blocks = [_isotropic(index, p, noise, tie_obs) for index, p in batches]
+    k = sum(b.index.size for b in blocks)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
-    return StateSpaceModel.from_blocks(noise, [
-        Blocks(np.arange(k)[None], phi[None],
-               (noise.sigma2_obs * np.eye(k) + noise.sigma2_alpha * hht)[None],
-               (noise.sigma2_alpha * hht)[None], (noise.sigma2_beta * hht)[None]),
-        _isotropic(np.arange(k, k + channels)[:, None], np.ones((1, 1, 1)), channel),
-    ])
+    blocks.append(_isotropic(np.arange(k, k + leakage)[:, None], np.ones((1, 1, 1)),
+                             channel, tie_obs))
+    return StateSpaceModel.from_blocks(noise, blocks)
 
 
 def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +260,8 @@ def _predict(model, mean, cov):
 
 
 def _update(block: Blocks, mean, cov, obs):
-    """One update of a batch of blocks: ``mean`` and ``obs`` hold one row per
-    block, ``cov`` one covariance per block or one that they share."""
+    """One update of a batch of blocks: ``mean``, ``cov`` and ``obs`` hold
+    one row or covariance per block."""
     k = block.index.shape[1]
     s = cov[..., :k, :k] + block.v
     try:
@@ -319,8 +279,7 @@ def _update(block: Blocks, mean, cov, obs):
     new_cov = ap - ap[..., :k] @ _t(gain) + gain @ block.v @ _t(gain)
     new_cov = 0.5 * (new_cov + _t(new_cov))
     white = np.linalg.solve(chol, innovation[..., None])
-    # a covariance shared by n blocks enters the likelihood n times
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum() * (len(obs) / len(chol))
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum()
     white_ss = float(np.sum(white * white))
     ll = -0.5 * (innovation.size * np.log(2 * np.pi) + logdet + white_ss)
     return new_mean, new_cov, innovation, ll, white_ss
@@ -329,19 +288,16 @@ def _update(block: Blocks, mean, cov, obs):
 def _blocks(model: StateSpaceModel, mean, cov):
     """The ``(blocks, rows, mean, cov)`` batches the filter runs on a full
     state: ``rows`` are the state positions ``(alpha, beta)`` of each block,
-    ``mean`` has one row per block and ``cov`` one covariance per block or,
-    for blocks sharing one model, a single one.  Raises ValueError unless
-    ``cov`` is exactly what these batches join back to."""
+    ``mean`` has one row and ``cov`` one covariance per block.  Raises
+    ValueError unless ``cov`` is exactly what these batches join back to."""
     batches = []
     for b in model.blocks:
         rows = np.concatenate([b.index, b.index + model.k], axis=1)
-        own = rows[:b.covariances]
-        batches.append((b, rows, mean[rows], cov[own[:, :, None], own[:, None, :]]))
+        batches.append((b, rows, mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
     if not np.array_equal(_joined_cov(model, batches), cov):
         raise ValueError("the covariance must split into the model's blocks: no covariance "
-                         "between two blocks (such as two cos/sin pairs, or range(H_S) and the "
-                         "leakage channels), and one covariance on blocks that share it "
-                         "(the leakage channels)")
+                         "between two blocks (such as two cos/sin pairs, or a coefficient and "
+                         "a leakage channel)")
     return batches
 
 
@@ -351,7 +307,6 @@ def _joined_cov(model: StateSpaceModel, batches) -> np.ndarray:
     for _, rows, _, block_cov in batches:
         cov[rows[:, :, None], rows[:, None, :]] = block_cov
     return cov
-
 
 
 def kf_filter(
@@ -474,7 +429,7 @@ def estimate_variances(
     pass starts from :func:`default_init` at the first observation.  The fit
     holds ``sigma2_obs = 0``, and every covariance of the factory's models
     must scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``
-    (both model layouts and :func:`default_init` do).  One filter pass at
+    (:func:`direct_model` and :func:`default_init` do).  One filter pass at
     ``NoiseParams(1, r)`` then gives ``Q``, the squared whitened innovations
     over ``N`` scalars; ``sigma2_alpha = Q / N`` is the best scale at that
     ``r``, with profiled log-likelihood ``loglik + (Q - N log(Q/N) - N) / 2``.

@@ -68,7 +68,8 @@ def test_tracer_reads_the_flipped_state_size():
     obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
     mean0, cov0 = default_init(obs[0], model.noise)
     result = kf_filter(model, obs, mean0, cov0, update_first=True)
-    assert len(model.phi) < pipeline.k == 21
+    assert model.blocks[-1].index.size == 6  # the leakage channels after K = 15
+    assert model.k == pipeline.k == 21
     assert load_tracer().EXTRAS["kalman.kf_filter"](
         result, model, obs, mean0, cov0, update_first=True) == {
         "k": pipeline.k, "steps": 4, "update_first": True,

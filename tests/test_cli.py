@@ -7,11 +7,23 @@ from click.testing import CliRunner
 
 from mirrorspec.cli import main
 from mirrorspec.config import ConfigError, PROFILES, RunConfig
+from mirrorspec.grid import Field
+from mirrorspec.gridstack import GridStack, save_stack
+from mirrorspec.simulate import simulate_advection
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def read_runlog(path) -> dict:
+    """A run log's JSON.  Fails on ``NaN`` and ``Infinity``: ``json.dumps``
+    writes them, but they are not JSON, and no logged figure should be one."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not valid JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 SMALL_SIM = {
@@ -79,7 +91,7 @@ def test_simulate_writes_stack(runner, tmp_path):
     assert len(list(stacks[0].glob("frame_*.csv"))) == 8
     logs = list(out.glob("runlog-simulate-*.json"))
     assert len(logs) == 1
-    log = json.loads(logs[0].read_text())
+    log = read_runlog(logs[0])
     assert "wall_time_s" in log and "versions" in log
 
 
@@ -249,6 +261,21 @@ def test_evaluate_generates_dataset_without_stack(runner, tmp_path):
     assert (out / f"report-{RunConfig.load(cfg).hash}.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_logs_the_leakage_of_frames_with_signal_only(runner, tmp_path):
+    # a dry (all-zero) first frame has no norm to share out: leakage_fraction
+    # is the median over the other training frames, and the log stays JSON
+    cfg = write_config(tmp_path, {**SMALL_SIM, "grid": {"n1": 32, "n2": 32}})
+    frames = simulate_advection(RunConfig.load(cfg).simulation()).fields
+    frames[0] = Field.from_pixels(frames[0].grid, np.zeros(frames[0].grid.shape))
+    stack = save_stack(GridStack.from_fields(frames, config_hash="test"), tmp_path / "stack")
+    out = tmp_path / "e"
+    result = runner.invoke(main, ["evaluate", str(stack), "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    leakage = read_runlog(next(out.glob("runlog-*.json")))["models"]["flip64"]["leakage_fraction"]
+    assert 0 < leakage < 1
+
+
 def test_convert_rain_requires_dbz_units(runner, tmp_path):
     cfg, stack = _simulated(runner, tmp_path)
     result = runner.invoke(main, [
@@ -285,7 +312,7 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
     vx_stack = next(vout.glob("stack-velocity-x-*"))
     assert json.loads((vx_stack / "manifest.json").read_text())["steps"] == 4
     assert len(list(vout.glob("stack-diffusivity-*"))) == 1
-    log = json.loads(next(vout.glob("runlog-velocity-*.json")).read_text())
+    log = read_runlog(next(vout.glob("runlog-velocity-*.json")))
     assert 0.0 <= log["max_speed"] <= 0.1
 
     rout = tmp_path / "rain"
@@ -375,7 +402,7 @@ def test_fit_reports_the_noise_that_filter_uses(runner, tmp_path):
                                       "--out", str(tmp_path / command)])
         assert result.exit_code == 0, result.output
     noise = json.loads(next((tmp_path / "fit").glob("noise-*.json")).read_text())
-    log = json.loads(next((tmp_path / "filter").glob("runlog-filter-*.json")).read_text())
+    log = read_runlog(next((tmp_path / "filter").glob("runlog-filter-*.json")))
     for key in ("sigma2_alpha", "sigma2_beta", "loglik"):
         assert noise[key] == log[key], key
 
@@ -439,7 +466,7 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
         result = runner.invoke(main, [command, stack, "--config", cfg,
                                       "--out", str(tmp_path / command)])
         assert result.exit_code == 0, result.output
-    log = json.loads(next((tmp_path / "evaluate").glob("runlog-*.json")).read_text())
+    log = read_runlog(next((tmp_path / "evaluate").glob("runlog-*.json")))
     assert set(log["models"]) == {"direct16", "flip64"}
     for entry in log["models"].values():
         assert entry["n_evaluations"] <= 12
@@ -448,12 +475,12 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
         assert entry["ratio"] == pytest.approx(entry["sigma2_beta"] / entry["sigma2_alpha"])
         assert np.isfinite(entry["loglik"])
     for command in ("filter", "predict"):
-        log = json.loads(next((tmp_path / command).glob("runlog-*.json")).read_text())
+        log = read_runlog(next((tmp_path / command).glob("runlog-*.json")))
         assert isinstance(log["converged"], bool) and 2 <= log["n_evaluations"] <= 12
     # fit records the same fit as filter: the same model over the same frames
     noise = json.loads(next((tmp_path / "fit").glob("noise-*.json")).read_text())
-    fit_log = json.loads(next((tmp_path / "fit").glob("runlog-fit-*.json")).read_text())
-    filter_log = json.loads(next((tmp_path / "filter").glob("runlog-*.json")).read_text())
+    fit_log = read_runlog(next((tmp_path / "fit").glob("runlog-fit-*.json")))
+    filter_log = read_runlog(next((tmp_path / "filter").glob("runlog-*.json")))
     for key in ("ratio", "ratio_at_bound", "n_scalars", "converged", "n_evaluations"):
         assert noise[key] == fit_log[key] == filter_log[key], key
     assert isinstance(noise["ratio_at_bound"], bool)

@@ -12,7 +12,7 @@ from mirrorspec.galerkin import (
     assemble_transition,
 )
 from mirrorspec.grid import Field, GridSpec, flip_field
-from mirrorspec.kalman import NoiseParams, _predict, direct_model, kf_forecast
+from mirrorspec.kalman import SUBSPACE_RIDGE, NoiseParams, _predict, direct_model, kf_forecast
 from mirrorspec.spectral import (
     ModeOrdering,
     analyze,
@@ -214,14 +214,20 @@ def test_augmented_step_block_multiplication():
 
 
 def test_augmented_step_of_leakage_channels():
-    # a flipped model's leakage channels share one K=1 model: the mean is one
-    # (alpha, beta) row per channel and the covariance one 2x2 for all of them
+    # a mirrored model's leakage channels are 1-blocks of the random walk
+    # phi = 1: the mean is one (alpha, beta) row and the covariance one 2x2 per
+    # channel, with the noise scaled by SUBSPACE_RIDGE
     rng = np.random.default_rng(42)
-    model = direct_model(np.eye(1), NoiseParams(1e-3, 1e-3))
+    model = direct_model(np.eye(3), NoiseParams(1e-3, 1e-3), leakage=6)
+    channels = model.blocks[-1]
+    assert model.k == 9 and channels.index.ravel().tolist() == list(range(3, 9))
     theta = rng.normal(size=(6, 2))
-    out, cov = _predict(model.blocks[0], theta, np.eye(2)[None])
+    cov = np.eye(2) * rng.uniform(1, 2, size=(6, 1, 1))
+    out, pred = _predict(channels, theta, cov)
     assert np.array_equal(out, np.column_stack([theta[:, 0] + theta[:, 1], theta[:, 1]]))
-    assert cov.shape == (1, 2, 2)
+    w = 1e-3 * SUBSPACE_RIDGE
+    want = np.array([[[c0 + c1 + w, c1], [c1, c1 + w]] for c0, c1 in cov[:, [0, 1], [0, 1]]])
+    assert np.allclose(pred, want, rtol=1e-14, atol=0)
 
 
 def test_two_steps_with_zero_generator_accumulate_forcing():

@@ -18,6 +18,7 @@ from mirrorspec.config import RunConfig
 from mirrorspec.grid import GridSpec
 from mirrorspec.gridstack import GridStack, save_stack
 from mirrorspec.simulate import simulate_advection, synthetic_storm_stack
+from test_cli import read_runlog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -55,7 +56,7 @@ def test_import_loads_no_scipy():
 def test_command_loads_no_scipy(tmp_path, storm_stack, command):
     out = tmp_path / "out"
     assert scipy_modules(command, storm_stack, "--config", "storm", "--out", str(out)) == set()
-    log = json.loads(next(out.glob(f"runlog-{command}-*.json")).read_text())
+    log = read_runlog(next(out.glob(f"runlog-{command}-*.json")))
     assert "scipy" not in log["versions"]
 
 
@@ -77,15 +78,19 @@ def test_evaluate_records_the_scipy_version(tmp_path):
                        "train_steps": 4, "eval_times": [4, 5]},
     }))
     out = tmp_path / "out"
-    assert "scipy.linalg" in scipy_modules("evaluate", "--config", str(config), "--out", str(out))
-    log = json.loads(next(out.glob("runlog-evaluate-*.json")).read_text())
+    # the mirrored model's band is a DCT, so SciPy is loaded and its version recorded
+    assert "scipy.fft" in scipy_modules("evaluate", "--config", str(config), "--out", str(out))
+    log = read_runlog(next(out.glob("runlog-evaluate-*.json")))
     assert log["versions"]["scipy"] == scipy.__version__
 
 
-@pytest.mark.parametrize("command", ["filter", "predict"])
-def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, command):
-    # a direct model of constant velocity runs its closed-form pair blocks:
-    # no Galerkin assembly, no expm and no scipy.linalg in the filter
+@pytest.mark.parametrize("command,flip", [
+    ("filter", False), ("predict", False), ("filter", True), ("predict", True),
+], ids=["filter", "predict", "filter-mirrored", "predict-mirrored"])
+def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, command, flip):
+    # a model of constant velocity, direct or mirrored, runs its closed-form
+    # pair blocks: no Galerkin assembly, no expm and no scipy.linalg in the
+    # filter; the mirrored band's DCT is all the SciPy it loads
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "grid": {"n1": 16, "n2": 16},
@@ -96,7 +101,13 @@ def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, comm
     frames = simulate_advection(RunConfig.load(str(config)).simulation()).fields
     stack = save_stack(GridStack.from_fields(frames, config_hash="test"), tmp_path / "stack")
     out = tmp_path / "out"
-    assert scipy_modules(command, str(stack), "--config", str(config), "--k", "36",
-                         "--out", str(out)) == set()
-    log = json.loads(next(out.glob(f"runlog-{command}-*.json")).read_text())
-    assert "scipy" not in log["versions"]
+    loaded = scipy_modules(command, str(stack), "--config", str(config), "--k", "36",
+                           "--flip", str(flip).lower(), "--out", str(out))
+    log = read_runlog(next(out.glob(f"runlog-{command}-*.json")))
+    if flip:
+        assert "scipy.fft" in loaded
+        assert not {"scipy.linalg", "scipy.optimize"} & loaded
+        assert log["versions"]["scipy"] == scipy.__version__
+    else:
+        assert loaded == set()
+        assert "scipy" not in log["versions"]

@@ -318,7 +318,8 @@ def test_fit_counts_the_scalars_it_observes(small_fit):
     # 11 updates of 12 steps of 15 coefficients (direct16), or of the
     # 21-coefficient band (flip64), not of its K* = 63 doubled-grid coefficients
     factory, _, fit = small_fit
-    per_step = 21 if factory(fit.params).channels else 15
+    per_step = factory(fit.params).k
+    assert per_step in (15, 21)
     assert fit.diagnostics()["n_scalars"] == per_step * 11
 
 
@@ -350,15 +351,27 @@ def flipped_case(diffusive, k):
 
 
 def dense_model(phi, h, noise):
-    """The conjugated model on every coefficient of ``h``'s rows: noise ``H H^T + ridge I``."""
-    hht = h @ h.T + SUBSPACE_RIDGE * np.eye(h.shape[0])
-    return StateSpaceModel(phi, noise, v=noise.sigma2_obs * np.eye(h.shape[0])
-                           + noise.sigma2_alpha * hht,
-                           w_alpha=noise.sigma2_alpha * hht, w_beta=noise.sigma2_beta * hht)
+    """The conjugated model on every coefficient of ``h``'s rows, and ``T = [H | Q2]``
+    with ``Q2`` the orthonormal complement of ``range(H)``: noise
+    ``H H^T + ridge (I - H pinv(H))``, observation noise ``sigma2_obs T T^T`` plus
+    its alpha part."""
+    q, _ = np.linalg.qr(h, mode="complete")
+    t = np.column_stack([h, q[:, h.shape[1]:]])
+    w = h @ h.T + SUBSPACE_RIDGE * (np.eye(h.shape[0]) - h @ np.linalg.pinv(h))
+    return StateSpaceModel(phi, noise, v=noise.sigma2_obs * t @ t.T + noise.sigma2_alpha * w,
+                           w_alpha=noise.sigma2_alpha * w, w_beta=noise.sigma2_beta * w), t
 
 
-def filter_and_forecast(model, obs, noise, update_first):
-    result = kf_filter(model, obs, *default_init(obs[0], noise), update_first=update_first)
+def mapped_init(t, first_obs, noise):
+    """:func:`default_init` at ``T^-1 first_obs``, mapped to the state ``(T z, T beta)``."""
+    mean, cov = default_init(np.linalg.solve(t, first_obs), noise)
+    tt = np.kron(np.eye(2), t)
+    return tt @ mean, tt @ cov @ tt.T
+
+
+def filter_and_forecast(model, obs, noise, update_first, init=None):
+    init = default_init(obs[0], noise) if init is None else init
+    result = kf_filter(model, obs, *init, update_first=update_first)
     forecast, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 3)
     return result, np.vstack([result.means_array, forecast])
 
@@ -381,17 +394,22 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update
     # flipped-domain coordinates are the band's (it stands in for the flipped ordering)
     band = MirrorBand(GridSpec(16, 16), 64)
     h_s = band.transfer(ordering)
-    q, _ = np.linalg.qr(h_s, mode="complete")
     transfer = FlipTransfer(ordering, band, h_s)
-    dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
-    assert len(model.phi) == ordering.k == 15 < model.k == band.k == 21
+    dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
+    leakage = model.blocks[-1].index
+    assert leakage.shape == (band.k - ordering.k, 1)
+    assert leakage.min() == ordering.k == 15 < model.k == band.k == 21
 
+    band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
     got, got_means = filter_and_forecast(model, obs, noise, update_first)
-    want, want_means = filter_and_forecast(dense, obs @ q.T, noise, update_first)
-    assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
+    want, want_means = filter_and_forecast(dense, band_obs, noise, update_first,
+                                           mapped_init(t, band_obs[0], noise))
+    # the filter on z = T^-1 y has the density of y times |det T|, once per update
+    jacobian = len(got.loglik_terms) * np.linalg.slogdet(t)[1]
+    assert got.loglik - jacobian == pytest.approx(want.loglik, rel=1e-9)
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
-    rotate = np.kron(np.eye(2), q)  # state (Q' y, Q' beta) -> (y, beta)
-    assert np.abs(got_means @ rotate.T - want_means).max() <= 1e-9
+    to_band = np.kron(np.eye(2), t)  # state (z, Q2' y, forcing) -> (y, beta)
+    assert np.abs(got_means @ to_band.T - want_means).max() <= 1e-9
 
 
 @UPDATE_FIRST
@@ -405,14 +423,15 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
     g = frames[0].grid
     star = ModeOrdering(g.doubled(), 65)
     transfer = flip_transfer(g, ordering, star)
-    dense = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
-                        transfer.matrix, noise)
+    dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
+                           transfer.matrix, noise)
     dense_obs = np.array([analyze(flip_field(f), star) for f in frames])
     assert dense.k == 65 > pipeline.k == 21
 
     _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise,
                                  update_first)
-    _, want = filter_and_forecast(dense, dense_obs, noise, update_first)
+    _, want = filter_and_forecast(dense, dense_obs, noise, update_first,
+                                  mapped_init(t, dense_obs[0], noise))
     for g_mean, w_mean in zip(got, want):
         got_field = pipeline.reconstruct(g_mean).values
         want_field = unflip(synthesize(star, w_mean[:65])).values
@@ -423,19 +442,16 @@ def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
     g = GridSpec(16, 16)
     pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
     model = pipeline.factory(NoiseParams(1e-3, 1e-3))
-    k, kr = model.k, len(model.phi)
+    k, kr = model.k, model.blocks[-1].index[0, 0]
     obs = np.zeros((3, k))
     mean0, cov0 = default_init(obs[0], model.noise)
     kf_filter(model, obs, mean0, cov0)
     coupled = cov0.copy()
-    coupled[0, kr] = coupled[kr, 0] = 1e-3  # range block with a leakage channel
-    uneven = cov0.copy()
-    uneven[k - 1, k - 1] *= 2  # one leakage channel differs from the others
-    for cov in (coupled, uneven):
-        with pytest.raises(ValueError, match="leakage channels"):
-            kf_filter(model, obs, mean0, cov)
-        with pytest.raises(ValueError, match="leakage channels"):
-            kf_forecast(model, mean0, cov, 1)
+    coupled[0, kr] = coupled[kr, 0] = 1e-3  # a coefficient with a leakage channel
+    with pytest.raises(ValueError, match="leakage channel"):
+        kf_filter(model, obs, mean0, coupled)
+    with pytest.raises(ValueError, match="leakage channel"):
+        kf_forecast(model, mean0, coupled, 1)
 
 
 # --- constant coefficients: the filter one cos/sin pair at a time -----------
@@ -522,18 +538,21 @@ def test_pair_filter_breakdown_raises_diagnostic():
 
 
 @pytest.mark.parametrize("physics,layout", [
-    ("constant", [((10, 2), False), ((1, 1), False)]),
-    ("constant-d", [((10, 2), False), ((1, 1), False)]),
-    ("variable-d", [((1, 21), False)]),
-    ("flip", [((1, 15), False), ((6, 1), True)]),
-], ids=["constant", "constant-d", "variable-d", "flip"])
+    ("constant", [(10, 2), (1, 1)]),
+    ("constant-d", [(10, 2), (1, 1)]),
+    ("variable-d", [(1, 21)]),
+    ("flip", [(7, 2), (1, 1), (6, 1)]),
+    ("flip-variable-d", [(1, 15), (6, 1)]),
+], ids=["constant", "constant-d", "variable-d", "flip", "flip-variable-d"])
 def test_build_pipeline_picks_the_blocks_from_the_physics(physics, layout):
     # pairs and corners for constant coefficients, one dense block otherwise;
-    # a mirrored model adds leakage channels that share one covariance
+    # a mirrored model adds one leakage 1-block per channel
     g = GridSpec(16, 16)
     dif = {"constant-d": DiffusivityField.isotropic(g, np.full(g.n, 1e-4)),
-           "variable-d": variable_diffusivity(g)}.get(physics)
-    spec = ModelSpec("flip64", k=64, flip=True) if physics == "flip" else ModelSpec("d21", k=21)
+           "variable-d": variable_diffusivity(g),
+           "flip-variable-d": variable_diffusivity(g)}.get(physics)
+    spec = (ModelSpec("flip64", k=64, flip=True) if physics.startswith("flip")
+            else ModelSpec("d21", k=21))
     model = build_pipeline(g, spec, velocity=(0.01, 0.0), diffusivity=dif).factory(
         NoiseParams(1e-3, 1e-3))
-    assert [(b.index.shape, b.shared) for b in model.blocks] == layout
+    assert [b.index.shape for b in model.blocks] == layout
