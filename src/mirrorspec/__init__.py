@@ -37,7 +37,7 @@ from .kalman import (
     kf_forecast,
 )
 from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
-from .preprocess import WindowField, apply_window, hamming2d, reflectivity_to_rain
+from .preprocess import apply_window, hamming2d, reflectivity_to_rain
 from .simulate import SimulationConfig, forcing_field, simulate_advection, synthetic_storm_stack
 from .spectral import (
     FlipTransfer,

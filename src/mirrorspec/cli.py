@@ -193,7 +193,8 @@ def main():
 @main.command()
 @click.option("--config", default="advection", help="profile name or JSON path")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="override the config seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="override the config seed")
 @click.option("--steps", type=click.IntRange(min=1), default=None,
               help="override the number of steps")
 @_exits_on_config_error
@@ -329,7 +330,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
 @click.argument("stack_path", type=click.Path(exists=True), required=False)
 @click.option("--config", default="gibbs-strip")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--region", default=None, help="extra region as x0,x1,y0,y1")
 @_exits_on_config_error
 def evaluate(stack_path, config, out, seed, region):

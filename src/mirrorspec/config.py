@@ -1,10 +1,10 @@
 """Run configuration: one validated JSON document drives every pipeline.
 
-Unknown keys are rejected at every level so typos fail before any compute
-starts.  A short hash of the canonical document tags every output file,
-making runs reproducible and collision-evident.  A few named profiles ship
-with the package for the standard demos; anything else is a path to a JSON
-file.
+Unknown keys and numbers that are not finite are rejected at every level so
+typos fail before any compute starts.  A short hash of the canonical document
+tags every output file, making runs reproducible and collision-evident.  A few
+named profiles ship with the package for the standard demos; anything else is
+a path to a JSON file.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def _validate(node, schema, path="config"):
             ok = isinstance(node, schema)
         if not ok:
             raise ConfigError(f"{path}: expected {schema}, got {type(node).__name__}")
+        if isinstance(node, float) and not math.isfinite(node):
+            raise ConfigError(f"{path}: expected a finite number, got {node}")
 
 
 def _check_pair(value, path: str, expected: str = "two finite numbers") -> None:
@@ -156,6 +158,10 @@ class RunConfig:
         budget = self.data["fit"]["budget"]
         if budget < 2:
             raise ConfigError(f"config.fit.budget must be at least 2, got {budget}")
+        for path, count in (("seed", self.data["seed"]),
+                            ("storm.n_blobs", self.data.get("storm", {}).get("n_blobs", 0))):
+            if count < 0:
+                raise ConfigError(f"config.{path} must be >= 0, got {count}")
         for section, key in (("velocity", "value"), ("simulation", "velocity"),
                              ("simulation", "source_center")):
             _check_pair(self.data[section][key], f"config.{section}.{key}")

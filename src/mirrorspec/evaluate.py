@@ -259,21 +259,26 @@ def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
     return model, noise, None, kf_filter(model, train_obs, mean0, cov0)
 
 
+def _repeated(items: list) -> str:
+    """The items that occur more than once, sorted and comma-joined ("" if none)."""
+    return ", ".join(map(str, sorted({x for x in items if items.count(x) > 1})))
+
+
 def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
                      fit: bool) -> None:
-    """Raise ValueError naming the bad argument unless the model labels are
-    distinct and a dataset of ``n_frames`` frames can score this comparison
-    (``fit``: noise fitted)."""
-    labels = [spec.label for spec in model_specs]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ValueError(f"model labels must be unique, repeated: {', '.join(repeated)}")
+    """Raise ValueError naming the bad argument unless the model labels and
+    the evaluation times are distinct and a dataset of ``n_frames`` frames
+    can score this comparison (``fit``: noise fitted)."""
+    if repeated := _repeated([spec.label for spec in model_specs]):
+        raise ValueError(f"model labels must be unique, repeated: {repeated}")
     low = 3 if fit else 2
     if not low <= train_steps <= n_frames:
         raise ValueError(f"train_steps must be in [{low}, {n_frames}], got {train_steps}")
     if not eval_times or not all(type(t) is int and 0 <= t < n_frames for t in eval_times):
         raise ValueError(f"eval_times must be a non-empty list of frame indices in "
                          f"[0, {n_frames}), got {eval_times}")
+    if repeated := _repeated(eval_times):
+        raise ValueError(f"eval_times must be distinct, repeated: {repeated}")
 
 
 def run_comparison(

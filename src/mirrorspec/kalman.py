@@ -12,9 +12,11 @@ coefficients accumulate into the state as a random walk with constant mean.
 Observations are coefficient vectors (fields are analyzed before entering the
 filter), so the observation matrix is the identity on the ``alpha`` block.
 
-A model is a set of independent blocks of coefficients (:class:`Blocks`), and
-the filter runs each batch of equal-size blocks at once along a leading batch
-axis, with NumPy's batched Cholesky factorization and solves:
+A model (:class:`StateSpaceModel`) is nothing but its independent blocks of
+coefficients (:class:`Blocks`), and :func:`direct_model` builds every model.
+The filter runs each batch of equal-size blocks at once along a leading batch
+axis, with NumPy's batched Cholesky factorization and solves; the blocks of a
+batch have their own transitions and share one set of noise covariances:
 
 - a dense model is one block of all K coefficients;
 - a model of constant velocity and constant diffusivity is a batch of 2-blocks,
@@ -26,7 +28,7 @@ axis, with NumPy's batched Cholesky factorization and solves:
 - a mirrored model is either of these on the least-squares Fourier
   coefficients of its observations
   (:func:`~mirrorspec.evaluate.build_pipeline`), plus a batch of ``dim S - K``
-  leakage 1-blocks, each with its own covariance.
+  leakage 1-blocks, each with its own filter covariance.
 
 Every model uses isotropic covariances ``sigma2 * I`` on its own coefficients;
 a leakage channel scales them by ``SUBSPACE_RIDGE``.
@@ -76,33 +78,28 @@ class FilterError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Process and observation noise variances."""
+    """Process and observation noise variances, all finite."""
 
     sigma2_alpha: float
     sigma2_beta: float
     sigma2_obs: float = 0.0
 
     def __post_init__(self):
-        if self.sigma2_alpha <= 0:
-            raise ValueError("sigma2_alpha must be positive")
-        if self.sigma2_beta <= 0:
-            raise ValueError("sigma2_beta must be positive")
-        if self.sigma2_obs < 0:
-            raise ValueError("sigma2_obs must be non-negative")
-
-
-BLOCK_MATRICES = ("phi", "v", "w_alpha", "w_beta")
+        for name in ("sigma2_alpha", "sigma2_beta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 <= self.sigma2_obs < np.inf:
+            raise ValueError(f"sigma2_obs must be finite and non-negative, got {self.sigma2_obs}")
 
 
 @dataclass(frozen=True)
 class Blocks:
     """``len(index)`` independent blocks of ``m`` alpha coefficients each.
 
-    ``index[b]`` holds the positions of block ``b``'s coefficients in alpha.
-    ``phi`` (the one-step transition), ``v``, ``w_alpha`` and ``w_beta`` stack
-    the blocks' ``m x m`` matrices along a leading batch axis of length
-    ``len(index)``, or of length 1 for one matrix that every block uses.  The
-    filter keeps one covariance per block.
+    ``index[b]`` holds the positions of block ``b``'s coefficients in alpha
+    and ``phi[b]`` its ``m x m`` one-step transition; ``v``, ``w_alpha`` and
+    ``w_beta`` are the ``m x m`` noise covariances that every block of the
+    batch shares.  The filter keeps one covariance per block.
     """
 
     index: np.ndarray
@@ -117,53 +114,31 @@ class Blocks:
             raise ValueError(f"index must be a 2-D integer array, got shape {index.shape}")
         object.__setattr__(self, "index", index)
         n, m = index.shape
-        for name in BLOCK_MATRICES:
+        for name, shape in (("phi", (n, m, m)), ("v", (m, m)), ("w_alpha", (m, m)),
+                            ("w_beta", (m, m))):
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim != 3 or a.shape[0] not in (1, n) or a.shape[1:] != (m, m):
-                raise ValueError(f"{name} must stack {m} x {m} matrices for 1 or {n} blocks, "
-                                 f"got shape {a.shape}")
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
             object.__setattr__(self, name, a)
 
 
 def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams,
                tie_obs: bool = True) -> Blocks:
     """Blocks of transitions ``phi`` with the isotropic noise of :func:`direct_model`."""
-    eye = np.eye(index.shape[1])[None]
+    eye = np.eye(index.shape[1])
     v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
     return Blocks(index, phi, v_scale * eye, noise.sigma2_alpha * eye, noise.sigma2_beta * eye)
 
 
-def _dense(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, phi)`` of one block of all ``len(phi)`` coefficients."""
-    k = len(phi)
-    if np.shape(phi) != (k, k):
-        raise ValueError(f"phi must be {k} x {k}, got {np.shape(phi)}")
-    return np.arange(k)[None], np.asarray(phi, dtype=float)[None]
-
-
+@dataclass(frozen=True)
 class StateSpaceModel:
-    """Noise variances and the independent :class:`Blocks` that together hold
-    the ``k`` alpha coefficients and their forcing; the observation map is the
-    identity on the alpha block, ``(I_K, 0)``.
-
-    ``StateSpaceModel(phi, noise, v, w_alpha, w_beta)`` is the dense model, one
-    block of all ``len(phi)`` coefficients; :meth:`from_blocks` builds any other
-    layout.  ``phi``, ``v`` and ``w_*`` read the ``k x k`` matrices that the
-    blocks join to.
+    """The independent :class:`Blocks` that together hold the ``k`` alpha
+    coefficients and their forcing; the observation map is the identity on
+    the alpha block, ``(I_K, 0)``.  ``phi``, ``v`` and ``w_*`` read the
+    ``k x k`` matrices that the blocks join to.
     """
 
-    def __init__(self, phi, noise: NoiseParams, v, w_alpha, w_beta):
-        index, phi = _dense(phi)
-        self.noise = noise
-        self.blocks = (Blocks(index, phi, *(np.asarray(m, dtype=float)[None]
-                                            for m in (v, w_alpha, w_beta))),)
-
-    @classmethod
-    def from_blocks(cls, noise: NoiseParams, blocks) -> StateSpaceModel:
-        model = cls.__new__(cls)
-        model.noise = noise
-        model.blocks = tuple(b for b in blocks if b.index.size)
-        return model
+    blocks: tuple[Blocks, ...]
 
     @property
     def k(self) -> int:
@@ -201,14 +176,18 @@ def direct_model(phi, noise: NoiseParams, tie_obs: bool = True,
     ``SUBSPACE_RIDGE``, the floor that keeps the filter covariance of these
     channels from collapsing.
     """
-    batches = [_dense(phi)] if isinstance(phi, np.ndarray) else phi
-    blocks = [_isotropic(index, p, noise, tie_obs) for index, p in batches]
+    if isinstance(phi, np.ndarray):
+        k = len(phi)
+        if phi.shape != (k, k):
+            raise ValueError(f"phi must be {k} x {k}, got {phi.shape}")
+        phi = [(np.arange(k)[None], phi[None])]
+    blocks = [_isotropic(index, p, noise, tie_obs) for index, p in phi]
     k = sum(b.index.size for b in blocks)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
-    blocks.append(_isotropic(np.arange(k, k + leakage)[:, None], np.ones((1, 1, 1)),
+    blocks.append(_isotropic(np.arange(k, k + leakage)[:, None], np.ones((leakage, 1, 1)),
                              channel, tie_obs))
-    return StateSpaceModel.from_blocks(noise, blocks)
+    return StateSpaceModel(tuple(b for b in blocks if b.index.size))
 
 
 def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -237,21 +216,21 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _predict(model, mean, cov):
-    """One step of the augmented transition of ``model.phi``, ``w_alpha`` and
-    ``w_beta``; a leading axis of ``mean`` and ``cov`` runs over blocks and
-    broadcasts against the batch axis of :class:`Blocks`."""
-    phi = model.phi
+def _predict(block: Blocks, mean, cov):
+    """One step of the augmented transition of ``block.phi``, ``w_alpha`` and
+    ``w_beta``; a leading axis of ``mean``, ``cov`` and ``phi`` runs over the
+    blocks of the batch."""
+    phi = block.phi
     k = phi.shape[-1]
     p11, p12, p22 = cov[..., :k, :k], cov[..., :k, k:], cov[..., k:, k:]
     x = phi @ p11
     y = phi @ p12
     top_right = y + p22
     out = np.empty_like(cov)
-    out[..., :k, :k] = x @ _t(phi) + y + _t(y) + p22 + model.w_alpha
+    out[..., :k, :k] = x @ _t(phi) + y + _t(y) + p22 + block.w_alpha
     out[..., :k, k:] = top_right
     out[..., k:, :k] = _t(top_right)
-    out[..., k:, k:] = p22 + model.w_beta
+    out[..., k:, k:] = p22 + block.w_beta
     out = 0.5 * (out + _t(out))
     new_mean = np.empty_like(mean)
     new_mean[..., :k] = (phi @ mean[..., :k, None])[..., 0] + mean[..., k:]
@@ -314,16 +293,13 @@ def kf_filter(
     observations: np.ndarray,
     init_mean: np.ndarray,
     init_cov: np.ndarray,
-    *,
-    update_first: bool = False,
 ) -> FilterResult:
     """Run the predict/update recursion over a sequence of observations.
 
-    ``observations`` has one row per time step.  By default the initial mean
-    is taken as the time-0 filtered state (the usual choice when it was built
-    from the first observation) and updates start at step 1; pass
-    ``update_first=True`` to assimilate row 0 as well.  ``init_cov`` must
-    split exactly into the model's blocks, as :func:`default_init`'s does.
+    ``observations`` has one row per time step.  The initial mean is the
+    time-0 filtered state (:func:`default_init` builds it from the first
+    observation), so updates start at step 1.  ``init_cov`` must split
+    exactly into the model's blocks, as :func:`default_init`'s does.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     mean = np.asarray(init_mean, dtype=float)
@@ -340,16 +316,15 @@ def kf_filter(
     white_ss = 0.0
     innovations = np.zeros_like(obs)
 
-    for t in range(steps):
-        if t > 0:
-            batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
-        if t > 0 or update_first:
-            updates = [_update(b, m, c, obs[t, b.index]) for b, _, m, c in batches]
-            batches = [(b, rows, *u[:2]) for (b, rows, _, _), u in zip(batches, updates)]
-            for (b, *_), u in zip(batches, updates):
-                innovations[t, b.index] = u[2]
-            terms.append(sum(u[3] for u in updates))
-            white_ss += sum(u[4] for u in updates)
+    means[0] = mean
+    for t in range(1, steps):
+        batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
+        updates = [_update(b, m, c, obs[t, b.index]) for b, _, m, c in batches]
+        batches = [(b, rows, *u[:2]) for (b, rows, _, _), u in zip(batches, updates)]
+        for (b, *_), u in zip(batches, updates):
+            innovations[t, b.index] = u[2]
+        terms.append(sum(u[3] for u in updates))
+        white_ss += sum(u[4] for u in updates)
         for _, rows, m, _ in batches:
             means[t, rows] = m
 

@@ -62,8 +62,8 @@ class MotionConfig:
             raise ValueError("search_radius must be >= 1")
         if not self.min_block_energy >= 0:
             raise ValueError("min_block_energy must be >= 0")
-        if not self.smooth_sigma >= 0:
-            raise ValueError("smooth_sigma must be >= 0")
+        if not 0 <= self.smooth_sigma < np.inf:
+            raise ValueError(f"smooth_sigma must be >= 0 and finite, got {self.smooth_sigma}")
 
     @property
     def stride(self) -> int:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Field, GridSpec
 
-__all__ = ["WindowField", "reflectivity_to_rain", "hamming2d", "apply_window"]
+__all__ = ["reflectivity_to_rain", "hamming2d", "apply_window"]
 
 
 def reflectivity_to_rain(z: Field) -> Field:
@@ -16,38 +14,19 @@ def reflectivity_to_rain(z: Field) -> Field:
     return Field(z.grid, (np.power(10.0, z.values / 10.0) / 200.0) ** 0.625)
 
 
-@dataclass(frozen=True)
-class WindowField:
-    """Separable taper weights in [0.0064, 1] (corner weight 0.08^2)."""
-
-    grid: GridSpec
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid.n,):
-            raise ValueError(f"weights must have length {self.grid.n}")
-        if w.min() < 0.0064 - 1e-9 or w.max() > 1.0 + 1e-12:
-            raise ValueError("window weights outside [0.0064, 1]")
-        object.__setattr__(self, "weights", w)
-
-
 def _hamming_axis(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("window needs at least 2 points per axis")
     return 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
 
 
-def hamming2d(grid: GridSpec) -> WindowField:
+def hamming2d(grid: GridSpec) -> Field:
     """Outer product of two symmetric 1-D Hamming windows (each divides by
-    ``n - 1``, so the weights return to 0.08 at the far edge)."""
-    wx = _hamming_axis(grid.n1)
-    wy = _hamming_axis(grid.n2)
-    return WindowField(grid, np.outer(wy, wx).flatten(order="F"))
+    ``n - 1``, so the weights return to 0.08 at the far edge): taper weights
+    in [0.0064, 1], the corner weight being 0.08^2."""
+    return Field.from_pixels(grid, np.outer(_hamming_axis(grid.n2), _hamming_axis(grid.n1)))
 
 
-def apply_window(f: Field, w: WindowField) -> Field:
-    """Elementwise taper."""
+def apply_window(f: Field, w: Field) -> Field:
+    """Elementwise taper of ``f`` by the weights ``w``."""
     if f.grid != w.grid:
         raise ValueError("field and window grids differ")
-    return Field(f.grid, f.values * w.weights)
+    return Field(f.grid, f.values * w.values)

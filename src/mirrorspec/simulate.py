@@ -9,8 +9,9 @@ with a Gaussian source ``Q`` near the bottom edge of the unit square and a
 constant rightward drift, in coefficient space at full spectral resolution.
 For constant velocity the generator is block-diagonal (each cos/sin pair
 rotates at its own rate and the corner modes are frozen), so the exact
-one-step map is applied per mode, pairing coefficients through
-``ModeOrdering.partner``, instead of exponentiating an N x N matrix.
+one-step map (:func:`~mirrorspec.dynamics.mode_step`) is applied per mode,
+pairing coefficients through ``ModeOrdering.partner``, instead of
+exponentiating an N x N matrix.
 White Gaussian perturbations are injected into the state and forcing
 coefficients every step over the low-frequency support
 ``ModeOrdering(grid, noise_modes)``; the forcing perturbation accumulates
@@ -31,7 +32,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "forcing_field",
-    "AdvectionRotation",
     "simulate_advection",
     "synthetic_storm_stack",
 ]
@@ -84,25 +84,6 @@ def forcing_field(cfg: SimulationConfig) -> Field:
     return Field.from_pixels(cfg.grid, peak * np.exp(-r2 / (2 * cfg.source_scale**2)))
 
 
-class AdvectionRotation:
-    """Exact one-step coefficient map for constant-velocity advection.
-
-    Each retained cos/sin pair rotates by ``omega = delta * 2 pi v.k``; corner
-    modes (no sine partner on the grid) stay fixed, matching the assembled
-    generator.  This is the closed form :func:`mirrorspec.dynamics.mode_step`
-    (with no diffusivity) that the constant-coefficient model's
-    transition blocks come from; it equals ``expm(delta * P)`` applied to the
-    coefficient vector, which the tests verify against the dense path.
-    """
-
-    def __init__(self, ordering: ModeOrdering, velocity, delta: float):
-        self.ordering = ordering
-        self.own, self.cross = mode_step(ordering, velocity, delta)
-
-    def apply(self, alpha: np.ndarray) -> np.ndarray:
-        return self.own * alpha + self.cross * alpha[self.ordering.partner]
-
-
 def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     """Integrate the benchmark and return frames plus coefficient paths.
 
@@ -116,7 +97,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     q = forcing_field(cfg)
     beta = analyze(q, ordering)
     alpha = beta.copy()
-    rot = AdvectionRotation(ordering, cfg.velocity, cfg.delta)
+    own, cross = mode_step(ordering, cfg.velocity, cfg.delta)
 
     if cfg.noise_modes is None:
         support = np.arange(ordering.k)
@@ -131,7 +112,7 @@ def simulate_advection(cfg: SimulationConfig) -> SimulationResult:
     betas = np.empty((cfg.steps, ordering.k))
     alphas[0], betas[0] = alpha, beta
     for t in range(1, cfg.steps):
-        alpha = rot.apply(alpha) + beta
+        alpha = own * alpha + cross * alpha[ordering.partner] + beta
         if cfg.noise_alpha > 0:
             alpha[support] += sd_a * rng.standard_normal(support.size)
         if cfg.noise_beta > 0:

@@ -52,8 +52,9 @@ def test_tracer_reads_fit_and_filter_results():
     assert extras["kalman.estimate_variances"](fit, factory, obs) == {
         "converged": fit.converged, "evaluations": fit.n_evaluations,
     }
-    model = factory(NoiseParams(1e-3, 1e-3))
-    mean0, cov0 = default_init(obs[0], model.noise)
+    noise = NoiseParams(1e-3, 1e-3)
+    model = factory(noise)
+    mean0, cov0 = default_init(obs[0], noise)
     result = kf_filter(model, obs, mean0, cov0)
     assert extras["kalman.kf_filter"](result, model, obs, mean0, cov0) == {
         "k": ordering.k, "steps": 5, "update_first": False,
@@ -64,15 +65,16 @@ def test_tracer_reads_the_flipped_state_size():
     # the per-K buckets count a flipped model at the size of its band, the
     # coefficients it observes per frame
     pipeline = build_pipeline(GridSpec(16, 16), ModelSpec("flip64", k=64, flip=True))
-    model = pipeline.factory(NoiseParams(1e-3, 1e-3))
+    noise = NoiseParams(1e-3, 1e-3)
+    model = pipeline.factory(noise)
     obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
-    mean0, cov0 = default_init(obs[0], model.noise)
-    result = kf_filter(model, obs, mean0, cov0, update_first=True)
+    mean0, cov0 = default_init(obs[0], noise)
+    result = kf_filter(model, obs, mean0, cov0)
     assert model.blocks[-1].index.size == 6  # the leakage channels after K = 15
     assert model.k == pipeline.k == 21
     assert load_tracer().EXTRAS["kalman.kf_filter"](
-        result, model, obs, mean0, cov0, update_first=True) == {
-        "k": pipeline.k, "steps": 4, "update_first": True,
+        result, model, obs, mean0, cov0) == {
+        "k": pipeline.k, "steps": 4, "update_first": False,
     }
 
 

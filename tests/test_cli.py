@@ -322,6 +322,57 @@ def test_storm_velocity_and_rain_pipeline(runner, tmp_path):
     assert json.loads((rain / "manifest.json").read_text())["units"] == "mm/hr"
 
 
+def _override(base, path, value):
+    """A copy of the config ``base`` with the key at the dotted ``path`` set to ``value``."""
+    payload = json.loads(json.dumps(base))
+    *sections, key = path.split(".")
+    node = payload
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return payload
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, base, path, value, message", [
+    ("simulate", SMALL_SIM, "simulation.source_scale", NAN, "expected a finite number, got nan"),
+    ("simulate", SMALL_SIM, "simulation.source_amplitude", INF,
+     "expected a finite number, got inf"),
+    ("simulate", SMALL_SIM, "simulation.noise_beta", NAN, "expected a finite number, got nan"),
+    ("simulate", STORM_SMALL, "storm.peak_dbz", NAN, "expected a finite number, got nan"),
+    ("simulate", SMALL_SIM, "seed", -5, "must be >= 0, got -5"),
+    ("simulate", STORM_SMALL, "storm.n_blobs", -1, "must be >= 0, got -1"),
+    ("filter", SMALL_SIM, "noise.sigma2_alpha", NAN, "expected a finite number, got nan"),
+    ("predict", SMALL_SIM, "noise.sigma2_beta", INF, "expected a finite number, got inf"),
+    ("filter", SMALL_SIM, "noise.sigma2_obs", NAN, "expected a finite number, got nan"),
+    ("velocity", STORM_SMALL, "motion.smooth_sigma", INF, "expected a finite number, got inf"),
+], ids=["source-scale-nan", "source-amplitude-inf", "noise-beta-nan", "peak-dbz-nan",
+        "seed-negative", "n-blobs-negative", "sigma2-alpha-nan", "sigma2-beta-inf",
+        "sigma2-obs-nan", "smooth-sigma-inf"])
+def test_config_number_out_of_range_exits_2(runner, tmp_path, command, base, path, value,
+                                            message):
+    args = [] if command == "simulate" else [_simulated(runner, tmp_path)[1]]
+    cfg = write_config(tmp_path, _override(base, path, value))
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, *args, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config.{path}" in result.output
+    assert message in result.output
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_negative_seed_flag_exits_2(runner, tmp_path, command):
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path), "--seed", "-3",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("key, value", [("smooth_sigma", -1.0), ("min_block_energy", -1e-4)])
 def test_negative_motion_setting_exits_2(runner, tmp_path, key, value):
     sim = tmp_path / "storm"
@@ -421,6 +472,7 @@ MODEL_1 = "config.comparison.models[1]"
     ({"eval_times": [4, 8]}, "config.comparison: eval_times"),  # the stack has 8 frames
     ({"eval_times": []}, "config.comparison: eval_times"),
     ({"eval_times": [-1, 4]}, "config.comparison: eval_times"),
+    ({"eval_times": [5, 3, 5]}, "config.comparison: eval_times must be distinct, repeated: 5"),
     ({"models": [{"label": "a", "k": 4}, {"label": "a", "k": 8}]},
      "config.comparison: model labels must be unique"),
     (_second_model(label="flip64", k=64, flip="false"), f"{MODEL_1}.flip: expected"),
@@ -432,7 +484,8 @@ MODEL_1 = "config.comparison.models[1]"
     (_second_model(label="d\n16", k=16), f"{MODEL_1}.label: must hold no comma or line break"),
     (_second_model(label=16, k=16), f"{MODEL_1}.label: expected"),
     (_second_model(k=16), f"{MODEL_1}: missing label"),
-], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-label",
+], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-time",
+        "repeated-label",
         "flip-string", "flip-int", "window-string", "k-float", "k-bool", "label-comma",
         "label-newline", "label-int", "label-missing"])
 def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):

@@ -8,6 +8,7 @@ from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transi
 from mirrorspec.grid import GridSpec, flip_field, unflip
 from mirrorspec.kalman import (
     SUBSPACE_RIDGE,
+    Blocks,
     FilterError,
     NoiseParams,
     StateSpaceModel,
@@ -58,7 +59,7 @@ def test_static_model_converges_to_observation():
     obs = np.tile([1.0, -2.0, 0.5], (40, 1))
     mean0 = np.zeros(2 * model.k)
     cov0 = np.eye(2 * model.k)
-    result = kf_filter(model, obs, mean0, cov0, update_first=True)
+    result = kf_filter(model, obs, mean0, cov0)
     assert np.abs(result.means_array[-1][: model.k] - obs[0]).max() <= 1e-3
 
 
@@ -90,9 +91,10 @@ def test_filtered_mae_bounded_by_noise_on_replica():
         SimulationConfig(grid=GridSpec(32, 32), steps=20, noise_alpha=0.0,
                          noise_beta=0.0, noise_modes=None, seed=6)
     )
-    g, ordering, phi = advection_setup(32)
-    model = direct_model(phi, NoiseParams(0.005, 0.001))
-    mean0, cov0 = default_init(noisy.alphas[0], model.noise)
+    ordering = ModeOrdering(cfg.grid)
+    noise = NoiseParams(0.005, 0.001)
+    model = direct_model(block_transition(ordering, cfg.velocity, cfg.delta), noise)
+    mean0, cov0 = default_init(noisy.alphas[0], noise)
     result = kf_filter(model, noisy.alphas, mean0, cov0)
     t = cfg.steps - 1
     filtered = synthesize(ordering, result.means_array[t, : ordering.k])
@@ -137,9 +139,10 @@ def test_forecast_error_grows_with_horizon():
     )
     sim = simulate_advection(cfg)
     g, ordering, phi = advection_setup(16)
-    model = direct_model(phi, NoiseParams(0.002, 0.0005))
+    noise = NoiseParams(0.002, 0.0005)
+    model = direct_model(phi, noise)
     train = 6
-    mean0, cov0 = default_init(sim.alphas[0], model.noise)
+    mean0, cov0 = default_init(sim.alphas[0], noise)
     result = kf_filter(model, sim.alphas[:train], mean0, cov0)
     means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 10)
     errs = [np.abs(means[h][: ordering.k] - sim.alphas[train + h]).mean() for h in range(10)]
@@ -155,8 +158,9 @@ def test_covariances_stay_symmetric_psd():
     )
     sim = simulate_advection(cfg)
     g, ordering, phi = advection_setup(8)
-    model = direct_model(phi, NoiseParams(0.01, 0.002))
-    mean0, cov0 = default_init(sim.alphas[0], model.noise)
+    noise = NoiseParams(0.01, 0.002)
+    model = direct_model(phi, noise)
+    mean0, cov0 = default_init(sim.alphas[0], noise)
     for t in range(len(sim.alphas)):
         cov = kf_filter(model, sim.alphas[: t + 1], mean0, cov0).final_cov
         assert np.abs(cov - cov.T).max() == 0.0
@@ -170,8 +174,9 @@ def test_loglik_decomposes_over_innovations():
     )
     sim = simulate_advection(cfg)
     g, ordering, phi = advection_setup(8)
-    model = direct_model(phi, NoiseParams(0.004, 0.001))
-    mean0, cov0 = default_init(sim.alphas[0], model.noise)
+    noise = NoiseParams(0.004, 0.001)
+    model = direct_model(phi, noise)
+    mean0, cov0 = default_init(sim.alphas[0], noise)
     result = kf_filter(model, sim.alphas, mean0, cov0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
 
@@ -273,7 +278,16 @@ def test_filter_breakdown_raises_diagnostic():
     k2 = 2 * model.k
     obs = np.zeros((4, model.k))
     with pytest.raises(FilterError, match="not positive definite"):
-        kf_filter(model, obs, np.zeros(k2), -np.eye(k2), update_first=True)
+        kf_filter(model, obs, np.zeros(k2), -np.eye(k2))
+
+
+@pytest.mark.parametrize("field", ["sigma2_alpha", "sigma2_beta", "sigma2_obs"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_noise_params_must_be_finite(field, value):
+    # a NaN variance would otherwise reach the filter, where NaN != NaN breaks
+    # the check that the initial covariance splits into the model's blocks
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NoiseParams(**{"sigma2_alpha": 1e-3, "sigma2_beta": 1e-3, field: value})
 
 
 def test_model_rejects_a_transition_that_is_not_square():
@@ -358,8 +372,10 @@ def dense_model(phi, h, noise):
     q, _ = np.linalg.qr(h, mode="complete")
     t = np.column_stack([h, q[:, h.shape[1]:]])
     w = h @ h.T + SUBSPACE_RIDGE * (np.eye(h.shape[0]) - h @ np.linalg.pinv(h))
-    return StateSpaceModel(phi, noise, v=noise.sigma2_obs * t @ t.T + noise.sigma2_alpha * w,
-                           w_alpha=noise.sigma2_alpha * w, w_beta=noise.sigma2_beta * w), t
+    block = Blocks(np.arange(len(phi))[None], phi[None],
+                   v=noise.sigma2_obs * t @ t.T + noise.sigma2_alpha * w,
+                   w_alpha=noise.sigma2_alpha * w, w_beta=noise.sigma2_beta * w)
+    return StateSpaceModel((block,)), t
 
 
 def mapped_init(t, first_obs, noise):
@@ -369,22 +385,19 @@ def mapped_init(t, first_obs, noise):
     return tt @ mean, tt @ cov @ tt.T
 
 
-def filter_and_forecast(model, obs, noise, update_first, init=None):
+def filter_and_forecast(model, obs, noise, init=None):
     init = default_init(obs[0], noise) if init is None else init
-    result = kf_filter(model, obs, *init, update_first=update_first)
+    result = kf_filter(model, obs, *init)
     forecast, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 3)
     return result, np.vstack([result.means_array, forecast])
 
 
-UPDATE_FIRST = pytest.mark.parametrize("update_first", [False, True],
-                                       ids=["update-from-1", "update-first"])
 DIFFUSIVE = pytest.mark.parametrize("diffusive", [False, True],
                                     ids=["constant-velocity", "variable-diffusivity"])
 
 
-@UPDATE_FIRST
 @DIFFUSIVE
-def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update_first):
+def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     frames, ordering, gen, pipeline = flipped_case(diffusive, 64)
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     model = pipeline.factory(noise)
@@ -401,8 +414,8 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update
     assert leakage.min() == ordering.k == 15 < model.k == band.k == 21
 
     band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
-    got, got_means = filter_and_forecast(model, obs, noise, update_first)
-    want, want_means = filter_and_forecast(dense, band_obs, noise, update_first,
+    got, got_means = filter_and_forecast(model, obs, noise)
+    want, want_means = filter_and_forecast(dense, band_obs, noise,
                                            mapped_init(t, band_obs[0], noise))
     # the filter on z = T^-1 y has the density of y times |det T|, once per update
     jacobian = len(got.loglik_terms) * np.linalg.slogdet(t)[1]
@@ -412,9 +425,8 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive, update
     assert np.abs(got_means @ to_band.T - want_means).max() <= 1e-9
 
 
-@UPDATE_FIRST
 @DIFFUSIVE
-def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first):
+def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
     # flip65 keeps both (k_x, +-k_y) of every doubled-grid mode it holds, so the
     # band is exactly the paper's truncation: the K*-state model of H P pinv(H)
     # on analyze(flip_field(f), star) must give the same fields
@@ -428,10 +440,8 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
     dense_obs = np.array([analyze(flip_field(f), star) for f in frames])
     assert dense.k == 65 > pipeline.k == 21
 
-    _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise,
-                                 update_first)
-    _, want = filter_and_forecast(dense, dense_obs, noise, update_first,
-                                  mapped_init(t, dense_obs[0], noise))
+    _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise)
+    _, want = filter_and_forecast(dense, dense_obs, noise, mapped_init(t, dense_obs[0], noise))
     for g_mean, w_mean in zip(got, want):
         got_field = pipeline.reconstruct(g_mean).values
         want_field = unflip(synthesize(star, w_mean[:65])).values
@@ -441,10 +451,11 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive, update_first)
 def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
     g = GridSpec(16, 16)
     pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
-    model = pipeline.factory(NoiseParams(1e-3, 1e-3))
+    noise = NoiseParams(1e-3, 1e-3)
+    model = pipeline.factory(noise)
     k, kr = model.k, model.blocks[-1].index[0, 0]
     obs = np.zeros((3, k))
-    mean0, cov0 = default_init(obs[0], model.noise)
+    mean0, cov0 = default_init(obs[0], noise)
     kf_filter(model, obs, mean0, cov0)
     coupled = cov0.copy()
     coupled[0, kr] = coupled[kr, 0] = 1e-3  # a coefficient with a leakage channel
@@ -494,8 +505,7 @@ def pair_case():
     return batches, ordering, simulate_advection(cfg).alphas[:, sub]
 
 
-@UPDATE_FIRST
-def test_pair_filter_equals_the_dense_filter(update_first):
+def test_pair_filter_equals_the_dense_filter():
     batches, ordering, obs = pair_case()
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     pairs = direct_model(batches, noise)
@@ -503,8 +513,8 @@ def test_pair_filter_equals_the_dense_filter(update_first):
     assert [b.index.shape for b in pairs.blocks] == [(29, 2), (1, 1)]
     assert [b.index.shape for b in dense.blocks] == [(1, 59)]
 
-    got, got_means = filter_and_forecast(pairs, obs, noise, update_first)
-    want, want_means = filter_and_forecast(dense, obs, noise, update_first)
+    got, got_means = filter_and_forecast(pairs, obs, noise)
+    want, want_means = filter_and_forecast(dense, obs, noise)
     assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
     assert np.abs(got.innovations - want.innovations).max() <= 1e-9
@@ -534,7 +544,7 @@ def test_pair_filter_breakdown_raises_diagnostic():
     model = direct_model(batches, NoiseParams(1e-6, 1e-6))
     k2 = 2 * model.k
     with pytest.raises(FilterError, match="not positive definite"):
-        kf_filter(model, obs, np.zeros(k2), -np.eye(k2), update_first=True)
+        kf_filter(model, obs, np.zeros(k2), -np.eye(k2))
 
 
 @pytest.mark.parametrize("physics,layout", [

@@ -114,6 +114,8 @@ def test_motion_config_validation():
         MotionConfig(smooth_sigma=-1.0)
     with pytest.raises(ValueError, match="min_block_energy"):
         MotionConfig(min_block_energy=-1e-4)
+    with pytest.raises(ValueError, match="smooth_sigma must be >= 0 and finite, got inf"):
+        MotionConfig(smooth_sigma=float("inf"))
     MotionConfig(smooth_sigma=0.0, min_block_energy=0.0)  # zero still means "off"
 
 
