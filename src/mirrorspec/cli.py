@@ -4,9 +4,9 @@ Every command reads a :class:`~mirrorspec.config.RunConfig` (named profile or
 JSON path), writes its outputs under ``--out`` with the config hash embedded
 in filenames, and drops a machine-readable run log (parameters, library
 versions, wall time).  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.  SciPy is imported inside the functions that call it,
-so a command that needs none of it (``simulate``, ``flip``, ``render``,
-``convert-rain``) starts without paying its import time.
+3 numerical failure.  SciPy is imported only where a model on an estimated
+velocity exponentiates its generator (``scipy.linalg.expm``), so every other
+run starts without paying its import time.
 """
 
 from __future__ import annotations
@@ -94,19 +94,26 @@ def _load_input_stack(path: str) -> GridStack:
         _fail(2, str(exc))
 
 
-def _generate_dataset(cfg: RunConfig, seed=None, steps=None) -> GridStack:
+def _seeded(cfg: RunConfig, seed) -> RunConfig:
+    """``cfg`` with its seed replaced by ``--seed`` when one is given: the run
+    log then records the seed used, and the config hash in every output name
+    covers it, so two seeds never write under the same name."""
+    return cfg if seed is None else RunConfig({**cfg.data, "seed": seed})
+
+
+def _generate_dataset(cfg: RunConfig, steps=None) -> GridStack:
     if cfg.data["dataset"] == "storm":
         storm = cfg.data.get("storm", {})
         frames = synthetic_storm_stack(
             cfg.grid(),
             steps=steps if steps is not None else storm.get("steps", 10),
-            seed=seed if seed is not None else cfg.data["seed"],
+            seed=cfg.data["seed"],
             n_blobs=storm.get("n_blobs", 3),
             peak_dbz=storm.get("peak_dbz", 42.0),
         )
         delta = 1.0
     else:
-        sim = simulate_advection(cfg.simulation(seed=seed, steps=steps))
+        sim = simulate_advection(cfg.simulation(steps=steps))
         frames, delta = sim.fields, sim.config.delta
     return GridStack.from_fields(
         frames, delta=delta, units=cfg.data["units"], config_hash=cfg.hash
@@ -200,14 +207,14 @@ def main():
 @_exits_on_config_error
 def simulate(config, out, seed, steps):
     """Generate a synthetic dataset and save it as a frame stack."""
-    cfg = RunConfig.load(config)
+    cfg = _seeded(RunConfig.load(config), seed)
     run = _Run("simulate", cfg, out)
     try:
-        stack = _generate_dataset(cfg, seed=seed, steps=steps)
+        stack = _generate_dataset(cfg, steps=steps)
         save_stack(stack, run.path("stack-simulated"))
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"simulation failed: {exc}")
-    run.finish(steps=stack.steps)
+    run.finish(seed=cfg.data["seed"], steps=stack.steps)
     click.echo(f"wrote {stack.steps} frames under {run.outputs[0]}")
 
 
@@ -330,12 +337,15 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
 @click.argument("stack_path", type=click.Path(exists=True), required=False)
 @click.option("--config", default="gibbs-strip")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="override the config seed of the simulated data (no STACK_PATH)")
 @click.option("--region", default=None, help="extra region as x0,x1,y0,y1")
 @_exits_on_config_error
 def evaluate(stack_path, config, out, seed, region):
     """Run the multi-model comparison and write the MAE report CSV."""
-    cfg = RunConfig.load(config)
+    if stack_path and seed is not None:
+        _fail(2, "--seed seeds the data evaluate simulates; it cannot apply to STACK_PATH")
+    cfg = _seeded(RunConfig.load(config), seed)
     run = _Run("evaluate", cfg, out)
     specs = cfg.model_specs()
     regions = cfg.regions()
@@ -350,7 +360,7 @@ def evaluate(stack_path, config, out, seed, region):
     stack = (
         _load_input_stack(stack_path)
         if stack_path
-        else _generate_dataset(cfg, seed=seed)
+        else _generate_dataset(cfg)
     )
     comp, noise = cfg.data["comparison"], cfg.noise()
     try:

@@ -40,11 +40,14 @@ than silently producing garbage.
 The noise fit profiles the scale out of the likelihood (the concentrated
 likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
 7.3): with ``sigma2_obs = 0`` every covariance scales with ``sigma2_alpha`` at
-a fixed ``r = sigma2_beta / sigma2_alpha``, leaving a 1-D search over ``r``.
+a fixed ``r = sigma2_beta / sigma2_alpha``, leaving a 1-D search over ``r``:
+Brent's bounded search (Brent 1973, ch. 5) on ``log r``, in this module, so a
+fit loads no SciPy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -273,7 +276,9 @@ def _blocks(model: StateSpaceModel, mean, cov):
     for b in model.blocks:
         rows = np.concatenate([b.index, b.index + model.k], axis=1)
         batches.append((b, rows, mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
-    if not np.array_equal(_joined_cov(model, batches), cov):
+    # the blocks' rows partition the state, so every nonzero of cov lies in
+    # a block exactly when the blocks gather all of them
+    if np.count_nonzero(cov) != sum(np.count_nonzero(c) for *_, c in batches):
         raise ValueError("the covariance must split into the model's blocks: no covariance "
                          "between two blocks (such as two cos/sin pairs, or a coefficient and "
                          "a leakage channel)")
@@ -408,9 +413,10 @@ def estimate_variances(
     ``NoiseParams(1, r)`` then gives ``Q``, the squared whitened innovations
     over ``N`` scalars; ``sigma2_alpha = Q / N`` is the best scale at that
     ``r``, with profiled log-likelihood ``loglik + (Q - N log(Q/N) - N) / 2``.
-    A bounded scalar search over ``log r`` maximizes it; a last pass at the
-    fitted noise gives ``result``.  ``max_evaluations`` caps the passes; a
-    fit stopped by the cap returns the best point seen, with a warning.
+    Brent's bounded search over ``log r`` (:func:`_bounded_minimum`)
+    maximizes it; a last pass at the fitted noise gives ``result``.
+    ``max_evaluations`` caps the passes; a fit stopped by the cap returns
+    the best point seen, with a warning.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] < 3:
@@ -439,21 +445,96 @@ def estimate_variances(
         scales[log_ratio] = scale
         return -profiled
 
-    import scipy.optimize
-
-    opt = scipy.optimize.minimize_scalar(
-        neg_profile, bounds=LOG_RATIO_BOUNDS, method="bounded",
-        options={"xatol": LOG_RATIO_XATOL, "maxiter": max_evaluations - 1},
-    )
-    if not opt.success:
+    x, _, nfev, converged = _bounded_minimum(neg_profile, *LOG_RATIO_BOUNDS,
+                                             LOG_RATIO_XATOL, max_evaluations - 1)
+    if not converged:
         warnings.warn(
             "variance estimation stopped at its evaluation budget; returning best point seen",
             RuntimeWarning,
         )
-    params = scaled(opt.x, scales.get(opt.x, 1.0))
-    return VarianceFit(
-        params=params,
-        result=run(params),
-        converged=bool(opt.success),
-        n_evaluations=opt.nfev + 1,
-    )
+    params = scaled(x, scales.get(x, 1.0))
+    return VarianceFit(params=params, result=run(params), converged=converged,
+                       n_evaluations=nfev + 1)
+
+
+def _sign(v: float) -> float:
+    """The sign of ``v``, 1.0 for zero (SciPy's ``np.sign(v) + (v == 0)``)."""
+    return -1.0 if v < 0 else 1.0
+
+
+def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int):
+    """Minimize ``func`` on ``[lo, hi]`` by Brent's bounded search (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 5): a parabola
+    through the three best points where it lands well inside the bracket,
+    else a golden-section step, until the bracket is within about ``xatol``.
+
+    A step-for-step port of SciPy's ``minimize_scalar(method="bounded")``
+    (``fminbound``), ``maxfun`` being its ``maxiter``.  Returns ``(x, fun,
+    nfev, converged)``: ``x`` is the very float ``func`` was called with at
+    its best value ``fun``; ``converged`` is False when the budget stopped
+    the search or a NaN appeared.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point, nfc the second best and fulc the previous second best
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    nfev = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    stopped = False
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxfun:
+            stopped = True
+            break
+    nan = math.isnan(xf) or math.isnan(fx) or math.isnan(fu)
+    return xf, fx, nfev, not (stopped or nan)

@@ -154,8 +154,48 @@ def _block_displacements(a, b, cfg):
     return disp_y, disp_x, valid
 
 
+def _gaussian_matrix(m: int, sigma: float) -> np.ndarray:
+    """``G`` (``m x m``) with ``G @ a`` the Gaussian smoothing of ``a`` along
+    its first axis: the kernel truncated at 4 sigma and normalized, the ends
+    clamped (``scipy.ndimage.gaussian_filter1d(a, sigma, axis=0, mode="nearest")``)."""
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    kernel = kernel / kernel.sum()
+    g = np.zeros((m, m))
+    at = np.arange(m)[:, None]
+    np.add.at(g, (at, np.clip(at + offsets, 0, m - 1)), kernel)
+    return g
+
+
+def _smooth(a: np.ndarray, sigma: float) -> np.ndarray:
+    """``a`` smoothed along both axes by :func:`_gaussian_matrix`:
+    ``scipy.ndimage.gaussian_filter(a, sigma, mode="nearest")``."""
+    return _gaussian_matrix(a.shape[0], sigma) @ a @ _gaussian_matrix(a.shape[1], sigma).T
+
+
+def _linear_matrix(coords: np.ndarray, m: int) -> np.ndarray:
+    """``B`` (``len(coords) x m``) with ``B @ a`` the linear interpolation of
+    ``a`` along its first axis at ``coords``, clamped to ``[0, m - 1]``
+    (``scipy.ndimage.map_coordinates`` of order 1, ``mode="nearest"``)."""
+    coords = np.clip(coords, 0, m - 1)
+    lo = np.floor(coords).astype(int)
+    frac = coords - lo
+    b = np.zeros((len(coords), m))
+    at = np.arange(len(coords))
+    np.add.at(b, (at, lo), 1.0 - frac)
+    np.add.at(b, (at, np.minimum(lo + 1, m - 1)), frac)
+    return b
+
+
 def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = MotionConfig()) -> VelocityField:
-    """Velocity field (domain lengths per step) carrying frame_a onto frame_b."""
+    """Velocity field (domain lengths per step) carrying frame_a onto frame_b.
+
+    The block vectors form a small grid (13 x 13 blocks on a 100 x 100
+    frame), so the smoothing and the bilinear interpolation to every pixel
+    run as small matrices applied on both sides, ``G_y @ v @ G_x.T`` and
+    ``B_y @ v @ B_x.T`` (:func:`_gaussian_matrix`, :func:`_linear_matrix`).
+    """
     if frame_a.grid != frame_b.grid:
         raise ValueError("frames must share a grid")
     grid = frame_a.grid
@@ -174,28 +214,24 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
                       RuntimeWarning)
         return VelocityField.zero(grid)
 
-    import scipy.ndimage as ndimage
-
     # low-energy blocks inherit the smoothed neighborhood vector
     # (normalized convolution over the valid blocks)
-    weight = ndimage.gaussian_filter(valid.astype(float), sigma=1.0, mode="nearest")
+    weight = _smooth(valid.astype(float), 1.0)
     for comp in (vx_blk, vy_blk):
-        filled = ndimage.gaussian_filter(np.where(valid, comp, 0.0), sigma=1.0, mode="nearest")
+        filled = _smooth(np.where(valid, comp, 0.0), 1.0)
         comp[~valid] = (filled / np.maximum(weight, 1e-12))[~valid]
 
     sigma_blocks = cfg.smooth_sigma / stride
     if sigma_blocks > 0:
-        vx_blk = ndimage.gaussian_filter(vx_blk, sigma=sigma_blocks, mode="nearest")
-        vy_blk = ndimage.gaussian_filter(vy_blk, sigma=sigma_blocks, mode="nearest")
+        vx_blk = _smooth(vx_blk, sigma_blocks)
+        vy_blk = _smooth(vy_blk, sigma_blocks)
 
     # bilinear interpolation from block centers to every pixel
     half = (cfg.block - 1) / 2.0
-    bi = np.clip((np.arange(grid.n2) - half) / stride, 0, valid.shape[0] - 1)
-    bj = np.clip((np.arange(grid.n1) - half) / stride, 0, valid.shape[1] - 1)
-    jj, ii = np.meshgrid(bj, bi)
-    coords = np.stack([ii.ravel(), jj.ravel()])
-    vx = ndimage.map_coordinates(vx_blk, coords, order=1, mode="nearest").reshape(grid.shape)
-    vy = ndimage.map_coordinates(vy_blk, coords, order=1, mode="nearest").reshape(grid.shape)
+    rows = _linear_matrix((np.arange(grid.n2) - half) / stride, valid.shape[0])
+    cols = _linear_matrix((np.arange(grid.n1) - half) / stride, valid.shape[1])
+    vx = rows @ vx_blk @ cols.T
+    vy = rows @ vy_blk @ cols.T
     return VelocityField(grid, vx.flatten(order="F"), vy.flatten(order="F"))
 
 

@@ -223,6 +223,14 @@ def mirror_phase(ordering: ModeOrdering) -> np.ndarray:
     )
 
 
+def _dct_matrix(m: int) -> np.ndarray:
+    """The orthonormal ``m x m`` DCT-II matrix: ``C @ x`` is ``scipy.fft.dct(x, norm="ortho")``."""
+    k = np.arange(m)[:, None]
+    c = np.sqrt(2.0 / m) * np.cos(np.pi * k * (2 * np.arange(m) + 1) / (2 * m))
+    c[0] /= np.sqrt(2.0)
+    return c
+
+
 class MirrorBand:
     """The mirrored model's observations: the orthonormal 2-D DCT-II of a frame
     at the indices ``(|k_y|, |k_x|)`` of the modes that ``k_star``
@@ -235,6 +243,13 @@ class MirrorBand:
     the band coordinates have the norm of ``analyze(flip_field(f), star)``
     when ``star`` keeps both modes ``(k_x, +-k_y)`` of each index.  A budget
     that splits such a pair at its edge gets the whole pair.
+
+    The band is small (``dim S`` of 31 for 100 doubled-grid coefficients), so
+    it is held as one ``dim S x n`` analysis matrix ``A`` on column-stacked
+    field values: row ``s`` is the outer product of rows ``rows[s]`` and
+    ``cols[s]`` of the orthonormal DCT-II matrices, times ``scale[s]``.  The
+    rows of ``A`` are orthogonal with squared norms ``scale**2``, so
+    ``reconstruct`` (the inverse DCT of the band) is ``(coeffs / scale**2) @ A``.
     """
 
     def __init__(self, grid: GridSpec, k_star: int):
@@ -244,23 +259,17 @@ class MirrorBand:
         self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)
         self.k = len(self.rows)
         self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
+        # values are column-stacked (x outer, y inner), so the y factor varies fastest
+        outer = _dct_matrix(grid.n1)[self.cols, :, None] * _dct_matrix(grid.n2)[self.rows, None, :]
+        outer *= self.scale[:, None, None]
+        self.analysis = outer.reshape(self.k, grid.n)
 
     def observe(self, f: Field) -> np.ndarray:
-        import scipy.fft
-
-        return scipy.fft.dctn(f.pixels(), norm="ortho")[self.rows, self.cols] * self.scale
+        return self.analysis @ f.values
 
     def transfer(self, ordering: ModeOrdering) -> np.ndarray:
         """``H_S`` (``k x ordering.k``): the band coordinates of each basis column."""
-        import scipy.fft
-
-        cols = basis_matrix(ordering).reshape((*self.grid.shape, ordering.k), order="F")
-        c = scipy.fft.dctn(cols, axes=(0, 1), norm="ortho")
-        return c[self.rows, self.cols] * self.scale[:, None]
+        return self.analysis @ basis_matrix(ordering)
 
     def reconstruct(self, coeffs: np.ndarray) -> Field:
-        import scipy.fft
-
-        c = np.zeros(self.grid.shape)
-        c[self.rows, self.cols] = coeffs / self.scale
-        return Field.from_pixels(self.grid, scipy.fft.idctn(c, norm="ortho"))
+        return Field(self.grid, (coeffs / self.scale**2) @ self.analysis)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from mirrorspec.cli import main
 from mirrorspec.config import ConfigError, PROFILES, RunConfig
 from mirrorspec.grid import Field
-from mirrorspec.gridstack import GridStack, save_stack
+from mirrorspec.gridstack import GridStack, load_stack, save_stack
 from mirrorspec.simulate import simulate_advection
 
 
@@ -371,6 +371,37 @@ def test_negative_seed_flag_exits_2(runner, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert "--seed" in result.output
     assert not list(out.glob("*"))
+
+
+def test_simulate_seed_flag_names_and_logs_the_seed(runner, tmp_path):
+    # SMALL_SIM has seed 5: a run with --seed 99 into the same directory must
+    # write its own stack and run log, each saying which seed made it
+    cfg, out = write_config(tmp_path), tmp_path / "o"
+    for flags in ([], ["--seed", "99"]):
+        result = runner.invoke(main, ["simulate", "--config", cfg, *flags, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    logs = {read_runlog(p)["seed"]: read_runlog(p) for p in out.glob("runlog-simulate-*.json")}
+    assert set(logs) == {5, 99}
+    for seed, log in logs.items():
+        assert log["config"]["seed"] == seed
+        stack = load_stack(log["outputs"][0])
+        want = simulate_advection(RunConfig(SMALL_SIM).simulation(seed=seed)).fields
+        assert all(np.array_equal(g.values, w.values) for g, w in zip(stack.frames, want))
+    assert len(list(out.glob("stack-simulated-*"))) == 2
+
+
+def test_evaluate_seed_applies_to_simulated_data_only(runner, tmp_path):
+    _, stack = _simulated(runner, tmp_path)
+    cfg, out = write_config(tmp_path), tmp_path / "o"
+    result = runner.invoke(main, ["evaluate", stack, "--config", cfg, "--seed", "99",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not list(out.glob("*"))
+    # without a stack, evaluate simulates the data: its run log records the seed used
+    result = runner.invoke(main, ["evaluate", "--config", cfg, "--seed", "99", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read_runlog(next(out.glob("runlog-evaluate-*.json")))["config"]["seed"] == 99
 
 
 @pytest.mark.parametrize("key, value", [("smooth_sigma", -1.0), ("min_block_energy", -1e-4)])

@@ -12,6 +12,7 @@ from mirrorspec.kalman import (
     FilterError,
     NoiseParams,
     StateSpaceModel,
+    _bounded_minimum,
     default_init,
     direct_model,
     estimate_variances,
@@ -566,3 +567,34 @@ def test_build_pipeline_picks_the_blocks_from_the_physics(physics, layout):
     model = build_pipeline(g, spec, velocity=(0.01, 0.0), diffusivity=dif).factory(
         NoiseParams(1e-3, 1e-3))
     assert [b.index.shape for b in model.blocks] == layout
+
+
+BRENT_CASES = {
+    "interior": (lambda x: (x - 1.3) ** 2 + 0.5, (-5.0, 5.0), 1e-5, 500),
+    "at-lower-bound": (lambda x: np.exp(x), (-2.0, 3.0), 1e-3, 500),
+    "at-upper-bound": (lambda x: -x, (-2.0, 3.0), 1e-3, 500),
+    "flat": (lambda x: 4.0, (-1.0, 1.0), 1e-3, 500),
+    # a filter pass that fails scores 1e30 (estimate_variances' neg_profile)
+    "failure-plateau": (lambda x: 1e30 if x > 0.5 else (x + 2.0) ** 2, (-18.4, 18.4), 1e-3, 39),
+    "all-failures": (lambda x: 1e30, (-18.4, 18.4), 1e-3, 39),
+    "budget-stop": (lambda x: np.cos(3 * x) + 0.1 * x, (-18.4, 18.4), 1e-9, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(BRENT_CASES))
+def test_bounded_minimum_equals_scipy_minimize_scalar(case):
+    import scipy.optimize
+
+    func, (lo, hi), xatol, maxfun = BRENT_CASES[case]
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return func(x)
+
+    x, fun, nfev, converged = _bounded_minimum(recorded, lo, hi, xatol, maxfun)
+    want = scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                          options={"xatol": xatol, "maxiter": maxfun})
+    assert (x, fun, nfev, converged) == (want.x, want.fun, want.nfev, want.success)
+    # the fit looks its profiled scale up by the very float it evaluated
+    assert any(c is x for c in calls) and len(calls) == nfev

@@ -296,3 +296,28 @@ def test_storm_velocity_memory_stays_streamed():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("shape", [(13, 9), (4, 11), (1, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0])
+def test_smoothing_matrices_equal_ndimage(shape, sigma):
+    import scipy.ndimage
+
+    a = np.random.default_rng(43).standard_normal(shape)
+    want = scipy.ndimage.gaussian_filter(a, sigma, mode="nearest")
+    assert np.abs(motion._smooth(a, sigma) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(13, 9), (4, 11), (1, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_interpolation_matrices_equal_ndimage(shape):
+    import scipy.ndimage
+
+    a = np.random.default_rng(44).standard_normal(shape)
+    # block-centre coordinates of a 16-pixel block at stride 8, as estimate_velocity uses
+    rows, cols = ((np.arange(n) - 7.5) / 8 for n in (shape[0] * 8 + 5, shape[1] * 8 - 3))
+    ii, jj = np.meshgrid(np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1),
+                         indexing="ij")
+    want = scipy.ndimage.map_coordinates(a, np.stack([ii.ravel(), jj.ravel()]), order=1,
+                                         mode="nearest").reshape(ii.shape)
+    got = motion._linear_matrix(rows, shape[0]) @ a @ motion._linear_matrix(cols, shape[1]).T
+    assert np.abs(got - want).max() <= 1e-12

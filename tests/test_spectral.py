@@ -401,3 +401,30 @@ def test_analyze_grid_mismatch():
     ordering = ModeOrdering(GridSpec(6, 4))
     with pytest.raises(ValueError):
         analyze(f, ordering)
+
+
+@pytest.mark.parametrize("shape, k_star", [
+    ((12, 8), 64),  # splits the pair (k_x, +-k_y) at the band edge
+    ((12, 8), 65),
+    ((16, 16), 36),
+    ((24, 16), 100),
+    ((10, 30), 400),
+])
+def test_mirror_band_matrix_equals_scipy_dctn(shape, k_star):
+    import scipy.fft
+
+    rng = np.random.default_rng(17)
+    g = GridSpec(*shape)
+    band = MirrorBand(g, k_star)
+    ordering = ModeOrdering(g, k_star // 4)
+    f = Field(g, rng.normal(size=g.n))
+    want = scipy.fft.dctn(f.pixels(), norm="ortho")[band.rows, band.cols] * band.scale
+    assert np.abs(band.observe(f) - want).max() <= 1e-12
+    cols = basis_matrix(ordering).reshape((*g.shape, ordering.k), order="F")
+    want = scipy.fft.dctn(cols, axes=(0, 1), norm="ortho")[band.rows, band.cols]
+    assert np.abs(band.transfer(ordering) - want * band.scale[:, None]).max() <= 1e-12
+    y = rng.normal(size=band.k)
+    c = np.zeros(g.shape)
+    c[band.rows, band.cols] = y / band.scale
+    want = Field.from_pixels(g, scipy.fft.idctn(c, norm="ortho"))
+    assert np.abs(band.reconstruct(y).values - want.values).max() <= 1e-12
