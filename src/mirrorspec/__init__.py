@@ -24,7 +24,7 @@ from .galerkin import (
     normalization_c,
     psi_entry,
 )
-from .grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field, flip_matrix, unflip
+from .grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field, unflip
 from .gridstack import GridStack, load_stack, render_heatmap, save_stack
 from .kalman import (
     FilterError,

@@ -4,9 +4,8 @@ Every command reads a :class:`~mirrorspec.config.RunConfig` (named profile or
 JSON path), writes its outputs under ``--out`` with the config hash embedded
 in filenames, and drops a machine-readable run log (parameters, library
 versions, wall time).  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.  SciPy is imported only where a model on an estimated
-velocity exponentiates its generator (``scipy.linalg.expm``), so every other
-run starts without paying its import time.
+3 numerical failure.  No command imports SciPy: the runtime needs NumPy and
+click alone, and a run starts without paying SciPy's import time.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ class _Run:
     def finish(self, **extra):
         versions = {"mirrorspec": __version__, "python": platform.python_version(),
                     "numpy": np.__version__}
-        if "scipy" in sys.modules:  # recorded only when the command used it
-            versions["scipy"] = sys.modules["scipy"].__version__
         log = {
             "command": self.command,
             "config_hash": self.config.hash,
@@ -101,19 +98,29 @@ def _seeded(cfg: RunConfig, seed) -> RunConfig:
     return cfg if seed is None else RunConfig({**cfg.data, "seed": seed})
 
 
-def _generate_dataset(cfg: RunConfig, steps=None) -> GridStack:
+def _with_steps(cfg: RunConfig, steps) -> RunConfig:
+    """``cfg`` with the step count of its dataset (``storm.steps`` or
+    ``simulation.steps``) replaced by ``--steps`` when one is given, so that,
+    as with ``--seed``, the run log and every output name record it."""
+    if steps is None:
+        return cfg
+    section = "storm" if cfg.data["dataset"] == "storm" else "simulation"
+    return RunConfig({**cfg.data, section: {**cfg.data.get(section, {}), "steps": steps}})
+
+
+def _generate_dataset(cfg: RunConfig) -> GridStack:
     if cfg.data["dataset"] == "storm":
         storm = cfg.data.get("storm", {})
         frames = synthetic_storm_stack(
             cfg.grid(),
-            steps=steps if steps is not None else storm.get("steps", 10),
+            steps=storm.get("steps", 10),
             seed=cfg.data["seed"],
             n_blobs=storm.get("n_blobs", 3),
             peak_dbz=storm.get("peak_dbz", 42.0),
         )
         delta = 1.0
     else:
-        sim = simulate_advection(cfg.simulation(steps=steps))
+        sim = simulate_advection(cfg.simulation())
         frames, delta = sim.fields, sim.config.delta
     return GridStack.from_fields(
         frames, delta=delta, units=cfg.data["units"], config_hash=cfg.hash
@@ -207,10 +214,10 @@ def main():
 @_exits_on_config_error
 def simulate(config, out, seed, steps):
     """Generate a synthetic dataset and save it as a frame stack."""
-    cfg = _seeded(RunConfig.load(config), seed)
+    cfg = _with_steps(_seeded(RunConfig.load(config), seed), steps)
     run = _Run("simulate", cfg, out)
     try:
-        stack = _generate_dataset(cfg, steps=steps)
+        stack = _generate_dataset(cfg)
         save_stack(stack, run.path("stack-simulated"))
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"simulation failed: {exc}")

@@ -198,12 +198,12 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.grid: {exc}") from exc
 
-    def simulation(self, seed=None, steps=None) -> SimulationConfig:
+    def simulation(self, seed=None) -> SimulationConfig:
         s = self.data["simulation"]
         try:
             return SimulationConfig(
                 grid=self.grid(),
-                steps=steps if steps is not None else s["steps"],
+                steps=s["steps"],
                 delta=float(s["delta"]),
                 velocity=tuple(s["velocity"]),
                 source_center=tuple(s["source_center"]),

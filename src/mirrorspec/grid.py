@@ -24,7 +24,6 @@ __all__ = [
     "FlipVariant",
     "DEFAULT_FLIP",
     "flip_field",
-    "flip_matrix",
     "flip_vector_indices",
     "unflip",
 ]
@@ -147,8 +146,8 @@ def _flip_index_maps(grid: GridSpec, variant: FlipVariant) -> tuple[np.ndarray, 
 def flip_vector_indices(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> np.ndarray:
     """Source indices such that ``flipped.values == original.values[indices]``.
 
-    Length ``4*n``; the permutation view of the flip used both by
-    :func:`flip_matrix` and by batch operations on many fields at once.
+    Length ``4*n``; the permutation view of the flip, for operations on many
+    fields at once.
     """
     rows, cols = _flip_index_maps(grid, variant)
     # vector index on the doubled grid is i* + j* * (2 n2)
@@ -164,23 +163,6 @@ def flip_field(f: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
     """
     rows, cols = _flip_index_maps(f.grid, variant)
     return Field.from_pixels(f.grid.doubled(), f.pixels()[np.ix_(rows, cols)])
-
-
-def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> "scipy.sparse.csr_matrix":
-    """The sparse ``4N x N`` permutation-like matrix ``R`` of the double flip.
-
-    ``R @ f.values == flip_field(f).values`` for every field ``f``; each row
-    holds a single 1 and each column sums to 4.  For an ``(n1, n2)`` grid it
-    equals the Kronecker product of the two single-axis extension matrices,
-    x-factor first (the factor order is fixed by the column-stacking
-    convention, validated against the worked 2x2 example in the tests).
-    """
-    import scipy.sparse as sparse
-
-    n = grid.n
-    cols = flip_vector_indices(grid, variant)
-    data = np.ones(4 * n)
-    return sparse.csr_matrix((data, (np.arange(4 * n), cols)), shape=(4 * n, n))
 
 
 def unflip(fstar: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:

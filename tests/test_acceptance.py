@@ -21,7 +21,7 @@ from mirrorspec.evaluate import (
     run_comparison,
 )
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
-from mirrorspec.grid import Field, GridSpec, flip_field, flip_matrix
+from mirrorspec.grid import Field, GridSpec, flip_field
 from mirrorspec.kalman import NoiseParams
 from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from mirrorspec.preprocess import reflectivity_to_rain
@@ -32,6 +32,7 @@ from mirrorspec.spectral import (
     flip_transfer,
     synthesize,
 )
+from oracles import flip_matrix
 
 TABLE_REFERENCE = {15: 1.681, 16: 1.745, 17: 1.814, 18: 1.861, 19: 1.923, 20: 1.995}
 

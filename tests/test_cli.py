@@ -390,6 +390,25 @@ def test_simulate_seed_flag_names_and_logs_the_seed(runner, tmp_path):
     assert len(list(out.glob("stack-simulated-*"))) == 2
 
 
+@pytest.mark.parametrize("payload, section", [(SMALL_SIM, "simulation"),
+                                              (STORM_SMALL, "storm")], ids=["advection", "storm"])
+def test_simulate_steps_flag_names_and_logs_the_steps(runner, tmp_path, payload, section):
+    # a run with --steps 3 into the directory of a run without it must write
+    # its own stack and run log, each saying how many steps made it
+    cfg, out = write_config(tmp_path, payload), tmp_path / "o"
+    for flags in ([], ["--steps", "3"]):
+        result = runner.invoke(main, ["simulate", "--config", cfg, *flags, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    logs = {read_runlog(p)["steps"]: read_runlog(p) for p in out.glob("runlog-simulate-*.json")}
+    assert set(logs) == {payload[section]["steps"], 3}
+    for steps, log in logs.items():
+        assert log["config"][section]["steps"] == steps
+        stack = Path(log["outputs"][0])
+        assert load_stack(stack).steps == steps
+        assert len(list(stack.glob("frame_*.csv"))) == steps
+    assert len(list(out.glob("stack-simulated-*"))) == 2
+
+
 def test_evaluate_seed_applies_to_simulated_data_only(runner, tmp_path):
     _, stack = _simulated(runner, tmp_path)
     cfg, out = write_config(tmp_path), tmp_path / "o"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mirrorspec.dynamics import (
+    THETA_13,
     build_transition,
     flipped_generator,
     matrix_exp,
@@ -13,6 +14,8 @@ from mirrorspec.galerkin import (
 )
 from mirrorspec.grid import Field, GridSpec, flip_field
 from mirrorspec.kalman import SUBSPACE_RIDGE, NoiseParams, _predict, direct_model, kf_forecast
+from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
+from mirrorspec.simulate import synthetic_storm_stack
 from mirrorspec.spectral import (
     ModeOrdering,
     analyze,
@@ -79,6 +82,45 @@ def test_matrix_exp_semigroup():
     lhs = matrix_exp(0.7 * a)
     rhs = matrix_exp(0.3 * a) @ matrix_exp(0.4 * a)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) <= 1e-9
+
+
+def max_relative_gap(got, want):
+    """Largest entry of ``|got - want|`` over the largest entry of ``|want|``."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def storm_generator():
+    """The Galerkin generator of a block-matching velocity and its shear
+    diffusivity on a small storm, built as the storm profile builds it:
+    dense, ``K = 49``, 1-norm about 1.3."""
+    g = GridSpec(48, 48)
+    a, b = synthetic_storm_stack(g, steps=2, seed=3, n_blobs=2)
+    mcfg = MotionConfig(block=16, search_radius=6)
+    vel = estimate_velocity(a, b, mcfg)
+    dif = diffusivity_from_velocity(vel, mcfg.stride / g.n1, mcfg.stride / g.n2)
+    return assemble_transition(ModeOrdering(g, 49), vel, dif)
+
+
+@pytest.mark.parametrize("norm", [0.5, 2.0, THETA_13, 6.0, 40.0, 300.0])
+def test_matrix_exp_matches_scipy_expm_on_galerkin_generators(storm_generator, norm):
+    # 1-norms above THETA_13 run 1, 3 and 6 squarings
+    import scipy.linalg
+
+    a = storm_generator * (norm / np.linalg.norm(storm_generator, 1))
+    assert max_relative_gap(matrix_exp(a), scipy.linalg.expm(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("k, scale", [(2, 1.0), (7, 10.0), (20, 50.0), (49, 100.0)])
+def test_matrix_exp_of_normal_matrices_is_exact(k, scale):
+    # Q diag(d) Q^T exponentiates to Q diag(e^d) Q^T; the spectrum spans
+    # [-scale, scale], so the largest case (1-norm about 360) runs 7 squarings
+    rng = np.random.default_rng(k)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    d = scale * rng.uniform(-1.0, 1.0, size=k)
+    d[[0, -1]] = scale, -scale
+    want = (q * np.exp(d)) @ q.T
+    assert max_relative_gap(matrix_exp((q * d) @ q.T), want) <= 1e-13
 
 
 def test_matrix_exp_rejects_nonfinite():

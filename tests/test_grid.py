@@ -8,9 +8,9 @@ from mirrorspec.grid import (
     FlipVariant,
     GridSpec,
     flip_field,
-    flip_matrix,
     unflip,
 )
+from oracles import flip_matrix
 
 
 def reflect_flip_oracle(pixels, variant=DEFAULT_FLIP):
