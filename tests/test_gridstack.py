@@ -1,4 +1,6 @@
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +81,133 @@ def test_parse_failure_has_context(tmp_path):
     (root / "frame_0000.csv").write_text("1,2,3,4\nnot,a,number,row\n1,2,3,4\n1,2,3,4\n")
     with pytest.raises(StackError, match="frame_0000.csv"):
         load_stack(root)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_frame_is_named(tmp_path, value):
+    from click.testing import CliRunner
+
+    from mirrorspec.cli import main
+
+    root = save_stack(random_stack(), tmp_path / "s")
+    (root / "frame_0001.csv").write_text(f"1,2,3,4\n1,{value},3,4\n1,2,3,4\n1,2,3,4\n")
+    with pytest.raises(StackError, match="frame_0001.csv: frame values must be finite"):
+        load_stack(root)
+    result = CliRunner().invoke(main, ["render", str(root), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {root / 'frame_0001.csv'}: frame values must be finite" in result.output
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the stack I/O sees; returns the list of the pids it
+    forks from then on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    return set_count
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CORRUPTIONS = {
+    "parse": lambda path: path.write_text("1,2,3,4\nnot,a,number,row\n1,2,3,4\n1,2,3,4\n"),
+    "shape": lambda path: np.savetxt(path, np.zeros((2, 4)), fmt="%.17g", delimiter=","),
+}
+
+
+@pytest.mark.parametrize("name", ["frame_0000.csv", "frame_0001.csv"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_a_bad_frame_raises_the_serial_error_in_any_share(tmp_path, cpus, name, corruption):
+    """frame_0000 is the calling process's share, frame_0001 a child's."""
+    root = save_stack(random_stack(steps=5), tmp_path / "s")
+    CORRUPTIONS[corruption](root / name)
+    cpus(1)
+    with pytest.raises(StackError) as serial:
+        load_stack(root)
+    forks = cpus(2)
+    with pytest.raises(StackError) as fanned:
+        load_stack(root)
+    assert len(forks) == 1
+    assert name in str(serial.value)
+    assert str(fanned.value) == str(serial.value)
+    assert_no_child_left()
+
+
+def assert_frames_written_as_serial(root, stack):
+    for i, frame in enumerate(stack.frames):
+        serial = io.BytesIO()
+        np.savetxt(serial, frame.pixels(), fmt="%.17g", delimiter=",")
+        assert (root / f"frame_{i:04d}.csv").read_bytes() == serial.getvalue()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_fanned_out_frames_equal_a_serial_write_and_read(tmp_path, cpus, count):
+    forks = cpus(count)
+    stack = random_stack(n1=6, n2=4, steps=7, seed=4)
+    root = save_stack(stack, tmp_path / "s")
+    assert_frames_written_as_serial(root, stack)
+    back = load_stack(root)
+    assert [f.values.tobytes() for f in back.frames] == [f.values.tobytes() for f in stack.frames]
+    assert len(forks) == 2 * (count - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_frames_a_child_fails_are_redone_by_the_parent(tmp_path, cpus, monkeypatch, count):
+    """Each child delivers its first frame, then fails on every frame from 3 on."""
+    forks = cpus(count)
+    parent = os.getpid()
+
+    def fails_in_a_child(fn):
+        def wrapped(path, *args, **kw):
+            if os.getpid() != parent and int(path.stem[-4:]) >= 3:
+                raise OSError("injected failure")
+            return fn(path, *args, **kw)
+        return wrapped
+
+    stack = random_stack(n1=6, n2=4, steps=7, seed=5)
+    monkeypatch.setattr(np, "savetxt", fails_in_a_child(np.savetxt))
+    monkeypatch.setattr(np, "loadtxt", fails_in_a_child(np.loadtxt))
+    root = save_stack(stack, tmp_path / "s")
+    back = load_stack(root)
+    monkeypatch.undo()  # the reference below calls the real np.savetxt
+    assert_frames_written_as_serial(root, stack)
+    assert [f.values.tobytes() for f in back.frames] == [f.values.tobytes() for f in stack.frames]
+    assert len(forks) == 2 * (count - 1)
+    assert_no_child_left()
+
+
+def test_a_failure_in_the_parents_share_leaves_no_child(tmp_path, cpus, monkeypatch):
+    forks = cpus(2)
+    savetxt = np.savetxt
+
+    def fails_on_frame_0(path, *args, **kw):
+        if path.name == "frame_0000.csv":
+            raise OSError("injected failure")
+        return savetxt(path, *args, **kw)
+
+    monkeypatch.setattr(np, "savetxt", fails_on_frame_0)
+    with pytest.raises(OSError, match="injected failure"):
+        save_stack(random_stack(steps=4), tmp_path / "s")
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_benchmark_size_stack_loads_quickly(tmp_path):
