@@ -331,7 +331,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     cfg, stack, run, spec = _model_run("predict", stack_path, config, out, k, use_flip, window)
     try:
         pipeline, model, _, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
-        means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
+        means, _ = kf_forecast(model, result.final_state, horizon)
         fields = [pipeline.reconstruct(m) for m in means]
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"forecasting failed: {exc}")

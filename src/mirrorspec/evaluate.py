@@ -249,14 +249,16 @@ def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
     the noise used, that noise, the :class:`~mirrorspec.kalman.VarianceFit`
     (None when ``noise`` was given) and the filter result over ``train_obs``.
     The filter starts from :func:`~mirrorspec.kalman.default_init` at the
-    first observation; a fit's last pass is that filter.
+    first observation, and the result's ``final_state`` is the per-batch state
+    that :func:`~mirrorspec.kalman.kf_forecast` takes; a fit's last pass is
+    that filter.
     """
     if noise is None:
         fit = estimate_variances(pipeline.factory, train_obs, max_evaluations=fit_budget)
         return pipeline.factory(fit.params), fit.params, fit, fit.result
     model = pipeline.factory(noise)
-    mean0, cov0 = default_init(train_obs[0], noise)
-    return model, noise, None, kf_filter(model, train_obs, mean0, cov0)
+    return model, noise, None, kf_filter(model, train_obs,
+                                         default_init(model, train_obs[0], noise))
 
 
 def _repeated(items: list) -> str:
@@ -322,7 +324,7 @@ def run_comparison(
 
         horizon = max(eval_times) - (train_steps - 1)
         if horizon >= 1:
-            fmeans, _ = kf_forecast(model, result.means_array[-1], result.final_cov, horizon)
+            fmeans, _ = kf_forecast(model, result.final_state, horizon)
 
         entry = metadata["models"][spec.label] = {
             "k": pipeline.k, "flip": spec.flip, "window": spec.window,

@@ -30,6 +30,12 @@ batch have their own transitions and share one set of noise covariances:
   (:func:`~mirrorspec.evaluate.build_pipeline`), plus a batch of ``dim S - K``
   leakage 1-blocks, each with its own filter covariance.
 
+A filter state is held the same way, from :func:`default_init` through
+:func:`kf_filter` to :func:`kf_forecast`: one ``(mean, cov)`` per batch of
+``model.blocks``, of shapes ``(n, 2m)`` and ``(n, 2m, 2m)`` for ``n`` blocks of
+``m`` coefficients, so no ``2K x 2K`` covariance is formed.  Only the filtered
+means are joined, into the ``(steps, 2K)`` rows of ``FilterResult.means_array``.
+
 Every model uses isotropic covariances ``sigma2 * I`` on its own coefficients;
 a leakage channel scales them by ``SUBSPACE_RIDGE``.
 
@@ -125,20 +131,19 @@ class Blocks:
             object.__setattr__(self, name, a)
 
 
-def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams,
-               tie_obs: bool = True) -> Blocks:
+def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams) -> Blocks:
     """Blocks of transitions ``phi`` with the isotropic noise of :func:`direct_model`."""
     eye = np.eye(index.shape[1])
-    v_scale = noise.sigma2_obs + (noise.sigma2_alpha if tie_obs else 0.0)
-    return Blocks(index, phi, v_scale * eye, noise.sigma2_alpha * eye, noise.sigma2_beta * eye)
+    return Blocks(index, phi, (noise.sigma2_obs + noise.sigma2_alpha) * eye,
+                  noise.sigma2_alpha * eye, noise.sigma2_beta * eye)
 
 
 @dataclass(frozen=True)
 class StateSpaceModel:
     """The independent :class:`Blocks` that together hold the ``k`` alpha
     coefficients and their forcing; the observation map is the identity on
-    the alpha block, ``(I_K, 0)``.  ``phi``, ``v`` and ``w_*`` read the
-    ``k x k`` matrices that the blocks join to.
+    the alpha block, ``(I_K, 0)``.  A filter state is one ``(mean, cov)`` per
+    batch of ``blocks`` (:func:`default_init`).
     """
 
     blocks: tuple[Blocks, ...]
@@ -148,30 +153,14 @@ class StateSpaceModel:
         """Coefficients in each half of the state, leakage channels included."""
         return sum(b.index.size for b in self.blocks)
 
-    def _joined(self, name: str) -> np.ndarray:
-        """The ``k x k`` matrix ``name`` of all blocks."""
-        out = np.zeros((self.k, self.k))
-        for b in self.blocks:
-            out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, name)
-        return out
 
-    phi = property(lambda self: self._joined("phi"))
-    v = property(lambda self: self._joined("v"))
-    w_alpha = property(lambda self: self._joined("w_alpha"))
-    w_beta = property(lambda self: self._joined("w_beta"))
-
-
-def direct_model(phi, noise: NoiseParams, tie_obs: bool = True,
-                 leakage: int = 0) -> StateSpaceModel:
+def direct_model(phi, noise: NoiseParams, leakage: int = 0) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
     ``phi`` is the ``K x K`` transition (one dense block), or a block-diagonal
     one as its ``(index, phi)`` batches
-    (:func:`~mirrorspec.dynamics.block_transition`).
-    ``tie_obs`` makes the observation covariance share ``sigma2_alpha`` (the
-    printed model structure); with it off, only ``sigma2_obs`` enters the
-    observation side, which is the identifiable layout when observations are
-    exact coefficient snapshots.
+    (:func:`~mirrorspec.dynamics.block_transition`).  The observation
+    covariance is ``(sigma2_obs + sigma2_alpha) I``.
 
     ``leakage`` appends that many channels after the K coefficients, the part
     of a mirrored observation off the span of the original modes: 1-blocks of
@@ -184,35 +173,45 @@ def direct_model(phi, noise: NoiseParams, tie_obs: bool = True,
         if phi.shape != (k, k):
             raise ValueError(f"phi must be {k} x {k}, got {phi.shape}")
         phi = [(np.arange(k)[None], phi[None])]
-    blocks = [_isotropic(index, p, noise, tie_obs) for index, p in phi]
+    blocks = [_isotropic(index, p, noise) for index, p in phi]
     k = sum(b.index.size for b in blocks)
     channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
                           noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
     blocks.append(_isotropic(np.arange(k, k + leakage)[:, None], np.ones((leakage, 1, 1)),
-                             channel, tie_obs))
+                             channel))
     return StateSpaceModel(tuple(b for b in blocks if b.index.size))
 
 
-def default_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
-    """Initial mean (first observation, zero forcing) and diagonal covariance."""
-    k = first_obs.shape[0]
-    mean = np.concatenate([first_obs, np.zeros(k)])
-    cov = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta) * np.eye(2 * k)
-    return mean, cov
+def default_init(model: StateSpaceModel, first_obs: np.ndarray,
+                 noise: NoiseParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The initial filter state: for each batch of ``model.blocks``, the mean
+    ``(n, 2m)`` of the first observation and zero forcing, and the covariance
+    ``(n, 2m, 2m)`` ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``."""
+    first_obs = np.asarray(first_obs, dtype=float)
+    if first_obs.shape != (model.k,):
+        raise ValueError(f"first_obs must have length {model.k}, got shape {first_obs.shape}")
+    scale = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta)
+    state = []
+    for b in model.blocks:
+        n, m = b.index.shape
+        mean = np.concatenate([first_obs[b.index], np.zeros((n, m))], axis=1)
+        state.append((mean, np.tile(scale * np.eye(2 * m), (n, 1, 1))))
+    return state
 
 
 @dataclass
 class FilterResult:
-    """Filtered means, the last step's covariance, the innovations
-    log-likelihood and ``whitened_ss``, the sum of squared whitened
-    innovations ``e' S^-1 e``."""
+    """Filtered means as ``(steps, 2K)`` rows ``(alpha, beta)``, the
+    innovations log-likelihood, ``whitened_ss``, the sum of squared whitened
+    innovations ``e' S^-1 e``, and ``final_state``, the last step's state as
+    one ``(mean, cov)`` per batch of the model's blocks."""
 
     means_array: np.ndarray
     loglik: float
     loglik_terms: np.ndarray
     innovations: np.ndarray
     whitened_ss: float
-    final_cov: np.ndarray = field(repr=False)
+    final_state: list = field(repr=False)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -267,71 +266,58 @@ def _update(block: Blocks, mean, cov, obs):
     return new_mean, new_cov, innovation, ll, white_ss
 
 
-def _blocks(model: StateSpaceModel, mean, cov):
-    """The ``(blocks, rows, mean, cov)`` batches the filter runs on a full
-    state: ``rows`` are the state positions ``(alpha, beta)`` of each block,
-    ``mean`` has one row and ``cov`` one covariance per block.  Raises
-    ValueError unless ``cov`` is exactly what these batches join back to."""
-    batches = []
-    for b in model.blocks:
-        rows = np.concatenate([b.index, b.index + model.k], axis=1)
-        batches.append((b, rows, mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
-    # the blocks' rows partition the state, so every nonzero of cov lies in
-    # a block exactly when the blocks gather all of them
-    if np.count_nonzero(cov) != sum(np.count_nonzero(c) for *_, c in batches):
-        raise ValueError("the covariance must split into the model's blocks: no covariance "
-                         "between two blocks (such as two cos/sin pairs, or a coefficient and "
-                         "a leakage channel)")
-    return batches
+def _checked(model: StateSpaceModel, state) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``state`` as float arrays; raises ValueError naming the batch unless it
+    holds one ``(mean, cov)`` of its block's shape per batch of ``model.blocks``."""
+    state = list(state)
+    if len(state) != len(model.blocks):
+        raise ValueError(f"the state must hold one (mean, cov) per batch of blocks: "
+                         f"{len(model.blocks)}, got {len(state)}")
+    out = []
+    for i, (b, (mean, cov)) in enumerate(zip(model.blocks, state)):
+        n, m = b.index.shape
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+        if mean.shape != (n, 2 * m) or cov.shape != (n, 2 * m, 2 * m):
+            raise ValueError(f"batch {i} of the state must have a mean of shape {(n, 2 * m)} "
+                             f"and a covariance of shape {(n, 2 * m, 2 * m)}, "
+                             f"got {mean.shape} and {cov.shape}")
+        out.append((mean, cov))
+    return out
 
 
-def _joined_cov(model: StateSpaceModel, batches) -> np.ndarray:
-    """A new full covariance from the batches of :func:`_blocks`."""
-    cov = np.zeros((2 * model.k, 2 * model.k))
-    for _, rows, _, block_cov in batches:
-        cov[rows[:, :, None], rows[:, None, :]] = block_cov
-    return cov
+def _rows(model: StateSpaceModel, block: Blocks) -> np.ndarray:
+    """The state positions ``(alpha, beta)`` of each of ``block``'s blocks."""
+    return np.concatenate([block.index, block.index + model.k], axis=1)
 
 
-def kf_filter(
-    model: StateSpaceModel,
-    observations: np.ndarray,
-    init_mean: np.ndarray,
-    init_cov: np.ndarray,
-) -> FilterResult:
+def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> FilterResult:
     """Run the predict/update recursion over a sequence of observations.
 
-    ``observations`` has one row per time step.  The initial mean is the
-    time-0 filtered state (:func:`default_init` builds it from the first
-    observation), so updates start at step 1.  ``init_cov`` must split
-    exactly into the model's blocks, as :func:`default_init`'s does.
+    ``observations`` has one row per time step.  ``state`` is the time-0
+    filtered state, one ``(mean, cov)`` per batch of ``model.blocks``
+    (:func:`default_init` builds it from the first observation), so updates
+    start at step 1.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    mean = np.asarray(init_mean, dtype=float)
-    cov = np.asarray(init_cov, dtype=float)
-    if mean.shape != (2 * model.k,):
-        raise ValueError(f"init_mean must have length {2 * model.k}")
-    if cov.shape != (2 * model.k, 2 * model.k):
-        raise ValueError("init_cov has wrong shape")
-
-    batches = _blocks(model, mean, cov)
+    state = _checked(model, state)
+    rows = [_rows(model, b) for b in model.blocks]
     steps = obs.shape[0]
     means = np.empty((steps, 2 * model.k))
     terms = []
     white_ss = 0.0
     innovations = np.zeros_like(obs)
 
-    means[0] = mean
+    for r, (m, _) in zip(rows, state):
+        means[0, r] = m
     for t in range(1, steps):
-        batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
-        updates = [_update(b, m, c, obs[t, b.index]) for b, _, m, c in batches]
-        batches = [(b, rows, *u[:2]) for (b, rows, _, _), u in zip(batches, updates)]
-        for (b, *_), u in zip(batches, updates):
+        updates = [_update(b, *_predict(b, m, c), obs[t, b.index])
+                   for b, (m, c) in zip(model.blocks, state)]
+        state = [u[:2] for u in updates]
+        for b, r, u in zip(model.blocks, rows, updates):
+            means[t, r] = u[0]
             innovations[t, b.index] = u[2]
         terms.append(sum(u[3] for u in updates))
         white_ss += sum(u[4] for u in updates)
-        for _, rows, m, _ in batches:
-            means[t, rows] = m
 
     terms = np.asarray(terms)
     return FilterResult(
@@ -340,28 +326,24 @@ def kf_filter(
         loglik_terms=terms,
         innovations=innovations,
         whitened_ss=float(white_ss),
-        final_cov=_joined_cov(model, batches),
+        final_state=state,
     )
 
 
-def kf_forecast(
-    model: StateSpaceModel,
-    last_state: np.ndarray,
-    last_cov: np.ndarray,
-    h: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate ``h`` steps ahead without updates; returns the ``h`` means
-    and the covariance after the last step."""
+def kf_forecast(model: StateSpaceModel, state, h: int) -> tuple[np.ndarray, list]:
+    """Propagate ``state`` (one ``(mean, cov)`` per batch, as
+    :attr:`FilterResult.final_state`) ``h`` steps ahead without updates;
+    returns the ``(h, 2K)`` means and the state after the last step."""
     if h < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {h}")
-    batches = _blocks(model, np.asarray(last_state, dtype=float),
-                      np.asarray(last_cov, dtype=float))
+    state = _checked(model, state)
+    rows = [_rows(model, b) for b in model.blocks]
     means = np.empty((h, 2 * model.k))
     for i in range(h):
-        batches = [(b, rows, *_predict(b, m, c)) for b, rows, m, c in batches]
-        for _, rows, m, _ in batches:
-            means[i, rows] = m
-    return means, _joined_cov(model, batches)
+        state = [_predict(b, m, c) for b, (m, c) in zip(model.blocks, state)]
+        for r, (m, _) in zip(rows, state):
+            means[i, r] = m
+    return means, state
 
 
 @dataclass
@@ -425,7 +407,8 @@ def estimate_variances(
         raise ValueError(f"the variance fit needs at least 2 evaluations, got {max_evaluations}")
 
     def run(params):
-        return kf_filter(model_factory(params), obs, *default_init(obs[0], params))
+        model = model_factory(params)
+        return kf_filter(model, obs, default_init(model, obs[0], params))
 
     def scaled(log_ratio, scale):
         return NoiseParams(scale, scale * float(np.exp(log_ratio)))

@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec, flip_vector_indices
+from mirrorspec.kalman import StateSpaceModel
 
 
 def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:
@@ -19,3 +20,35 @@ def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.c
     cols = flip_vector_indices(grid, variant)
     data = np.ones(4 * n)
     return sparse.csr_matrix((data, (np.arange(4 * n), cols)), shape=(4 * n, n))
+
+
+def _rows(model: StateSpaceModel, block) -> np.ndarray:
+    """The state positions ``(alpha, beta)`` of each of ``block``'s blocks."""
+    return np.concatenate([block.index, block.index + model.k], axis=1)
+
+
+def split(model: StateSpaceModel, mean: np.ndarray, cov: np.ndarray) -> list:
+    """The filter state, one ``(mean, cov)`` per batch of ``model.blocks``, that
+    gathers the dense ``2K`` mean and ``2K x 2K`` covariance; covariance between
+    two blocks is dropped."""
+    state = []
+    for b in model.blocks:
+        rows = _rows(model, b)
+        state.append((mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
+    return state
+
+
+def joined(model: StateSpaceModel, what) -> np.ndarray:
+    """The dense ``2K x 2K`` covariance of the filter state ``what``, or, for
+    ``what`` one of ``"phi"``, ``"v"``, ``"w_alpha"`` and ``"w_beta"``, the
+    ``K x K`` matrix that the blocks' own matrices join to."""
+    if isinstance(what, str):
+        out = np.zeros((model.k, model.k))
+        for b in model.blocks:
+            out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, what)
+        return out
+    out = np.zeros((2 * model.k, 2 * model.k))
+    for b, (_, cov) in zip(model.blocks, what):
+        rows = _rows(model, b)
+        out[rows[:, :, None], rows[:, None, :]] = cov
+    return out

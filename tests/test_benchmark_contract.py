@@ -54,9 +54,9 @@ def test_tracer_reads_fit_and_filter_results():
     }
     noise = NoiseParams(1e-3, 1e-3)
     model = factory(noise)
-    mean0, cov0 = default_init(obs[0], noise)
-    result = kf_filter(model, obs, mean0, cov0)
-    assert extras["kalman.kf_filter"](result, model, obs, mean0, cov0) == {
+    state0 = default_init(model, obs[0], noise)
+    result = kf_filter(model, obs, state0)
+    assert extras["kalman.kf_filter"](result, model, obs, state0) == {
         "k": ordering.k, "steps": 5, "update_first": False,
     }
 
@@ -68,12 +68,11 @@ def test_tracer_reads_the_flipped_state_size():
     noise = NoiseParams(1e-3, 1e-3)
     model = pipeline.factory(noise)
     obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
-    mean0, cov0 = default_init(obs[0], noise)
-    result = kf_filter(model, obs, mean0, cov0)
+    state0 = default_init(model, obs[0], noise)
+    result = kf_filter(model, obs, state0)
     assert model.blocks[-1].index.size == 6  # the leakage channels after K = 15
     assert model.k == pipeline.k == 21
-    assert load_tracer().EXTRAS["kalman.kf_filter"](
-        result, model, obs, mean0, cov0) == {
+    assert load_tracer().EXTRAS["kalman.kf_filter"](result, model, obs, state0) == {
         "k": pipeline.k, "steps": 4, "update_first": False,
     }
 

@@ -22,6 +22,7 @@ from mirrorspec.spectral import (
     flip_transfer,
     synthesize,
 )
+from oracles import joined, split
 
 
 def taylor_expm_oracle(a, terms=60):
@@ -236,10 +237,12 @@ def test_build_transition_zero_generator():
     theta = rng.integers(-9, 10, size=2 * k).astype(float)
     root = rng.integers(-3, 4, size=(2 * k, 2 * k)).astype(float)
     cov = root @ root.T
-    mean, pred = _predict(model, theta, cov)
-    noise = np.block([[model.w_alpha, np.zeros((k, k))], [np.zeros((k, k)), model.w_beta]])
-    assert np.array_equal(mean, expected @ theta)
-    assert np.array_equal(pred, expected @ cov @ expected.T + noise)
+    [block] = model.blocks  # one dense block: a batch of one
+    mean, pred = _predict(block, theta[None], cov[None])
+    w_alpha, w_beta = joined(model, "w_alpha"), joined(model, "w_beta")
+    noise = np.block([[w_alpha, np.zeros((k, k))], [np.zeros((k, k)), w_beta]])
+    assert np.array_equal(mean[0], expected @ theta)
+    assert np.array_equal(pred[0], expected @ cov @ expected.T + noise)
 
 
 def test_augmented_step_block_multiplication():
@@ -249,7 +252,9 @@ def test_augmented_step_block_multiplication():
     alpha = rng.normal(size=5)
     beta = rng.normal(size=5)
     theta = np.concatenate([alpha, beta])
-    out, _ = _predict(model, theta, np.eye(10))
+    [block] = model.blocks
+    out, _ = _predict(block, theta[None], np.eye(10)[None])
+    out = out[0]
     assert np.allclose(out[:5], phi @ alpha + beta)
     assert np.array_equal(out[5:], beta)
     assert np.allclose(augmented(phi) @ theta, out)
@@ -275,5 +280,5 @@ def test_augmented_step_of_leakage_channels():
 def test_two_steps_with_zero_generator_accumulate_forcing():
     model = direct_model(np.eye(4), NoiseParams(1e-3, 1e-3))
     theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
-    means, _ = kf_forecast(model, theta, np.zeros((8, 8)), 2)
+    means, _ = kf_forecast(model, split(model, theta, np.zeros((8, 8))), 2)
     assert np.allclose(means[1][:4], 1.0)

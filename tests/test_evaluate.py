@@ -15,6 +15,7 @@ from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
 from mirrorspec.spectral import ModeOrdering, synthesize
+from oracles import joined, split
 
 
 def test_mae_trivial_cases():
@@ -108,10 +109,10 @@ def test_run_comparison_zero_noise_exact_model():
     obs = pipeline.observations(frames)
     noise = NoiseParams(1e-9, 1e-9)
     model = pipeline.factory(noise)
-    mean0, cov0 = default_init(obs[0], noise)
+    cov0 = joined(model, default_init(model, obs[0], noise))
     # the first observed increment y_1 - Phi y_0 is the exact forcing of noiseless data
-    mean0[model.k:] = obs[1] - model.phi @ obs[0]
-    result = kf_filter(model, obs, mean0, cov0)
+    mean0 = np.concatenate([obs[0], obs[1] - joined(model, "phi") @ obs[0]])
+    result = kf_filter(model, obs, split(model, mean0, cov0))
     for t in (3, 5, 7):
         recon = pipeline.reconstruct(result.means_array[t, :model.k])
         assert mae(frames[t], recon, WHOLE_DOMAIN) <= 1e-6

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +31,7 @@ from mirrorspec.spectral import (
     flip_transfer,
     synthesize,
 )
+from oracles import joined, split
 
 
 # The 3x3 start grid of the variance fit before it profiled out the scale.
@@ -36,8 +40,16 @@ OLD_GRID = (1e-4, 1e-3, 1e-2)
 
 def full_pass_loglik(factory, obs, params):
     """Log-likelihood of one filter pass from the default initial state."""
-    mean0, cov0 = default_init(obs[0], params)
-    return kf_filter(factory(params), obs, mean0, cov0).loglik
+    model = factory(params)
+    return kf_filter(model, obs, default_init(model, obs[0], params)).loglik
+
+
+def untied_model(phi, noise):
+    """The dense model of ``phi`` whose observation covariance is
+    ``sigma2_obs * I`` alone, without ``direct_model``'s ``sigma2_alpha``."""
+    eye = np.eye(len(phi))
+    return StateSpaceModel((Blocks(np.arange(len(phi))[None], phi[None], noise.sigma2_obs * eye,
+                                   noise.sigma2_alpha * eye, noise.sigma2_beta * eye),))
 
 
 def identity_model(k, noise):
@@ -58,9 +70,7 @@ def test_static_model_converges_to_observation():
     noise = NoiseParams(1e-4, 1e-8)
     model = identity_model(3, noise)
     obs = np.tile([1.0, -2.0, 0.5], (40, 1))
-    mean0 = np.zeros(2 * model.k)
-    cov0 = np.eye(2 * model.k)
-    result = kf_filter(model, obs, mean0, cov0)
+    result = kf_filter(model, obs, split(model, np.zeros(2 * model.k), np.eye(2 * model.k)))
     assert np.abs(result.means_array[-1][: model.k] - obs[0]).max() <= 1e-3
 
 
@@ -75,7 +85,7 @@ def test_noiseless_exact_model_reproduces_simulation():
     floor = NoiseParams(1e-10, 1e-10)
     model = direct_model(phi, floor)
     mean0 = np.concatenate([sim.alphas[0], sim.betas[0]])
-    result = kf_filter(model, obs, mean0, 1e-8 * np.eye(2 * ordering.k))
+    result = kf_filter(model, obs, split(model, mean0, 1e-8 * np.eye(2 * ordering.k)))
     for t in range(cfg.steps):
         assert np.abs(result.means_array[t, : ordering.k] - sim.alphas[t]).max() <= 1e-6
     # exact model: innovations vanish after burn-in
@@ -95,8 +105,7 @@ def test_filtered_mae_bounded_by_noise_on_replica():
     ordering = ModeOrdering(cfg.grid)
     noise = NoiseParams(0.005, 0.001)
     model = direct_model(block_transition(ordering, cfg.velocity, cfg.delta), noise)
-    mean0, cov0 = default_init(noisy.alphas[0], noise)
-    result = kf_filter(model, noisy.alphas, mean0, cov0)
+    result = kf_filter(model, noisy.alphas, default_init(model, noisy.alphas[0], noise))
     t = cfg.steps - 1
     filtered = synthesize(ordering, result.means_array[t, : ordering.k])
     noise_scale = np.abs(noisy.fields[t].values - clean.fields[t].values).mean()
@@ -111,13 +120,15 @@ def test_forecast_constant_under_identity():
     model = identity_model(3, noise)
     k = model.k
     state = np.concatenate([np.array([1.0, 2.0, -1.0][:k]), np.zeros(k)])
-    _, cov1 = kf_forecast(model, state, np.zeros((2 * k, 2 * k)), 1)
-    means, cov5 = kf_forecast(model, state, np.zeros((2 * k, 2 * k)), 5)
+    start = split(model, state, np.zeros((2 * k, 2 * k)))
+    _, state1 = kf_forecast(model, start, 1)
+    means, state5 = kf_forecast(model, start, 5)
     for m in means:
         assert np.allclose(m[:k], state[:k])
     # covariance grows by W each step
-    assert np.allclose(cov1[:k, :k], model.w_alpha)
-    assert np.allclose(cov5[:k, :k], 5 * model.w_alpha)
+    w_alpha = joined(model, "w_alpha")
+    assert np.allclose(joined(model, state1)[:k, :k], w_alpha)
+    assert np.allclose(joined(model, state5)[:k, :k], 5 * w_alpha)
 
 
 def test_forecast_pure_advection_translates():
@@ -129,7 +140,7 @@ def test_forecast_pure_advection_translates():
     g, ordering, phi = advection_setup(16)
     model = direct_model(phi, NoiseParams(1e-10, 1e-10))
     state = np.concatenate([sim.alphas[2], sim.betas[2]])
-    means, _ = kf_forecast(model, state, 1e-10 * np.eye(2 * ordering.k), 1)
+    means, _ = kf_forecast(model, split(model, state, 1e-10 * np.eye(2 * ordering.k)), 1)
     assert np.abs(means[0][: ordering.k] - sim.alphas[3]).max() <= 1e-5
 
 
@@ -143,9 +154,8 @@ def test_forecast_error_grows_with_horizon():
     noise = NoiseParams(0.002, 0.0005)
     model = direct_model(phi, noise)
     train = 6
-    mean0, cov0 = default_init(sim.alphas[0], noise)
-    result = kf_filter(model, sim.alphas[:train], mean0, cov0)
-    means, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 10)
+    result = kf_filter(model, sim.alphas[:train], default_init(model, sim.alphas[0], noise))
+    means, _ = kf_forecast(model, result.final_state, 10)
     errs = [np.abs(means[h][: ordering.k] - sim.alphas[train + h]).mean() for h in range(10)]
     # smooth out single-step wiggles: compare 3-step block averages
     blocks = [np.mean(errs[i : i + 3]) for i in (0, 3, 6)]
@@ -161,9 +171,9 @@ def test_covariances_stay_symmetric_psd():
     g, ordering, phi = advection_setup(8)
     noise = NoiseParams(0.01, 0.002)
     model = direct_model(phi, noise)
-    mean0, cov0 = default_init(sim.alphas[0], noise)
+    state0 = default_init(model, sim.alphas[0], noise)
     for t in range(len(sim.alphas)):
-        cov = kf_filter(model, sim.alphas[: t + 1], mean0, cov0).final_cov
+        cov = joined(model, kf_filter(model, sim.alphas[: t + 1], state0).final_state)
         assert np.abs(cov - cov.T).max() == 0.0
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
@@ -177,21 +187,22 @@ def test_loglik_decomposes_over_innovations():
     g, ordering, phi = advection_setup(8)
     noise = NoiseParams(0.004, 0.001)
     model = direct_model(phi, noise)
-    mean0, cov0 = default_init(sim.alphas[0], noise)
-    result = kf_filter(model, sim.alphas, mean0, cov0)
+    state0 = default_init(model, sim.alphas[0], noise)
+    result = kf_filter(model, sim.alphas, state0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
 
     # independent recomputation: the covariance recursion does not depend on
     # the data, so rebuild S_t and score the stored innovations
     k = ordering.k
-    cov = cov0.copy()
+    v, w_alpha, w_beta = (joined(model, name) for name in ("v", "w_alpha", "w_beta"))
+    cov = joined(model, state0)
     total = 0.0
     for t in range(1, cfg.steps):
         p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
         x, y = phi @ p11, phi @ p12
-        pred = np.block([[x @ phi.T + y + y.T + p22 + model.w_alpha, y + p22],
-                         [(y + p22).T, p22 + model.w_beta]])
-        s = pred[:k, :k] + model.v
+        pred = np.block([[x @ phi.T + y + y.T + p22 + w_alpha, y + p22],
+                         [(y + p22).T, p22 + w_beta]])
+        s = pred[:k, :k] + v
         e = result.innovations[t]
         chol = scipy.linalg.cho_factor(s, lower=True)
         white = scipy.linalg.solve_triangular(chol[0], e, lower=True)
@@ -199,7 +210,7 @@ def test_loglik_decomposes_over_innovations():
                          + 2 * np.sum(np.log(np.diag(chol[0]))) + white @ white)
         gain = scipy.linalg.cho_solve(chol, pred[:k, :].copy()).T
         ap = pred - gain @ pred[:k, :]
-        cov = ap - ap[:, :k] @ gain.T + gain @ model.v @ gain.T
+        cov = ap - ap[:, :k] @ gain.T + gain @ v @ gain.T
         cov = 0.5 * (cov + cov.T)
     assert np.isclose(total, result.loglik, atol=1e-9)
 
@@ -220,13 +231,13 @@ def test_variance_mle_recovers_within_factor_three():
     )
     obs = sim.alphas[:, sub]
     fit = estimate_variances(
-        lambda p: direct_model(phi, p, tie_obs=False),
+        lambda p: untied_model(phi, p),
         obs,
         max_evaluations=150,
     )
     assert 0.005 / 3 <= fit.params.sigma2_alpha <= 0.005 * 3
     assert 0.001 / 3 <= fit.params.sigma2_beta <= 0.001 * 3
-    factory = lambda p: direct_model(phi, p, tie_obs=False)
+    factory = lambda p: untied_model(phi, p)
     assert all(fit.loglik >= full_pass_loglik(factory, obs, NoiseParams(sa, sb)) - 1e-9
                for sa in OLD_GRID for sb in OLD_GRID)
 
@@ -241,7 +252,7 @@ def test_variance_mle_noiseless_collapses_to_floor():
     # d(t) = alpha(t+1) - alpha(t) follows d(t+1) = Phi d(t) with no forcing, so
     # the fit's start from default_init (first observation, zero forcing) is exact
     fit = estimate_variances(
-        lambda p: direct_model(phi, p, tie_obs=False),
+        lambda p: untied_model(phi, p),
         np.diff(sim.alphas, axis=0),
         max_evaluations=250,
     )
@@ -266,8 +277,7 @@ def test_likelihood_peaks_near_true_parameters():
 
     def loglik(params):
         model = direct_model(phi, params)
-        mean0, cov0 = default_init(obs[0], params)
-        return kf_filter(model, obs, mean0, cov0).loglik
+        return kf_filter(model, obs, default_init(model, obs[0], params)).loglik
 
     true = loglik(NoiseParams(0.005, 0.001))
     assert true > loglik(NoiseParams(0.05, 0.01))
@@ -279,14 +289,14 @@ def test_filter_breakdown_raises_diagnostic():
     k2 = 2 * model.k
     obs = np.zeros((4, model.k))
     with pytest.raises(FilterError, match="not positive definite"):
-        kf_filter(model, obs, np.zeros(k2), -np.eye(k2))
+        kf_filter(model, obs, split(model, np.zeros(k2), -np.eye(k2)))
 
 
 @pytest.mark.parametrize("field", ["sigma2_alpha", "sigma2_beta", "sigma2_obs"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_noise_params_must_be_finite(field, value):
-    # a NaN variance would otherwise reach the filter, where NaN != NaN breaks
-    # the check that the initial covariance splits into the model's blocks
+    # a NaN variance would otherwise reach the filter and turn every filtered
+    # mean, covariance and log-likelihood into NaN without an error
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         NoiseParams(**{"sigma2_alpha": 1e-3, "sigma2_beta": 1e-3, field: value})
 
@@ -379,17 +389,18 @@ def dense_model(phi, h, noise):
     return StateSpaceModel((block,)), t
 
 
-def mapped_init(t, first_obs, noise):
-    """:func:`default_init` at ``T^-1 first_obs``, mapped to the state ``(T z, T beta)``."""
-    mean, cov = default_init(np.linalg.solve(t, first_obs), noise)
+def mapped_init(dense, t, first_obs, noise):
+    """:func:`default_init` of the one-block model ``dense`` at ``T^-1 first_obs``,
+    mapped to the state ``(T z, T beta)``."""
+    [(mean, cov)] = default_init(dense, np.linalg.solve(t, first_obs), noise)
     tt = np.kron(np.eye(2), t)
-    return tt @ mean, tt @ cov @ tt.T
+    return split(dense, tt @ mean[0], tt @ cov[0] @ tt.T)
 
 
 def filter_and_forecast(model, obs, noise, init=None):
-    init = default_init(obs[0], noise) if init is None else init
-    result = kf_filter(model, obs, *init)
-    forecast, _ = kf_forecast(model, result.means_array[-1], result.final_cov, 3)
+    init = default_init(model, obs[0], noise) if init is None else init
+    result = kf_filter(model, obs, init)
+    forecast, _ = kf_forecast(model, result.final_state, 3)
     return result, np.vstack([result.means_array, forecast])
 
 
@@ -417,7 +428,7 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
     got, got_means = filter_and_forecast(model, obs, noise)
     want, want_means = filter_and_forecast(dense, band_obs, noise,
-                                           mapped_init(t, band_obs[0], noise))
+                                           mapped_init(dense, t, band_obs[0], noise))
     # the filter on z = T^-1 y has the density of y times |det T|, once per update
     jacobian = len(got.loglik_terms) * np.linalg.slogdet(t)[1]
     assert got.loglik - jacobian == pytest.approx(want.loglik, rel=1e-9)
@@ -442,28 +453,12 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
     assert dense.k == 65 > pipeline.k == 21
 
     _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise)
-    _, want = filter_and_forecast(dense, dense_obs, noise, mapped_init(t, dense_obs[0], noise))
+    _, want = filter_and_forecast(dense, dense_obs, noise,
+                                  mapped_init(dense, t, dense_obs[0], noise))
     for g_mean, w_mean in zip(got, want):
         got_field = pipeline.reconstruct(g_mean).values
         want_field = unflip(synthesize(star, w_mean[:65])).values
         assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
-
-
-def test_flipped_filter_rejects_a_covariance_the_blocks_cannot_hold():
-    g = GridSpec(16, 16)
-    pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
-    noise = NoiseParams(1e-3, 1e-3)
-    model = pipeline.factory(noise)
-    k, kr = model.k, model.blocks[-1].index[0, 0]
-    obs = np.zeros((3, k))
-    mean0, cov0 = default_init(obs[0], noise)
-    kf_filter(model, obs, mean0, cov0)
-    coupled = cov0.copy()
-    coupled[0, kr] = coupled[kr, 0] = 1e-3  # a coefficient with a leakage channel
-    with pytest.raises(ValueError, match="leakage channel"):
-        kf_filter(model, obs, mean0, coupled)
-    with pytest.raises(ValueError, match="leakage channel"):
-        kf_forecast(model, mean0, coupled, 1)
 
 
 # --- constant coefficients: the filter one cos/sin pair at a time -----------
@@ -520,24 +515,10 @@ def test_pair_filter_equals_the_dense_filter():
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
     assert np.abs(got.innovations - want.innovations).max() <= 1e-9
     assert np.abs(got_means - want_means).max() <= 1e-9
-    assert np.abs(got.final_cov - want.final_cov).max() <= 1e-9
-    _, got_cov = kf_forecast(pairs, got.means_array[-1], got.final_cov, 2)
-    _, want_cov = kf_forecast(dense, want.means_array[-1], want.final_cov, 2)
-    assert np.abs(got_cov - want_cov).max() <= 1e-9
-
-
-def test_pair_filter_rejects_a_covariance_that_couples_two_pairs():
-    batches, ordering, obs = pair_case()
-    noise = NoiseParams(1e-3, 1e-3)
-    model = direct_model(batches, noise)
-    mean0, cov0 = default_init(obs[0], noise)
-    first, second = model.blocks[0].index[:2, 0]
-    coupled = cov0.copy()
-    coupled[first, second] = coupled[second, first] = 1e-3
-    with pytest.raises(ValueError, match="two cos/sin pairs"):
-        kf_filter(model, obs, mean0, coupled)
-    with pytest.raises(ValueError, match="two cos/sin pairs"):
-        kf_forecast(model, mean0, coupled, 1)
+    assert np.abs(joined(pairs, got.final_state) - joined(dense, want.final_state)).max() <= 1e-9
+    _, got_state = kf_forecast(pairs, got.final_state, 2)
+    _, want_state = kf_forecast(dense, want.final_state, 2)
+    assert np.abs(joined(pairs, got_state) - joined(dense, want_state)).max() <= 1e-9
 
 
 def test_pair_filter_breakdown_raises_diagnostic():
@@ -545,7 +526,61 @@ def test_pair_filter_breakdown_raises_diagnostic():
     model = direct_model(batches, NoiseParams(1e-6, 1e-6))
     k2 = 2 * model.k
     with pytest.raises(FilterError, match="not positive definite"):
-        kf_filter(model, obs, np.zeros(k2), -np.eye(k2))
+        kf_filter(model, obs, split(model, np.zeros(k2), -np.eye(k2)))
+
+
+@pytest.mark.parametrize("physics", ["pairs", "flip"])
+def test_filter_and_forecast_reject_a_state_of_the_wrong_shape(physics):
+    # the state is one (mean, cov) per batch of blocks: a state with a batch
+    # missing, or with a batch of another block size, is rejected by name, and
+    # so is a first observation of another length
+    if physics == "pairs":
+        batches, _, obs = pair_case()
+        model = direct_model(batches, NoiseParams(1e-3, 1e-3))
+    else:
+        pipeline = build_pipeline(GridSpec(16, 16), ModelSpec("flip64", k=64, flip=True),
+                                  velocity=(0.01, 0.0))
+        model = pipeline.factory(NoiseParams(1e-3, 1e-3))
+        obs = np.zeros((3, model.k))
+    state = default_init(model, obs[0], NoiseParams(1e-3, 1e-3))
+    n = len(model.blocks)
+    mean, cov = state[-1]
+    m = mean.shape[1] // 2
+    wrong = {
+        f"one (mean, cov) per batch of blocks: {n}, got {n - 1}": state[:-1],
+        f"batch {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
+        f"of shape {cov.shape}, got {mean[1:].shape} and {cov.shape}":
+            state[:-1] + [(mean[1:], cov)],
+        f"batch {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
+        f"of shape {cov.shape}, got {mean.shape} and {cov[:, :m, :m].shape}":
+            state[:-1] + [(mean, cov[:, :m, :m])],
+    }
+    for message, bad in wrong.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kf_filter(model, obs, bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kf_forecast(model, bad, 1)
+    with pytest.raises(ValueError, match=f"first_obs must have length {model.k}"):
+        default_init(model, obs[0, 1:], NoiseParams(1e-3, 1e-3))
+
+
+def test_replica_filter_pass_keeps_no_dense_covariance():
+    # one default_init + kf_filter pass on the 1024-coefficient pair model of
+    # test_filtered_mae_bounded_by_noise_on_replica: the state is 510 4x4 and
+    # four 2x2 covariances, where one dense 2048 x 2048 covariance takes 32 MiB
+    cfg = SimulationConfig(grid=GridSpec(32, 32), steps=20, noise_alpha=0.005,
+                           noise_beta=0.001, noise_modes=40, seed=6)
+    obs = simulate_advection(cfg).alphas
+    noise = NoiseParams(0.005, 0.001)
+    model = direct_model(block_transition(ModeOrdering(cfg.grid), cfg.velocity, cfg.delta), noise)
+    assert model.k == 1024
+    tracemalloc.start()
+    try:
+        kf_filter(model, obs, default_init(model, obs[0], noise))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("physics,layout", [
