@@ -10,6 +10,7 @@ click alone, and a run starts without paying SciPy's import time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import sys
@@ -34,11 +35,15 @@ NUMERICAL_ERRORS = (FilterError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class _Run:
-    """Collects outputs and writes the run log on success."""
+    """Collects outputs and writes the run log on success.
 
-    def __init__(self, command: str, config: RunConfig, out: str):
+    ``tag``, when given, goes before the config hash in the run log's name, so
+    that runs of one command and config on different inputs keep their own logs."""
+
+    def __init__(self, command: str, config: RunConfig, out: str, tag: str = ""):
         self.command = command
         self.config = config
+        self.tag = f"{tag}-" if tag else ""
         self.out = Path(out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
@@ -61,7 +66,7 @@ class _Run:
             "versions": versions,
             **extra,
         }
-        path = self.out / f"runlog-{self.command}-{self.config.hash}.json"
+        path = self.out / f"runlog-{self.command}-{self.tag}{self.config.hash}.json"
         path.write_text(json.dumps(log, indent=2, default=str) + "\n")
 
 
@@ -404,12 +409,21 @@ def evaluate(stack_path, config, out, seed, region):
 @click.option("--scale", default=None, help="min,max (default: config or auto)")
 @_exits_on_config_error
 def render(stack_path, config, out, frame, scale):
-    """Render one frame as a portable graymap with a scale sidecar."""
+    """Render one frame as a portable graymap with a scale sidecar.
+
+    The image, its sidecar and the run log are named from the frame, a digest
+    of the input stack's grid and frame values, and the config hash: frames of
+    two stacks rendered into one ``--out`` keep their own files, and a stack
+    rendered again, from any path, gets the same names."""
     cfg = RunConfig.load(config)
     stack = _load_input_stack(stack_path)
     if not 0 <= frame < stack.steps:
         _fail(2, f"frame {frame} out of range [0, {stack.steps})")
-    run = _Run("render", cfg, out)
+    digest = hashlib.sha256(f"{stack.grid.n1}x{stack.grid.n2}".encode())
+    for f in stack.frames:
+        digest.update(f.values.tobytes())
+    tag = digest.hexdigest()[:12]
+    run = _Run("render", cfg, out, tag)
     if scale is not None:
         try:
             lo, hi = (float(v) for v in scale.split(","))
@@ -420,10 +434,10 @@ def render(stack_path, config, out, frame, scale):
         cfg_scale = cfg.data["render"]["scale"]
         bounds = None if cfg_scale == "auto" else tuple(cfg_scale)
     try:
-        render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}", ".pgm"), bounds)
+        render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}-{tag}", ".pgm"), bounds)
     except ValueError as exc:
         _fail(2, f"--scale: {exc}")
-    run.finish(frame=frame)
+    run.finish(frame=frame, stack=str(Path(stack_path).resolve()))
     click.echo(f"rendered frame {frame} to {run.outputs[0]}")
 
 

@@ -21,6 +21,15 @@ weight over the test weight and cosine-squared mass:
 with ``w = 1`` on the corner set, ``w = 2`` elsewhere, and
 ``c_k = mean(cos^2(kt.s))``.  Integrals are grid-point means (cell weight
 1/N), which is exact for band-limited integrands below Nyquist.
+
+Each such mean is one coefficient field (``v - div D`` by component, or
+``d``) times two trigonometric modes, and the product-to-sum identities turn
+the two modes into single waves at ``k_i + k_j`` and ``k_i - k_j``.  The grid
+mean of a field times a wave is the field's DFT at that wavenumber, taken mod
+``(n1, n2)`` as the samples alias it, so :func:`assemble_transition` reads
+every entry from three FFTs.  Sigrist, Künsch & Stahel (2015, JRSS-B 77(1))
+build their spectral model on the same Fourier-Galerkin structure.
+:func:`psi_entry` keeps the pointwise quadrature of single entries.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ __all__ = [
 ]
 
 PSI_KINDS = ("A1", "A2", "A3", "A4", "D1", "D2", "D3", "D4")
-ASSEMBLY_CHUNK = 128  # source modes per dense block in assemble_transition
 
 
 def _as_grid_values(grid: GridSpec, values, name: str) -> np.ndarray:
@@ -202,11 +210,31 @@ def assemble_transition(
     vel: VelocityField,
     dif: DiffusivityField,
 ) -> np.ndarray:
-    """Assemble the ``K x K`` generator over the retained modes.
+    """Assemble the ``K x K`` generator over the retained modes from the DFT
+    of the coefficient fields.
 
-    Entrywise identical to :func:`psi_entry` with the weight/normalization
-    scalings applied, but evaluated blockwise with dense products.  Only
-    retained rows and columns are ever formed.
+    Mode ``j`` is ``Re(tau_j e^{i theta_j})`` with ``theta_j = 2 pi k_j.s``
+    and ``tau_j`` 1 for a cosine, ``-i`` for a sine.  Since ``A`` is real,
+
+        A Re(tau_j e^{i theta_j}) = Re(tau_j h_j e^{i theta_j}),
+        h_j = -i (u kt_x + w kt_y) - |kt|^2 d,   (u, w) = v - div D,
+
+    and the product with test mode ``i`` splits by the product-to-sum
+    identities into the waves at ``k_i + k_j`` and ``k_i - k_j``:
+
+        mean(f_i A f_j) = 1/2 Re(tau_i tau_j mean(h_j e^{i(theta_i + theta_j)})
+                                 + tau_i conj(tau_j) mean(conj(h_j) e^{i(theta_i - theta_j)})).
+
+    On the grid ``x = j/n1``, ``y = i/n2`` the mean of a field times
+    ``e^{i 2 pi m.s}`` is the conjugate of its DFT at ``m`` mod ``(n1, n2)``,
+    divided by ``N``, so every entry is a gather from the DFTs of ``u``, ``w``
+    and ``d``.  The identities are exact at each sample and the modulus is the
+    aliasing the grid mean has, so this is the quadrature of :func:`psi_entry`
+    entry for entry, up to rounding.  It takes three ``n1 x n2`` FFTs,
+    ``O(N log N)``, and ``O(K^2)`` gathers, with no ``N x K`` table.
+
+    ``P[i, j]`` scales the mean by ``w_j / (w_i c_i)``, and ``w_i c_i = 1`` for
+    every mode (1 x 1 on the corners, 2 x 1/2 elsewhere), which leaves ``w_j``.
     """
     grid = ordering.grid
     if vel.grid != grid or dif.grid != grid:
@@ -215,34 +243,16 @@ def assemble_transition(
     if not (vel.vx.any() or vel.vy.any()) and dif.is_zero():
         return np.zeros((k, k))
 
-    x, y = grid.mesh()
-    xf = x.flatten(order="F")
-    yf = y.flatten(order="F")
-    arg = 2 * np.pi * (xf[:, None] * ordering.kx[None, :] + yf[:, None] * ordering.ky[None, :])
-    cos_all = np.cos(arg)
-    sin_all = np.sin(arg)
-    del arg
-    test = np.where(ordering.is_sin[None, :], sin_all, cos_all)
-
-    ktx = 2 * np.pi * ordering.kx
-    kty = 2 * np.pi * ordering.ky
-    psi = np.empty((k, k))
-    for lo in range(0, k, ASSEMBLY_CHUNK):
-        hi = min(lo + ASSEMBLY_CHUNK, k)
-        a = vel.vx[:, None] * ktx[lo:hi] + vel.vy[:, None] * kty[lo:hi]
-        # kt.D kt term by term: d * |kt|^2 would round every entry differently
-        quad = (dif.d[:, None] * (ktx[lo:hi] * ktx[lo:hi])
-                + dif.d[:, None] * (kty[lo:hi] * kty[lo:hi]))
-        divk = dif.div_dx[:, None] * ktx[lo:hi] + dif.div_dy[:, None] * kty[lo:hi]
-        cos_b = cos_all[:, lo:hi]
-        sin_b = sin_all[:, lo:hi]
-        src = np.where(
-            ordering.is_sin[lo:hi][None, :],
-            -a * cos_b - quad * sin_b + divk * cos_b,
-            a * sin_b - quad * cos_b - divk * sin_b,
-        )
-        psi[:, lo:hi] = test.T @ src
-    psi /= grid.n
-
-    scale_row = 1.0 / (ordering.weight * ordering.cnorm)
-    return psi * scale_row[:, None] * ordering.weight[None, :]
+    # column-stacked values reshape to (x, y); the conjugate DFT / N is mean(F e^{+i 2 pi m.s})
+    fields = np.stack([vel.vx - dif.div_dx, vel.vy - dif.div_dy, dif.d])
+    means = np.fft.fft2(fields.reshape(3, grid.n1, grid.n2)).conj() / grid.n
+    kx, ky = ordering.kx, ordering.ky
+    at_sum = means[:, (kx[:, None] + kx) % grid.n1, (ky[:, None] + ky) % grid.n2]
+    at_dif = means[:, (kx[:, None] - kx) % grid.n1, (ky[:, None] - ky) % grid.n2]
+    ktx, kty = 2 * np.pi * kx, 2 * np.pi * ky
+    quad = ktx * ktx + kty * kty
+    h_sum = -1j * (ktx * at_sum[0] + kty * at_sum[1]) - quad * at_sum[2]
+    h_dif = 1j * (ktx * at_dif[0] + kty * at_dif[1]) - quad * at_dif[2]
+    tau = np.where(ordering.is_sin, -1j, 1.0)
+    mean = 0.5 * (tau[:, None] * (tau * h_sum + tau.conj() * h_dif)).real
+    return mean * ordering.weight

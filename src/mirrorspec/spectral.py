@@ -259,8 +259,11 @@ class MirrorBand:
         self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)
         self.k = len(self.rows)
         self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
+        # the DCT-II rows of each band index, along x and along y
+        self._dct_x = _dct_matrix(grid.n1)[self.cols]
+        self._dct_y = _dct_matrix(grid.n2)[self.rows]
         # values are column-stacked (x outer, y inner), so the y factor varies fastest
-        outer = _dct_matrix(grid.n1)[self.cols, :, None] * _dct_matrix(grid.n2)[self.rows, None, :]
+        outer = self._dct_x[:, :, None] * self._dct_y[:, None, :]
         outer *= self.scale[:, None, None]
         self.analysis = outer.reshape(self.k, grid.n)
 
@@ -268,8 +271,27 @@ class MirrorBand:
         return self.analysis @ f.values
 
     def transfer(self, ordering: ModeOrdering) -> np.ndarray:
-        """``H_S`` (``k x ordering.k``): the band coordinates of each basis column."""
-        return self.analysis @ basis_matrix(ordering)
+        """``H_S`` (``k x ordering.k``): the band coordinates of each basis column,
+        ``analysis @ basis_matrix(ordering)``, from 1-D DCT projections.
+
+        Row ``s`` of ``analysis`` is ``scale[s]`` times the outer product of the
+        DCT-II rows ``C_x[cols[s]]`` and ``C_y[rows[s]]``, and by the angle-sum
+        identities a basis column ``w cos|sin(a_x + a_y)``, with
+        ``a_x = 2 pi k_x x`` and ``a_y = 2 pi k_y y``, is a sum of two products
+        of a function of ``x`` and one of ``y``.  So each entry is a sum of two
+        products of the 1-D projections ``C_x[cols] @ cos|sin(a_x)`` and
+        ``C_y[rows] @ cos|sin(a_y)``: the same sums in another order, exact up
+        to rounding.  That costs ``O(dim S (n1 + n2) K)`` with no ``n x K``
+        basis table.
+        """
+        if ordering.grid != self.grid:
+            raise ValueError("ordering is not defined on the band's grid")
+        ax = 2.0 * np.pi * np.outer(self.grid.coords_x(), ordering.kx)
+        ay = 2.0 * np.pi * np.outer(self.grid.coords_y(), ordering.ky)
+        cx, sx = self._dct_x @ np.cos(ax), self._dct_x @ np.sin(ax)
+        cy, sy = self._dct_y @ np.cos(ay), self._dct_y @ np.sin(ay)
+        h = np.where(ordering.is_sin, sx * cy + cx * sy, cx * cy - sx * sy)
+        return h * self.scale[:, None] * ordering.weight
 
     def reconstruct(self, coeffs: np.ndarray) -> Field:
         return Field(self.grid, (coeffs / self.scale**2) @ self.analysis)

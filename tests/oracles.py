@@ -52,3 +52,30 @@ def joined(model: StateSpaceModel, what) -> np.ndarray:
         rows = _rows(model, b)
         out[rows[:, :, None], rows[:, None, :]] = cov
     return out
+
+
+def quadrature_transition(ordering, vel, dif) -> np.ndarray:
+    """The Galerkin generator by grid quadrature: every retained mode at every
+    grid point as an ``N x K`` table, and ``P = test' src / N`` scaled by
+    ``w_j / (w_i c_i)``.  The tests hold
+    :func:`mirrorspec.galerkin.assemble_transition` to it."""
+    grid = ordering.grid
+    x, y = grid.mesh()
+    arg = 2 * np.pi * (x.flatten(order="F")[:, None] * ordering.kx
+                       + y.flatten(order="F")[:, None] * ordering.ky)
+    cos_all, sin_all = np.cos(arg), np.sin(arg)
+    test = np.where(ordering.is_sin, sin_all, cos_all)
+    ktx, kty = 2 * np.pi * ordering.kx, 2 * np.pi * ordering.ky
+    psi = np.empty((ordering.k, ordering.k))
+    for lo in range(0, ordering.k, 128):
+        cols = slice(lo, lo + 128)
+        a = vel.vx[:, None] * ktx[cols] + vel.vy[:, None] * kty[cols]
+        quad = dif.d[:, None] * (ktx[cols] * ktx[cols]) + dif.d[:, None] * (kty[cols] * kty[cols])
+        divk = dif.div_dx[:, None] * ktx[cols] + dif.div_dy[:, None] * kty[cols]
+        cos_b, sin_b = cos_all[:, cols], sin_all[:, cols]
+        src = np.where(ordering.is_sin[cols],
+                       -a * cos_b - quad * sin_b + divk * cos_b,
+                       a * sin_b - quad * cos_b - divk * sin_b)
+        psi[:, cols] = test.T @ src
+    psi /= grid.n
+    return psi / (ordering.weight * ordering.cnorm)[:, None] * ordering.weight

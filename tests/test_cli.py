@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,42 @@ def test_flip_and_render_pipeline(runner, tmp_path):
     pgm = next(rout.glob("frame-0002-*.pgm"))
     assert pgm.read_bytes().startswith(b"P5\n48 48\n255\n")
     assert pgm.with_suffix(".pgm.scale.json").exists()
+
+
+def test_render_keeps_the_frames_of_two_stacks_apart(runner, tmp_path):
+    # the same frame of two stacks under one config into one --out, as the
+    # README's direct/mirrored example does
+    cfg = write_config(tmp_path)
+    stacks = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"sim{seed}"
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out),
+                                      "--seed", seed])
+        assert result.exit_code == 0, result.output
+        stacks.append(next(out.glob("stack-simulated-*")))
+    rout = tmp_path / "img"
+
+    def render(stack):
+        result = runner.invoke(main, ["render", str(stack), "--config", cfg,
+                                      "--out", str(rout), "--frame", "1"])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in rout.iterdir() if p.suffix != ".json"
+                or p.name.endswith(".scale.json")}
+
+    render(stacks[0])
+    files = render(stacks[1])
+    pgms = sorted(rout.glob("frame-0001-*.pgm"))
+    assert len(pgms) == 2 and pgms[0].read_bytes() != pgms[1].read_bytes()
+    assert all(p.with_suffix(".pgm.scale.json").exists() for p in pgms)
+    logs = [read_runlog(p) for p in rout.glob("runlog-render-*.json")]
+    assert sorted(log["stack"] for log in logs) == sorted(str(s.resolve()) for s in stacks)
+    assert sorted(log["outputs"][0] for log in logs) == sorted(str(p) for p in pgms)
+    assert len(files) == 4
+    # the first stack again, from a copy: the names follow the frames, not the path
+    copy = tmp_path / "copy" / stacks[0].name
+    shutil.copytree(stacks[0], copy)
+    assert render(copy) == files
+    assert len(list(rout.iterdir())) == 6
 
 
 def test_reversed_render_scale_exits_2(runner, tmp_path):

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from mirrorspec.dynamics import matrix_exp
 from mirrorspec.galerkin import (
@@ -9,7 +12,10 @@ from mirrorspec.galerkin import (
     psi_entry,
 )
 from mirrorspec.grid import Field, GridSpec
-from mirrorspec.spectral import ModeOrdering, analyze, synthesize
+from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
+from mirrorspec.simulate import synthetic_storm_stack
+from mirrorspec.spectral import MirrorBand, ModeOrdering, analyze, synthesize
+from oracles import quadrature_transition
 
 
 def full_ordering(n1, n2=None):
@@ -217,3 +223,54 @@ def test_generator_matches_pointwise_operator_application():
     lhs = gen @ analyze(field, ordering)
     rhs = analyze(Field.from_pixels(g, af), ordering)
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+def assert_matches_quadrature(ordering, vel, dif):
+    want = quadrature_transition(ordering, vel, dif)
+    got = assemble_transition(ordering, vel, dif)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (8, 6), (4, 10), (2, 2)])
+def test_generator_equals_the_quadrature_oracle_on_non_square_grids(shape):
+    # full orderings: k_i + k_j runs past Nyquist and wraps, as the grid mean aliases;
+    # white-noise fields put weight on every wavenumber the wrap can reach
+    rng = np.random.default_rng(23)
+    g = GridSpec(*shape)
+    vel = VelocityField(g, rng.normal(size=g.n), rng.normal(size=g.n))
+    dif = DiffusivityField(g, rng.random(g.n), rng.normal(size=g.n), rng.normal(size=g.n))
+    assert_matches_quadrature(ModeOrdering(g), vel, dif)
+
+
+def storm_physics():
+    """The block-matched velocity of a 100x100 storm pair and its shear
+    diffusivity, as ``velocity.mode = "estimate"`` builds them."""
+    g = GridSpec(100, 100)
+    frames = synthetic_storm_stack(g, steps=3, seed=101, n_blobs=6)
+    vel = estimate_velocity(frames[0], frames[1])
+    stride = MotionConfig().stride
+    return g, vel, diffusivity_from_velocity(vel, stride / g.n1, stride / g.n2)
+
+
+@pytest.mark.parametrize("k", [49, 199])
+def test_generator_equals_the_quadrature_oracle_on_a_storm_velocity(k):
+    g, vel, dif = storm_physics()
+    assert not dif.is_zero()
+    assert_matches_quadrature(ModeOrdering(g, k), vel, dif)
+
+
+def test_model_build_memory_stays_below_one_basis_table():
+    # one N x K float table at N = 10^4, K = 199 takes 15.2 MiB
+    g, vel, dif = storm_physics()
+    ordering = ModeOrdering(g, 199)  # also what a budget of 200 keeps
+    band = MirrorBand(g, 800)
+    for build in (lambda: assemble_transition(ordering, vel, dif),
+                  lambda: band.transfer(ordering)):
+        build()  # FFT and BLAS set-up before the measurement
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20

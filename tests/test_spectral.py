@@ -355,6 +355,8 @@ def test_mirror_band_transfer_observes_the_basis_columns():
     a = rng.normal(size=ordering.k)
     y = band.observe(synthesize(ordering, a))
     assert np.abs(band.transfer(ordering) @ a - y).max() <= 1e-12
+    with pytest.raises(ValueError):  # the transposed grid has as many points
+        band.transfer(ModeOrdering(GridSpec(8, 12), 16))
 
 
 def test_flip_transfer_constant_maps_to_constant():
@@ -428,3 +430,17 @@ def test_mirror_band_matrix_equals_scipy_dctn(shape, k_star):
     c[band.rows, band.cols] = y / band.scale
     want = Field.from_pixels(g, scipy.fft.idctn(c, norm="ortho"))
     assert np.abs(band.reconstruct(y).values - want.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape, k_star", [
+    ((100, 100), 100),  # the flip100, flip200 and flip400 budgets
+    ((100, 100), 200),
+    ((100, 100), 400),
+    ((24, 10), 200),
+])
+def test_transfer_equals_the_basis_matrix_oracle(shape, k_star):
+    g = GridSpec(*shape)
+    band = MirrorBand(g, k_star)
+    ordering = ModeOrdering(g, k_star // 4)
+    want = band.analysis @ basis_matrix(ordering)
+    assert np.abs(band.transfer(ordering) - want).max() <= 1e-13
