@@ -300,7 +300,7 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
                "sigma2_beta": noise.sigma2_beta, "sigma2_obs": noise.sigma2_obs,
                "loglik": variance_fit.loglik, **variance_fit.diagnostics()}
     run.path("noise", ".json").write_text(json.dumps(payload, indent=2) + "\n")
-    run.finish(**payload)
+    run.finish(**payload, min_pivot=variance_fit.result.min_pivot)
     click.echo(json.dumps(payload, indent=2))
 
 
@@ -323,7 +323,8 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"filtering failed: {exc}")
     run.finish(model=spec.label, loglik=result.loglik, sigma2_alpha=noise.sigma2_alpha,
-               sigma2_beta=noise.sigma2_beta, **(fit.diagnostics() if fit else {}))
+               sigma2_beta=noise.sigma2_beta, min_pivot=result.min_pivot,
+               **(fit.diagnostics() if fit else {}))
     click.echo(f"filtered {len(result.means_array)} frames as model {spec.label}")
 
 
@@ -341,7 +342,8 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"forecasting failed: {exc}")
     _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}", fields)
-    run.finish(model=spec.label, horizon=horizon, **(fit.diagnostics() if fit else {}))
+    run.finish(model=spec.label, horizon=horizon, min_pivot=result.min_pivot,
+               **(fit.diagnostics() if fit else {}))
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
 

@@ -16,7 +16,9 @@ mode is an eigenfunction of the operator, so ``exp(delta P)`` is known in
 closed form: each cos/sin pair rotates by ``omega = delta 2 pi v.k`` and decays
 by ``exp(-delta d |2 pi k|^2)``, and each corner mode (no sine partner on the
 grid) only decays.  :func:`mode_step` gives that map per coefficient and
-:func:`block_transition` as the 2x2 pair and 1x1 corner blocks the filter runs.
+:func:`block_transition` as the scalar channels the filter runs: a pair as
+one complex coefficient ``cos + i sin`` times ``rho e^{i omega}``, a corner
+as a real one times its decay.
 """
 
 from __future__ import annotations
@@ -95,6 +97,15 @@ def build_transition(p: np.ndarray, delta: float) -> np.ndarray:
     return matrix_exp(delta * p)
 
 
+def _rotation(ordering: ModeOrdering, velocity, delta: float, d: float):
+    """The per-coefficient angle ``omega`` (zero for a corner) and decay of one step."""
+    vx, vy = velocity
+    omega = delta * 2 * np.pi * (vx * ordering.kx + vy * ordering.ky)
+    omega[ordering.weight == 1.0] = 0.0
+    decay = np.exp(-delta * d * (2 * np.pi) ** 2 * (ordering.kx**2 + ordering.ky**2))
+    return omega, decay
+
+
 def mode_step(ordering: ModeOrdering, velocity, delta: float,
               d: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The exact one-step map of constant velocity ``(vx, vy)`` and constant
@@ -102,28 +113,25 @@ def mode_step(ordering: ModeOrdering, velocity, delta: float,
     becomes ``own[i] a[i] + cross[i] a[partner[i]]``, i.e. ``cos' = c cos - s sin``
     and ``sin' = s cos + c sin`` with ``(c, s)`` the rotation by ``omega`` scaled
     by the decay.  Equals ``expm(delta P)`` of the assembled generator."""
-    vx, vy = velocity
-    omega = delta * 2 * np.pi * (vx * ordering.kx + vy * ordering.ky)
-    omega[ordering.weight == 1.0] = 0.0
-    decay = np.exp(-delta * d * (2 * np.pi) ** 2 * (ordering.kx**2 + ordering.ky**2))
+    omega, decay = _rotation(ordering, velocity, delta, d)
     sign = np.where(ordering.is_sin, 1.0, -1.0)
     return decay * np.cos(omega), decay * sign * np.sin(omega)
 
 
 def block_transition(ordering: ModeOrdering, velocity, delta: float,
-                     d: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`mode_step` as the ``(index, phi)`` batches of a block-diagonal
-    transition: ``(P, 2)`` cos/sin positions with their ``(P, 2, 2)`` blocks,
-    then ``(C, 1)`` corner positions with their ``(C, 1, 1)`` blocks."""
+                     d: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mode_step` as the scalar channels ``(index, imag, lam)`` of
+    :class:`~mirrorspec.kalman.Channels`: the ``P`` cos/sin pairs first,
+    channel ``c`` holding ``a[index[c]] + i a[imag[c]]`` (cos + i sin) with
+    ``lam[c] = decay e^{i omega}``, then the corners, ``a[index[c]]`` with
+    ``lam[c]`` their real decay.  ``lam z`` is the pair's rotation:
+    ``cos' + i sin' = decay (cos omega + i sin omega)(cos + i sin)``."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    own, cross = mode_step(ordering, velocity, delta, d)
+    omega, decay = _rotation(ordering, velocity, delta, d)
     position = np.arange(ordering.k)
     corner = ordering.partner == position
-    pairs = position[~corner & ~ordering.is_sin]
-    pairs = np.column_stack([pairs, ordering.partner[pairs]])
-    # rows: (cos', sin') of each pair from its (cos, sin)
-    phi = np.stack([np.column_stack([own[pairs[:, 0]], cross[pairs[:, 0]]]),
-                    np.column_stack([cross[pairs[:, 1]], own[pairs[:, 1]]])], axis=1)
+    cos = position[~corner & ~ordering.is_sin]
     corners = position[corner]
-    return [(pairs, phi), (corners[:, None], own[corners][:, None, None])]
+    lam = np.concatenate([decay[cos] * np.exp(1j * omega[cos]), decay[corners]])
+    return np.concatenate([cos, corners]), ordering.partner[cos], lam

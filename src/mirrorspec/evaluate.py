@@ -209,7 +209,7 @@ def build_pipeline(
 
     A model of constant coefficients (equal velocity samples, constant
     diffusivity without divergence) gets its transition in closed form as
-    cos/sin-pair and corner blocks (:func:`~mirrorspec.dynamics.block_transition`);
+    cos/sin-pair and corner channels (:func:`~mirrorspec.dynamics.block_transition`);
     every other model assembles the Galerkin generator and exponentiates it."""
     vel = _coerce_velocity(grid, velocity)
     dif = diffusivity if diffusivity is not None else DiffusivityField.zero(grid)
@@ -249,7 +249,7 @@ def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
     the noise used, that noise, the :class:`~mirrorspec.kalman.VarianceFit`
     (None when ``noise`` was given) and the filter result over ``train_obs``.
     The filter starts from :func:`~mirrorspec.kalman.default_init` at the
-    first observation, and the result's ``final_state`` is the per-batch state
+    first observation, and the result's ``final_state`` is the per-part state
     that :func:`~mirrorspec.kalman.kf_forecast` takes; a fit's last pass is
     that filter.
     """
@@ -302,8 +302,9 @@ def run_comparison(
     observations; given noise is used as-is for every model.  ``eval_times``
     beyond ``train_steps - 1`` are forecast; the rest come from the filtered
     trajectory.  See :func:`fit_and_filter` for the fit and the filter.
-    ``metadata["models"]`` holds each model's noise, loglik and fit diagnostics,
-    and as ``k`` the coefficients it observes per frame (the budget rounded
+    ``metadata["models"]`` holds each model's noise, loglik, ``min_pivot`` (the
+    filter health of :class:`~mirrorspec.kalman.FilterResult`) and fit
+    diagnostics, and as ``k`` the coefficients it observes per frame (the budget rounded
     down and capped by :class:`~mirrorspec.spectral.ModeOrdering`, or a mirrored
     model's band size).  A mirrored model adds ``leakage_fraction``: the median,
     over training frames of nonzero norm, of the share of the band
@@ -332,6 +333,7 @@ def run_comparison(
             "sigma2_beta": model_noise.sigma2_beta,
             "sigma2_obs": model_noise.sigma2_obs,
             "loglik": result.loglik,
+            "min_pivot": result.min_pivot,
             **(fit.diagnostics() if fit else {}),
         }
         if pipeline.leakage is not None:

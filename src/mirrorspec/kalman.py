@@ -12,36 +12,50 @@ coefficients accumulate into the state as a random walk with constant mean.
 Observations are coefficient vectors (fields are analyzed before entering the
 filter), so the observation matrix is the identity on the ``alpha`` block.
 
-A model (:class:`StateSpaceModel`) is nothing but its independent blocks of
-coefficients (:class:`Blocks`), and :func:`direct_model` builds every model.
-The filter runs each batch of equal-size blocks at once along a leading batch
-axis, with NumPy's batched Cholesky factorization and solves; the blocks of a
-batch have their own transitions and share one set of noise covariances:
+A model (:class:`StateSpaceModel`) is nothing but its independent parts, and
+:func:`direct_model` builds every model as at most one dense block plus one
+batch of scalar channels:
 
-- a dense model is one block of all K coefficients;
-- a model of constant velocity and constant diffusivity is a batch of 2-blocks,
-  one per cos/sin pair, plus a batch of 1-blocks, one per corner mode: its
-  transition is block-diagonal in closed form
-  (:func:`~mirrorspec.dynamics.block_transition`) and its noise is isotropic, so
-  each block's 4x4 or 2x2 recursion is exact and a pass costs O(K) (the
-  spectral Kalman filter of Sigrist, Kunsch & Stahel 2015, JRSS-B 77(1));
+- :class:`Blocks` holds a dense transition (an estimated velocity or a
+  variable diffusivity): one block of all K coefficients, filtered with
+  NumPy's batched Cholesky factorization and LU solve;
+- :class:`Channels` holds a transition of constant velocity and constant
+  diffusivity, where every Fourier mode is an eigenfunction
+  (:func:`~mirrorspec.dynamics.block_transition`): a cos/sin pair
+  ``(a_c, a_s)`` is one complex scalar ``a_c + i a_s`` that a step multiplies
+  by ``lambda = rho e^{i omega}``, and a corner mode a real one.  Isotropic
+  noise and an isotropic initial covariance keep the pair's 4x4 covariance of
+  ``(alpha, beta)`` in the algebra of rotations, ``P11 = p11 I``,
+  ``P22 = p22 I`` and ``P12 = c I + d J`` with ``J`` the quarter turn, which
+  is the complex ``p12 = c + i d``.  So each channel's filter is exact on the
+  numbers ``p11``, ``p22`` and ``p12``, its innovation covariance
+  ``S = p11 + v`` is a scalar, and a pass is a few elementwise array
+  operations per step with no ``np.linalg`` call (the spectral Kalman filter
+  of Sigrist, Kunsch & Stahel 2015, JRSS-B 77(1));
 - a mirrored model is either of these on the least-squares Fourier
   coefficients of its observations
-  (:func:`~mirrorspec.evaluate.build_pipeline`), plus a batch of ``dim S - K``
-  leakage 1-blocks, each with its own filter covariance.
+  (:func:`~mirrorspec.evaluate.build_pipeline`), plus ``dim S - K`` leakage
+  channels: real random walks ``lambda = 1`` whose noise is scaled by
+  ``SUBSPACE_RIDGE``.
 
 A filter state is held the same way, from :func:`default_init` through
-:func:`kf_filter` to :func:`kf_forecast`: one ``(mean, cov)`` per batch of
-``model.blocks``, of shapes ``(n, 2m)`` and ``(n, 2m, 2m)`` for ``n`` blocks of
-``m`` coefficients, so no ``2K x 2K`` covariance is formed.  Only the filtered
-means are joined, into the ``(steps, 2K)`` rows of ``FilterResult.means_array``.
+:func:`kf_filter` to :func:`kf_forecast`: one ``(mean, cov)`` per part of
+``model.blocks``.  For a block of ``m`` coefficients they are of shapes
+``(n, 2m)`` and ``(n, 2m, 2m)``, with ``n = 1`` as built; for ``n`` channels
+they are the complex means ``(n, 2)`` of ``(alpha, beta)`` and the Hermitian
+covariances ``(n, 2, 2)``, ``[[p11, p12], [conj(p12), p22]]``.  So no
+``2K x 2K`` covariance of a whole model is formed; only the filtered means
+are joined, into the ``(steps, 2K)`` rows of ``FilterResult.means_array``.
 
 Every model uses isotropic covariances ``sigma2 * I`` on its own coefficients;
 a leakage channel scales them by ``SUBSPACE_RIDGE``.
 
-Covariance updates use the Joseph form with per-step symmetrization; a
-failed innovation-covariance factorization aborts with a diagnostic rather
-than silently producing garbage.
+A block's covariance update uses the Joseph form with per-step
+symmetrization, and a channel's is its scalar closed form (``p11 v / S``,
+``p12 v / S``, ``p22 - |p12|^2 / S``).  An innovation covariance that is not
+positive definite aborts the pass with a diagnostic rather than silently
+producing garbage, and :attr:`FilterResult.min_pivot` records how close a
+pass came to that.
 
 The noise fit profiles the scale out of the likelihood (the concentrated
 likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
@@ -62,6 +76,7 @@ import numpy as np
 __all__ = [
     "NoiseParams",
     "Blocks",
+    "Channels",
     "StateSpaceModel",
     "FilterResult",
     "FilterError",
@@ -79,10 +94,16 @@ INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
 # search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
 LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
 LOG_RATIO_XATOL = 1e-3
+LOG_2PI = math.log(2 * math.pi)
 
 
 class FilterError(RuntimeError):
     """Numerical breakdown inside the filter recursion."""
+
+
+def _not_positive_definite(detail) -> FilterError:
+    return FilterError(f"innovation covariance is not positive definite ({detail}); "
+                       "the model noise scales are likely degenerate")
 
 
 @dataclass(frozen=True)
@@ -130,87 +151,249 @@ class Blocks:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
             object.__setattr__(self, name, a)
 
+    @property
+    def positions(self) -> np.ndarray:
+        """The alpha positions of the coefficients, block by block."""
+        return self.index.ravel()
 
-def _isotropic(index: np.ndarray, phi: np.ndarray, noise: NoiseParams) -> Blocks:
-    """Blocks of transitions ``phi`` with the isotropic noise of :func:`direct_model`."""
-    eye = np.eye(index.shape[1])
-    return Blocks(index, phi, (noise.sigma2_obs + noise.sigma2_alpha) * eye,
-                  noise.sigma2_alpha * eye, noise.sigma2_beta * eye)
+    def _state_shapes(self):
+        n, m = self.index.shape
+        return (n, 2 * m), (n, 2 * m, 2 * m), float
+
+    def _init(self, first_obs: np.ndarray, scale: float):
+        n, m = self.index.shape
+        mean = np.concatenate([first_obs[self.index], np.zeros((n, m))], axis=1)
+        return mean, np.tile(scale * np.eye(2 * m), (n, 1, 1))
+
+    def _filter(self, obs: np.ndarray, mean, cov):
+        """One pass over ``obs``: the ``(steps, k)`` alpha and beta means and
+        ``(steps - 1, k)`` innovations in ``positions`` order, the per-update
+        log-likelihood terms, the whitened sum, the smallest innovation pivot
+        and the last state."""
+        steps, (n, m) = len(obs), self.index.shape
+        y = obs[:, self.index]
+        means = np.empty((steps, n, 2 * m))
+        means[0] = mean
+        innovations = np.empty((steps - 1, n, m))
+        terms = np.empty(steps - 1)
+        white_ss, pivot = 0.0, math.inf
+        for t in range(1, steps):
+            mean, cov, innovations[t - 1], terms[t - 1], ss, pv = _update(
+                self, *_predict(self, mean, cov), y[t])
+            means[t] = mean
+            white_ss += ss
+            pivot = min(pivot, pv)
+        return (means[..., :m].reshape(steps, -1), means[..., m:].reshape(steps, -1),
+                innovations.reshape(steps - 1, n * m), terms, white_ss, pivot, (mean, cov))
+
+    def _forecast(self, mean, cov, h: int):
+        n, m = self.index.shape
+        means = np.empty((h, n, 2 * m))
+        for i in range(h):
+            mean, cov = _predict(self, mean, cov)
+            means[i] = mean
+        return means[..., :m].reshape(h, -1), means[..., m:].reshape(h, -1), (mean, cov)
+
+
+@dataclass(frozen=True)
+class Channels:
+    """``len(index)`` independent scalar channels of the alpha coefficients.
+
+    The first ``len(imag)`` channels are complex, cos/sin pairs: channel ``c``
+    holds ``a[index[c]] + i a[imag[c]]``.  The rest are real, corner modes
+    and leakage channels, each holding ``a[index[c]]``.  One step multiplies
+    channel ``c`` by ``lam[c]`` (real past the pairs); ``v``, ``w_alpha`` and
+    ``w_beta`` are its noise variances, per real component of a pair.
+    """
+
+    index: np.ndarray
+    imag: np.ndarray
+    lam: np.ndarray
+    v: np.ndarray
+    w_alpha: np.ndarray
+    w_beta: np.ndarray
+
+    def __post_init__(self):
+        for name in ("index", "imag"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or not np.issubdtype(a.dtype, np.integer):
+                raise ValueError(f"{name} must be a 1-D integer array, got shape {a.shape}")
+            object.__setattr__(self, name, a)
+        n, p = self.index.size, self.imag.size
+        if p > n:
+            raise ValueError(f"{p} imaginary parts for {n} channels")
+        lam = np.asarray(self.lam, dtype=complex)
+        if lam.shape != (n,) or lam[p:].imag.any():
+            raise ValueError(f"lam must be {n} multipliers, real past the first {p}")
+        object.__setattr__(self, "lam", lam)
+        for name in ("v", "w_alpha", "w_beta"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != (n,):
+                raise ValueError(f"{name} must have shape {(n,)}, got {a.shape}")
+            object.__setattr__(self, name, a)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The alpha positions of the real parts, then of the imaginary ones."""
+        return np.concatenate([self.index, self.imag])
+
+    def _complex(self, x: np.ndarray) -> np.ndarray:
+        """The channels' complex values in the coefficient rows ``x[..., :]``."""
+        out = x[..., self.index].astype(complex)
+        out.imag[..., :self.imag.size] = x[..., self.imag]
+        return out
+
+    def _real(self, z: np.ndarray) -> np.ndarray:
+        """Complex channel values back to coefficients, in ``positions`` order."""
+        return np.concatenate([z.real, z[..., :self.imag.size].imag], axis=-1)
+
+    def _state_shapes(self):
+        n = self.index.size
+        return (n, 2), (n, 2, 2), complex
+
+    def _init(self, first_obs: np.ndarray, scale: float):
+        n = self.index.size
+        mean = np.stack([self._complex(first_obs), np.zeros(n)], axis=1)
+        return mean, np.tile(scale * np.eye(2, dtype=complex), (n, 1, 1))
+
+    def _predict(self, rho2, z, w, p11, p22, p12):
+        """One step of every channel; ``rho2 = |lam|^2``."""
+        lp = self.lam * p12
+        return (self.lam * z + w, w, rho2 * p11 + 2.0 * lp.real + p22 + self.w_alpha,
+                p22 + self.w_beta, lp + p22)
+
+    @staticmethod
+    def _unpacked(mean, cov):
+        return mean[:, 0], mean[:, 1], cov[:, 0, 0].real, cov[:, 1, 1].real, cov[:, 0, 1]
+
+    @staticmethod
+    def _packed(z, w, p11, p22, p12):
+        cov = np.empty((len(z), 2, 2), dtype=complex)
+        cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 0], cov[:, 1, 1] = p11, p12, p12.conj(), p22
+        return np.stack([z, w], axis=1), cov
+
+    def _filter(self, obs: np.ndarray, mean, cov):
+        """:meth:`Blocks._filter` of the channels."""
+        steps, n, p = len(obs), self.index.size, self.imag.size
+        y = self._complex(obs)
+        rho2, v = (self.lam * self.lam.conj()).real, self.v
+        z, w, p11, p22, p12 = self._unpacked(mean, cov)
+        zs, ws = np.empty((steps, n), complex), np.empty((steps, n), complex)
+        zs[0], ws[0] = z, w
+        es, ss = np.empty((steps - 1, n), complex), np.empty((steps - 1, n))
+        # a breakdown is reported after the loop; until then it only yields NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(1, steps):
+                z, w, p11, p22, p12 = self._predict(rho2, z, w, p11, p22, p12)
+                s = p11 + v
+                e = y[t] - z
+                inv = 1.0 / s
+                z = z + p11 * inv * e
+                w = w + p12.conj() * inv * e
+                p22 = p22 - (p12.real**2 + p12.imag**2) * inv
+                shrink = v * inv
+                p11, p12 = p11 * shrink, p12 * shrink
+                zs[t], ws[t], es[t - 1], ss[t - 1] = z, w, e, s
+        pivot = ss.min() if ss.size else math.inf
+        if not pivot > 0:
+            raise _not_positive_definite(f"a channel has S = {pivot:g}")
+        logs = np.log(ss)
+        white = (es.real**2 + es.imag**2) / ss
+        terms = -0.5 * ((n + p) * LOG_2PI + logs.sum(1) + logs[:, :p].sum(1) + white.sum(1))
+        return (self._real(zs), self._real(ws), self._real(es), terms, float(white.sum()),
+                math.sqrt(pivot), self._packed(z, w, p11, p22, p12))
+
+    def _forecast(self, mean, cov, h: int):
+        state = self._unpacked(mean, cov)
+        rho2 = (self.lam * self.lam.conj()).real
+        zs, ws = np.empty((h, self.index.size), complex), np.empty((h, self.index.size), complex)
+        for i in range(h):
+            state = self._predict(rho2, *state)
+            zs[i], ws[i] = state[:2]
+        return self._real(zs), self._real(ws), self._packed(*state)
 
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """The independent :class:`Blocks` that together hold the ``k`` alpha
-    coefficients and their forcing; the observation map is the identity on
-    the alpha block, ``(I_K, 0)``.  A filter state is one ``(mean, cov)`` per
-    batch of ``blocks`` (:func:`default_init`).
+    """The independent parts, :class:`Blocks` and :class:`Channels`, that
+    together hold the ``k`` alpha coefficients and their forcing; the
+    observation map is the identity on the alpha block, ``(I_K, 0)``.  A
+    filter state is one ``(mean, cov)`` per part of ``blocks``
+    (:func:`default_init`).
     """
 
-    blocks: tuple[Blocks, ...]
+    blocks: tuple
 
     @property
     def k(self) -> int:
         """Coefficients in each half of the state, leakage channels included."""
-        return sum(b.index.size for b in self.blocks)
+        return sum(b.positions.size for b in self.blocks)
 
 
 def direct_model(phi, noise: NoiseParams, leakage: int = 0) -> StateSpaceModel:
     """Model observing its own coefficients with isotropic noise.
 
-    ``phi`` is the ``K x K`` transition (one dense block), or a block-diagonal
-    one as its ``(index, phi)`` batches
+    ``phi`` is the ``K x K`` transition (one dense block), or a closed-form
+    one as the ``(index, imag, lam)`` of its channels
     (:func:`~mirrorspec.dynamics.block_transition`).  The observation
     covariance is ``(sigma2_obs + sigma2_alpha) I``.
 
     ``leakage`` appends that many channels after the K coefficients, the part
-    of a mirrored observation off the span of the original modes: 1-blocks of
-    the random walk ``phi = 1`` with the noise variances scaled by
-    ``SUBSPACE_RIDGE``, the floor that keeps the filter covariance of these
-    channels from collapsing.
+    of a mirrored observation off the span of the original modes: real random
+    walks ``lam = 1`` with the noise variances scaled by ``SUBSPACE_RIDGE``,
+    the floor that keeps the filter covariance of these channels from
+    collapsing.
     """
+    parts = []
     if isinstance(phi, np.ndarray):
         k = len(phi)
         if phi.shape != (k, k):
             raise ValueError(f"phi must be {k} x {k}, got {phi.shape}")
-        phi = [(np.arange(k)[None], phi[None])]
-    blocks = [_isotropic(index, p, noise) for index, p in phi]
-    k = sum(b.index.size for b in blocks)
-    channel = NoiseParams(noise.sigma2_alpha * SUBSPACE_RIDGE,
-                          noise.sigma2_beta * SUBSPACE_RIDGE, noise.sigma2_obs)
-    blocks.append(_isotropic(np.arange(k, k + leakage)[:, None], np.ones((leakage, 1, 1)),
-                             channel))
-    return StateSpaceModel(tuple(b for b in blocks if b.index.size))
+        eye = np.eye(k)
+        parts.append(Blocks(np.arange(k)[None], phi[None],
+                            (noise.sigma2_obs + noise.sigma2_alpha) * eye,
+                            noise.sigma2_alpha * eye, noise.sigma2_beta * eye))
+        index, imag, lam = np.arange(0), np.arange(0), np.ones(0)
+    else:
+        index, imag, lam = phi
+        k = index.size + imag.size
+    scale = np.concatenate([np.ones(index.size), np.full(leakage, SUBSPACE_RIDGE)])
+    index = np.concatenate([index, np.arange(k, k + leakage)])
+    if index.size:
+        parts.append(Channels(index, imag, np.concatenate([lam, np.ones(leakage)]),
+                              noise.sigma2_obs + noise.sigma2_alpha * scale,
+                              noise.sigma2_alpha * scale, noise.sigma2_beta * scale))
+    return StateSpaceModel(tuple(parts))
 
 
 def default_init(model: StateSpaceModel, first_obs: np.ndarray,
                  noise: NoiseParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The initial filter state: for each batch of ``model.blocks``, the mean
-    ``(n, 2m)`` of the first observation and zero forcing, and the covariance
-    ``(n, 2m, 2m)`` ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``."""
+    """The initial filter state: for each part of ``model.blocks``, the mean
+    of the first observation and zero forcing, and the covariance
+    ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``."""
     first_obs = np.asarray(first_obs, dtype=float)
     if first_obs.shape != (model.k,):
         raise ValueError(f"first_obs must have length {model.k}, got shape {first_obs.shape}")
     scale = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta)
-    state = []
-    for b in model.blocks:
-        n, m = b.index.shape
-        mean = np.concatenate([first_obs[b.index], np.zeros((n, m))], axis=1)
-        state.append((mean, np.tile(scale * np.eye(2 * m), (n, 1, 1))))
-    return state
+    return [b._init(first_obs, scale) for b in model.blocks]
 
 
 @dataclass
 class FilterResult:
     """Filtered means as ``(steps, 2K)`` rows ``(alpha, beta)``, the
     innovations log-likelihood, ``whitened_ss``, the sum of squared whitened
-    innovations ``e' S^-1 e``, and ``final_state``, the last step's state as
-    one ``(mean, cov)`` per batch of the model's blocks."""
+    innovations ``e' S^-1 e``, ``min_pivot``, the smallest innovation pivot of
+    the pass (the smallest Cholesky diagonal of a block's ``S``, or
+    ``sqrt(S)`` of a channel; ``inf`` without an update), and
+    ``final_state``, the last step's state as one ``(mean, cov)`` per part of
+    the model."""
 
     means_array: np.ndarray
     loglik: float
     loglik_terms: np.ndarray
     innovations: np.ndarray
     whitened_ss: float
+    min_pivot: float
     final_state: list = field(repr=False)
 
 
@@ -242,108 +425,100 @@ def _predict(block: Blocks, mean, cov):
 
 def _update(block: Blocks, mean, cov, obs):
     """One update of a batch of blocks: ``mean``, ``cov`` and ``obs`` hold
-    one row or covariance per block."""
+    one row or covariance per block.  Returns the new mean and covariance,
+    the innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
+    Cholesky diagonal of ``S``."""
     k = block.index.shape[1]
     s = cov[..., :k, :k] + block.v
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        raise FilterError(
-            f"innovation covariance is not positive definite ({exc}); "
-            "the model noise scales are likely degenerate"
-        ) from exc
+        raise _not_positive_definite(exc) from exc
     innovation = obs - mean[..., :k]
-    gain = _t(np.linalg.solve(s, cov[..., :k, :]))
+    # one LU solve gives the gain S^-1 P[:k] and the whitened innovation S^-1 e
+    solved = np.linalg.solve(s, np.concatenate([cov[..., :k, :], innovation[..., None]], axis=-1))
+    gain = _t(solved[..., :-1])
     new_mean = mean + (gain @ innovation[..., None])[..., 0]
     # Joseph form: (I - G H) P (I - G H)^T + G V G^T with H = (I_K, 0)
     ap = cov - gain @ cov[..., :k, :]
     new_cov = ap - ap[..., :k] @ _t(gain) + gain @ block.v @ _t(gain)
     new_cov = 0.5 * (new_cov + _t(new_cov))
-    white = np.linalg.solve(chol, innovation[..., None])
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum()
-    white_ss = float(np.sum(white * white))
-    ll = -0.5 * (innovation.size * np.log(2 * np.pi) + logdet + white_ss)
-    return new_mean, new_cov, innovation, ll, white_ss
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    white_ss = float(np.sum(innovation * solved[..., -1]))
+    ll = -0.5 * (innovation.size * LOG_2PI + 2.0 * np.log(diag).sum() + white_ss)
+    return new_mean, new_cov, innovation, ll, white_ss, float(diag.min())
 
 
 def _checked(model: StateSpaceModel, state) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``state`` as float arrays; raises ValueError naming the batch unless it
-    holds one ``(mean, cov)`` of its block's shape per batch of ``model.blocks``."""
+    """``state`` as arrays; raises ValueError naming the batch unless it holds
+    one ``(mean, cov)`` of its part's shapes per part of ``model.blocks``."""
     state = list(state)
     if len(state) != len(model.blocks):
         raise ValueError(f"the state must hold one (mean, cov) per batch of blocks: "
                          f"{len(model.blocks)}, got {len(state)}")
     out = []
     for i, (b, (mean, cov)) in enumerate(zip(model.blocks, state)):
-        n, m = b.index.shape
-        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-        if mean.shape != (n, 2 * m) or cov.shape != (n, 2 * m, 2 * m):
-            raise ValueError(f"batch {i} of the state must have a mean of shape {(n, 2 * m)} "
-                             f"and a covariance of shape {(n, 2 * m, 2 * m)}, "
+        mean_shape, cov_shape, dtype = b._state_shapes()
+        mean, cov = np.asarray(mean, dtype=dtype), np.asarray(cov, dtype=dtype)
+        if mean.shape != mean_shape or cov.shape != cov_shape:
+            raise ValueError(f"batch {i} of the state must have a mean of shape {mean_shape} "
+                             f"and a covariance of shape {cov_shape}, "
                              f"got {mean.shape} and {cov.shape}")
         out.append((mean, cov))
     return out
-
-
-def _rows(model: StateSpaceModel, block: Blocks) -> np.ndarray:
-    """The state positions ``(alpha, beta)`` of each of ``block``'s blocks."""
-    return np.concatenate([block.index, block.index + model.k], axis=1)
 
 
 def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> FilterResult:
     """Run the predict/update recursion over a sequence of observations.
 
     ``observations`` has one row per time step.  ``state`` is the time-0
-    filtered state, one ``(mean, cov)`` per batch of ``model.blocks``
+    filtered state, one ``(mean, cov)`` per part of ``model.blocks``
     (:func:`default_init` builds it from the first observation), so updates
-    start at step 1.
+    start at step 1.  The parts are independent, so each runs its whole pass
+    in turn.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     state = _checked(model, state)
-    rows = [_rows(model, b) for b in model.blocks]
-    steps = obs.shape[0]
-    means = np.empty((steps, 2 * model.k))
-    terms = []
-    white_ss = 0.0
+    k = model.k
+    means = np.empty((obs.shape[0], 2 * k))
     innovations = np.zeros_like(obs)
-
-    for r, (m, _) in zip(rows, state):
-        means[0, r] = m
-    for t in range(1, steps):
-        updates = [_update(b, *_predict(b, m, c), obs[t, b.index])
-                   for b, (m, c) in zip(model.blocks, state)]
-        state = [u[:2] for u in updates]
-        for b, r, u in zip(model.blocks, rows, updates):
-            means[t, r] = u[0]
-            innovations[t, b.index] = u[2]
-        terms.append(sum(u[3] for u in updates))
-        white_ss += sum(u[4] for u in updates)
-
-    terms = np.asarray(terms)
+    terms = np.zeros(obs.shape[0] - 1)
+    white_ss, pivot, final = 0.0, math.inf, []
+    for b, (mean, cov) in zip(model.blocks, state):
+        alpha, beta, part_innovations, part_terms, part_ss, part_pivot, last = b._filter(
+            obs, mean, cov)
+        rows = b.positions
+        means[:, rows], means[:, k + rows], innovations[1:, rows] = alpha, beta, part_innovations
+        terms += part_terms
+        white_ss += part_ss
+        pivot = min(pivot, part_pivot)
+        final.append(last)
     return FilterResult(
         means_array=means,
         loglik=float(terms.sum()),
         loglik_terms=terms,
         innovations=innovations,
         whitened_ss=float(white_ss),
-        final_state=state,
+        min_pivot=float(pivot),
+        final_state=final,
     )
 
 
 def kf_forecast(model: StateSpaceModel, state, h: int) -> tuple[np.ndarray, list]:
-    """Propagate ``state`` (one ``(mean, cov)`` per batch, as
+    """Propagate ``state`` (one ``(mean, cov)`` per part, as
     :attr:`FilterResult.final_state`) ``h`` steps ahead without updates;
     returns the ``(h, 2K)`` means and the state after the last step."""
     if h < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {h}")
     state = _checked(model, state)
-    rows = [_rows(model, b) for b in model.blocks]
-    means = np.empty((h, 2 * model.k))
-    for i in range(h):
-        state = [_predict(b, m, c) for b, (m, c) in zip(model.blocks, state)]
-        for r, (m, _) in zip(rows, state):
-            means[i, r] = m
-    return means, state
+    k = model.k
+    means = np.empty((h, 2 * k))
+    final = []
+    for b, (mean, cov) in zip(model.blocks, state):
+        alpha, beta, last = b._forecast(mean, cov, h)
+        means[:, b.positions], means[:, k + b.positions] = alpha, beta
+        final.append(last)
+    return means, final
 
 
 @dataclass

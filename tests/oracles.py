@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec, flip_vector_indices
-from mirrorspec.kalman import StateSpaceModel
+from mirrorspec.kalman import Channels, StateSpaceModel
 
 
 def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:
@@ -27,31 +27,61 @@ def _rows(model: StateSpaceModel, block) -> np.ndarray:
     return np.concatenate([block.index, block.index + model.k], axis=1)
 
 
+def _channel_rows(model: StateSpaceModel, ch: Channels) -> tuple[np.ndarray, np.ndarray]:
+    """The state positions ``(alpha, beta)`` of each channel's real part and of
+    its imaginary part, -1 (a spare last row) for a real channel's."""
+    imag = np.full(ch.index.size, -1)
+    imag[:ch.imag.size] = ch.imag
+    return (np.column_stack([ch.index, ch.index + model.k]),
+            np.column_stack([imag, np.where(imag < 0, -1, imag + model.k)]))
+
+
 def split(model: StateSpaceModel, mean: np.ndarray, cov: np.ndarray) -> list:
-    """The filter state, one ``(mean, cov)`` per batch of ``model.blocks``, that
+    """The filter state, one ``(mean, cov)`` per part of ``model.blocks``, that
     gathers the dense ``2K`` mean and ``2K x 2K`` covariance; covariance between
-    two blocks is dropped."""
+    two parts or channels is dropped.  A channel reads the real part of its
+    complex covariance from the real-part rows and columns and the imaginary
+    part from the imaginary-part rows, as a covariance in the algebra of
+    rotations has it."""
     state = []
     for b in model.blocks:
-        rows = _rows(model, b)
-        state.append((mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
+        if isinstance(b, Channels):
+            re, im = _channel_rows(model, b)
+            m, c = np.append(mean, 0.0), np.pad(cov, (0, 1))
+            state.append((m[re] + 1j * m[im],
+                          c[re[:, :, None], re[:, None, :]] + 1j * c[im[:, :, None], re[:, None, :]]))
+        else:
+            rows = _rows(model, b)
+            state.append((mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
     return state
 
 
 def joined(model: StateSpaceModel, what) -> np.ndarray:
     """The dense ``2K x 2K`` covariance of the filter state ``what``, or, for
     ``what`` one of ``"phi"``, ``"v"``, ``"w_alpha"`` and ``"w_beta"``, the
-    ``K x K`` matrix that the blocks' own matrices join to."""
-    if isinstance(what, str):
-        out = np.zeros((model.k, model.k))
-        for b in model.blocks:
+    ``K x K`` matrix that the parts' own matrices join to.  A channel's complex
+    entry ``x`` is the rotation block ``[[Re x, -Im x], [Im x, Re x]]`` over
+    its real and imaginary parts."""
+    size = model.k if isinstance(what, str) else 2 * model.k
+    out = np.zeros((size + 1, size + 1))  # the last row and column are spare
+    for i, b in enumerate(model.blocks):
+        if isinstance(b, Channels):
+            re, im = _channel_rows(model, b)
+            if isinstance(what, str):
+                x = (b.lam if what == "phi" else getattr(b, what))[:, None, None]
+                rows = np.column_stack([re[:, 0], im[:, 0]])
+            else:
+                x = what[i][1]
+                rows = np.concatenate([re, im], axis=1)
+            x = np.asarray(x, dtype=complex)
+            out[rows[:, :, None], rows[:, None, :]] = np.block([[x.real, -x.imag],
+                                                                [x.imag, x.real]])
+        elif isinstance(what, str):
             out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, what)
-        return out
-    out = np.zeros((2 * model.k, 2 * model.k))
-    for b, (_, cov) in zip(model.blocks, what):
-        rows = _rows(model, b)
-        out[rows[:, :, None], rows[:, None, :]] = cov
-    return out
+        else:
+            rows = _rows(model, b)
+            out[rows[:, :, None], rows[:, None, :]] = what[i][1]
+    return out[:-1, :-1]
 
 
 def quadrature_transition(ordering, vel, dif) -> np.ndarray:

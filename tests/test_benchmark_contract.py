@@ -70,7 +70,7 @@ def test_tracer_reads_the_flipped_state_size():
     obs = np.random.default_rng(4).normal(size=(4, pipeline.k))
     state0 = default_init(model, obs[0], noise)
     result = kf_filter(model, obs, state0)
-    assert model.blocks[-1].index.size == 6  # the leakage channels after K = 15
+    assert model.blocks[-1].index[-6:].tolist() == list(range(15, 21))  # leakage after K = 15
     assert model.k == pipeline.k == 21
     assert load_tracer().EXTRAS["kalman.kf_filter"](result, model, obs, state0) == {
         "k": pipeline.k, "steps": 4, "update_first": False,

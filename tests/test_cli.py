@@ -614,15 +614,18 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
         assert isinstance(entry["ratio_at_bound"], bool)
         assert entry["ratio"] == pytest.approx(entry["sigma2_beta"] / entry["sigma2_alpha"])
         assert np.isfinite(entry["loglik"])
+        assert entry["min_pivot"] > 0
     for command in ("filter", "predict"):
         log = read_runlog(next((tmp_path / command).glob("runlog-*.json")))
         assert isinstance(log["converged"], bool) and 2 <= log["n_evaluations"] <= 12
+        assert log["min_pivot"] > 0
     # fit records the same fit as filter: the same model over the same frames
     noise = json.loads(next((tmp_path / "fit").glob("noise-*.json")).read_text())
     fit_log = read_runlog(next((tmp_path / "fit").glob("runlog-fit-*.json")))
     filter_log = read_runlog(next((tmp_path / "filter").glob("runlog-*.json")))
     for key in ("ratio", "ratio_at_bound", "n_scalars", "converged", "n_evaluations"):
         assert noise[key] == fit_log[key] == filter_log[key], key
+    assert fit_log["min_pivot"] == filter_log["min_pivot"]  # the fit's last pass
     assert isinstance(noise["ratio_at_bound"], bool)
     assert noise["ratio"] == pytest.approx(noise["sigma2_beta"] / noise["sigma2_alpha"])
     assert noise["n_scalars"] == 15 * 7  # direct16 keeps 15 coefficients; 7 updates

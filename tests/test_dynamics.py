@@ -261,8 +261,8 @@ def test_augmented_step_block_multiplication():
 
 
 def test_augmented_step_of_leakage_channels():
-    # a mirrored model's leakage channels are 1-blocks of the random walk
-    # phi = 1: the mean is one (alpha, beta) row and the covariance one 2x2 per
+    # a mirrored model's leakage channels are real channels of the random walk
+    # lam = 1: the mean is one (alpha, beta) row and the covariance one 2x2 per
     # channel, with the noise scaled by SUBSPACE_RIDGE
     rng = np.random.default_rng(42)
     model = direct_model(np.eye(3), NoiseParams(1e-3, 1e-3), leakage=6)
@@ -270,7 +270,8 @@ def test_augmented_step_of_leakage_channels():
     assert model.k == 9 and channels.index.ravel().tolist() == list(range(3, 9))
     theta = rng.normal(size=(6, 2))
     cov = np.eye(2) * rng.uniform(1, 2, size=(6, 1, 1))
-    out, pred = _predict(channels, theta, cov)
+    _, state = kf_forecast(model, [(np.zeros((1, 6)), np.eye(6)[None]), (theta, cov)], 1)
+    out, pred = state[-1]
     assert np.array_equal(out, np.column_stack([theta[:, 0] + theta[:, 1], theta[:, 1]]))
     w = 1e-3 * SUBSPACE_RIDGE
     want = np.array([[[c0 + c1 + w, c1], [c1, c1 + w]] for c0, c1 in cov[:, [0, 1], [0, 1]]])

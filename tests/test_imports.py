@@ -129,7 +129,7 @@ def constant_velocity_stack(tmp_path, **config):
 ], ids=["filter", "predict", "filter-mirrored", "predict-mirrored"])
 def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, command, flip):
     # a model of constant velocity, direct or mirrored, runs its closed-form
-    # pair blocks: no Galerkin assembly and no expm; the mirrored band is a
+    # channels: no Galerkin assembly and no expm; the mirrored band is a
     # matrix product
     config, stack = constant_velocity_stack(tmp_path, noise={
         "sigma2_alpha": 0.002, "sigma2_beta": 0.0005, "sigma2_obs": 0.0})

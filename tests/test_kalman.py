@@ -12,6 +12,7 @@ from mirrorspec.grid import GridSpec, flip_field, unflip
 from mirrorspec.kalman import (
     SUBSPACE_RIDGE,
     Blocks,
+    Channels,
     FilterError,
     NoiseParams,
     StateSpaceModel,
@@ -196,7 +197,7 @@ def test_loglik_decomposes_over_innovations():
     k = ordering.k
     v, w_alpha, w_beta = (joined(model, name) for name in ("v", "w_alpha", "w_beta"))
     cov = joined(model, state0)
-    total = 0.0
+    total, pivot = 0.0, np.inf
     for t in range(1, cfg.steps):
         p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
         x, y = phi @ p11, phi @ p12
@@ -206,6 +207,7 @@ def test_loglik_decomposes_over_innovations():
         e = result.innovations[t]
         chol = scipy.linalg.cho_factor(s, lower=True)
         white = scipy.linalg.solve_triangular(chol[0], e, lower=True)
+        pivot = min(pivot, np.diag(chol[0]).min())
         total += -0.5 * (k * np.log(2 * np.pi)
                          + 2 * np.sum(np.log(np.diag(chol[0]))) + white @ white)
         gain = scipy.linalg.cho_solve(chol, pred[:k, :].copy()).T
@@ -213,6 +215,7 @@ def test_loglik_decomposes_over_innovations():
         cov = ap - ap[:, :k] @ gain.T + gain @ v @ gain.T
         cov = 0.5 * (cov + cov.T)
     assert np.isclose(total, result.loglik, atol=1e-9)
+    assert result.min_pivot == pytest.approx(pivot, rel=1e-12)
 
 
 def test_variance_mle_recovers_within_factor_three():
@@ -421,9 +424,12 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     h_s = band.transfer(ordering)
     transfer = FlipTransfer(ordering, band, h_s)
     dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
-    leakage = model.blocks[-1].index
-    assert leakage.shape == (band.k - ordering.k, 1)
-    assert leakage.min() == ordering.k == 15 < model.k == band.k == 21
+    # the leakage channels are the last channels, after the K coefficients
+    channels = model.blocks[-1]
+    leaks = channels.w_alpha == SUBSPACE_RIDGE * noise.sigma2_alpha
+    assert channels.index[leaks].tolist() == list(range(ordering.k, band.k))
+    assert np.all(channels.lam[leaks] == 1)
+    assert ordering.k == 15 < model.k == band.k == 21
 
     band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
     got, got_means = filter_and_forecast(model, obs, noise)
@@ -461,14 +467,11 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
         assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
 
 
-# --- constant coefficients: the filter one cos/sin pair at a time -----------
+# --- constant coefficients: the filter on scalar channels ------------------
 
-def joined_transition(batches, k):
-    """The dense ``K x K`` transition of :func:`block_transition`'s batches."""
-    phi = np.zeros((k, k))
-    for index, blocks in batches:
-        phi[index[:, :, None], index[:, None, :]] = blocks
-    return phi
+def joined_transition(channels):
+    """The dense ``K x K`` transition of :func:`block_transition`'s channels."""
+    return joined(direct_model(channels, NoiseParams(1.0, 1.0)), "phi")
 
 
 # GridSpec takes even sizes only, so the non-square case is 14 x 18; at full
@@ -483,10 +486,11 @@ def test_block_transition_equals_the_matrix_exponential(shape, d):
     assert not (dif.div_dx.any() or dif.div_dy.any())
     want = build_transition(
         assemble_transition(ordering, VelocityField.constant(g, *velocity), dif), delta)
-    batches = block_transition(ordering, velocity, delta, d)
-    assert [index.shape[1] for index, _ in batches] == [2, 1]
-    assert sum(index.size for index, _ in batches) == ordering.k == g.n
-    got = joined_transition(batches, ordering.k)
+    index, imag, lam = block_transition(ordering, velocity, delta, d)
+    assert 0 < imag.size < index.size  # cos/sin pairs, then corners
+    assert not lam[imag.size:].imag.any()  # a corner only decays
+    assert index.size + imag.size == ordering.k == g.n
+    got = joined_transition((index, imag, lam))
     assert np.abs(got - want).max() <= 1e-12
     if d:
         assert np.abs(np.diag(want)).min() < 0.5  # the decay is not negligible
@@ -496,29 +500,70 @@ def pair_case():
     cfg = SimulationConfig(grid=GridSpec(16, 16), steps=10, noise_alpha=0.005,
                            noise_beta=0.001, noise_modes=33, seed=28)
     ordering = ModeOrdering(cfg.grid, 60)
-    batches = block_transition(ordering, cfg.velocity, 1.0, 2e-4)
+    channels = block_transition(ordering, cfg.velocity, 1.0, 2e-4)
     sub = np.searchsorted(ModeOrdering(cfg.grid).indices, ordering.indices)
-    return batches, ordering, simulate_advection(cfg).alphas[:, sub]
+    return channels, ordering, simulate_advection(cfg).alphas[:, sub]
+
+
+def dense_block(model):
+    """The one dense block of all the coefficients of ``model``: its joined
+    transition and noise covariances."""
+    return StateSpaceModel((Blocks(np.arange(model.k)[None], joined(model, "phi")[None],
+                                   *(joined(model, name) for name in ("v", "w_alpha", "w_beta"))),))
 
 
 def test_pair_filter_equals_the_dense_filter():
-    batches, ordering, obs = pair_case()
+    # direct, windowed and mirrored models of constant velocity and diffusivity,
+    # each one batch of channels, against the dense filter of one block
+    cfg = SimulationConfig(grid=GridSpec(16, 16), steps=10, noise_alpha=0.005,
+                           noise_beta=0.001, noise_modes=33, seed=28)
+    g = cfg.grid
+    frames = simulate_advection(cfg).fields
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
-    pairs = direct_model(batches, noise)
-    dense = direct_model(joined_transition(batches, ordering.k), noise)
-    assert [b.index.shape for b in pairs.blocks] == [(29, 2), (1, 1)]
-    assert [b.index.shape for b in dense.blocks] == [(1, 59)]
+    for spec in (ModelSpec("direct60", k=60), ModelSpec("window60", k=60, window=True),
+                 ModelSpec("flip240", k=240, flip=True)):
+        pipeline = build_pipeline(g, spec, velocity=cfg.velocity,
+                                  diffusivity=DiffusivityField.isotropic(g, np.full(g.n, 2e-4)))
+        obs = pipeline.observations(frames)
+        channels = pipeline.factory(noise)
+        dense = dense_block(channels)
+        [part] = channels.blocks
+        assert isinstance(part, Channels) and 0 < part.imag.size < part.index.size, spec
+        leaks = np.count_nonzero(part.w_alpha == SUBSPACE_RIDGE * noise.sigma2_alpha)
+        assert (leaks == pipeline.k - 59 > 0) if spec.flip else leaks == 0, spec
+        assert dense.k == channels.k == pipeline.k
 
-    got, got_means = filter_and_forecast(pairs, obs, noise)
-    want, want_means = filter_and_forecast(dense, obs, noise)
-    assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
-    assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
-    assert np.abs(got.innovations - want.innovations).max() <= 1e-9
-    assert np.abs(got_means - want_means).max() <= 1e-9
-    assert np.abs(joined(pairs, got.final_state) - joined(dense, want.final_state)).max() <= 1e-9
-    _, got_state = kf_forecast(pairs, got.final_state, 2)
-    _, want_state = kf_forecast(dense, want.final_state, 2)
-    assert np.abs(joined(pairs, got_state) - joined(dense, want_state)).max() <= 1e-9
+        got, got_means = filter_and_forecast(channels, obs, noise)
+        want, want_means = filter_and_forecast(dense, obs, noise)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-9), spec
+        assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9), spec
+        assert got.min_pivot == pytest.approx(want.min_pivot, rel=1e-12), spec
+        assert np.abs(got.innovations - want.innovations).max() <= 1e-9, spec
+        assert np.abs(got_means - want_means).max() <= 1e-9, spec
+        assert np.abs(joined(channels, got.final_state)
+                      - joined(dense, want.final_state)).max() <= 1e-9, spec
+        _, got_state = kf_forecast(channels, got.final_state, 2)
+        _, want_state = kf_forecast(dense, want.final_state, 2)
+        assert np.abs(joined(channels, got_state) - joined(dense, want_state)).max() <= 1e-9, spec
+
+
+def test_constant_coefficient_pass_makes_no_linalg_call(monkeypatch):
+    # the channels' S is a scalar: no factorization and no solve in building
+    # a mirrored model, its initial state, a filter pass or a forecast
+    g = GridSpec(16, 16)
+    pipeline = build_pipeline(g, ModelSpec("flip64", k=64, flip=True), velocity=(0.01, 0.0))
+    obs = np.random.default_rng(5).normal(size=(6, pipeline.k))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("cholesky", "solve", "inv", "eigh", "qr", "svd", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    noise = NoiseParams(1e-3, 2e-3)
+    model = pipeline.factory(noise)
+    result = kf_filter(model, obs, default_init(model, obs[0], noise))
+    means, _ = kf_forecast(model, result.final_state, 3)
+    assert np.isfinite(result.loglik) and result.min_pivot > 0 and np.isfinite(means).all()
 
 
 def test_pair_filter_breakdown_raises_diagnostic():
@@ -565,9 +610,9 @@ def test_filter_and_forecast_reject_a_state_of_the_wrong_shape(physics):
 
 
 def test_replica_filter_pass_keeps_no_dense_covariance():
-    # one default_init + kf_filter pass on the 1024-coefficient pair model of
-    # test_filtered_mae_bounded_by_noise_on_replica: the state is 510 4x4 and
-    # four 2x2 covariances, where one dense 2048 x 2048 covariance takes 32 MiB
+    # one default_init + kf_filter pass on the 1024-coefficient channel model of
+    # test_filtered_mae_bounded_by_noise_on_replica: the state is 514 complex
+    # 2x2 covariances, where one dense 2048 x 2048 covariance takes 32 MiB
     cfg = SimulationConfig(grid=GridSpec(32, 32), steps=20, noise_alpha=0.005,
                            noise_beta=0.001, noise_modes=40, seed=6)
     obs = simulate_advection(cfg).alphas
@@ -583,16 +628,22 @@ def test_replica_filter_pass_keeps_no_dense_covariance():
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("physics,layout", [
-    ("constant", [(10, 2), (1, 1)]),
-    ("constant-d", [(10, 2), (1, 1)]),
-    ("variable-d", [(1, 21)]),
-    ("flip", [(7, 2), (1, 1), (6, 1)]),
-    ("flip-variable-d", [(1, 15), (6, 1)]),
+def layout(model):
+    """Each part of ``model``: ``("block", m)``, or ``("channels", pairs, reals)``."""
+    return [("channels", b.imag.size, b.index.size - b.imag.size) if isinstance(b, Channels)
+            else ("block", b.index.shape[1]) for b in model.blocks]
+
+
+@pytest.mark.parametrize("physics,parts", [
+    ("constant", [("channels", 10, 1)]),
+    ("constant-d", [("channels", 10, 1)]),
+    ("variable-d", [("block", 21)]),
+    ("flip", [("channels", 7, 1 + 6)]),
+    ("flip-variable-d", [("block", 15), ("channels", 0, 6)]),
 ], ids=["constant", "constant-d", "variable-d", "flip", "flip-variable-d"])
-def test_build_pipeline_picks_the_blocks_from_the_physics(physics, layout):
-    # pairs and corners for constant coefficients, one dense block otherwise;
-    # a mirrored model adds one leakage 1-block per channel
+def test_build_pipeline_picks_the_blocks_from_the_physics(physics, parts):
+    # pair and corner channels for constant coefficients, one dense block
+    # otherwise; a mirrored model adds one real leakage channel per coordinate
     g = GridSpec(16, 16)
     dif = {"constant-d": DiffusivityField.isotropic(g, np.full(g.n, 1e-4)),
            "variable-d": variable_diffusivity(g),
@@ -601,7 +652,7 @@ def test_build_pipeline_picks_the_blocks_from_the_physics(physics, layout):
             else ModelSpec("d21", k=21))
     model = build_pipeline(g, spec, velocity=(0.01, 0.0), diffusivity=dif).factory(
         NoiseParams(1e-3, 1e-3))
-    assert [b.index.shape for b in model.blocks] == layout
+    assert layout(model) == parts
 
 
 BRENT_CASES = {
