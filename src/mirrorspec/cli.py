@@ -264,24 +264,24 @@ def velocity(stack_path, config, out):
     if stack.steps < 2:
         _fail(2, "velocity estimation needs at least 2 frames")
     run = _Run("velocity", cfg, out)
+    # per frame pair only what is written: vx, vy, d and the top speed
+    vx, vy, d, speeds = [], [], [], []
     try:
-        vels, difs = zip(*(
-            _estimated_physics(mcfg, a, b)
-            for a, b in zip(stack.frames[:-1], stack.frames[1:])
-        ))
+        for a, b in zip(stack.frames[:-1], stack.frames[1:]):
+            vel, dif = _estimated_physics(mcfg, a, b)
+            vx.append(vel.vx)
+            vy.append(vel.vy)
+            d.append(dif.d)
+            speeds.append(float(vel.speed().max()))
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"motion estimation failed: {exc}")
     meta = dict(delta=stack.delta, config_hash=cfg.hash)
-    save_stack(GridStack.from_fields(
-        [Field(stack.grid, v.vx) for v in vels], units="domain/step", **meta),
-        run.path("stack-velocity-x"))
-    save_stack(GridStack.from_fields(
-        [Field(stack.grid, v.vy) for v in vels], units="domain/step", **meta),
-        run.path("stack-velocity-y"))
-    save_stack(GridStack.from_fields(
-        [Field(stack.grid, dif.d) for dif in difs], units="domain^2/step", **meta),
-        run.path("stack-diffusivity"))
-    run.finish(max_speed=max(float(v.speed().max()) for v in vels))
+    for values, units, name in ((vx, "domain/step", "stack-velocity-x"),
+                                (vy, "domain/step", "stack-velocity-y"),
+                                (d, "domain^2/step", "stack-diffusivity")):
+        save_stack(GridStack.from_fields([Field(stack.grid, v) for v in values],
+                                         units=units, **meta), run.path(name))
+    run.finish(max_speed=max(speeds))
     click.echo(f"wrote velocity/diffusivity stacks under {out}")
 
 

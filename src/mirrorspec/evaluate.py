@@ -186,6 +186,16 @@ def _median_share(part: np.ndarray, whole: np.ndarray) -> float:
     return float(np.median(share)) if share.size else 0.0
 
 
+def band_coordinates(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``T = [H_S | Q2]`` and its inverse ``[R^-1 Q1'; Q2']`` from the complete
+    QR ``H_S = [Q1 | Q2] [R; 0]``: ``Q`` is orthogonal, so the inverse takes
+    one solve on the ``K x K`` block ``R`` and no inverse of ``T``."""
+    k = h.shape[1]
+    q, r = np.linalg.qr(h, mode="complete")
+    t_inv = np.vstack([np.linalg.solve(r[:k], q[:, :k].T), q[:, k:].T])
+    return np.column_stack([h, q[:, k:]]), t_inv
+
+
 def build_pipeline(
     grid,
     spec: ModelSpec,
@@ -229,9 +239,7 @@ def build_pipeline(
                              lambda params: direct_model(phi, params),
                              lambda coeffs: synthesize(ordering, coeffs))
     band = MirrorBand(grid, spec.k)
-    h = band.transfer(ordering)
-    t = np.column_stack([h, np.linalg.qr(h, mode="complete")[0][:, ordering.k:]])
-    t_inv = np.linalg.inv(t)
+    t, t_inv = band_coordinates(band.transfer(ordering))
     return ModelPipeline(
         band.k,
         lambda f: t_inv @ band.observe(windowed(f)),

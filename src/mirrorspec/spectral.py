@@ -244,12 +244,13 @@ class MirrorBand:
     when ``star`` keeps both modes ``(k_x, +-k_y)`` of each index.  A budget
     that splits such a pair at its edge gets the whole pair.
 
-    The band is small (``dim S`` of 31 for 100 doubled-grid coefficients), so
-    it is held as one ``dim S x n`` analysis matrix ``A`` on column-stacked
-    field values: row ``s`` is the outer product of rows ``rows[s]`` and
-    ``cols[s]`` of the orthonormal DCT-II matrices, times ``scale[s]``.  The
-    rows of ``A`` are orthogonal with squared norms ``scale**2``, so
-    ``reconstruct`` (the inverse DCT of the band) is ``(coeffs / scale**2) @ A``.
+    The 2-D DCT-II is separable, so the band keeps only the DCT-II rows it
+    reads: ``C_x`` holds the distinct ``cols`` along x and ``C_y`` the distinct
+    ``rows`` along y, and band index ``s`` sits at ``(ix[s], iy[s])`` among
+    them.  On the column-stacked values reshaped to ``F`` (``n1 x n2``),
+    ``observe`` is ``scale * (C_x F C_y')[ix, iy]`` and ``reconstruct``, the
+    inverse DCT of the band, is ``C_x' M C_y`` with ``M[ix, iy] = coeffs / scale``
+    and zero elsewhere.  No array is ``n`` wide.
     """
 
     def __init__(self, grid: GridSpec, k_star: int):
@@ -259,39 +260,40 @@ class MirrorBand:
         self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)
         self.k = len(self.rows)
         self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
-        # the DCT-II rows of each band index, along x and along y
-        self._dct_x = _dct_matrix(grid.n1)[self.cols]
-        self._dct_y = _dct_matrix(grid.n2)[self.rows]
-        # values are column-stacked (x outer, y inner), so the y factor varies fastest
-        outer = self._dct_x[:, :, None] * self._dct_y[:, None, :]
-        outer *= self.scale[:, None, None]
-        self.analysis = outer.reshape(self.k, grid.n)
+        ux, self._ix = np.unique(self.cols, return_inverse=True)
+        uy, self._iy = np.unique(self.rows, return_inverse=True)
+        self._dct_x = _dct_matrix(grid.n1)[ux]
+        self._dct_y = _dct_matrix(grid.n2)[uy]
 
     def observe(self, f: Field) -> np.ndarray:
-        return self.analysis @ f.values
+        fxy = f.values.reshape(self.grid.n1, self.grid.n2)  # fxy[x, y]
+        return self.scale * (self._dct_x @ fxy @ self._dct_y.T)[self._ix, self._iy]
 
     def transfer(self, ordering: ModeOrdering) -> np.ndarray:
         """``H_S`` (``k x ordering.k``): the band coordinates of each basis column,
-        ``analysis @ basis_matrix(ordering)``, from 1-D DCT projections.
+        ``observe`` of every column of ``basis_matrix(ordering)``, from 1-D DCT
+        projections.
 
-        Row ``s`` of ``analysis`` is ``scale[s]`` times the outer product of the
-        DCT-II rows ``C_x[cols[s]]`` and ``C_y[rows[s]]``, and by the angle-sum
-        identities a basis column ``w cos|sin(a_x + a_y)``, with
-        ``a_x = 2 pi k_x x`` and ``a_y = 2 pi k_y y``, is a sum of two products
-        of a function of ``x`` and one of ``y``.  So each entry is a sum of two
-        products of the 1-D projections ``C_x[cols] @ cos|sin(a_x)`` and
-        ``C_y[rows] @ cos|sin(a_y)``: the same sums in another order, exact up
-        to rounding.  That costs ``O(dim S (n1 + n2) K)`` with no ``n x K``
-        basis table.
+        Band coordinate ``s`` is ``scale[s]`` times the DCT-II rows
+        ``C_x[ix[s]]`` along x and ``C_y[iy[s]]`` along y applied to the field,
+        and by the angle-sum identities a basis column ``w cos|sin(a_x + a_y)``,
+        with ``a_x = 2 pi k_x x`` and ``a_y = 2 pi k_y y``, is a sum of two
+        products of a function of ``x`` and one of ``y``.  So each entry is a
+        sum of two products of the 1-D projections ``C_x @ cos|sin(a_x)`` and
+        ``C_y @ cos|sin(a_y)``: the same sums in another order, exact up to
+        rounding.  That costs ``O((|C_x| n1 + |C_y| n2) K + dim S K)`` with no
+        ``n x K`` basis table.
         """
         if ordering.grid != self.grid:
             raise ValueError("ordering is not defined on the band's grid")
         ax = 2.0 * np.pi * np.outer(self.grid.coords_x(), ordering.kx)
         ay = 2.0 * np.pi * np.outer(self.grid.coords_y(), ordering.ky)
-        cx, sx = self._dct_x @ np.cos(ax), self._dct_x @ np.sin(ax)
-        cy, sy = self._dct_y @ np.cos(ay), self._dct_y @ np.sin(ay)
+        cx, sx = (self._dct_x @ np.cos(ax))[self._ix], (self._dct_x @ np.sin(ax))[self._ix]
+        cy, sy = (self._dct_y @ np.cos(ay))[self._iy], (self._dct_y @ np.sin(ay))[self._iy]
         h = np.where(ordering.is_sin, sx * cy + cx * sy, cx * cy - sx * sy)
         return h * self.scale[:, None] * ordering.weight
 
     def reconstruct(self, coeffs: np.ndarray) -> Field:
-        return Field(self.grid, (coeffs / self.scale**2) @ self.analysis)
+        m = np.zeros((len(self._dct_x), len(self._dct_y)))
+        m[self._ix, self._iy] = coeffs / self.scale
+        return Field(self.grid, (self._dct_x.T @ m @ self._dct_y).ravel())

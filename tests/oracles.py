@@ -1,6 +1,7 @@
 """Reference operators that only tests use."""
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sparse
 
 from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec, flip_vector_indices
@@ -20,6 +21,21 @@ def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.c
     cols = flip_vector_indices(grid, variant)
     data = np.ones(4 * n)
     return sparse.csr_matrix((data, (np.arange(4 * n), cols)), shape=(4 * n, n))
+
+
+def band_analysis(band) -> np.ndarray:
+    """A :class:`~mirrorspec.spectral.MirrorBand` as one dense ``dim S x n``
+    matrix ``A`` on column-stacked field values: row ``s`` is ``scale[s]``
+    times the outer product of the orthonormal DCT-II rows ``cols[s]`` along x
+    and ``rows[s]`` along y (y varies fastest).  The rows are orthogonal with
+    squared norms ``scale**2``, so the tests hold ``observe`` to ``A f``,
+    ``reconstruct`` to ``(y / scale**2) A`` and ``transfer`` to
+    ``A @ basis_matrix``."""
+    g = band.grid
+    cx = scipy.fft.dct(np.eye(g.n1), norm="ortho", axis=0)[band.cols]
+    cy = scipy.fft.dct(np.eye(g.n2), norm="ortho", axis=0)[band.rows]
+    outer = band.scale[:, None, None] * cx[:, :, None] * cy[:, None, :]
+    return outer.reshape(band.k, g.n)
 
 
 def _rows(model: StateSpaceModel, block) -> np.ndarray:

@@ -5,6 +5,7 @@ from mirrorspec.evaluate import (
     ModelSpec,
     Region,
     WHOLE_DOMAIN,
+    band_coordinates,
     build_pipeline,
     gibbs_energy,
     mae,
@@ -14,7 +15,7 @@ from mirrorspec.evaluate import (
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
-from mirrorspec.spectral import ModeOrdering, synthesize
+from mirrorspec.spectral import MirrorBand, ModeOrdering, synthesize
 from oracles import joined, split
 
 
@@ -193,3 +194,14 @@ def test_leakage_fraction_of_frames_in_range_of_the_transfer():
     assert models["flip64"]["leakage_fraction"] < 1e-12
     models = run_comparison(small_dataset(), specs[1:], **kwargs).metadata["models"]
     assert 0.01 < models["flip64"]["leakage_fraction"] < 1
+
+
+@pytest.mark.parametrize("k_star", [100, 200, 400])
+def test_band_coordinates_inverse_from_the_qr_factors(k_star):
+    # the flip100, flip200 and flip400 transfers on 100x100
+    g = GridSpec(100, 100)
+    h = MirrorBand(g, k_star).transfer(ModeOrdering(g, k_star // 4))
+    t, t_inv = band_coordinates(h)
+    assert np.abs(t[:, :h.shape[1]] - h).max() == 0
+    assert np.abs(t_inv @ t - np.eye(len(t))).max() <= 1e-12
+    assert np.abs(t_inv - np.linalg.inv(t)).max() <= 1e-12
