@@ -12,14 +12,15 @@ coefficients accumulate into the state as a random walk with constant mean.
 Observations are coefficient vectors (fields are analyzed before entering the
 filter), so the observation matrix is the identity on the ``alpha`` block.
 
-A model (:class:`StateSpaceModel`) is nothing but its independent parts, and
-:func:`direct_model` builds every model as at most one dense block plus one
-batch of scalar channels:
+A model (:class:`StateSpaceModel`) is nothing but its independent parts, each
+with its own scalar noise variances: the observation noise ``v`` and the state
+noises ``w_alpha`` and ``w_beta``, per coefficient.  :func:`direct_model`
+builds a coefficient part and, for a mirrored model, a leakage part:
 
-- :class:`Blocks` holds a dense transition (an estimated velocity or a
-  variable diffusivity): one block of all K coefficients, filtered with
-  NumPy's batched Cholesky factorization and LU solve;
-- :class:`Channels` holds a transition of constant velocity and constant
+- a :class:`Block` holds a dense transition (an estimated velocity or a
+  variable diffusivity) of all K coefficients, filtered with NumPy's Cholesky
+  factorization and LU solve;
+- :class:`Channels` hold a transition of constant velocity and constant
   diffusivity, where every Fourier mode is an eigenfunction
   (:func:`~mirrorspec.dynamics.block_transition`): a cos/sin pair
   ``(a_c, a_s)`` is one complex scalar ``a_c + i a_s`` that a step multiplies
@@ -34,21 +35,18 @@ batch of scalar channels:
   of Sigrist, Kunsch & Stahel 2015, JRSS-B 77(1));
 - a mirrored model is either of these on the least-squares Fourier
   coefficients of its observations
-  (:func:`~mirrorspec.evaluate.build_pipeline`), plus ``dim S - K`` leakage
-  channels: real random walks ``lambda = 1`` whose noise is scaled by
-  ``SUBSPACE_RIDGE``.
+  (:func:`~mirrorspec.evaluate.build_pipeline`), plus a leakage part of
+  ``dim S - K`` real channels: random walks ``lambda = 1`` whose noise
+  variances are the coefficients' ones scaled by ``SUBSPACE_RIDGE``.
 
 A filter state is held the same way, from :func:`default_init` through
 :func:`kf_filter` to :func:`kf_forecast`: one ``(mean, cov)`` per part of
-``model.blocks``.  For a block of ``m`` coefficients they are of shapes
-``(n, 2m)`` and ``(n, 2m, 2m)``, with ``n = 1`` as built; for ``n`` channels
-they are the complex means ``(n, 2)`` of ``(alpha, beta)`` and the Hermitian
-covariances ``(n, 2, 2)``, ``[[p11, p12], [conj(p12), p22]]``.  So no
-``2K x 2K`` covariance of a whole model is formed; only the filtered means
-are joined, into the ``(steps, 2K)`` rows of ``FilterResult.means_array``.
-
-Every model uses isotropic covariances ``sigma2 * I`` on its own coefficients;
-a leakage channel scales them by ``SUBSPACE_RIDGE``.
+``model.parts``.  For a block of ``m`` coefficients they are of shapes
+``(2m,)`` and ``(2m, 2m)``; for ``n`` channels they are the complex means
+``(n, 2)`` of ``(alpha, beta)`` and the Hermitian covariances ``(n, 2, 2)``,
+``[[p11, p12], [conj(p12), p22]]``.  So no ``2K x 2K`` covariance of a whole
+model is formed; only the filtered means are joined, into the ``(steps, 2K)``
+rows of ``FilterResult.means_array``.
 
 A block's covariance update uses the Joseph form with per-step
 symmetrization, and a channel's is its scalar closed form (``p11 v / S``,
@@ -75,7 +73,7 @@ import numpy as np
 
 __all__ = [
     "NoiseParams",
-    "Blocks",
+    "Block",
     "Channels",
     "StateSpaceModel",
     "FilterResult",
@@ -89,7 +87,7 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
-SUBSPACE_RIDGE = 1e-4  # noise scale of a leakage channel over the coefficients' one
+SUBSPACE_RIDGE = 1e-4  # noise scale of the leakage part over the coefficients' one
 INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
 # search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
 LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
@@ -123,58 +121,56 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
-class Blocks:
-    """``len(index)`` independent blocks of ``m`` alpha coefficients each.
+class Block:
+    """One dense block of ``len(index)`` alpha coefficients.
 
-    ``index[b]`` holds the positions of block ``b``'s coefficients in alpha
-    and ``phi[b]`` its ``m x m`` one-step transition; ``v``, ``w_alpha`` and
-    ``w_beta`` are the ``m x m`` noise covariances that every block of the
-    batch shares.  The filter keeps one covariance per block.
+    ``index`` holds the positions of the block's coefficients in alpha and
+    ``phi`` their ``m x m`` one-step transition; ``v``, ``w_alpha`` and
+    ``w_beta`` are the noise variances of each coefficient, so the noise
+    covariances are ``v I``, ``w_alpha I`` and ``w_beta I``.
     """
 
     index: np.ndarray
     phi: np.ndarray
-    v: np.ndarray
-    w_alpha: np.ndarray
-    w_beta: np.ndarray
+    v: float
+    w_alpha: float
+    w_beta: float
 
     def __post_init__(self):
         index = np.asarray(self.index)
-        if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"index must be a 2-D integer array, got shape {index.shape}")
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be a 1-D integer array, got shape {index.shape}")
         object.__setattr__(self, "index", index)
-        n, m = index.shape
-        for name, shape in (("phi", (n, m, m)), ("v", (m, m)), ("w_alpha", (m, m)),
-                            ("w_beta", (m, m))):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            object.__setattr__(self, name, a)
+        m = index.size
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.shape != (m, m):
+            raise ValueError(f"phi must have shape {(m, m)}, got {phi.shape}")
+        object.__setattr__(self, "phi", phi)
 
     @property
     def positions(self) -> np.ndarray:
-        """The alpha positions of the coefficients, block by block."""
-        return self.index.ravel()
+        """The alpha positions of the coefficients."""
+        return self.index
 
     def _state_shapes(self):
-        n, m = self.index.shape
-        return (n, 2 * m), (n, 2 * m, 2 * m), float
+        m = self.index.size
+        return (2 * m,), (2 * m, 2 * m), float
 
     def _init(self, first_obs: np.ndarray, scale: float):
-        n, m = self.index.shape
-        mean = np.concatenate([first_obs[self.index], np.zeros((n, m))], axis=1)
-        return mean, np.tile(scale * np.eye(2 * m), (n, 1, 1))
+        m = self.index.size
+        return (np.concatenate([first_obs[self.index], np.zeros(m)]),
+                scale * np.eye(2 * m))
 
     def _filter(self, obs: np.ndarray, mean, cov):
         """One pass over ``obs``: the ``(steps, k)`` alpha and beta means and
         ``(steps - 1, k)`` innovations in ``positions`` order, the per-update
         log-likelihood terms, the whitened sum, the smallest innovation pivot
         and the last state."""
-        steps, (n, m) = len(obs), self.index.shape
+        steps, m = len(obs), self.index.size
         y = obs[:, self.index]
-        means = np.empty((steps, n, 2 * m))
+        means = np.empty((steps, 2 * m))
         means[0] = mean
-        innovations = np.empty((steps - 1, n, m))
+        innovations = np.empty((steps - 1, m))
         terms = np.empty(steps - 1)
         white_ss, pivot = 0.0, math.inf
         for t in range(1, steps):
@@ -183,16 +179,15 @@ class Blocks:
             means[t] = mean
             white_ss += ss
             pivot = min(pivot, pv)
-        return (means[..., :m].reshape(steps, -1), means[..., m:].reshape(steps, -1),
-                innovations.reshape(steps - 1, n * m), terms, white_ss, pivot, (mean, cov))
+        return means[:, :m], means[:, m:], innovations, terms, white_ss, pivot, (mean, cov)
 
     def _forecast(self, mean, cov, h: int):
-        n, m = self.index.shape
-        means = np.empty((h, n, 2 * m))
+        m = self.index.size
+        means = np.empty((h, 2 * m))
         for i in range(h):
             mean, cov = _predict(self, mean, cov)
             means[i] = mean
-        return means[..., :m].reshape(h, -1), means[..., m:].reshape(h, -1), (mean, cov)
+        return means[:, :m], means[:, m:], (mean, cov)
 
 
 @dataclass(frozen=True)
@@ -201,17 +196,18 @@ class Channels:
 
     The first ``len(imag)`` channels are complex, cos/sin pairs: channel ``c``
     holds ``a[index[c]] + i a[imag[c]]``.  The rest are real, corner modes
-    and leakage channels, each holding ``a[index[c]]``.  One step multiplies
+    or leakage channels, each holding ``a[index[c]]``.  One step multiplies
     channel ``c`` by ``lam[c]`` (real past the pairs); ``v``, ``w_alpha`` and
-    ``w_beta`` are its noise variances, per real component of a pair.
+    ``w_beta`` are the noise variances of every channel, per real component
+    of a pair.
     """
 
     index: np.ndarray
     imag: np.ndarray
     lam: np.ndarray
-    v: np.ndarray
-    w_alpha: np.ndarray
-    w_beta: np.ndarray
+    v: float
+    w_alpha: float
+    w_beta: float
 
     def __post_init__(self):
         for name in ("index", "imag"):
@@ -226,11 +222,6 @@ class Channels:
         if lam.shape != (n,) or lam[p:].imag.any():
             raise ValueError(f"lam must be {n} multipliers, real past the first {p}")
         object.__setattr__(self, "lam", lam)
-        for name in ("v", "w_alpha", "w_beta"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (n,):
-                raise ValueError(f"{name} must have shape {(n,)}, got {a.shape}")
-            object.__setattr__(self, name, a)
 
     @property
     def positions(self) -> np.ndarray:
@@ -273,7 +264,7 @@ class Channels:
         return np.stack([z, w], axis=1), cov
 
     def _filter(self, obs: np.ndarray, mean, cov):
-        """:meth:`Blocks._filter` of the channels."""
+        """:meth:`Block._filter` of the channels."""
         steps, n, p = len(obs), self.index.size, self.imag.size
         y = self._complex(obs)
         rho2, v = (self.lam * self.lam.conj()).real, self.v
@@ -315,19 +306,19 @@ class Channels:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """The independent parts, :class:`Blocks` and :class:`Channels`, that
+    """The independent parts, :class:`Block` and :class:`Channels`, that
     together hold the ``k`` alpha coefficients and their forcing; the
     observation map is the identity on the alpha block, ``(I_K, 0)``.  A
-    filter state is one ``(mean, cov)`` per part of ``blocks``
+    filter state is one ``(mean, cov)`` per part of ``parts``
     (:func:`default_init`).
     """
 
-    blocks: tuple
+    parts: tuple
 
     @property
     def k(self) -> int:
         """Coefficients in each half of the state, leakage channels included."""
-        return sum(b.positions.size for b in self.blocks)
+        return sum(p.positions.size for p in self.parts)
 
 
 def direct_model(phi, noise: NoiseParams, leakage: int = 0) -> StateSpaceModel:
@@ -335,47 +326,44 @@ def direct_model(phi, noise: NoiseParams, leakage: int = 0) -> StateSpaceModel:
 
     ``phi`` is the ``K x K`` transition (one dense block), or a closed-form
     one as the ``(index, imag, lam)`` of its channels
-    (:func:`~mirrorspec.dynamics.block_transition`).  The observation
-    covariance is ``(sigma2_obs + sigma2_alpha) I``.
+    (:func:`~mirrorspec.dynamics.block_transition`).  The observation noise
+    variance is ``sigma2_obs + sigma2_alpha``.
 
-    ``leakage`` appends that many channels after the K coefficients, the part
-    of a mirrored observation off the span of the original modes: real random
-    walks ``lam = 1`` with the noise variances scaled by ``SUBSPACE_RIDGE``,
-    the floor that keeps the filter covariance of these channels from
-    collapsing.
+    ``leakage`` adds a part of that many real channels after the K
+    coefficients, the part of a mirrored observation off the span of the
+    original modes: random walks ``lam = 1`` with the noise variances
+    ``sigma2_obs + r sigma2_alpha``, ``r sigma2_alpha`` and ``r sigma2_beta``,
+    ``r = SUBSPACE_RIDGE`` being the floor that keeps the filter covariance of
+    these channels from collapsing.
     """
-    parts = []
+    noises = (noise.sigma2_obs + noise.sigma2_alpha, noise.sigma2_alpha, noise.sigma2_beta)
     if isinstance(phi, np.ndarray):
         k = len(phi)
         if phi.shape != (k, k):
             raise ValueError(f"phi must be {k} x {k}, got {phi.shape}")
-        eye = np.eye(k)
-        parts.append(Blocks(np.arange(k)[None], phi[None],
-                            (noise.sigma2_obs + noise.sigma2_alpha) * eye,
-                            noise.sigma2_alpha * eye, noise.sigma2_beta * eye))
-        index, imag, lam = np.arange(0), np.arange(0), np.ones(0)
+        parts = [Block(np.arange(k), phi, *noises)]
     else:
         index, imag, lam = phi
         k = index.size + imag.size
-    scale = np.concatenate([np.ones(index.size), np.full(leakage, SUBSPACE_RIDGE)])
-    index = np.concatenate([index, np.arange(k, k + leakage)])
-    if index.size:
-        parts.append(Channels(index, imag, np.concatenate([lam, np.ones(leakage)]),
-                              noise.sigma2_obs + noise.sigma2_alpha * scale,
-                              noise.sigma2_alpha * scale, noise.sigma2_beta * scale))
+        parts = [Channels(index, imag, lam, *noises)] if index.size else []
+    if leakage:
+        r = SUBSPACE_RIDGE
+        parts.append(Channels(np.arange(k, k + leakage), np.arange(0), np.ones(leakage),
+                              noise.sigma2_obs + noise.sigma2_alpha * r,
+                              noise.sigma2_alpha * r, noise.sigma2_beta * r))
     return StateSpaceModel(tuple(parts))
 
 
 def default_init(model: StateSpaceModel, first_obs: np.ndarray,
                  noise: NoiseParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The initial filter state: for each part of ``model.blocks``, the mean
+    """The initial filter state: for each part of ``model.parts``, the mean
     of the first observation and zero forcing, and the covariance
     ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``."""
     first_obs = np.asarray(first_obs, dtype=float)
     if first_obs.shape != (model.k,):
         raise ValueError(f"first_obs must have length {model.k}, got shape {first_obs.shape}")
     scale = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta)
-    return [b._init(first_obs, scale) for b in model.blocks]
+    return [p._init(first_obs, scale) for p in model.parts]
 
 
 @dataclass
@@ -397,71 +385,65 @@ class FilterResult:
     final_state: list = field(repr=False)
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def _predict(block: Blocks, mean, cov):
-    """One step of the augmented transition of ``block.phi``, ``w_alpha`` and
-    ``w_beta``; a leading axis of ``mean``, ``cov`` and ``phi`` runs over the
-    blocks of the batch."""
+def _predict(block: Block, mean, cov):
+    """One step of the augmented transition of ``block.phi`` with the state
+    noise variances ``w_alpha`` and ``w_beta``."""
     phi = block.phi
-    k = phi.shape[-1]
-    p11, p12, p22 = cov[..., :k, :k], cov[..., :k, k:], cov[..., k:, k:]
+    k = len(phi)
+    p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
     x = phi @ p11
     y = phi @ p12
     top_right = y + p22
     out = np.empty_like(cov)
-    out[..., :k, :k] = x @ _t(phi) + y + _t(y) + p22 + block.w_alpha
-    out[..., :k, k:] = top_right
-    out[..., k:, :k] = _t(top_right)
-    out[..., k:, k:] = p22 + block.w_beta
-    out = 0.5 * (out + _t(out))
+    out[:k, :k] = x @ phi.T + y + y.T + p22 + block.w_alpha * np.eye(k)
+    out[:k, k:] = top_right
+    out[k:, :k] = top_right.T
+    out[k:, k:] = p22 + block.w_beta * np.eye(k)
+    out = 0.5 * (out + out.T)
     new_mean = np.empty_like(mean)
-    new_mean[..., :k] = (phi @ mean[..., :k, None])[..., 0] + mean[..., k:]
-    new_mean[..., k:] = mean[..., k:]
+    new_mean[:k] = phi @ mean[:k] + mean[k:]
+    new_mean[k:] = mean[k:]
     return new_mean, out
 
 
-def _update(block: Blocks, mean, cov, obs):
-    """One update of a batch of blocks: ``mean``, ``cov`` and ``obs`` hold
-    one row or covariance per block.  Returns the new mean and covariance,
-    the innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
+def _update(block: Block, mean, cov, obs):
+    """One update of a block: returns the new mean and covariance, the
+    innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
     Cholesky diagonal of ``S``."""
-    k = block.index.shape[1]
-    s = cov[..., :k, :k] + block.v
+    k = block.index.size
+    s = cov[:k, :k] + block.v * np.eye(k)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(exc) from exc
-    innovation = obs - mean[..., :k]
+    innovation = obs - mean[:k]
     # one LU solve gives the gain S^-1 P[:k] and the whitened innovation S^-1 e
-    solved = np.linalg.solve(s, np.concatenate([cov[..., :k, :], innovation[..., None]], axis=-1))
-    gain = _t(solved[..., :-1])
-    new_mean = mean + (gain @ innovation[..., None])[..., 0]
+    solved = np.linalg.solve(s, np.concatenate([cov[:k, :], innovation[:, None]], axis=1))
+    gain = solved[:, :-1].T
+    new_mean = mean + gain @ innovation
     # Joseph form: (I - G H) P (I - G H)^T + G V G^T with H = (I_K, 0)
-    ap = cov - gain @ cov[..., :k, :]
-    new_cov = ap - ap[..., :k] @ _t(gain) + gain @ block.v @ _t(gain)
-    new_cov = 0.5 * (new_cov + _t(new_cov))
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    white_ss = float(np.sum(innovation * solved[..., -1]))
+    ap = cov - gain @ cov[:k, :]
+    new_cov = ap - ap[:, :k] @ gain.T + (block.v * gain) @ gain.T
+    new_cov = 0.5 * (new_cov + new_cov.T)
+    diag = np.diagonal(chol)
+    white_ss = float(np.sum(innovation * solved[:, -1]))
     ll = -0.5 * (innovation.size * LOG_2PI + 2.0 * np.log(diag).sum() + white_ss)
     return new_mean, new_cov, innovation, ll, white_ss, float(diag.min())
 
 
 def _checked(model: StateSpaceModel, state) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``state`` as arrays; raises ValueError naming the batch unless it holds
-    one ``(mean, cov)`` of its part's shapes per part of ``model.blocks``."""
+    """``state`` as arrays; raises ValueError naming the part unless it holds
+    one ``(mean, cov)`` of its part's shapes per part of ``model.parts``."""
     state = list(state)
-    if len(state) != len(model.blocks):
-        raise ValueError(f"the state must hold one (mean, cov) per batch of blocks: "
-                         f"{len(model.blocks)}, got {len(state)}")
+    if len(state) != len(model.parts):
+        raise ValueError(f"the state must hold one (mean, cov) per part: "
+                         f"{len(model.parts)}, got {len(state)}")
     out = []
-    for i, (b, (mean, cov)) in enumerate(zip(model.blocks, state)):
-        mean_shape, cov_shape, dtype = b._state_shapes()
+    for i, (p, (mean, cov)) in enumerate(zip(model.parts, state)):
+        mean_shape, cov_shape, dtype = p._state_shapes()
         mean, cov = np.asarray(mean, dtype=dtype), np.asarray(cov, dtype=dtype)
         if mean.shape != mean_shape or cov.shape != cov_shape:
-            raise ValueError(f"batch {i} of the state must have a mean of shape {mean_shape} "
+            raise ValueError(f"part {i} of the state must have a mean of shape {mean_shape} "
                              f"and a covariance of shape {cov_shape}, "
                              f"got {mean.shape} and {cov.shape}")
         out.append((mean, cov))
@@ -472,7 +454,7 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
     """Run the predict/update recursion over a sequence of observations.
 
     ``observations`` has one row per time step.  ``state`` is the time-0
-    filtered state, one ``(mean, cov)`` per part of ``model.blocks``
+    filtered state, one ``(mean, cov)`` per part of ``model.parts``
     (:func:`default_init` builds it from the first observation), so updates
     start at step 1.  The parts are independent, so each runs its whole pass
     in turn.
@@ -484,10 +466,10 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
     innovations = np.zeros_like(obs)
     terms = np.zeros(obs.shape[0] - 1)
     white_ss, pivot, final = 0.0, math.inf, []
-    for b, (mean, cov) in zip(model.blocks, state):
-        alpha, beta, part_innovations, part_terms, part_ss, part_pivot, last = b._filter(
+    for p, (mean, cov) in zip(model.parts, state):
+        alpha, beta, part_innovations, part_terms, part_ss, part_pivot, last = p._filter(
             obs, mean, cov)
-        rows = b.positions
+        rows = p.positions
         means[:, rows], means[:, k + rows], innovations[1:, rows] = alpha, beta, part_innovations
         terms += part_terms
         white_ss += part_ss
@@ -514,9 +496,9 @@ def kf_forecast(model: StateSpaceModel, state, h: int) -> tuple[np.ndarray, list
     k = model.k
     means = np.empty((h, 2 * k))
     final = []
-    for b, (mean, cov) in zip(model.blocks, state):
-        alpha, beta, last = b._forecast(mean, cov, h)
-        means[:, b.positions], means[:, k + b.positions] = alpha, beta
+    for p, (mean, cov) in zip(model.parts, state):
+        alpha, beta, last = p._forecast(mean, cov, h)
+        means[:, p.positions], means[:, k + p.positions] = alpha, beta
         final.append(last)
     return means, final
 

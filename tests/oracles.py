@@ -1,11 +1,14 @@
 """Reference operators that only tests use."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.fft
+import scipy.linalg
 import scipy.sparse as sparse
 
 from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec, flip_vector_indices
-from mirrorspec.kalman import Channels, StateSpaceModel
+from mirrorspec.kalman import INIT_COV_SCALE, Channels, NoiseParams, StateSpaceModel
 
 
 def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:
@@ -39,8 +42,8 @@ def band_analysis(band) -> np.ndarray:
 
 
 def _rows(model: StateSpaceModel, block) -> np.ndarray:
-    """The state positions ``(alpha, beta)`` of each of ``block``'s blocks."""
-    return np.concatenate([block.index, block.index + model.k], axis=1)
+    """The state positions ``(alpha, beta)`` of ``block``'s coefficients."""
+    return np.concatenate([block.index, block.index + model.k])
 
 
 def _channel_rows(model: StateSpaceModel, ch: Channels) -> tuple[np.ndarray, np.ndarray]:
@@ -53,38 +56,39 @@ def _channel_rows(model: StateSpaceModel, ch: Channels) -> tuple[np.ndarray, np.
 
 
 def split(model: StateSpaceModel, mean: np.ndarray, cov: np.ndarray) -> list:
-    """The filter state, one ``(mean, cov)`` per part of ``model.blocks``, that
+    """The filter state, one ``(mean, cov)`` per part of ``model.parts``, that
     gathers the dense ``2K`` mean and ``2K x 2K`` covariance; covariance between
     two parts or channels is dropped.  A channel reads the real part of its
     complex covariance from the real-part rows and columns and the imaginary
     part from the imaginary-part rows, as a covariance in the algebra of
     rotations has it."""
     state = []
-    for b in model.blocks:
-        if isinstance(b, Channels):
-            re, im = _channel_rows(model, b)
+    for p in model.parts:
+        if isinstance(p, Channels):
+            re, im = _channel_rows(model, p)
             m, c = np.append(mean, 0.0), np.pad(cov, (0, 1))
             state.append((m[re] + 1j * m[im],
                           c[re[:, :, None], re[:, None, :]] + 1j * c[im[:, :, None], re[:, None, :]]))
         else:
-            rows = _rows(model, b)
-            state.append((mean[rows], cov[rows[:, :, None], rows[:, None, :]]))
+            rows = _rows(model, p)
+            state.append((mean[rows], cov[np.ix_(rows, rows)]))
     return state
 
 
 def joined(model: StateSpaceModel, what) -> np.ndarray:
     """The dense ``2K x 2K`` covariance of the filter state ``what``, or, for
     ``what`` one of ``"phi"``, ``"v"``, ``"w_alpha"`` and ``"w_beta"``, the
-    ``K x K`` matrix that the parts' own matrices join to.  A channel's complex
-    entry ``x`` is the rotation block ``[[Re x, -Im x], [Im x, Re x]]`` over
-    its real and imaginary parts."""
+    ``K x K`` matrix that the parts' own transitions and noise variances join
+    to.  A channel's complex entry ``x`` is the rotation block
+    ``[[Re x, -Im x], [Im x, Re x]]`` over its real and imaginary parts."""
     size = model.k if isinstance(what, str) else 2 * model.k
     out = np.zeros((size + 1, size + 1))  # the last row and column are spare
-    for i, b in enumerate(model.blocks):
-        if isinstance(b, Channels):
-            re, im = _channel_rows(model, b)
+    for i, p in enumerate(model.parts):
+        if isinstance(p, Channels):
+            re, im = _channel_rows(model, p)
             if isinstance(what, str):
-                x = (b.lam if what == "phi" else getattr(b, what))[:, None, None]
+                x = np.broadcast_to(getattr(p, "lam" if what == "phi" else what),
+                                    p.index.shape)[:, None, None]
                 rows = np.column_stack([re[:, 0], im[:, 0]])
             else:
                 x = what[i][1]
@@ -93,11 +97,78 @@ def joined(model: StateSpaceModel, what) -> np.ndarray:
             out[rows[:, :, None], rows[:, None, :]] = np.block([[x.real, -x.imag],
                                                                 [x.imag, x.real]])
         elif isinstance(what, str):
-            out[b.index[:, :, None], b.index[:, None, :]] = getattr(b, what)
+            out[np.ix_(p.index, p.index)] = (p.phi if what == "phi"
+                                             else getattr(p, what) * np.eye(p.index.size))
         else:
-            rows = _rows(model, b)
-            out[rows[:, :, None], rows[:, None, :]] = what[i][1]
+            rows = _rows(model, p)
+            out[np.ix_(rows, rows)] = what[i][1]
     return out[:-1, :-1]
+
+
+def dense_init(first_obs: np.ndarray, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The state that :func:`~mirrorspec.kalman.default_init` gives every
+    model, as one dense ``2K`` mean and ``2K x 2K`` covariance: the first
+    observation, zero forcing and ``INIT_COV_SCALE * max(sigma2_alpha,
+    sigma2_beta) * I``."""
+    k = len(first_obs)
+    scale = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta)
+    return np.concatenate([first_obs, np.zeros(k)]), scale * np.eye(2 * k)
+
+
+@dataclass
+class DensePass:
+    """What :func:`dense_filter` returns: the pass's log-likelihood, sum of
+    squared whitened innovations, smallest Cholesky diagonal of ``S``, the
+    ``(steps, K)`` innovations (row 0 zero), the ``(steps + h, 2K)`` filtered
+    then forecast means, the last filtered covariance, and the covariance
+    after each forecast step."""
+
+    loglik: float
+    whitened_ss: float
+    min_pivot: float
+    innovations: np.ndarray
+    means: np.ndarray
+    final_cov: np.ndarray
+    forecast_covs: list
+
+
+def dense_filter(phi, v, w_alpha, w_beta, obs, mean, cov, h: int = 0) -> DensePass:
+    """The textbook Kalman filter of the augmented transition
+    ``G = [[phi, I], [0, I]]`` with state noise ``blockdiag(w_alpha, w_beta)``
+    and observation ``(I_K, 0)`` with noise ``v``, all dense ``K x K``
+    matrices, from the time-0 state ``(mean, cov)``, then ``h`` forecast
+    steps.  ``S`` is factored by SciPy's Cholesky and the gain is
+    ``cho_solve(S, P H')'``, the Joseph form updates the covariance."""
+    obs = np.asarray(obs, dtype=float)
+    k = len(phi)
+    g = np.block([[phi, np.eye(k)], [np.zeros((k, k)), np.eye(k)]])
+    w = np.block([[w_alpha, np.zeros((k, k))], [np.zeros((k, k)), w_beta]])
+    means, innovations = [mean], np.zeros_like(obs)
+    loglik, white_ss, pivot = 0.0, 0.0, np.inf
+    for t in range(1, len(obs)):
+        mean, cov = g @ mean, g @ cov @ g.T + w
+        s = cov[:k, :k] + v
+        e = obs[t] - mean[:k]
+        chol = scipy.linalg.cho_factor(s, lower=True)
+        white = scipy.linalg.solve_triangular(chol[0], e, lower=True)
+        diag = np.diag(chol[0])
+        pivot = min(pivot, diag.min())
+        loglik += -0.5 * (k * np.log(2 * np.pi) + 2 * np.sum(np.log(diag)) + white @ white)
+        white_ss += white @ white
+        gain = scipy.linalg.cho_solve(chol, cov[:k, :].copy()).T
+        mean = mean + gain @ e
+        ap = cov - gain @ cov[:k, :]
+        cov = ap - ap[:, :k] @ gain.T + gain @ v @ gain.T
+        cov = 0.5 * (cov + cov.T)
+        means.append(mean)
+        innovations[t] = e
+    final_cov, forecast_covs = cov, []
+    for _ in range(h):
+        mean, cov = g @ mean, g @ cov @ g.T + w
+        means.append(mean)
+        forecast_covs.append(cov)
+    return DensePass(float(loglik), float(white_ss), float(pivot), innovations,
+                     np.array(means), final_cov, forecast_covs)
 
 
 def quadrature_transition(ordering, vel, dif) -> np.ndarray:

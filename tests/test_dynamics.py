@@ -237,12 +237,12 @@ def test_build_transition_zero_generator():
     theta = rng.integers(-9, 10, size=2 * k).astype(float)
     root = rng.integers(-3, 4, size=(2 * k, 2 * k)).astype(float)
     cov = root @ root.T
-    [block] = model.blocks  # one dense block: a batch of one
-    mean, pred = _predict(block, theta[None], cov[None])
+    [block] = model.parts
+    mean, pred = _predict(block, theta, cov)
     w_alpha, w_beta = joined(model, "w_alpha"), joined(model, "w_beta")
     noise = np.block([[w_alpha, np.zeros((k, k))], [np.zeros((k, k)), w_beta]])
-    assert np.array_equal(mean[0], expected @ theta)
-    assert np.array_equal(pred[0], expected @ cov @ expected.T + noise)
+    assert np.array_equal(mean, expected @ theta)
+    assert np.array_equal(pred, expected @ cov @ expected.T + noise)
 
 
 def test_augmented_step_block_multiplication():
@@ -252,25 +252,24 @@ def test_augmented_step_block_multiplication():
     alpha = rng.normal(size=5)
     beta = rng.normal(size=5)
     theta = np.concatenate([alpha, beta])
-    [block] = model.blocks
-    out, _ = _predict(block, theta[None], np.eye(10)[None])
-    out = out[0]
+    [block] = model.parts
+    out, _ = _predict(block, theta, np.eye(10))
     assert np.allclose(out[:5], phi @ alpha + beta)
     assert np.array_equal(out[5:], beta)
     assert np.allclose(augmented(phi) @ theta, out)
 
 
 def test_augmented_step_of_leakage_channels():
-    # a mirrored model's leakage channels are real channels of the random walk
+    # a mirrored model's leakage part is real channels of the random walk
     # lam = 1: the mean is one (alpha, beta) row and the covariance one 2x2 per
     # channel, with the noise scaled by SUBSPACE_RIDGE
     rng = np.random.default_rng(42)
     model = direct_model(np.eye(3), NoiseParams(1e-3, 1e-3), leakage=6)
-    channels = model.blocks[-1]
-    assert model.k == 9 and channels.index.ravel().tolist() == list(range(3, 9))
+    channels = model.parts[-1]
+    assert model.k == 9 and channels.index.tolist() == list(range(3, 9))
     theta = rng.normal(size=(6, 2))
     cov = np.eye(2) * rng.uniform(1, 2, size=(6, 1, 1))
-    _, state = kf_forecast(model, [(np.zeros((1, 6)), np.eye(6)[None]), (theta, cov)], 1)
+    _, state = kf_forecast(model, [(np.zeros(6), np.eye(6)), (theta, cov)], 1)
     out, pred = state[-1]
     assert np.array_equal(out, np.column_stack([theta[:, 0] + theta[:, 1], theta[:, 1]]))
     w = 1e-3 * SUBSPACE_RIDGE

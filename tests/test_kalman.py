@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mirrorspec.dynamics import block_transition, build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
@@ -11,7 +10,7 @@ from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transi
 from mirrorspec.grid import GridSpec, flip_field, unflip
 from mirrorspec.kalman import (
     SUBSPACE_RIDGE,
-    Blocks,
+    Block,
     Channels,
     FilterError,
     NoiseParams,
@@ -32,7 +31,7 @@ from mirrorspec.spectral import (
     flip_transfer,
     synthesize,
 )
-from oracles import joined, split
+from oracles import dense_filter, dense_init, joined, split
 
 
 # The 3x3 start grid of the variance fit before it profiled out the scale.
@@ -48,9 +47,8 @@ def full_pass_loglik(factory, obs, params):
 def untied_model(phi, noise):
     """The dense model of ``phi`` whose observation covariance is
     ``sigma2_obs * I`` alone, without ``direct_model``'s ``sigma2_alpha``."""
-    eye = np.eye(len(phi))
-    return StateSpaceModel((Blocks(np.arange(len(phi))[None], phi[None], noise.sigma2_obs * eye,
-                                   noise.sigma2_alpha * eye, noise.sigma2_beta * eye),))
+    return StateSpaceModel((Block(np.arange(len(phi)), phi, noise.sigma2_obs,
+                                  noise.sigma2_alpha, noise.sigma2_beta),))
 
 
 def identity_model(k, noise):
@@ -192,30 +190,13 @@ def test_loglik_decomposes_over_innovations():
     result = kf_filter(model, sim.alphas, state0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
 
-    # independent recomputation: the covariance recursion does not depend on
-    # the data, so rebuild S_t and score the stored innovations
-    k = ordering.k
-    v, w_alpha, w_beta = (joined(model, name) for name in ("v", "w_alpha", "w_beta"))
-    cov = joined(model, state0)
-    total, pivot = 0.0, np.inf
-    for t in range(1, cfg.steps):
-        p11, p12, p22 = cov[:k, :k], cov[:k, k:], cov[k:, k:]
-        x, y = phi @ p11, phi @ p12
-        pred = np.block([[x @ phi.T + y + y.T + p22 + w_alpha, y + p22],
-                         [(y + p22).T, p22 + w_beta]])
-        s = pred[:k, :k] + v
-        e = result.innovations[t]
-        chol = scipy.linalg.cho_factor(s, lower=True)
-        white = scipy.linalg.solve_triangular(chol[0], e, lower=True)
-        pivot = min(pivot, np.diag(chol[0]).min())
-        total += -0.5 * (k * np.log(2 * np.pi)
-                         + 2 * np.sum(np.log(np.diag(chol[0]))) + white @ white)
-        gain = scipy.linalg.cho_solve(chol, pred[:k, :].copy()).T
-        ap = pred - gain @ pred[:k, :]
-        cov = ap - ap[:, :k] @ gain.T + gain @ v @ gain.T
-        cov = 0.5 * (cov + cov.T)
-    assert np.isclose(total, result.loglik, atol=1e-9)
-    assert result.min_pivot == pytest.approx(pivot, rel=1e-12)
+    # independent recomputation by the textbook dense filter of the same
+    # matrices from the same state
+    [(mean0, _)] = state0
+    want = dense_filter(phi, *(joined(model, name) for name in ("v", "w_alpha", "w_beta")),
+                        sim.alphas, mean0, joined(model, state0))
+    assert np.isclose(want.loglik, result.loglik, atol=1e-9)
+    assert result.min_pivot == pytest.approx(want.min_pivot, rel=1e-12)
 
 
 def test_variance_mle_recovers_within_factor_three():
@@ -379,30 +360,28 @@ def flipped_case(diffusive, k):
 
 
 def dense_model(phi, h, noise):
-    """The conjugated model on every coefficient of ``h``'s rows, and ``T = [H | Q2]``
-    with ``Q2`` the orthonormal complement of ``range(H)``: noise
-    ``H H^T + ridge (I - H pinv(H))``, observation noise ``sigma2_obs T T^T`` plus
-    its alpha part."""
+    """The conjugated model on every coefficient of ``h``'s rows as the dense
+    ``(phi, v, w_alpha, w_beta)`` of :func:`oracles.dense_filter`, and
+    ``T = [H | Q2]`` with ``Q2`` the orthonormal complement of ``range(H)``:
+    noise ``H H^T + ridge (I - H pinv(H))``, observation noise
+    ``sigma2_obs T T^T`` plus its alpha part."""
     q, _ = np.linalg.qr(h, mode="complete")
     t = np.column_stack([h, q[:, h.shape[1]:]])
     w = h @ h.T + SUBSPACE_RIDGE * (np.eye(h.shape[0]) - h @ np.linalg.pinv(h))
-    block = Blocks(np.arange(len(phi))[None], phi[None],
-                   v=noise.sigma2_obs * t @ t.T + noise.sigma2_alpha * w,
-                   w_alpha=noise.sigma2_alpha * w, w_beta=noise.sigma2_beta * w)
-    return StateSpaceModel((block,)), t
+    return (phi, noise.sigma2_obs * t @ t.T + noise.sigma2_alpha * w,
+            noise.sigma2_alpha * w, noise.sigma2_beta * w), t
 
 
-def mapped_init(dense, t, first_obs, noise):
-    """:func:`default_init` of the one-block model ``dense`` at ``T^-1 first_obs``,
-    mapped to the state ``(T z, T beta)``."""
-    [(mean, cov)] = default_init(dense, np.linalg.solve(t, first_obs), noise)
+def mapped_init(t, first_obs, noise):
+    """The default initial state at ``T^-1 first_obs``, mapped to the state
+    ``(T z, T beta)``."""
+    mean, cov = dense_init(np.linalg.solve(t, first_obs), noise)
     tt = np.kron(np.eye(2), t)
-    return split(dense, tt @ mean[0], tt @ cov[0] @ tt.T)
+    return tt @ mean, tt @ cov @ tt.T
 
 
-def filter_and_forecast(model, obs, noise, init=None):
-    init = default_init(model, obs[0], noise) if init is None else init
-    result = kf_filter(model, obs, init)
+def filter_and_forecast(model, obs, noise):
+    result = kf_filter(model, obs, default_init(model, obs[0], noise))
     forecast, _ = kf_forecast(model, result.final_state, 3)
     return result, np.vstack([result.means_array, forecast])
 
@@ -424,23 +403,22 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     h_s = band.transfer(ordering)
     transfer = FlipTransfer(ordering, band, h_s)
     dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
-    # the leakage channels are the last channels, after the K coefficients
-    channels = model.blocks[-1]
-    leaks = channels.w_alpha == SUBSPACE_RIDGE * noise.sigma2_alpha
-    assert channels.index[leaks].tolist() == list(range(ordering.k, band.k))
-    assert np.all(channels.lam[leaks] == 1)
+    # the leakage is the last part, after the K coefficients
+    leak = model.parts[-1]
+    assert isinstance(leak, Channels) and leak.imag.size == 0
+    assert leak.index.tolist() == list(range(ordering.k, band.k))
+    assert np.all(leak.lam == 1)
     assert ordering.k == 15 < model.k == band.k == 21
 
     band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
     got, got_means = filter_and_forecast(model, obs, noise)
-    want, want_means = filter_and_forecast(dense, band_obs, noise,
-                                           mapped_init(dense, t, band_obs[0], noise))
+    want = dense_filter(*dense, band_obs, *mapped_init(t, band_obs[0], noise), h=3)
     # the filter on z = T^-1 y has the density of y times |det T|, once per update
     jacobian = len(got.loglik_terms) * np.linalg.slogdet(t)[1]
     assert got.loglik - jacobian == pytest.approx(want.loglik, rel=1e-9)
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
     to_band = np.kron(np.eye(2), t)  # state (z, Q2' y, forcing) -> (y, beta)
-    assert np.abs(got_means @ to_band.T - want_means).max() <= 1e-9
+    assert np.abs(got_means @ to_band.T - want.means).max() <= 1e-9
 
 
 @DIFFUSIVE
@@ -456,15 +434,46 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
     dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
                            transfer.matrix, noise)
     dense_obs = np.array([analyze(flip_field(f), star) for f in frames])
-    assert dense.k == 65 > pipeline.k == 21
+    assert len(dense[0]) == 65 > pipeline.k == 21
 
     _, got = filter_and_forecast(pipeline.factory(noise), pipeline.observations(frames), noise)
-    _, want = filter_and_forecast(dense, dense_obs, noise,
-                                  mapped_init(dense, t, dense_obs[0], noise))
+    want = dense_filter(*dense, dense_obs, *mapped_init(t, dense_obs[0], noise), h=3).means
     for g_mean, w_mean in zip(got, want):
         got_field = pipeline.reconstruct(g_mean).values
         want_field = unflip(synthesize(star, w_mean[:65])).values
         assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
+
+
+@DIFFUSIVE
+def test_leakage_is_its_own_part(diffusive):
+    # a mirrored model is its coefficient part (channels for a constant velocity,
+    # one block for a variable diffusivity) plus a leakage part of its own noise:
+    # filtering it is filtering the coefficients and the leakage apart
+    frames, ordering, gen, pipeline = flipped_case(diffusive, 64)
+    noise = NoiseParams(2e-3, 5e-4, 1e-4)
+    model = pipeline.factory(noise)
+    obs = pipeline.observations(frames)
+    k, leakage = ordering.k, pipeline.k - ordering.k
+    coeffs, leak = model.parts
+    assert isinstance(coeffs, Block if diffusive else Channels)
+    assert isinstance(leak, Channels) and leak.imag.size == 0
+    assert leak.index.tolist() == list(range(k, pipeline.k)) and np.all(leak.lam == 1)
+    r = SUBSPACE_RIDGE
+    assert (leak.v, leak.w_alpha, leak.w_beta) == (
+        noise.sigma2_obs + noise.sigma2_alpha * r, noise.sigma2_alpha * r, noise.sigma2_beta * r)
+
+    phi = (build_transition(gen, 1.0) if diffusive
+           else block_transition(ordering, (0.01, 0.0), 1.0, 0.0))
+    coeff_model = direct_model(phi, noise)
+    leak_model = direct_model((np.arange(0), np.arange(0), np.ones(0)), noise, leakage=leakage)
+    got = kf_filter(model, obs, default_init(model, obs[0], noise))
+    want = [kf_filter(m, o, default_init(m, o[0], noise))
+            for m, o in ((coeff_model, obs[:, :k]), (leak_model, obs[:, k:]))]
+    assert got.loglik == pytest.approx(want[0].loglik + want[1].loglik, rel=1e-12)
+    assert got.whitened_ss == pytest.approx(want[0].whitened_ss + want[1].whitened_ss, rel=1e-12)
+    halves = [np.split(w.means_array, 2, axis=1) for w in want]  # (alpha, beta) of each part
+    want_means = np.hstack([halves[0][0], halves[1][0], halves[0][1], halves[1][1]])
+    assert np.abs(got.means_array - want_means).max() <= 1e-12 * np.abs(want_means).max()
 
 
 # --- constant coefficients: the filter on scalar channels ------------------
@@ -505,16 +514,10 @@ def pair_case():
     return channels, ordering, simulate_advection(cfg).alphas[:, sub]
 
 
-def dense_block(model):
-    """The one dense block of all the coefficients of ``model``: its joined
-    transition and noise covariances."""
-    return StateSpaceModel((Blocks(np.arange(model.k)[None], joined(model, "phi")[None],
-                                   *(joined(model, name) for name in ("v", "w_alpha", "w_beta"))),))
-
-
 def test_pair_filter_equals_the_dense_filter():
     # direct, windowed and mirrored models of constant velocity and diffusivity,
-    # each one batch of channels, against the dense filter of one block
+    # each one part of channels (and a mirrored one its leakage part), against
+    # the dense filter of all their coefficients
     cfg = SimulationConfig(grid=GridSpec(16, 16), steps=10, noise_alpha=0.005,
                            noise_beta=0.001, noise_modes=33, seed=28)
     g = cfg.grid
@@ -526,25 +529,23 @@ def test_pair_filter_equals_the_dense_filter():
                                   diffusivity=DiffusivityField.isotropic(g, np.full(g.n, 2e-4)))
         obs = pipeline.observations(frames)
         channels = pipeline.factory(noise)
-        dense = dense_block(channels)
-        [part] = channels.blocks
+        part, *leaks = channels.parts
         assert isinstance(part, Channels) and 0 < part.imag.size < part.index.size, spec
-        leaks = np.count_nonzero(part.w_alpha == SUBSPACE_RIDGE * noise.sigma2_alpha)
-        assert (leaks == pipeline.k - 59 > 0) if spec.flip else leaks == 0, spec
-        assert dense.k == channels.k == pipeline.k
+        leaked = sum(leak.index.size for leak in leaks)
+        assert (leaked == pipeline.k - 59 > 0) if spec.flip else not leaks, spec
+        assert channels.k == pipeline.k
 
         got, got_means = filter_and_forecast(channels, obs, noise)
-        want, want_means = filter_and_forecast(dense, obs, noise)
+        want = dense_filter(*(joined(channels, name) for name in ("phi", "v", "w_alpha", "w_beta")),
+                            obs, *dense_init(obs[0], noise), h=3)
         assert got.loglik == pytest.approx(want.loglik, rel=1e-9), spec
         assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9), spec
         assert got.min_pivot == pytest.approx(want.min_pivot, rel=1e-12), spec
         assert np.abs(got.innovations - want.innovations).max() <= 1e-9, spec
-        assert np.abs(got_means - want_means).max() <= 1e-9, spec
-        assert np.abs(joined(channels, got.final_state)
-                      - joined(dense, want.final_state)).max() <= 1e-9, spec
+        assert np.abs(got_means - want.means).max() <= 1e-9, spec
+        assert np.abs(joined(channels, got.final_state) - want.final_cov).max() <= 1e-9, spec
         _, got_state = kf_forecast(channels, got.final_state, 2)
-        _, want_state = kf_forecast(dense, want.final_state, 2)
-        assert np.abs(joined(channels, got_state) - joined(dense, want_state)).max() <= 1e-9, spec
+        assert np.abs(joined(channels, got_state) - want.forecast_covs[1]).max() <= 1e-9, spec
 
 
 def test_constant_coefficient_pass_makes_no_linalg_call(monkeypatch):
@@ -576,9 +577,9 @@ def test_pair_filter_breakdown_raises_diagnostic():
 
 @pytest.mark.parametrize("physics", ["pairs", "flip"])
 def test_filter_and_forecast_reject_a_state_of_the_wrong_shape(physics):
-    # the state is one (mean, cov) per batch of blocks: a state with a batch
-    # missing, or with a batch of another block size, is rejected by name, and
-    # so is a first observation of another length
+    # the state is one (mean, cov) per part: a state with a part missing, or
+    # with a part of another size, is rejected by name, and so is a first
+    # observation of another length
     if physics == "pairs":
         batches, _, obs = pair_case()
         model = direct_model(batches, NoiseParams(1e-3, 1e-3))
@@ -588,15 +589,15 @@ def test_filter_and_forecast_reject_a_state_of_the_wrong_shape(physics):
         model = pipeline.factory(NoiseParams(1e-3, 1e-3))
         obs = np.zeros((3, model.k))
     state = default_init(model, obs[0], NoiseParams(1e-3, 1e-3))
-    n = len(model.blocks)
+    n = len(model.parts)
     mean, cov = state[-1]
     m = mean.shape[1] // 2
     wrong = {
-        f"one (mean, cov) per batch of blocks: {n}, got {n - 1}": state[:-1],
-        f"batch {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
+        f"one (mean, cov) per part: {n}, got {n - 1}": state[:-1],
+        f"part {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
         f"of shape {cov.shape}, got {mean[1:].shape} and {cov.shape}":
             state[:-1] + [(mean[1:], cov)],
-        f"batch {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
+        f"part {n - 1} of the state must have a mean of shape {mean.shape} and a covariance "
         f"of shape {cov.shape}, got {mean.shape} and {cov[:, :m, :m].shape}":
             state[:-1] + [(mean, cov[:, :m, :m])],
     }
@@ -631,19 +632,20 @@ def test_replica_filter_pass_keeps_no_dense_covariance():
 def layout(model):
     """Each part of ``model``: ``("block", m)``, or ``("channels", pairs, reals)``."""
     return [("channels", b.imag.size, b.index.size - b.imag.size) if isinstance(b, Channels)
-            else ("block", b.index.shape[1]) for b in model.blocks]
+            else ("block", b.index.size) for b in model.parts]
 
 
 @pytest.mark.parametrize("physics,parts", [
     ("constant", [("channels", 10, 1)]),
     ("constant-d", [("channels", 10, 1)]),
     ("variable-d", [("block", 21)]),
-    ("flip", [("channels", 7, 1 + 6)]),
+    ("flip", [("channels", 7, 1), ("channels", 0, 6)]),
     ("flip-variable-d", [("block", 15), ("channels", 0, 6)]),
 ], ids=["constant", "constant-d", "variable-d", "flip", "flip-variable-d"])
 def test_build_pipeline_picks_the_blocks_from_the_physics(physics, parts):
     # pair and corner channels for constant coefficients, one dense block
-    # otherwise; a mirrored model adds one real leakage channel per coordinate
+    # otherwise; a mirrored model adds a part of one real leakage channel per
+    # coordinate
     g = GridSpec(16, 16)
     dif = {"constant-d": DiffusivityField.isotropic(g, np.full(g.n, 1e-4)),
            "variable-d": variable_diffusivity(g),
