@@ -197,6 +197,8 @@ def test_loglik_decomposes_over_innovations():
                         sim.alphas, mean0, joined(model, state0))
     assert np.isclose(want.loglik, result.loglik, atol=1e-9)
     assert result.min_pivot == pytest.approx(want.min_pivot, rel=1e-12)
+    # the innovations the block reports are the ones its loglik scores
+    assert np.abs(result.innovations - want.innovations).max() <= 1e-9
 
 
 def test_variance_mle_recovers_within_factor_three():
@@ -403,12 +405,17 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     h_s = band.transfer(ordering)
     transfer = FlipTransfer(ordering, band, h_s)
     dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
-    # the leakage is the last part, after the K coefficients
-    leak = model.parts[-1]
+    # a coefficient part (channels for a constant velocity, one block for a
+    # variable diffusivity), then the leakage part with its own scalar noise
+    k = ordering.k
+    coeffs, leak = model.parts
+    assert isinstance(coeffs, Block if diffusive else Channels)
     assert isinstance(leak, Channels) and leak.imag.size == 0
-    assert leak.index.tolist() == list(range(ordering.k, band.k))
-    assert np.all(leak.lam == 1)
-    assert ordering.k == 15 < model.k == band.k == 21
+    assert leak.index.tolist() == list(range(k, band.k)) and np.all(leak.lam == 1)
+    r = SUBSPACE_RIDGE
+    assert (leak.v, leak.w_alpha, leak.w_beta) == (
+        noise.sigma2_obs + noise.sigma2_alpha * r, noise.sigma2_alpha * r, noise.sigma2_beta * r)
+    assert k == 15 < model.k == band.k == 21
 
     band_obs = obs @ t.T  # the band coordinates y = T (z, Q2' y)
     got, got_means = filter_and_forecast(model, obs, noise)
@@ -419,6 +426,20 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     assert got.whitened_ss == pytest.approx(want.whitened_ss, rel=1e-9)
     to_band = np.kron(np.eye(2), t)  # state (z, Q2' y, forcing) -> (y, beta)
     assert np.abs(got_means @ to_band.T - want.means).max() <= 1e-9
+
+    # filtering it is filtering the coefficients and the leakage apart
+    phi = (build_transition(gen, 1.0) if diffusive
+           else block_transition(ordering, (0.01, 0.0), 1.0, 0.0))
+    leak_model = direct_model((np.arange(0), np.arange(0), np.ones(0)), noise,
+                              leakage=band.k - k)
+    apart = [kf_filter(m, o, default_init(m, o[0], noise))
+             for m, o in ((direct_model(phi, noise), obs[:, :k]), (leak_model, obs[:, k:]))]
+    assert got.loglik == pytest.approx(apart[0].loglik + apart[1].loglik, rel=1e-12)
+    assert got.whitened_ss == pytest.approx(apart[0].whitened_ss + apart[1].whitened_ss,
+                                            rel=1e-12)
+    halves = [np.split(a.means_array, 2, axis=1) for a in apart]  # (alpha, beta) of each part
+    apart_means = np.hstack([halves[0][0], halves[1][0], halves[0][1], halves[1][1]])
+    assert np.abs(got.means_array - apart_means).max() <= 1e-12 * np.abs(apart_means).max()
 
 
 @DIFFUSIVE
@@ -442,38 +463,6 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
         got_field = pipeline.reconstruct(g_mean).values
         want_field = unflip(synthesize(star, w_mean[:65])).values
         assert np.abs(got_field - want_field).max() <= 1e-9 * np.abs(want_field).max()
-
-
-@DIFFUSIVE
-def test_leakage_is_its_own_part(diffusive):
-    # a mirrored model is its coefficient part (channels for a constant velocity,
-    # one block for a variable diffusivity) plus a leakage part of its own noise:
-    # filtering it is filtering the coefficients and the leakage apart
-    frames, ordering, gen, pipeline = flipped_case(diffusive, 64)
-    noise = NoiseParams(2e-3, 5e-4, 1e-4)
-    model = pipeline.factory(noise)
-    obs = pipeline.observations(frames)
-    k, leakage = ordering.k, pipeline.k - ordering.k
-    coeffs, leak = model.parts
-    assert isinstance(coeffs, Block if diffusive else Channels)
-    assert isinstance(leak, Channels) and leak.imag.size == 0
-    assert leak.index.tolist() == list(range(k, pipeline.k)) and np.all(leak.lam == 1)
-    r = SUBSPACE_RIDGE
-    assert (leak.v, leak.w_alpha, leak.w_beta) == (
-        noise.sigma2_obs + noise.sigma2_alpha * r, noise.sigma2_alpha * r, noise.sigma2_beta * r)
-
-    phi = (build_transition(gen, 1.0) if diffusive
-           else block_transition(ordering, (0.01, 0.0), 1.0, 0.0))
-    coeff_model = direct_model(phi, noise)
-    leak_model = direct_model((np.arange(0), np.arange(0), np.ones(0)), noise, leakage=leakage)
-    got = kf_filter(model, obs, default_init(model, obs[0], noise))
-    want = [kf_filter(m, o, default_init(m, o[0], noise))
-            for m, o in ((coeff_model, obs[:, :k]), (leak_model, obs[:, k:]))]
-    assert got.loglik == pytest.approx(want[0].loglik + want[1].loglik, rel=1e-12)
-    assert got.whitened_ss == pytest.approx(want[0].whitened_ss + want[1].whitened_ss, rel=1e-12)
-    halves = [np.split(w.means_array, 2, axis=1) for w in want]  # (alpha, beta) of each part
-    want_means = np.hstack([halves[0][0], halves[1][0], halves[0][1], halves[1][1]])
-    assert np.abs(got.means_array - want_means).max() <= 1e-12 * np.abs(want_means).max()
 
 
 # --- constant coefficients: the filter on scalar channels ------------------
