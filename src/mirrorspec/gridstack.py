@@ -1,26 +1,21 @@
-"""Text-based persistence for frame stacks and portable-graymap rendering.
+"""Binary persistence for frame stacks and portable-graymap rendering.
 
-A stack is a directory holding ``manifest.json`` plus one CSV file per time
-step (``frame_0000.csv`` ...), each with ``n2`` rows of ``n1`` comma-separated
-values printed at 17 significant digits, so float64 round-trips exactly.
-Row ``i`` is y-index ``i``, column ``j`` is x-index ``j``.
-
-Frames are formatted and parsed by one process per CPU in the affinity mask:
-:func:`save_stack` and :func:`load_stack` fork a child for each CPU beyond
-the first and deal the frames out round-robin, and a frame that no child
-delivers is redone by the calling process, so errors are those of a serial
-run. Each frame file is written by ``np.savetxt`` in whichever process owns
-it, so the files are byte-identical to a serial write.
+A stack is a directory holding ``manifest.json`` plus one NPY file per time
+step (``frame_0000.npy`` ...), each the float64 ``(n2, n1)`` pixel array of
+:meth:`Field.pixels` as ``np.save`` writes it, so values round-trip bit for
+bit and any NumPy reads a frame with ``np.load``.  Row ``i`` is y-index ``i``,
+column ``j`` is x-index ``j``.  :func:`load_stack` refuses a frame that is
+missing, not an NPY array (pickled objects included), not float64, of
+another shape than the manifest's grid or not finite, naming its file; a
+stack of text frames (``frame_0000.csv``) from an earlier version is refused
+with a message to run the command that wrote it again.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -61,88 +56,7 @@ class GridStack:
 
 
 def _frame_name(i: int) -> str:
-    return f"frame_{i:04d}.csv"
-
-
-_LENGTH = struct.Struct("<Q")  # precedes each frame's bytes on a child's pipe
-
-
-def _each_frame(steps: int, work: Callable[[int], bytes], build: Callable[[bytes], object]) -> list:
-    """``[build(work(i)) for i in range(steps)]``, with ``work`` spread over
-    the CPUs this process may run on.
-
-    Frame ``i`` belongs to share ``i % shares``, one share per CPU up to the
-    frame count. The caller keeps share 0 and forks a child for each other
-    share; a child runs ``work`` on its frames in order and sends each result
-    back through its own pipe. The caller calls ``build`` in frame order as the
-    results arrive, so no more than a frame per child is ever in flight. A
-    frame that its child did not deliver (the child failed or could not be
-    forked) is computed here with ``work``, which then raises what a serial
-    run raises. Every child has been reaped when this returns or raises.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shares = min(cpus, steps)
-    children, pipes = [], {}
-    try:
-        for share in range(1, shares):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
-                _run_share(share, shares, steps, work, read_end, write_end, pipes)
-            children.append(pid)
-            os.close(write_end)
-            pipes[share] = open(read_end, "rb")
-        results = []
-        for i in range(steps):
-            share = i % shares
-            data = _receive(pipes[share]) if share in pipes else None
-            if data is None:
-                if share in pipes:
-                    pipes.pop(share).close()  # the rest of its share is done here
-                data = work(i)
-            results.append(build(data))
-        return results
-    finally:
-        for pipe in pipes.values():
-            pipe.close()  # a child still writing gets EPIPE and exits
-        for pid in children:
-            os.waitpid(pid, 0)
-
-
-def _run_share(share, shares, steps, work, read_end, write_end, pipes) -> NoReturn:
-    """A forked child's whole life: send ``work(i)`` for each frame of its
-    share, then leave through ``os._exit`` so it never runs the parent's
-    cleanup or flushes the parent's stdio buffers."""
-    status = 1
-    try:
-        os.close(read_end)
-        for pipe in pipes.values():
-            pipe.close()
-        with open(write_end, "wb") as out:
-            for i in range(share, steps, shares):
-                data = work(i)
-                out.write(_LENGTH.pack(len(data)))
-                out.write(data)
-                out.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pipe) -> bytes | None:
-    """One frame's bytes from a child, or None if its pipe ended first."""
-    head = pipe.read(_LENGTH.size)
-    if len(head) == _LENGTH.size:
-        (size,) = _LENGTH.unpack(head)
-        data = pipe.read(size)
-        if len(data) == size:
-            return data
-    return None
+    return f"frame_{i:04d}.npy"
 
 
 def save_stack(stack: GridStack, path) -> Path:
@@ -159,13 +73,34 @@ def save_stack(stack: GridStack, path) -> Path:
         "config_hash": stack.config_hash,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-    def write(i: int) -> bytes:
-        np.savetxt(root / _frame_name(i), stack.frames[i].pixels(), fmt="%.17g", delimiter=",")
-        return b""
-
-    _each_frame(stack.steps, write, lambda data: None)
+    for i, frame in enumerate(stack.frames):
+        np.save(root / _frame_name(i), frame.pixels())
     return root
+
+
+def _load_frame(fpath: Path, i: int, steps: int, grid: GridSpec) -> Field:
+    if not fpath.exists():
+        text = fpath.with_suffix(".csv")
+        if text.exists():
+            raise StackError(f"{text}: a text frame, which this version no longer reads; "
+                             "run the command that wrote the stack again")
+        raise StackError(f"{fpath}: missing frame {i} of {steps}")
+    try:
+        pixels = np.load(fpath, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise StackError(f"{fpath}: parse failure ({exc})") from exc
+    if not isinstance(pixels, np.ndarray):
+        pixels.close()
+        raise StackError(f"{fpath}: parse failure (an .npz archive, not one array)")
+    if pixels.dtype != np.float64:
+        raise StackError(f"{fpath}: frame dtype {pixels.dtype} is not float64")
+    if pixels.shape != grid.shape:
+        raise StackError(
+            f"{fpath}: frame shape {pixels.shape} does not match manifest grid {grid.shape}"
+        )
+    if not np.isfinite(pixels).all():
+        raise StackError(f"{fpath}: frame values must be finite")
+    return Field.from_pixels(grid, pixels)
 
 
 def load_stack(path) -> GridStack:
@@ -192,28 +127,9 @@ def load_stack(path) -> GridStack:
     delta = manifest["delta"]
     if type(delta) not in (int, float) or not 0 < delta < np.inf:
         raise StackError(f"{mpath}: delta must be finite and positive, got {delta!r}")
-
-    def read(i: int) -> bytes:
-        fpath = root / _frame_name(i)
-        if not fpath.exists():
-            raise StackError(f"{fpath}: missing frame {i} of {steps}")
-        try:
-            pixels = np.loadtxt(fpath, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise StackError(f"{fpath}: parse failure ({exc})") from exc
-        if pixels.shape != grid.shape:
-            raise StackError(
-                f"{fpath}: frame shape {pixels.shape} does not match manifest grid {grid.shape}"
-            )
-        if not np.isfinite(pixels).all():
-            raise StackError(f"{fpath}: frame values must be finite")
-        return pixels.tobytes()
-
-    frames = _each_frame(
-        steps, read, lambda data: Field.from_pixels(grid, np.frombuffer(data).reshape(grid.shape)))
     return GridStack(
         grid,
-        frames,
+        [_load_frame(root / _frame_name(i), i, steps, grid) for i in range(steps)],
         delta=float(delta),
         units=str(manifest["units"]),
         created=str(manifest["created"]),

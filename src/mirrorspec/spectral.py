@@ -76,7 +76,12 @@ class ModeOrdering:
         mode_x = np.concatenate([[0, 0, h1, h1], kx[in_k2]])
         mode_y = np.concatenate([[0, h2, 0, h2], ky[in_k2]])
         size = np.where(np.arange(4 + m2) < 4, 1, 2)
-        order = np.lexsort((mode_y, mode_x, mode_x**2 + mode_y**2))
+        norm2 = mode_x**2 + mode_y**2
+        # a mode takes at least one coefficient, so every kept mode's ||k||^2 is at
+        # most the n_coeffs-th smallest, read off the cumulative histogram of
+        # ||k||^2: only the modes within that bound are sorted
+        near = np.flatnonzero(norm2 <= np.searchsorted(np.cumsum(np.bincount(norm2)), n_coeffs))
+        order = near[np.lexsort((mode_y[near], mode_x[near], norm2[near]))]
         kept = order[np.cumsum(size[order]) <= n_coeffs]
         retained = np.column_stack([kept, np.where(kept < 4, -1, kept + m2)]).ravel()
         retained = retained[retained >= 0]

@@ -89,7 +89,7 @@ def test_simulate_writes_stack(runner, tmp_path):
     stacks = list(out.glob("stack-simulated-*"))
     assert len(stacks) == 1
     assert (stacks[0] / "manifest.json").exists()
-    assert len(list(stacks[0].glob("frame_*.csv"))) == 8
+    assert len(list(stacks[0].glob("frame_*.npy"))) == 8
     logs = list(out.glob("runlog-simulate-*.json"))
     assert len(logs) == 1
     log = read_runlog(logs[0])
@@ -442,7 +442,7 @@ def test_simulate_steps_flag_names_and_logs_the_steps(runner, tmp_path, payload,
         assert log["config"][section]["steps"] == steps
         stack = Path(log["outputs"][0])
         assert load_stack(stack).steps == steps
-        assert len(list(stack.glob("frame_*.csv"))) == steps
+        assert len(list(stack.glob("frame_*.npy"))) == steps
     assert len(list(out.glob("stack-simulated-*"))) == 2
 
 

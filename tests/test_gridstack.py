@@ -1,6 +1,4 @@
-import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -32,16 +30,16 @@ def test_save_load_roundtrip_exact(tmp_path):
 def test_missing_frame_error_names_index(tmp_path):
     stack = random_stack(steps=5)
     root = save_stack(stack, tmp_path / "s")
-    (root / "frame_0003.csv").unlink()
-    with pytest.raises(StackError, match="frame_0003.csv.*missing frame 3"):
+    (root / "frame_0003.npy").unlink()
+    with pytest.raises(StackError, match="frame_0003.npy.*missing frame 3"):
         load_stack(root)
 
 
 def test_dimension_mismatch_error(tmp_path):
     stack = random_stack()
     root = save_stack(stack, tmp_path / "s")
-    np.savetxt(root / "frame_0001.csv", np.zeros((2, 4)), fmt="%.17g", delimiter=",")
-    with pytest.raises(StackError, match="frame_0001.csv.*shape"):
+    np.save(root / "frame_0001.npy", np.zeros((2, 4)))
+    with pytest.raises(StackError, match="frame_0001.npy.*shape"):
         load_stack(root)
 
 
@@ -75,12 +73,21 @@ def test_manifest_delta_must_be_a_finite_positive_number(tmp_path, delta):
         load_stack(root)
 
 
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _garbage_header(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:10] + b"{'descr': garbage" + data[27:])
+
+
 def test_parse_failure_has_context(tmp_path):
-    stack = random_stack()
-    root = save_stack(stack, tmp_path / "s")
-    (root / "frame_0000.csv").write_text("1,2,3,4\nnot,a,number,row\n1,2,3,4\n1,2,3,4\n")
-    with pytest.raises(StackError, match="frame_0000.csv"):
-        load_stack(root)
+    for corrupt in (_truncated, _garbage_header):
+        root = save_stack(random_stack(), tmp_path / corrupt.__name__)
+        corrupt(root / "frame_0000.npy")
+        with pytest.raises(StackError, match="frame_0000.npy: parse failure"):
+            load_stack(root)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -90,124 +97,70 @@ def test_non_finite_frame_is_named(tmp_path, value):
     from mirrorspec.cli import main
 
     root = save_stack(random_stack(), tmp_path / "s")
-    (root / "frame_0001.csv").write_text(f"1,2,3,4\n1,{value},3,4\n1,2,3,4\n1,2,3,4\n")
-    with pytest.raises(StackError, match="frame_0001.csv: frame values must be finite"):
+    pixels = np.arange(16.0).reshape(4, 4)
+    pixels[1, 1] = float(value)
+    np.save(root / "frame_0001.npy", pixels)
+    with pytest.raises(StackError, match="frame_0001.npy: frame values must be finite"):
         load_stack(root)
     result = CliRunner().invoke(main, ["render", str(root), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
-    assert f"error: {root / 'frame_0001.csv'}: frame values must be finite" in result.output
+    assert f"error: {root / 'frame_0001.npy'}: frame values must be finite" in result.output
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count the stack I/O sees; returns the list of the pids it
-    forks from then on."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-
-    def set_count(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        forks.clear()
-        return forks
-
-    return set_count
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-CORRUPTIONS = {
-    "parse": lambda path: path.write_text("1,2,3,4\nnot,a,number,row\n1,2,3,4\n1,2,3,4\n"),
-    "shape": lambda path: np.savetxt(path, np.zeros((2, 4)), fmt="%.17g", delimiter=","),
-}
-
-
-@pytest.mark.parametrize("name", ["frame_0000.csv", "frame_0001.csv"])
-@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_a_bad_frame_raises_the_serial_error_in_any_share(tmp_path, cpus, name, corruption):
-    """frame_0000 is the calling process's share, frame_0001 a child's."""
-    root = save_stack(random_stack(steps=5), tmp_path / "s")
-    CORRUPTIONS[corruption](root / name)
-    cpus(1)
-    with pytest.raises(StackError) as serial:
+@pytest.mark.parametrize("pixels,error", [
+    (np.arange(16, dtype=np.float32).reshape(4, 4), "frame dtype float32 is not float64"),
+    (np.arange(16, dtype=np.int64).reshape(4, 4), "frame dtype int64 is not float64"),
+    (np.full((4, 4), 1.0, dtype=object), "parse failure"),
+], ids=["float32", "int", "object"])
+def test_a_frame_that_is_not_float64_is_refused(tmp_path, pixels, error):
+    root = save_stack(random_stack(), tmp_path / "s")
+    np.save(root / "frame_0002.npy", pixels, allow_pickle=True)
+    with pytest.raises(StackError, match=f"frame_0002.npy: {error}"):
         load_stack(root)
-    forks = cpus(2)
-    with pytest.raises(StackError) as fanned:
+
+
+def test_an_npz_archive_is_not_a_frame(tmp_path):
+    root = save_stack(random_stack(), tmp_path / "s")
+    with open(root / "frame_0000.npy", "wb") as fh:
+        np.savez(fh, pixels=np.zeros((4, 4)))
+    with pytest.raises(StackError, match="frame_0000.npy: parse failure"):
         load_stack(root)
-    assert len(forks) == 1
-    assert name in str(serial.value)
-    assert str(fanned.value) == str(serial.value)
-    assert_no_child_left()
 
 
-def assert_frames_written_as_serial(root, stack):
+def test_frame_files_are_the_pixels_as_np_save_writes_them(tmp_path):
+    stack = random_stack(n1=6, n2=4, steps=5, seed=4)
+    first = save_stack(stack, tmp_path / "a")
+    second = save_stack(stack, tmp_path / "b")
     for i, frame in enumerate(stack.frames):
-        serial = io.BytesIO()
-        np.savetxt(serial, frame.pixels(), fmt="%.17g", delimiter=",")
-        assert (root / f"frame_{i:04d}.csv").read_bytes() == serial.getvalue()
+        name = f"frame_{i:04d}.npy"
+        pixels = np.load(first / name)
+        assert pixels.dtype == np.float64 and pixels.shape == (4, 6)
+        assert pixels.tobytes() == frame.pixels().tobytes()
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in second.iterdir())
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_fanned_out_frames_equal_a_serial_write_and_read(tmp_path, cpus, count):
-    forks = cpus(count)
-    stack = random_stack(n1=6, n2=4, steps=7, seed=4)
+def test_render_refuses_a_stack_of_text_frames(tmp_path):
+    """A stack written as ``frame_NNNN.csv`` by an earlier version names the
+    text file and asks for the stack to be written again."""
+    from click.testing import CliRunner
+
+    from mirrorspec.cli import main
+
+    stack = random_stack()
     root = save_stack(stack, tmp_path / "s")
-    assert_frames_written_as_serial(root, stack)
-    back = load_stack(root)
-    assert [f.values.tobytes() for f in back.frames] == [f.values.tobytes() for f in stack.frames]
-    assert len(forks) == 2 * (count - 1)
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("count", [2, 3])
-def test_frames_a_child_fails_are_redone_by_the_parent(tmp_path, cpus, monkeypatch, count):
-    """Each child delivers its first frame, then fails on every frame from 3 on."""
-    forks = cpus(count)
-    parent = os.getpid()
-
-    def fails_in_a_child(fn):
-        def wrapped(path, *args, **kw):
-            if os.getpid() != parent and int(path.stem[-4:]) >= 3:
-                raise OSError("injected failure")
-            return fn(path, *args, **kw)
-        return wrapped
-
-    stack = random_stack(n1=6, n2=4, steps=7, seed=5)
-    monkeypatch.setattr(np, "savetxt", fails_in_a_child(np.savetxt))
-    monkeypatch.setattr(np, "loadtxt", fails_in_a_child(np.loadtxt))
-    root = save_stack(stack, tmp_path / "s")
-    back = load_stack(root)
-    monkeypatch.undo()  # the reference below calls the real np.savetxt
-    assert_frames_written_as_serial(root, stack)
-    assert [f.values.tobytes() for f in back.frames] == [f.values.tobytes() for f in stack.frames]
-    assert len(forks) == 2 * (count - 1)
-    assert_no_child_left()
-
-
-def test_a_failure_in_the_parents_share_leaves_no_child(tmp_path, cpus, monkeypatch):
-    forks = cpus(2)
-    savetxt = np.savetxt
-
-    def fails_on_frame_0(path, *args, **kw):
-        if path.name == "frame_0000.csv":
-            raise OSError("injected failure")
-        return savetxt(path, *args, **kw)
-
-    monkeypatch.setattr(np, "savetxt", fails_on_frame_0)
-    with pytest.raises(OSError, match="injected failure"):
-        save_stack(random_stack(steps=4), tmp_path / "s")
-    assert len(forks) == 1
-    assert_no_child_left()
+    for i, frame in enumerate(stack.frames):
+        (root / f"frame_{i:04d}.npy").unlink()
+        np.savetxt(root / f"frame_{i:04d}.csv", frame.pixels(), fmt="%.17g", delimiter=",")
+    message = (f"{root / 'frame_0000.csv'}: a text frame, which this version no longer reads; "
+               "run the command that wrote the stack again")
+    with pytest.raises(StackError, match="frame_0000.csv: a text frame"):
+        load_stack(root)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["render", str(root), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+    assert not list(out.glob("*"))
 
 
 def test_benchmark_size_stack_loads_quickly(tmp_path):

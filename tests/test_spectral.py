@@ -114,6 +114,47 @@ def test_mode_table_matches_the_reference_construction():
     assert cases > 600
 
 
+def full_sort_ordering(grid, n_coeffs):
+    """The mode table with every mode of the grid sorted by one ``lexsort``
+    on ``(||k||^2, k1, k2)``, whole cos/sin groups taken while they fit."""
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
+    kx, ky = np.meshgrid(np.arange(h1 + 1), np.arange(1 - h2, h2 + 1), indexing="ij")
+    in_k2 = ((kx > 0) & (kx < h1)) | ((ky > 0) & (ky < h2))
+    m2 = int(in_k2.sum())
+    mode_x = np.concatenate([[0, 0, h1, h1], kx[in_k2]])
+    mode_y = np.concatenate([[0, h2, 0, h2], ky[in_k2]])
+    size = np.where(np.arange(4 + m2) < 4, 1, 2)
+    order = np.lexsort((mode_y, mode_x, mode_x**2 + mode_y**2))
+    kept = order[np.cumsum(size[order]) <= n_coeffs]
+    retained = [p for mode in kept.tolist() for p in ((mode,) if mode < 4 else (mode, mode + m2))]
+    indices = np.sort(retained)
+    sin = indices >= 4 + m2
+    cos_mode = np.where(sin, indices - m2, indices)
+    partner = np.searchsorted(indices, np.where(indices < 4, indices,
+                                                np.where(sin, indices - m2, indices + m2)))
+    return SimpleNamespace(retained=tuple(retained), indices=indices, kx=mode_x[cos_mode],
+                           ky=mode_y[cos_mode], is_sin=sin, weight=np.where(indices < 4, 1.0, 2.0),
+                           cnorm=np.where(indices < 4, 1.0, 0.5), partner=partner)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(100, 100), GridSpec(200, 200), GridSpec(100, 60),
+                                  GridSpec(36, 200), GridSpec(60, 100).doubled()], ids=str)
+def test_partial_sort_keeps_the_full_sort_table(grid):
+    """The constructor sorts only the modes within the ``n_coeffs``-th smallest
+    ``||k||^2``; the table must be the one a sort of every mode gives, also at
+    budgets that split a cos/sin pair, end inside a run of equal ``||k||^2``,
+    or exceed the grid (k* = 200, 400, 800 are the 100x100 mirror bands)."""
+    splits = 0
+    for k in (*range(1, 60), 99, 100, 199, 200, 399, 400, 799, 800, grid.n - 1, grid.n, grid.n + 7):
+        table, oracle = ModeOrdering(grid, k), full_sort_ordering(grid, k)
+        assert table.retained == oracle.retained, k
+        assert table.k == len(oracle.retained)
+        for name in ("indices", "kx", "ky", "is_sin", "weight", "cnorm", "partner"):
+            assert np.array_equal(getattr(table, name), getattr(oracle, name)), (k, name)
+        splits += table.k < min(k, grid.n)
+    assert splits > 10
+
+
 def test_mode_table_rejects_an_empty_budget():
     with pytest.raises(ValueError, match="n_coeffs"):
         ModeOrdering(GridSpec(4, 4), 0)
