@@ -17,13 +17,7 @@ from .evaluate import (
     run_comparison,
     truncated_reconstruction,
 )
-from .galerkin import (
-    DiffusivityField,
-    VelocityField,
-    assemble_transition,
-    normalization_c,
-    psi_entry,
-)
+from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field, unflip
 from .gridstack import GridStack, load_stack, render_heatmap, save_stack
 from .kalman import (

@@ -67,7 +67,7 @@ class _Run:
             **extra,
         }
         path = self.out / f"runlog-{self.command}-{self.tag}{self.config.hash}.json"
-        path.write_text(json.dumps(log, indent=2, default=str) + "\n")
+        path.write_text(json.dumps(log, indent=2, default=str, allow_nan=False) + "\n")
 
 
 def _fail(code: int, message: str):
@@ -188,7 +188,8 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
                   noise: NoiseParams | None):
     """Build ``spec`` from the config and stack, then fit (when ``noise`` is
     None) and filter it over the first ``steps`` frames (all when None).
-    Returns the pipeline followed by :func:`fit_and_filter`'s tuple."""
+    Returns the pipeline and :func:`fit_and_filter`'s
+    :class:`~mirrorspec.evaluate.FittedModel`."""
     steps = stack.steps if steps is None else steps
     if steps > stack.steps:
         _fail(2, f"--steps {steps} exceeds the {stack.steps} frames of the stack")
@@ -197,10 +198,8 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
     velocity, diffusivity = _physics(cfg, stack)
     pipeline = build_pipeline(stack.grid, spec, velocity=velocity, diffusivity=diffusivity,
                               delta=stack.delta)
-    return pipeline, *fit_and_filter(
-        pipeline, pipeline.observations(stack.frames[:steps]), noise,
-        fit_budget=cfg.data["fit"]["budget"],
-    )
+    return pipeline, fit_and_filter(pipeline, pipeline.observations(stack.frames[:steps]),
+                                    noise, fit_budget=cfg.data["fit"]["budget"])
 
 
 @click.group()
@@ -292,16 +291,13 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
     """Maximum-likelihood noise variances for one model variant."""
     cfg, stack, run, spec = _model_run("fit", stack_path, config, out, k, use_flip, window)
     try:
-        _, _, _, variance_fit, _ = _fitted_model(cfg, stack, spec, steps, noise=None)
+        _, fitted = _fitted_model(cfg, stack, spec, steps, noise=None)
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"variance estimation failed: {exc}")
-    noise = variance_fit.params
-    payload = {"model": spec.label, "sigma2_alpha": noise.sigma2_alpha,
-               "sigma2_beta": noise.sigma2_beta, "sigma2_obs": noise.sigma2_obs,
-               "loglik": variance_fit.loglik, **variance_fit.diagnostics()}
-    run.path("noise", ".json").write_text(json.dumps(payload, indent=2) + "\n")
-    run.finish(**payload, min_pivot=variance_fit.result.min_pivot)
-    click.echo(json.dumps(payload, indent=2))
+    payload = json.dumps({"model": spec.label, **fitted.record}, indent=2, allow_nan=False)
+    run.path("noise", ".json").write_text(payload + "\n")
+    run.finish(model=spec.label, **fitted.record)
+    click.echo(payload)
 
 
 def _save_fields(run, cfg, stack, stem, fields):
@@ -317,15 +313,14 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     """Kalman-filter a stack and write the reconstructed frames."""
     cfg, stack, run, spec = _model_run("filter", stack_path, config, out, k, use_flip, window)
     try:
-        pipeline, _, noise, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+        pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+        means = fitted.result.means_array
         _save_fields(run, cfg, stack, f"stack-filtered-{spec.label}",
-                     [pipeline.reconstruct(m) for m in result.means_array])
+                     [pipeline.reconstruct(m) for m in means])
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"filtering failed: {exc}")
-    run.finish(model=spec.label, loglik=result.loglik, sigma2_alpha=noise.sigma2_alpha,
-               sigma2_beta=noise.sigma2_beta, min_pivot=result.min_pivot,
-               **(fit.diagnostics() if fit else {}))
-    click.echo(f"filtered {len(result.means_array)} frames as model {spec.label}")
+    run.finish(model=spec.label, **fitted.record)
+    click.echo(f"filtered {len(means)} frames as model {spec.label}")
 
 
 @main.command()
@@ -336,14 +331,13 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     """Filter a stack, then forecast ``--horizon`` steps past the data."""
     cfg, stack, run, spec = _model_run("predict", stack_path, config, out, k, use_flip, window)
     try:
-        pipeline, model, _, fit, result = _fitted_model(cfg, stack, spec, steps, cfg.noise())
-        means, _ = kf_forecast(model, result.final_state, horizon)
+        pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+        means, _ = kf_forecast(fitted.model, fitted.result.final_state, horizon)
         fields = [pipeline.reconstruct(m) for m in means]
     except NUMERICAL_ERRORS as exc:
         _fail(3, f"forecasting failed: {exc}")
     _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}", fields)
-    run.finish(model=spec.label, horizon=horizon, min_pivot=result.min_pivot,
-               **(fit.diagnostics() if fit else {}))
+    run.finish(model=spec.label, horizon=horizon, **fitted.record)
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
 
@@ -379,7 +373,7 @@ def evaluate(stack_path, config, out, seed, region):
     comp, noise = cfg.data["comparison"], cfg.noise()
     try:
         check_comparison(specs, stack.steps, comp["train_steps"], comp["eval_times"],
-                         noise is None)
+                         noise is None, regions, stack.grid)
     except ValueError as exc:
         _fail(2, f"config.comparison: {exc}")
     try:

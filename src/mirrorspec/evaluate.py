@@ -12,7 +12,7 @@ unmodified dataset frames.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .dynamics import block_transition, build_transition
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import Field
 from .kalman import (
+    FilterResult,
     NoiseParams,
+    StateSpaceModel,
     default_init,
     direct_model,
     estimate_variances,
@@ -34,6 +36,7 @@ __all__ = [
     "Region",
     "ModelSpec",
     "ComparisonReport",
+    "FittedModel",
     "mae",
     "fit_and_filter",
     "check_comparison",
@@ -149,12 +152,13 @@ def _coerce_velocity(grid, velocity) -> VelocityField:
 
 @dataclass
 class ModelPipeline:
-    """Everything needed to filter one model variant: the observation map
-    from raw frames to ``k`` coefficients, the model factory over noise
-    parameters, ``to_field`` from coefficients back to a field and, for a
-    mirrored model, ``leakage`` from observation rows to
+    """Everything needed to filter one model variant: the ``spec`` it was
+    built for, the observation map from raw frames to ``k`` coefficients, the
+    model factory over noise parameters, ``to_field`` from coefficients back
+    to a field and, for a mirrored model, ``leakage`` from observation rows to
     ``leakage_fraction``."""
 
+    spec: ModelSpec
     k: int
     observe: object
     factory: object
@@ -235,12 +239,13 @@ def build_pipeline(
         return f if window is None else apply_window(f, window)
 
     if not spec.flip:
-        return ModelPipeline(ordering.k, lambda f: analyze(windowed(f), ordering),
+        return ModelPipeline(spec, ordering.k, lambda f: analyze(windowed(f), ordering),
                              lambda params: direct_model(phi, params),
                              lambda coeffs: synthesize(ordering, coeffs))
     band = MirrorBand(grid, spec.k)
     t, t_inv = band_coordinates(band.transfer(ordering))
     return ModelPipeline(
+        spec,
         band.k,
         lambda f: t_inv @ band.observe(windowed(f)),
         lambda params: direct_model(phi, params, leakage=band.k - ordering.k),
@@ -249,24 +254,54 @@ def build_pipeline(
     )
 
 
+@dataclass
+class FittedModel:
+    """What :func:`fit_and_filter` gives: the state-space ``model`` built with
+    the noise used, its filter ``result`` over the training observations, and
+    ``record``, what a run records about the model."""
+
+    model: StateSpaceModel
+    result: FilterResult
+    record: dict
+
+
 def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
-                   noise: NoiseParams | None = None, *, fit_budget: int = 40):
+                   noise: NoiseParams | None = None, *, fit_budget: int = 40) -> FittedModel:
     """Fit the noise variances when ``noise`` is None, then filter.
 
-    Returns ``(model, noise, fit, result)``: the state-space model built with
-    the noise used, that noise, the :class:`~mirrorspec.kalman.VarianceFit`
-    (None when ``noise`` was given) and the filter result over ``train_obs``.
     The filter starts from :func:`~mirrorspec.kalman.default_init` at the
     first observation, and the result's ``final_state`` is the per-part state
     that :func:`~mirrorspec.kalman.kf_forecast` takes; a fit's last pass is
     that filter.
+
+    The record, which every command that builds a model logs, holds as ``k``
+    the coefficients the model observes per frame (the budget rounded down and
+    capped by :class:`~mirrorspec.spectral.ModeOrdering`, or a mirrored model's
+    band size), ``flip`` and ``window``, the noise used, the pass's
+    ``loglik`` and ``min_pivot`` (the filter health of
+    :class:`~mirrorspec.kalman.FilterResult`; None when no update ran) and
+    the fit's :meth:`~mirrorspec.kalman.VarianceFit.diagnostics`.  A mirrored
+    model adds ``leakage_fraction``: the median, over training frames of
+    nonzero norm, of the share of the band observation's norm outside
+    ``range(H_S)`` (0.0 when every frame is zero).
     """
+    fit = None
     if noise is None:
         fit = estimate_variances(pipeline.factory, train_obs, max_evaluations=fit_budget)
-        return pipeline.factory(fit.params), fit.params, fit, fit.result
+        noise = fit.params
     model = pipeline.factory(noise)
-    return model, noise, None, kf_filter(model, train_obs,
-                                         default_init(model, train_obs[0], noise))
+    result = fit.result if fit else kf_filter(model, train_obs,
+                                              default_init(model, train_obs[0], noise))
+    record = {
+        "k": pipeline.k, "flip": pipeline.spec.flip, "window": pipeline.spec.window,
+        **asdict(noise),
+        "loglik": result.loglik,
+        "min_pivot": result.min_pivot if result.loglik_terms.size else None,
+        **(fit.diagnostics() if fit else {}),
+    }
+    if pipeline.leakage is not None:
+        record["leakage_fraction"] = pipeline.leakage(train_obs)
+    return FittedModel(model, result, record)
 
 
 def _repeated(items: list) -> str:
@@ -275,10 +310,11 @@ def _repeated(items: list) -> str:
 
 
 def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
-                     fit: bool) -> None:
+                     fit: bool, regions: dict[str, Region], grid) -> None:
     """Raise ValueError naming the bad argument unless the model labels and
-    the evaluation times are distinct and a dataset of ``n_frames`` frames
-    can score this comparison (``fit``: noise fitted)."""
+    the evaluation times are distinct, every region holds a point of
+    ``grid`` and a dataset of ``n_frames`` frames can score this comparison
+    (``fit``: noise fitted)."""
     if repeated := _repeated([spec.label for spec in model_specs]):
         raise ValueError(f"model labels must be unique, repeated: {repeated}")
     low = 3 if fit else 2
@@ -289,6 +325,10 @@ def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
                          f"[0, {n_frames}), got {eval_times}")
     if repeated := _repeated(eval_times):
         raise ValueError(f"eval_times must be distinct, repeated: {repeated}")
+    for name, region in regions.items():
+        if not region.mask(grid).any():
+            raise ValueError(f"region {name!r} holds no point of the "
+                             f"{grid.n1} x {grid.n2} grid")
 
 
 def run_comparison(
@@ -309,46 +349,29 @@ def run_comparison(
     ``noise=None`` fits the noise variances of each model on its training
     observations; given noise is used as-is for every model.  ``eval_times``
     beyond ``train_steps - 1`` are forecast; the rest come from the filtered
-    trajectory.  See :func:`fit_and_filter` for the fit and the filter.
-    ``metadata["models"]`` holds each model's noise, loglik, ``min_pivot`` (the
-    filter health of :class:`~mirrorspec.kalman.FilterResult`) and fit
-    diagnostics, and as ``k`` the coefficients it observes per frame (the budget rounded
-    down and capped by :class:`~mirrorspec.spectral.ModeOrdering`, or a mirrored
-    model's band size).  A mirrored model adds ``leakage_fraction``: the median,
-    over training frames of nonzero norm, of the share of the band
-    observation's norm outside ``range(H_S)`` (0.0 when every frame is zero).
+    trajectory.  See :func:`fit_and_filter` for the fit and the filter, and
+    for the record of each model that ``metadata["models"]`` holds by label.
     """
-    check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None)
     grid = dataset[0].grid
+    check_comparison(model_specs, len(dataset), train_steps, eval_times, noise is None,
+                     regions, grid)
 
     entries = {}
     metadata = {"models": {}, "train_steps": train_steps, "delta": delta}
     for spec in model_specs:
         pipeline = build_pipeline(grid, spec, velocity=velocity, diffusivity=diffusivity,
                                   delta=delta)
-        train_obs = pipeline.observations(dataset[:train_steps])
-        model, model_noise, fit, result = fit_and_filter(
-            pipeline, train_obs, noise, fit_budget=fit_budget,
-        )
+        fitted = fit_and_filter(pipeline, pipeline.observations(dataset[:train_steps]), noise,
+                                fit_budget=fit_budget)
+        metadata["models"][spec.label] = fitted.record
 
         horizon = max(eval_times) - (train_steps - 1)
         if horizon >= 1:
-            fmeans, _ = kf_forecast(model, result.final_state, horizon)
-
-        entry = metadata["models"][spec.label] = {
-            "k": pipeline.k, "flip": spec.flip, "window": spec.window,
-            "sigma2_alpha": model_noise.sigma2_alpha,
-            "sigma2_beta": model_noise.sigma2_beta,
-            "sigma2_obs": model_noise.sigma2_obs,
-            "loglik": result.loglik,
-            "min_pivot": result.min_pivot,
-            **(fit.diagnostics() if fit else {}),
-        }
-        if pipeline.leakage is not None:
-            entry["leakage_fraction"] = pipeline.leakage(train_obs)
+            fmeans, _ = kf_forecast(fitted.model, fitted.result.final_state, horizon)
 
         for time in eval_times:
-            state = result.means_array[time] if time < train_steps else fmeans[time - train_steps]
+            state = (fitted.result.means_array[time] if time < train_steps
+                     else fmeans[time - train_steps])
             recon = pipeline.reconstruct(state)
             for region_name, region in regions.items():
                 entries[(spec.label, time, region_name)] = mae(dataset[time], recon, region)

@@ -29,7 +29,6 @@ mean of a field times a wave is the field's DFT at that wavenumber, taken mod
 ``(n1, n2)`` as the samples alias it, so :func:`assemble_transition` reads
 every entry from three FFTs.  Sigrist, Künsch & Stahel (2015, JRSS-B 77(1))
 build their spectral model on the same Fourier-Galerkin structure.
-:func:`psi_entry` keeps the pointwise quadrature of single entries.
 """
 
 from __future__ import annotations
@@ -44,12 +43,8 @@ from .spectral import ModeOrdering
 __all__ = [
     "VelocityField",
     "DiffusivityField",
-    "normalization_c",
-    "psi_entry",
     "assemble_transition",
 ]
-
-PSI_KINDS = ("A1", "A2", "A3", "A4", "D1", "D2", "D3", "D4")
 
 
 def _as_grid_values(grid: GridSpec, values, name: str) -> np.ndarray:
@@ -103,26 +98,13 @@ def gradient_pixels(grid: GridSpec, pixels: np.ndarray, periodic: bool) -> tuple
     return ddx, ddy
 
 
-def spectral_gradient_pixels(grid: GridSpec, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradient of the band-limited interpolant via the FFT."""
-    c = np.fft.fft2(pixels)
-    kx = np.fft.fftfreq(grid.n1, d=1.0 / grid.n1)
-    ky = np.fft.fftfreq(grid.n2, d=1.0 / grid.n2)
-    # zero the Nyquist column/row derivative (odd sample count convention)
-    kx[grid.n1 // 2] = 0.0
-    ky[grid.n2 // 2] = 0.0
-    ddx = np.fft.ifft2(c * (2j * np.pi * kx)[None, :]).real
-    ddy = np.fft.ifft2(c * (2j * np.pi * ky)[:, None]).real
-    return ddx, ddy
-
-
 @dataclass(frozen=True)
 class DiffusivityField:
     """Isotropic diffusivity ``D = d I`` plus its precomputed divergence.
 
     ``div_dx``/``div_dy`` hold ``div D = grad d`` as used by the Galerkin
-    integrands, so callers control how it was formed (finite differences,
-    spectral, or analytic).
+    integrands, so callers control how it was formed: central differences
+    (:meth:`isotropic`) or an analytic gradient passed to the constructor.
     """
 
     grid: GridSpec
@@ -140,69 +122,15 @@ class DiffusivityField:
         return cls(grid, z, z, z)
 
     @classmethod
-    def isotropic(cls, grid, d, *, periodic=False, divergence="central"):
-        """Build ``d * I`` from a scalar field, computing ``div D`` on the fly."""
+    def isotropic(cls, grid, d, *, periodic=False):
+        """Build ``d * I`` from a scalar field, with ``div D`` by central
+        differences (:func:`gradient_pixels`)."""
         d = _as_grid_values(grid, d, "d")
-        pixels = d.reshape(grid.shape, order="F")
-        if divergence == "central":
-            div_dx, div_dy = gradient_pixels(grid, pixels, periodic)
-        elif divergence == "spectral":
-            div_dx, div_dy = spectral_gradient_pixels(grid, pixels)
-        else:
-            raise ValueError(f"unknown divergence method {divergence!r}")
+        div_dx, div_dy = gradient_pixels(grid, d.reshape(grid.shape, order="F"), periodic)
         return cls(grid, d, div_dx.flatten(order="F"), div_dy.flatten(order="F"))
 
     def is_zero(self) -> bool:
         return not (self.d.any() or self.div_dx.any() or self.div_dy.any())
-
-
-def normalization_c(k: tuple[int, int], grid: GridSpec) -> float:
-    """Discrete mean of ``cos^2(2 pi k.s)`` over the grid.
-
-    1 for the zero mode and the half-Nyquist corners (samples are +/-1),
-    1/2 for every other valid mode.
-    """
-    x, y = grid.mesh()
-    c = np.cos(2 * np.pi * (k[0] * x + k[1] * y))
-    return float(np.mean(c * c))
-
-
-def _mode_fields(grid: GridSpec, k) -> tuple[np.ndarray, np.ndarray]:
-    x, y = grid.mesh()
-    arg = 2 * np.pi * (k[0] * x + k[1] * y)
-    return np.cos(arg).flatten(order="F"), np.sin(arg).flatten(order="F")
-
-
-def psi_entry(kind: str, k, kprime, vel: VelocityField, dif: DiffusivityField) -> float:
-    """One Galerkin quadrature entry for source mode ``k``, test mode ``kprime``.
-
-    Advection kinds A1..A4 pair (cos, sin) sources with (cos, sin) tests;
-    diffusion kinds D1..D4 likewise.  Signs follow the operator action listed
-    in the module docstring.
-    """
-    if kind not in PSI_KINDS:
-        raise ValueError(f"kind must be one of {PSI_KINDS}, got {kind!r}")
-    if vel.grid != dif.grid:
-        raise ValueError("velocity and diffusivity must share a grid")
-    grid = vel.grid
-    ktx, kty = 2 * np.pi * k[0], 2 * np.pi * k[1]
-    ck, sk = _mode_fields(grid, k)
-    ckp, skp = _mode_fields(grid, kprime)
-    adv = vel.vx * ktx + vel.vy * kty
-    quad = dif.d * (ktx * ktx) + dif.d * (kty * kty)
-    divk = dif.div_dx * ktx + dif.div_dy * kty
-    integrand = {
-        "A1": adv * sk,
-        "A2": -adv * ck,
-        "A3": adv * sk,
-        "A4": -adv * ck,
-        "D1": -quad * ck - divk * sk,
-        "D2": -quad * sk + divk * ck,
-        "D3": -quad * ck - divk * sk,
-        "D4": -quad * sk + divk * ck,
-    }[kind]
-    test = skp if kind in ("A3", "A4", "D3", "D4") else ckp
-    return float(np.mean(integrand * test))
 
 
 def assemble_transition(
@@ -229,8 +157,8 @@ def assemble_transition(
     ``e^{i 2 pi m.s}`` is the conjugate of its DFT at ``m`` mod ``(n1, n2)``,
     divided by ``N``, so every entry is a gather from the DFTs of ``u``, ``w``
     and ``d``.  The identities are exact at each sample and the modulus is the
-    aliasing the grid mean has, so this is the quadrature of :func:`psi_entry`
-    entry for entry, up to rounding.  It takes three ``n1 x n2`` FFTs,
+    aliasing the grid mean has, so this is the grid quadrature of the module
+    docstring entry for entry, up to rounding.  It takes three ``n1 x n2`` FFTs,
     ``O(N log N)``, and ``O(K^2)`` gathers, with no ``N x K`` table.
 
     ``P[i, j]`` scales the mean by ``w_j / (w_i c_i)``, and ``w_i c_i = 1`` for

@@ -122,52 +122,45 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class Block:
-    """One dense block of ``len(index)`` alpha coefficients.
+    """The dense block of a model's ``m = len(phi)`` coefficients, the first
+    ``m`` entries of alpha (a mirrored model's leakage part follows them).
 
-    ``index`` holds the positions of the block's coefficients in alpha and
-    ``phi`` their ``m x m`` one-step transition; ``v``, ``w_alpha`` and
+    ``phi`` is their ``m x m`` one-step transition; ``v``, ``w_alpha`` and
     ``w_beta`` are the noise variances of each coefficient, so the noise
     covariances are ``v I``, ``w_alpha I`` and ``w_beta I``.
     """
 
-    index: np.ndarray
     phi: np.ndarray
     v: float
     w_alpha: float
     w_beta: float
 
     def __post_init__(self):
-        index = np.asarray(self.index)
-        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"index must be a 1-D integer array, got shape {index.shape}")
-        object.__setattr__(self, "index", index)
-        m = index.size
         phi = np.asarray(self.phi, dtype=float)
-        if phi.shape != (m, m):
-            raise ValueError(f"phi must have shape {(m, m)}, got {phi.shape}")
+        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
+            raise ValueError(f"phi must be square, got shape {phi.shape}")
         object.__setattr__(self, "phi", phi)
 
     @property
     def positions(self) -> np.ndarray:
-        """The alpha positions of the coefficients."""
-        return self.index
+        """The alpha positions of the coefficients, the first ``len(phi)``."""
+        return np.arange(len(self.phi))
 
     def _state_shapes(self):
-        m = self.index.size
+        m = len(self.phi)
         return (2 * m,), (2 * m, 2 * m), float
 
     def _init(self, first_obs: np.ndarray, scale: float):
-        m = self.index.size
-        return (np.concatenate([first_obs[self.index], np.zeros(m)]),
-                scale * np.eye(2 * m))
+        m = len(self.phi)
+        return np.concatenate([first_obs[:m], np.zeros(m)]), scale * np.eye(2 * m)
 
     def _filter(self, obs: np.ndarray, mean, cov):
         """One pass over ``obs``: the ``(steps, k)`` alpha and beta means and
         ``(steps - 1, k)`` innovations in ``positions`` order, the per-update
         log-likelihood terms, the whitened sum, the smallest innovation pivot
         and the last state."""
-        steps, m = len(obs), self.index.size
-        y = obs[:, self.index]
+        steps, m = len(obs), len(self.phi)
+        y = obs[:, :m]
         means = np.empty((steps, 2 * m))
         means[0] = mean
         innovations = np.empty((steps - 1, m))
@@ -182,7 +175,7 @@ class Block:
         return means[:, :m], means[:, m:], innovations, terms, white_ss, pivot, (mean, cov)
 
     def _forecast(self, mean, cov, h: int):
-        m = self.index.size
+        m = len(self.phi)
         means = np.empty((h, 2 * m))
         for i in range(h):
             mean, cov = _predict(self, mean, cov)
@@ -341,7 +334,7 @@ def direct_model(phi, noise: NoiseParams, leakage: int = 0) -> StateSpaceModel:
         k = len(phi)
         if phi.shape != (k, k):
             raise ValueError(f"phi must be {k} x {k}, got {phi.shape}")
-        parts = [Block(np.arange(k), phi, *noises)]
+        parts = [Block(phi, *noises)]
     else:
         index, imag, lam = phi
         k = index.size + imag.size
@@ -410,7 +403,7 @@ def _update(block: Block, mean, cov, obs):
     """One update of a block: returns the new mean and covariance, the
     innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
     Cholesky diagonal of ``S``."""
-    k = block.index.size
+    k = len(block.phi)
     s = cov[:k, :k] + block.v * np.eye(k)
     try:
         chol = np.linalg.cholesky(s)

@@ -59,8 +59,8 @@ class ModeOrdering:
     sorted by ``(||k||^2, k1, k2)``, each ``K2`` mode contributing its cos and
     sin coefficient together; a budget that would split a pair is rounded down.
     The coefficient vector (what :func:`analyze` returns) follows the layout order,
-    ``indices = sorted(retained)``, and ``kx``, ``ky``, ``is_sin``, ``weight``,
-    ``cnorm`` and ``partner`` (the position of each coefficient's cos/sin
+    ``indices = sorted(retained)``, and ``kx``, ``ky``, ``is_sin``, ``weight``
+    and ``partner`` (the position of each coefficient's cos/sin
     partner in that vector, itself for a corner) describe its entries.
     """
 
@@ -95,7 +95,6 @@ class ModeOrdering:
         in_k1 = self.indices < 4
         self.is_sin = self.indices >= 4 + m2
         self.weight = np.where(in_k1, 1.0, 2.0)
-        self.cnorm = np.where(in_k1, 1.0, 0.5)
         partner = self.indices + np.where(in_k1, 0, np.where(self.is_sin, -m2, m2))
         self.partner = np.searchsorted(self.indices, partner)
         # FFT cell of mode k and of its conjugate partner

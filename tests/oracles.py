@@ -43,7 +43,7 @@ def band_analysis(band) -> np.ndarray:
 
 def _rows(model: StateSpaceModel, block) -> np.ndarray:
     """The state positions ``(alpha, beta)`` of ``block``'s coefficients."""
-    return np.concatenate([block.index, block.index + model.k])
+    return np.concatenate([block.positions, block.positions + model.k])
 
 
 def _channel_rows(model: StateSpaceModel, ch: Channels) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +97,8 @@ def joined(model: StateSpaceModel, what) -> np.ndarray:
             out[rows[:, :, None], rows[:, None, :]] = np.block([[x.real, -x.imag],
                                                                 [x.imag, x.real]])
         elif isinstance(what, str):
-            out[np.ix_(p.index, p.index)] = (p.phi if what == "phi"
-                                             else getattr(p, what) * np.eye(p.index.size))
+            out[np.ix_(p.positions, p.positions)] = (p.phi if what == "phi" else
+                                                     getattr(p, what) * np.eye(p.positions.size))
         else:
             rows = _rows(model, p)
             out[np.ix_(rows, rows)] = what[i][1]
@@ -174,7 +174,8 @@ def dense_filter(phi, v, w_alpha, w_beta, obs, mean, cov, h: int = 0) -> DensePa
 def quadrature_transition(ordering, vel, dif) -> np.ndarray:
     """The Galerkin generator by grid quadrature: every retained mode at every
     grid point as an ``N x K`` table, and ``P = test' src / N`` scaled by
-    ``w_j / (w_i c_i)``.  The tests hold
+    ``w_j / (w_i c_i)``, ``c_i`` the grid mean of the test mode's squared
+    cosine.  The tests hold
     :func:`mirrorspec.galerkin.assemble_transition` to it."""
     grid = ordering.grid
     x, y = grid.mesh()
@@ -195,4 +196,5 @@ def quadrature_transition(ordering, vel, dif) -> np.ndarray:
                        a * sin_b - quad * cos_b - divk * sin_b)
         psi[:, cols] = test.T @ src
     psi /= grid.n
-    return psi / (ordering.weight * ordering.cnorm)[:, None] * ordering.weight
+    c = np.mean(cos_all * cos_all, axis=0)
+    return psi / (ordering.weight * c)[:, None] * ordering.weight

@@ -1,29 +1,38 @@
-"""What the benchmark's tracer (``perfbench/tracer.py``) reads of the package.
+"""What the benchmark (``perfbench/``) reads of the package.
 
 The tracer wraps functions and methods by name and reads fields of their
-results; a rename would otherwise show only when the benchmark runs.
+results, and the workloads import names and build configs; a rename would
+otherwise show only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from mirrorspec.config import RunConfig
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, direct_model, estimate_variances, kf_filter
 from mirrorspec.spectral import ModeOrdering
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_perfbench("tracer")
 
 
 def test_traced_names_exist():
@@ -38,6 +47,23 @@ def test_traced_names_exist():
             cls = getattr(module, cname)
             for mname in methods:
                 assert callable(getattr(cls, mname, None)), f"mirrorspec.{short}.{cname}.{mname}"
+
+
+def test_workload_imports_exist():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("mirrorspec") for alias in node.names]
+    assert len(imported) >= 5
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_workload_configs_build():
+    workloads = load_perfbench("workloads")
+    cfg = RunConfig(workloads.STACK_IO_CONFIG)
+    assert cfg.flip_variant() is not None
+    assert cfg.simulation(seed=101).seed == 101
 
 
 def test_tracer_reads_fit_and_filter_results():

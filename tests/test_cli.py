@@ -629,3 +629,76 @@ def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):
     assert isinstance(noise["ratio_at_bound"], bool)
     assert noise["ratio"] == pytest.approx(noise["sigma2_beta"] / noise["sigma2_alpha"])
     assert noise["n_scalars"] == 15 * 7  # direct16 keeps 15 coefficients; 7 updates
+
+
+EMPTY_BOX = {"x_range": [0.51, 0.52], "y_range": [0.51, 0.52]}  # between grid points
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_evaluate_rejects_a_region_without_grid_points_before_any_model(
+        runner, tmp_path, monkeypatch, route):
+    def no_models(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("mirrorspec.cli.run_comparison", no_models)
+    payload = {**SMALL_SIM, "grid": {"n1": 32, "n2": 32}}
+    flags = []
+    if route == "config":
+        payload["regions"] = {"whole": {"x_range": [0.0, 0.999], "y_range": [0.0, 0.999]},
+                              "empty": EMPTY_BOX}
+        name = "empty"
+    else:
+        flags = ["--region", ",".join(map(str, EMPTY_BOX["x_range"] + EMPTY_BOX["y_range"]))]
+        name = "cli"
+    out = tmp_path / "e"
+    result = runner.invoke(main, ["evaluate", "--config", write_config(tmp_path, payload),
+                                  "--out", str(out), *flags])
+    assert result.exit_code == 2, result.output
+    assert f"region '{name}' holds no point of the 32 x 32 grid" in result.output
+    assert not list(out.glob("report-*.csv"))
+
+
+@pytest.mark.parametrize("command", ["filter", "predict"])
+def test_a_pass_without_updates_logs_strict_json(runner, tmp_path, command):
+    # one training frame: no update runs, so there is no pivot to record
+    cfg, stack = _simulated(runner, tmp_path)
+    out = tmp_path / command
+    result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out),
+                                  "--steps", "1", "--k", "64", "--flip", "true"])
+    assert result.exit_code == 0, result.output
+    log = read_runlog(next(out.glob(f"runlog-{command}-*.json")))
+    assert log["min_pivot"] is None
+    assert log["loglik"] == 0.0 and 0 <= log["leakage_fraction"] < 1
+
+
+RUN_LOG_KEYS = {"command", "config_hash", "config", "outputs", "wall_time_s", "versions"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_command_records_the_model_that_evaluate_records(runner, tmp_path):
+    # a budget the fits end within, so that each is a converged one
+    cfg = write_config(tmp_path, {**FIT_SIM, "fit": {"enabled": True, "budget": 40}})
+    sim = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    result = runner.invoke(main, ["evaluate", stack, "--config", cfg,
+                                  "--out", str(tmp_path / "evaluate")])
+    assert result.exit_code == 0, result.output
+    models = read_runlog(next((tmp_path / "evaluate").glob("runlog-*.json")))["models"]
+    assert "leakage_fraction" in models["flip64"]
+    comparison = FIT_SIM["comparison"]
+    for spec in comparison["models"]:
+        label = spec["label"]
+        flags = ["--k", str(spec["k"]), "--flip", str(spec.get("flip", False)).lower(),
+                 "--steps", str(comparison["train_steps"])]
+        for command in ("fit", "filter", "predict"):
+            out = tmp_path / f"{command}-{label}"
+            result = runner.invoke(main, [command, stack, "--config", cfg,
+                                          "--out", str(out), *flags])
+            assert result.exit_code == 0, result.output
+            log = read_runlog(next(out.glob(f"runlog-{command}-*.json")))
+            assert log["model"] == label
+            record = {k: v for k, v in log.items() if k not in RUN_LOG_KEYS | {"model", "horizon"}}
+            assert record == models[label], (command, label)
+        noise = json.loads(next((tmp_path / f"fit-{label}").glob("noise-*.json")).read_text())
+        assert noise == {"model": label, **models[label]}

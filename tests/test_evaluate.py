@@ -196,6 +196,17 @@ def test_leakage_fraction_of_frames_in_range_of_the_transfer():
     assert 0.01 < models["flip64"]["leakage_fraction"] < 1
 
 
+def test_run_comparison_rejects_a_region_without_grid_points_before_any_model(monkeypatch):
+    def no_models(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("mirrorspec.evaluate.build_pipeline", no_models)
+    regions = {"whole": WHOLE_DOMAIN, "gap": Region((0.51, 0.52), (0.51, 0.52))}
+    with pytest.raises(ValueError, match="region 'gap' holds no point of the 24 x 24 grid"):
+        run_comparison(small_dataset(), [ModelSpec("direct16", k=16)], train_steps=3,
+                       eval_times=[2], regions=regions, noise=NoiseParams(0.002, 0.0005))
+
+
 @pytest.mark.parametrize("k_star", [100, 200, 400])
 def test_band_coordinates_inverse_from_the_qr_factors(k_star):
     # the flip100, flip200 and flip400 transfers on 100x100

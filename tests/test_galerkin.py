@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from mirrorspec.dynamics import matrix_exp
-from mirrorspec.galerkin import (
-    DiffusivityField,
-    VelocityField,
-    assemble_transition,
-    normalization_c,
-    psi_entry,
-)
+from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from mirrorspec.simulate import synthetic_storm_stack
@@ -23,75 +17,11 @@ def full_ordering(n1, n2=None):
     return ModeOrdering(g)
 
 
-def test_psi_zero_velocity_advection_entries_vanish():
-    g = GridSpec(8, 8)
-    vel = VelocityField.zero(g)
-    dif = DiffusivityField.zero(g)
-    for kind in ("A1", "A2", "A3", "A4"):
-        assert psi_entry(kind, (1, 0), (2, 1), vel, dif) == 0.0
-
-
-def test_psi_a1_constant_velocity_diagonal_is_zero():
-    # integrand v0 * 2pi * sin * cos integrates to zero over full periods
-    g = GridSpec(8, 8)
-    vel = VelocityField.constant(g, 0.37, 0.0)
-    dif = DiffusivityField.zero(g)
-    assert abs(psi_entry("A1", (1, 0), (1, 0), vel, dif)) <= 1e-12
-
-
-def test_psi_d1_constant_isotropic_matches_normalization():
-    g = GridSpec(8, 8)
-    d0 = 0.013
-    vel = VelocityField.zero(g)
-    dif = DiffusivityField.isotropic(g, d0)
-    k = (1, 0)
-    got = psi_entry("D1", k, k, vel, dif)
-    expected = -((2 * np.pi) ** 2) * d0 * normalization_c(k, g)
-    assert np.isclose(got, expected, atol=1e-12)
-
-
-def test_normalization_c_values():
-    g = GridSpec(8, 8)
-    assert normalization_c((0, 0), g) == 1.0
-    assert np.isclose(normalization_c((1, 0), g), 0.5, atol=1e-15)
-    assert np.isclose(normalization_c((4, 0), g), 1.0, atol=1e-15)
-    # discrete-sum oracle
-    x = np.arange(8) / 8
-    assert np.isclose(normalization_c((1, 0), g), np.mean(np.cos(2 * np.pi * x) ** 2))
-
-
 def test_assemble_zero_physics_gives_zero_matrix():
     ordering = full_ordering(6)
     g = ordering.grid
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.zero(g))
     assert not gen.any()
-
-
-def test_assemble_matches_psi_entry_elementwise():
-    rng = np.random.default_rng(21)
-    g = GridSpec(4, 4)
-    ordering = ModeOrdering(g)
-    # smooth random velocity and diffusivity
-    x, y = g.mesh()
-    vel = VelocityField(
-        g,
-        (0.02 * np.sin(2 * np.pi * x) + 0.01).flatten(order="F"),
-        (0.015 * np.cos(2 * np.pi * y)).flatten(order="F"),
-    )
-    d = 0.002 + 0.001 * np.sin(2 * np.pi * (x + y))
-    dif = DiffusivityField.isotropic(g, d, periodic=True)
-    gen = assemble_transition(ordering, vel, dif)
-    for i in rng.choice(ordering.k, size=8, replace=False):
-        for j in rng.choice(ordering.k, size=8, replace=False):
-            k_src = (ordering.kx[j], ordering.ky[j])
-            k_tst = (ordering.kx[i], ordering.ky[i])
-            if ordering.is_sin[j]:
-                kinds = ("A2", "D2") if not ordering.is_sin[i] else ("A4", "D4")
-            else:
-                kinds = ("A1", "D1") if not ordering.is_sin[i] else ("A3", "D3")
-            psi = sum(psi_entry(kind, k_src, k_tst, vel, dif) for kind in kinds)
-            scale = ordering.weight[j] / (ordering.weight[i] * ordering.cnorm[i])
-            assert np.isclose(gen[i, j], scale * psi, atol=1e-12)
 
 
 def translation_reference(ordering, alpha, shift):
@@ -154,9 +84,11 @@ def test_mean_mode_row_is_zero():
     gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, 0.01))
     assert np.abs(gen[zero_pos[0]]).max() <= 1e-14
 
-    # variable diffusivity: exact with a spectrally-consistent divergence
+    # variable diffusivity: exact with the analytic divergence grad d
     d = 0.01 + 0.004 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    dif = DiffusivityField.isotropic(g, d, divergence="spectral")
+    dd_dx = 0.004 * 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    dd_dy = -0.004 * 2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    dif = DiffusivityField(g, d, dd_dx, dd_dy)
     gen = assemble_transition(ordering, VelocityField.zero(g), dif)
     assert np.abs(gen[zero_pos[0]]).max() <= 1e-12
 

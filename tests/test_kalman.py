@@ -47,8 +47,8 @@ def full_pass_loglik(factory, obs, params):
 def untied_model(phi, noise):
     """The dense model of ``phi`` whose observation covariance is
     ``sigma2_obs * I`` alone, without ``direct_model``'s ``sigma2_alpha``."""
-    return StateSpaceModel((Block(np.arange(len(phi)), phi, noise.sigma2_obs,
-                                  noise.sigma2_alpha, noise.sigma2_beta),))
+    return StateSpaceModel((Block(phi, noise.sigma2_obs, noise.sigma2_alpha,
+                                  noise.sigma2_beta),))
 
 
 def identity_model(k, noise):
@@ -621,7 +621,7 @@ def test_replica_filter_pass_keeps_no_dense_covariance():
 def layout(model):
     """Each part of ``model``: ``("block", m)``, or ``("channels", pairs, reals)``."""
     return [("channels", b.imag.size, b.index.size - b.imag.size) if isinstance(b, Channels)
-            else ("block", b.index.size) for b in model.parts]
+            else ("block", b.positions.size) for b in model.parts]
 
 
 @pytest.mark.parametrize("physics,parts", [

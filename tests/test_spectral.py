@@ -134,7 +134,7 @@ def full_sort_ordering(grid, n_coeffs):
                                                 np.where(sin, indices - m2, indices + m2)))
     return SimpleNamespace(retained=tuple(retained), indices=indices, kx=mode_x[cos_mode],
                            ky=mode_y[cos_mode], is_sin=sin, weight=np.where(indices < 4, 1.0, 2.0),
-                           cnorm=np.where(indices < 4, 1.0, 0.5), partner=partner)
+                           partner=partner)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(100, 100), GridSpec(200, 200), GridSpec(100, 60),
@@ -149,7 +149,7 @@ def test_partial_sort_keeps_the_full_sort_table(grid):
         table, oracle = ModeOrdering(grid, k), full_sort_ordering(grid, k)
         assert table.retained == oracle.retained, k
         assert table.k == len(oracle.retained)
-        for name in ("indices", "kx", "ky", "is_sin", "weight", "cnorm", "partner"):
+        for name in ("indices", "kx", "ky", "is_sin", "weight", "partner"):
             assert np.array_equal(getattr(table, name), getattr(oracle, name)), (k, name)
         splits += table.k < min(k, grid.n)
     assert splits > 10
@@ -290,8 +290,8 @@ def test_basis_orthogonality_2x2_and_8x8():
         gram = f.T @ f
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 1e-9
-        # (1/N) F^T F corrected by weight/normalization is the identity
-        scale = 1.0 / (g.n * ordering.weight**2 * ordering.cnorm)
+        # (1/N) F^T F over the weight is the identity: w^2 c = w with c = mean(cos^2)
+        scale = 1.0 / (g.n * ordering.weight)
         assert np.allclose(np.diag(gram) * scale, 1.0, atol=1e-12)
 
 
