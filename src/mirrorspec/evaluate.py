@@ -174,10 +174,9 @@ class ModelPipeline:
 
 
 def _constant_coefficients(vel: VelocityField, dif: DiffusivityField):
-    """``((vx, vy), d)`` when the velocity samples are all equal and the
-    diffusivity is one constant ``d`` with zero divergence, else None."""
-    if (np.all(vel.vx == vel.vx[0]) and np.all(vel.vy == vel.vy[0])
-            and np.all(dif.d == dif.d[0]) and not (dif.div_dx.any() or dif.div_dy.any())):
+    """``((vx, vy), d)`` when the velocity samples are all equal and so are
+    the diffusivity samples, else None."""
+    if np.all(vel.vx == vel.vx[0]) and np.all(vel.vy == vel.vy[0]) and np.all(dif.d == dif.d[0]):
         return (vel.vx[0], vel.vy[0]), dif.d[0]
     return None
 
@@ -221,8 +220,8 @@ def build_pipeline(
     ``dim S - K`` leakage channels off ``range(H_S)``; a state maps back to
     the band by ``T``.
 
-    A model of constant coefficients (equal velocity samples, constant
-    diffusivity without divergence) gets its transition in closed form as
+    A model of constant coefficients (equal velocity samples and equal
+    diffusivity samples) gets its transition in closed form as
     cos/sin-pair and corner channels (:func:`~mirrorspec.dynamics.block_transition`);
     every other model assembles the Galerkin generator and exponentiates it."""
     vel = _coerce_velocity(grid, velocity)

@@ -27,8 +27,12 @@ Each such mean is one coefficient field (``v - div D`` by component, or
 the two modes into single waves at ``k_i + k_j`` and ``k_i - k_j``.  The grid
 mean of a field times a wave is the field's DFT at that wavenumber, taken mod
 ``(n1, n2)`` as the samples alias it, so :func:`assemble_transition` reads
-every entry from three FFTs.  Sigrist, Künsch & Stahel (2015, JRSS-B 77(1))
-build their spectral model on the same Fourier-Galerkin structure.
+every entry from three FFTs, of ``vx``, ``vy`` and ``d``, with ``grad d`` that
+of ``d``'s trigonometric interpolant (the DFT of ``d`` times ``2 pi i m``).
+Then, while every retained ``|k|`` is at most a quarter of the grid side, the
+diffusion keeps the field mean and, for ``d >= 0``, adds no energy (``P / w``
+is symmetric and negative semidefinite).  Sigrist, Künsch & Stahel (2015,
+JRSS-B 77(1)) build their spectral model on the same Fourier-Galerkin structure.
 """
 
 from __future__ import annotations
@@ -84,53 +88,27 @@ class VelocityField:
         return np.hypot(self.vx, self.vy)
 
 
-def gradient_pixels(grid: GridSpec, pixels: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of a pixel array by central differences.
-
-    Periodic wrap when ``periodic``; otherwise one-sided at the boundaries.
-    """
-    hx, hy = 1.0 / grid.n1, 1.0 / grid.n2
-    if periodic:
-        ddx = (np.roll(pixels, -1, axis=1) - np.roll(pixels, 1, axis=1)) / (2 * hx)
-        ddy = (np.roll(pixels, -1, axis=0) - np.roll(pixels, 1, axis=0)) / (2 * hy)
-    else:
-        ddy, ddx = np.gradient(pixels, hy, hx)
-    return ddx, ddy
-
-
 @dataclass(frozen=True)
 class DiffusivityField:
-    """Isotropic diffusivity ``D = d I`` plus its precomputed divergence.
+    """Isotropic diffusivity ``D = d I`` sampled at grid points.
 
-    ``div_dx``/``div_dy`` hold ``div D = grad d`` as used by the Galerkin
-    integrands, so callers control how it was formed: central differences
-    (:meth:`isotropic`) or an analytic gradient passed to the constructor.
-    """
+    The Galerkin assembly needs ``div D = grad d`` as well; it takes the
+    gradient of ``d``'s trigonometric interpolant from the DFT of ``d`` it
+    computes anyway (:func:`assemble_transition`), so no caller chooses a
+    difference rule."""
 
     grid: GridSpec
     d: np.ndarray
-    div_dx: np.ndarray
-    div_dy: np.ndarray
 
     def __post_init__(self):
-        for name in ("d", "div_dx", "div_dy"):
-            object.__setattr__(self, name, _as_grid_values(self.grid, getattr(self, name), name))
+        object.__setattr__(self, "d", _as_grid_values(self.grid, self.d, "d"))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "DiffusivityField":
-        z = np.zeros(grid.n)
-        return cls(grid, z, z, z)
-
-    @classmethod
-    def isotropic(cls, grid, d, *, periodic=False):
-        """Build ``d * I`` from a scalar field, with ``div D`` by central
-        differences (:func:`gradient_pixels`)."""
-        d = _as_grid_values(grid, d, "d")
-        div_dx, div_dy = gradient_pixels(grid, d.reshape(grid.shape, order="F"), periodic)
-        return cls(grid, d, div_dx.flatten(order="F"), div_dy.flatten(order="F"))
+        return cls(grid, np.zeros(grid.n))
 
     def is_zero(self) -> bool:
-        return not (self.d.any() or self.div_dx.any() or self.div_dy.any())
+        return not self.d.any()
 
 
 def assemble_transition(
@@ -172,8 +150,16 @@ def assemble_transition(
         return np.zeros((k, k))
 
     # column-stacked values reshape to (x, y); the conjugate DFT / N is mean(F e^{+i 2 pi m.s})
-    fields = np.stack([vel.vx - dif.div_dx, vel.vy - dif.div_dy, dif.d])
+    fields = np.stack([vel.vx, vel.vy, dif.d])
     means = np.fft.fft2(fields.reshape(3, grid.n1, grid.n2)).conj() / grid.n
+    # (u, w) = v - grad d, grad d that of d's trigonometric interpolant:
+    # mean(-(dd/dx) e^{+i 2 pi m.s}) = 2 pi i m_x mean(d e^{+i 2 pi m.s}).  A Nyquist
+    # wave cos(pi n x) has zero slope at every sample, so its index gets m = 0
+    mx, my = (np.fft.fftfreq(n, 1.0 / n) for n in (grid.n1, grid.n2))
+    mx[mx == -grid.n1 / 2] = 0.0
+    my[my == -grid.n2 / 2] = 0.0
+    means[0] += 2j * np.pi * mx[:, None] * means[2]
+    means[1] += 2j * np.pi * my * means[2]
     kx, ky = ordering.kx, ordering.ky
     at_sum = means[:, (kx[:, None] + kx) % grid.n1, (ky[:, None] + ky) % grid.n2]
     at_dif = means[:, (kx[:, None] - kx) % grid.n1, (ky[:, None] - ky) % grid.n2]

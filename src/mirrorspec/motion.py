@@ -44,6 +44,13 @@ from .grid import Field
 
 __all__ = ["MotionConfig", "estimate_velocity", "diffusivity_from_velocity"]
 
+MAX_SMOOTH_SIGMA = 1000.0
+"""Largest ``MotionConfig.smooth_sigma``, in pixels.  :func:`_gaussian_matrix`
+builds ``8 sigma / stride`` kernel offsets and an index array of that many per
+block, so an unbounded sigma asks for unbounded memory.  1000 pixels, ten times
+the side of the largest shipped grid, already smooths such a grid to nearly a
+constant."""
+
 
 @dataclass(frozen=True)
 class MotionConfig:
@@ -64,6 +71,9 @@ class MotionConfig:
             raise ValueError("min_block_energy must be >= 0")
         if not 0 <= self.smooth_sigma < np.inf:
             raise ValueError(f"smooth_sigma must be >= 0 and finite, got {self.smooth_sigma}")
+        if self.smooth_sigma > MAX_SMOOTH_SIGMA:
+            raise ValueError(f"smooth_sigma must be at most {MAX_SMOOTH_SIGMA:g} pixels, "
+                             f"got {self.smooth_sigma}")
 
     @property
     def stride(self) -> int:
@@ -247,4 +257,4 @@ def diffusivity_from_velocity(vel: VelocityField, delta_x: float, delta_y: float
     dvy_dy, dvy_dx = np.gradient(vy, hy, hx)
     mag = np.sqrt((dvx_dx - dvy_dy) ** 2 + (dvx_dy + dvy_dx) ** 2)
     d = 0.28 * delta_x * delta_y * mag
-    return DiffusivityField.isotropic(grid, d.flatten(order="F"))
+    return DiffusivityField(grid, d.flatten(order="F"))

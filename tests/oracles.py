@@ -171,13 +171,26 @@ def dense_filter(phi, v, w_alpha, w_beta, obs, mean, cov, h: int = 0) -> DensePa
                      np.array(means), final_cov, forecast_covs)
 
 
+def spectral_gradient(grid, values) -> tuple[np.ndarray, np.ndarray]:
+    """``(d/dx, d/dy)`` of the trigonometric interpolant of column-stacked
+    samples, by ``scipy.fft``: each DFT cell times ``2 pi i`` its signed
+    wavenumber, and no derivative at a Nyquist index."""
+    hat = scipy.fft.fft2(values.reshape(grid.shape, order="F"))
+    my, mx = (scipy.fft.fftfreq(n, 1.0 / n) for n in grid.shape)
+    mx[np.abs(mx) == grid.n1 / 2] = 0.0
+    my[np.abs(my) == grid.n2 / 2] = 0.0
+    return tuple(scipy.fft.ifft2(2j * np.pi * m * hat).real.flatten(order="F")
+                 for m in (mx[None, :], my[:, None]))
+
+
 def quadrature_transition(ordering, vel, dif) -> np.ndarray:
     """The Galerkin generator by grid quadrature: every retained mode at every
     grid point as an ``N x K`` table, and ``P = test' src / N`` scaled by
     ``w_j / (w_i c_i)``, ``c_i`` the grid mean of the test mode's squared
-    cosine.  The tests hold
+    cosine, with ``div D`` from :func:`spectral_gradient`.  The tests hold
     :func:`mirrorspec.galerkin.assemble_transition` to it."""
     grid = ordering.grid
+    div_dx, div_dy = spectral_gradient(grid, dif.d)
     x, y = grid.mesh()
     arg = 2 * np.pi * (x.flatten(order="F")[:, None] * ordering.kx
                        + y.flatten(order="F")[:, None] * ordering.ky)
@@ -189,7 +202,7 @@ def quadrature_transition(ordering, vel, dif) -> np.ndarray:
         cols = slice(lo, lo + 128)
         a = vel.vx[:, None] * ktx[cols] + vel.vy[:, None] * kty[cols]
         quad = dif.d[:, None] * (ktx[cols] * ktx[cols]) + dif.d[:, None] * (kty[cols] * kty[cols])
-        divk = dif.div_dx[:, None] * ktx[cols] + dif.div_dy[:, None] * kty[cols]
+        divk = div_dx[:, None] * ktx[cols] + div_dy[:, None] * kty[cols]
         cos_b, sin_b = cos_all[:, cols], sin_all[:, cols]
         src = np.where(ordering.is_sin[cols],
                        -a * cos_b - quad * sin_b + divk * cos_b,

@@ -125,7 +125,7 @@ def test_criterion_3_physics_oracles():
     assert worst <= 1e-6
 
     d0 = 2e-3
-    gen_d = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, d0))
+    gen_d = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField(g, d0))
     phi_d = matrix_exp(gen_d)
     decay = np.exp(-((2 * np.pi) ** 2) * d0 * (ordering.kx**2 + ordering.ky**2))
     err_d = np.abs(phi_d - np.diag(decay)).max()
@@ -151,7 +151,7 @@ def test_criterion_4_flip_conjugation_equivalence():
     vy = -0.01 + 0.012 * np.cos(2 * np.pi * (x + y))
     vel = VelocityField(g, vx.flatten(order="F"), vy.flatten(order="F"))
     d = 0.002 + 0.001 * np.sin(2 * np.pi * y)
-    dif = DiffusivityField.isotropic(g, d, periodic=True)
+    dif = DiffusivityField(g, d)
     gen = assemble_transition(ordering, vel, dif)
     phi = build_transition(gen, 1.0)
     phi_star = build_transition(flipped_generator(gen, transfer), 1.0)

@@ -110,7 +110,7 @@ def test_tracer_reads_the_diffusivity_field():
     ordering = ModeOrdering(g, 9)
     vel = VelocityField.zero(g)
     x, _ = g.mesh()
-    shear = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
+    shear = DiffusivityField(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x))
     for dif, assembled in ((DiffusivityField.zero(g), False), (shear, True)):
         gen = assemble_transition(ordering, vel, dif)
         assert gen.any() == assembled

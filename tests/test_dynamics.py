@@ -52,7 +52,7 @@ def smooth_random_physics(g, rng, v_scale=0.03, d_scale=1.5e-3):
         d += d_scale * rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y) + ph[2])
     d = np.abs(d) + d_scale
     vel = VelocityField(g, vx.flatten(order="F"), vy.flatten(order="F"))
-    dif = DiffusivityField.isotropic(g, d, periodic=True)
+    dif = DiffusivityField(g, d)
     return vel, dif
 
 

@@ -61,7 +61,7 @@ def test_constant_diffusion_matches_heat_kernel_decay():
     g = GridSpec(8, 8)
     d0 = 3e-3
     ordering = ModeOrdering(g)
-    gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, d0))
+    gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField(g, d0))
     phi = matrix_exp(1.0 * gen)
     norms2 = ordering.kx**2 + ordering.ky**2
     expected = np.diag(np.exp(-((2 * np.pi) ** 2) * d0 * norms2))
@@ -81,16 +81,32 @@ def test_mean_mode_row_is_zero():
     assert np.abs(gen[zero_pos[0]]).max() <= 1e-14
 
     # constant diffusivity conserves the mean exactly
-    gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField.isotropic(g, 0.01))
+    gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField(g, 0.01))
     assert np.abs(gen[zero_pos[0]]).max() <= 1e-14
 
-    # variable diffusivity: exact with the analytic divergence grad d
+    # variable band-limited diffusivity
     d = 0.01 + 0.004 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    dd_dx = 0.004 * 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    dd_dy = -0.004 * 2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    dif = DiffusivityField(g, d, dd_dx, dd_dy)
-    gen = assemble_transition(ordering, VelocityField.zero(g), dif)
+    gen = assemble_transition(ordering, VelocityField.zero(g), DiffusivityField(g, d))
     assert np.abs(gen[zero_pos[0]]).max() <= 1e-12
+
+    # a diffusivity that is not band-limited, white noise or the storm's shear:
+    # the diffusion alone keeps the mean and adds no energy, P / weight being
+    # symmetric and negative semidefinite, while no k_i + k_j wraps past Nyquist
+    rng = np.random.default_rng(5)
+    g16 = GridSpec(16, 16)
+    noise = DiffusivityField(g16, rng.random(g16.n))
+    _, _, shear = storm_physics()
+    for dif, k in [(noise, 9), (noise, 25), (noise, 49), (shear, 49), (shear, 199)]:
+        ordering = ModeOrdering(dif.grid, k)
+        assert np.abs(ordering.kx).max() <= dif.grid.n1 / 4
+        assert np.abs(ordering.ky).max() <= dif.grid.n2 / 4
+        gen = assemble_transition(ordering, VelocityField.zero(dif.grid), dif)
+        scale = np.abs(gen).max()
+        (zero_pos,) = np.where((ordering.kx == 0) & (ordering.ky == 0))
+        assert np.abs(gen[zero_pos[0]]).max() <= 1e-15 * scale
+        form = gen / ordering.weight
+        assert np.abs(form - form.T).max() <= 1e-14 * scale
+        assert np.linalg.eigvalsh(0.5 * (form + form.T)).max() <= 1e-14 * scale
 
 
 def test_block_consistency_full_vs_truncated():
@@ -101,7 +117,7 @@ def test_block_consistency_full_vs_truncated():
         (0.01 + 0.02 * np.sin(2 * np.pi * y)).flatten(order="F"),
         (0.01 * np.cos(2 * np.pi * x)).flatten(order="F"),
     )
-    dif = DiffusivityField.isotropic(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x), periodic=True)
+    dif = DiffusivityField(g, 0.001 + 0.0005 * np.cos(2 * np.pi * x))
     full = ModeOrdering(g)
     small = ModeOrdering(g, 11)
     p_full = assemble_transition(full, vel, dif)
@@ -135,13 +151,10 @@ def test_generator_matches_pointwise_operator_application():
     vy = -0.01 * np.cos(2 * np.pi * x)
     vel = VelocityField(g, vx.flatten(order="F"), vy.flatten(order="F"))
     d = 0.003 + 0.001 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    gen = assemble_transition(ordering, vel, DiffusivityField(g, d))
     # analytic divergence of D = d * I: (dd/dx, dd/dy)
     dd_dx = 0.001 * 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
     dd_dy = -0.001 * 2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    dif = DiffusivityField(
-        g, d.flatten(order="F"), dd_dx.flatten(order="F"), dd_dy.flatten(order="F"),
-    )
-    gen = assemble_transition(ordering, vel, dif)
 
     # band-limited test field with exact analytic derivatives
     f = np.cos(2 * np.pi * (x + 2 * y)) + 0.5 * np.sin(2 * np.pi * (2 * x - y))
@@ -170,7 +183,7 @@ def test_generator_equals_the_quadrature_oracle_on_non_square_grids(shape):
     rng = np.random.default_rng(23)
     g = GridSpec(*shape)
     vel = VelocityField(g, rng.normal(size=g.n), rng.normal(size=g.n))
-    dif = DiffusivityField(g, rng.random(g.n), rng.normal(size=g.n), rng.normal(size=g.n))
+    dif = DiffusivityField(g, rng.random(g.n))
     assert_matches_quadrature(ModeOrdering(g), vel, dif)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mirrorspec import motion
+from mirrorspec.config import ConfigError, RunConfig
 from mirrorspec.galerkin import VelocityField
 from mirrorspec.grid import Field, GridSpec
 from mirrorspec.motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
@@ -117,6 +118,13 @@ def test_motion_config_validation():
     with pytest.raises(ValueError, match="smooth_sigma must be >= 0 and finite, got inf"):
         MotionConfig(smooth_sigma=float("inf"))
     MotionConfig(smooth_sigma=0.0, min_block_energy=0.0)  # zero still means "off"
+    # a sigma with no bound would size the smoothing kernel past any memory; never
+    # run a command with one, since that kills the process
+    MotionConfig(smooth_sigma=motion.MAX_SMOOTH_SIGMA)
+    with pytest.raises(ValueError, match="smooth_sigma must be at most 1000 pixels, got 1000000000.0"):
+        MotionConfig(smooth_sigma=1e9)
+    with pytest.raises(ConfigError, match="config.motion: smooth_sigma must be at most 1000"):
+        RunConfig({"motion": {"smooth_sigma": 1e9}}).motion()
 
 
 def reference_displacement(a, b, r0, c0, blk, radius):
