@@ -12,10 +12,8 @@ from .evaluate import (
     Region,
     build_pipeline,
     fit_and_filter,
-    gibbs_energy,
     mae,
     run_comparison,
-    truncated_reconstruction,
 )
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import DEFAULT_FLIP, Field, FlipVariant, GridSpec, flip_field, unflip
@@ -34,13 +32,11 @@ from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from .preprocess import apply_window, hamming2d, reflectivity_to_rain
 from .simulate import SimulationConfig, forcing_field, simulate_advection, synthetic_storm_stack
 from .spectral import (
-    FlipTransfer,
     MirrorBand,
     ModeOrdering,
     analyze,
     basis_matrix,
     flip_transfer,
-    mirror_phase,
     synthesize,
 )
 

@@ -449,10 +449,14 @@ def convert_rain(stack_path, config, out):
     if stack.units != "dBZ":
         _fail(2, f"expected a dBZ stack, manifest says units={stack.units!r}")
     run = _Run("convert-rain", cfg, out)
-    rain = GridStack.from_fields(
-        [reflectivity_to_rain(f) for f in stack.frames],
-        delta=stack.delta, units="mm/hr", config_hash=cfg.hash,
-    )
+    frames = []
+    for i, f in enumerate(stack.frames):
+        try:
+            frames.append(reflectivity_to_rain(f))
+        except ValueError as exc:
+            _fail(2, f"frame {i}: {exc}")
+    rain = GridStack.from_fields(frames, delta=stack.delta, units="mm/hr",
+                                 config_hash=cfg.hash)
     save_stack(rain, run.path("stack-rain"))
     run.finish()
     click.echo(f"wrote rain-rate stack under {run.outputs[0]}")

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .spectral import FlipTransfer, ModeOrdering
+from .spectral import ModeOrdering
 
 __all__ = [
     "matrix_exp",
@@ -81,13 +81,13 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def flipped_generator(p: np.ndarray, transfer: FlipTransfer) -> np.ndarray:
-    """Conjugate a generator onto the flipped-domain ordering: ``H P pinv(H)``."""
-    k = transfer.original_ordering.k
+def flipped_generator(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Conjugate a generator onto the flipped ordering: ``H P pinv(H) = H P (H'H)^-1 H'``."""
+    k = h.shape[1]
     if np.shape(p) != (k, k):
         raise ValueError(f"generator must be {k} x {k} to match the flip transfer, "
                          f"got shape {np.shape(p)}")
-    return transfer.matrix @ p @ transfer.pinv()
+    return h @ p @ np.linalg.solve(h.T @ h, h.T)
 
 
 def build_transition(p: np.ndarray, delta: float) -> np.ndarray:

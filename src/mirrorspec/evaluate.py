@@ -1,12 +1,13 @@
-"""Error metrics, region-restricted MAE, Gibbs diagnostics, and the
-multi-model comparison runner.
+"""Error metrics, region-restricted MAE, and the multi-model comparison runner.
 
 ``run_comparison`` drives the full pipeline for a list of model variants on
 one dataset: optional Hamming windowing, spectral truncation (of the mirror
 extension, through its DCT-II band on the original grid, for a mirrored
 model), noise-variance fitting, Kalman filtering over the training window,
 forecasting beyond it, and region-restricted MAE scoring against the
-unmodified dataset frames.
+unmodified dataset frames.  The Gibbs comparison is one such run: the
+``gibbs-strip`` profile scores the ringing of direct truncation against the
+mirrored model in a quiet strip.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "fit_and_filter",
     "check_comparison",
     "run_comparison",
-    "truncated_reconstruction",
-    "gibbs_energy",
 ]
 
 # flipped-domain coefficients per original-domain one: the matched budget of
@@ -310,10 +309,12 @@ def _repeated(items: list) -> str:
 
 def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
                      fit: bool, regions: dict[str, Region], grid) -> None:
-    """Raise ValueError naming the bad argument unless the model labels and
-    the evaluation times are distinct, every region holds a point of
-    ``grid`` and a dataset of ``n_frames`` frames can score this comparison
-    (``fit``: noise fitted)."""
+    """Raise ValueError naming the bad argument unless there is a model, the
+    model labels and the evaluation times are distinct, every region holds a
+    point of ``grid`` and a dataset of ``n_frames`` frames can score this
+    comparison (``fit``: noise fitted)."""
+    if not model_specs:
+        raise ValueError("models must list at least one model, got none")
     if repeated := _repeated([spec.label for spec in model_specs]):
         raise ValueError(f"model labels must be unique, repeated: {repeated}")
     low = 3 if fit else 2
@@ -383,33 +384,3 @@ def run_comparison(
         metadata=metadata,
     )
 
-
-def truncated_reconstruction(f: Field, k: int, *, flip: bool = False) -> Field:
-    """Low-pass reconstruction, optionally through the mirror extension.
-
-    The mirrored path keeps the :class:`~mirrorspec.spectral.MirrorBand` of
-    ``K_STAR_FACTOR * k`` doubled-grid coefficients.
-    """
-    if flip:
-        band = MirrorBand(f.grid, K_STAR_FACTOR * k)
-        return band.reconstruct(band.observe(f))
-    ordering = ModeOrdering(f.grid, k)
-    return synthesize(ordering, analyze(f, ordering))
-
-
-@dataclass(frozen=True)
-class GibbsEnergy:
-    direct: float
-    flipped: float
-
-
-def gibbs_energy(f: Field, strip: Region, k: int) -> GibbsEnergy:
-    """Reconstruction MAE over a (nominally signal-free) strip, both pipelines.
-
-    With a boundary discontinuity in ``f`` the direct low-pass reconstruction
-    rings into the quiet strip while the mirrored one does not, so
-    ``flipped < direct`` is the expected outcome at matched budgets.
-    """
-    direct = mae(f, truncated_reconstruction(f, k), strip)
-    flipped = mae(f, truncated_reconstruction(f, k, flip=True), strip)
-    return GibbsEnergy(direct=direct, flipped=flipped)

@@ -18,8 +18,8 @@ noises ``w_alpha`` and ``w_beta``, per coefficient.  :func:`direct_model`
 builds a coefficient part and, for a mirrored model, a leakage part:
 
 - a :class:`Block` holds a dense transition (an estimated velocity or a
-  variable diffusivity) of all K coefficients, filtered with NumPy's Cholesky
-  factorization and LU solve;
+  variable diffusivity) of all K coefficients, filtered through the Cholesky
+  factor of its innovation covariance;
 - :class:`Channels` hold a transition of constant velocity and constant
   diffusivity, where every Fourier mode is an eigenfunction
   (:func:`~mirrorspec.dynamics.block_transition`): a cos/sin pair
@@ -48,8 +48,9 @@ A filter state is held the same way, from :func:`default_init` through
 model is formed; only the filtered means are joined, into the ``(steps, 2K)``
 rows of ``FilterResult.means_array``.
 
-A block's covariance update uses the Joseph form with per-step
-symmetrization, and a channel's is its scalar closed form (``p11 v / S``,
+A block's covariance update is ``P - G S G'`` with the optimal gain ``G``,
+equal to the Joseph form (a guard against a suboptimal gain) in exact
+arithmetic, and a channel's is its scalar closed form (``p11 v / S``,
 ``p12 v / S``, ``p22 - |p12|^2 / S``).  An innovation covariance that is not
 positive definite aborts the pass with a diagnostic rather than silently
 producing garbage, and :attr:`FilterResult.min_pivot` records how close a
@@ -402,7 +403,9 @@ def _predict(block: Block, mean, cov):
 def _update(block: Block, mean, cov, obs):
     """One update of a block: returns the new mean and covariance, the
     innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
-    Cholesky diagonal of ``S``."""
+    Cholesky diagonal of ``S = L L'``.  With ``[U | w] = L^-1 [P[:k, :] | e]``
+    the mean gains ``U' w``, the covariance loses ``G S G' = U'U`` for the
+    optimal gain ``G = U' L^-1``, and ``e' S^-1 e = w'w``."""
     k = len(block.phi)
     s = cov[:k, :k] + block.v * np.eye(k)
     try:
@@ -410,18 +413,14 @@ def _update(block: Block, mean, cov, obs):
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(exc) from exc
     innovation = obs - mean[:k]
-    # one LU solve gives the gain S^-1 P[:k] and the whitened innovation S^-1 e
-    solved = np.linalg.solve(s, np.concatenate([cov[:k, :], innovation[:, None]], axis=1))
-    gain = solved[:, :-1].T
-    new_mean = mean + gain @ innovation
-    # Joseph form: (I - G H) P (I - G H)^T + G V G^T with H = (I_K, 0)
-    ap = cov - gain @ cov[:k, :]
-    new_cov = ap - ap[:, :k] @ gain.T + (block.v * gain) @ gain.T
-    new_cov = 0.5 * (new_cov + new_cov.T)
+    solved = np.linalg.solve(chol, np.concatenate([cov[:k, :], innovation[:, None]], axis=1))
+    u, w = solved[:, :-1], solved[:, -1]
+    # U.T @ U of one array runs as an exactly symmetric rank-k product (syrk)
+    new_cov = cov - u.T @ u
     diag = np.diagonal(chol)
-    white_ss = float(np.sum(innovation * solved[:, -1]))
+    white_ss = float(w @ w)
     ll = -0.5 * (innovation.size * LOG_2PI + 2.0 * np.log(diag).sum() + white_ss)
-    return new_mean, new_cov, innovation, ll, white_ss, float(diag.min())
+    return mean + u.T @ w, new_cov, innovation, ll, white_ss, float(diag.min())
 
 
 def _checked(model: StateSpaceModel, state) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -10,8 +10,14 @@ __all__ = ["reflectivity_to_rain", "hamming2d", "apply_window"]
 
 
 def reflectivity_to_rain(z: Field) -> Field:
-    """Reflectivity (dBZ) to rain rate (mm/hr), ``R = (10^(Z/10) / 200)^(5/8)``."""
-    return Field(z.grid, (np.power(10.0, z.values / 10.0) / 200.0) ** 0.625)
+    """Reflectivity (dBZ) to rain rate (mm/hr), ``R = (10^(Z/10) / 200)^(5/8)``;
+    ValueError when a rate overflows, above about 3083 dBZ (a fill value, say)."""
+    with np.errstate(over="ignore"):
+        rain = (np.power(10.0, z.values / 10.0) / 200.0) ** 0.625
+    if not np.all(np.isfinite(rain)):
+        raise ValueError(f"the largest reflectivity, {z.values.max():g} dBZ, "
+                         "has no finite rain rate")
+    return Field(z.grid, rain)
 
 
 def _hamming_axis(n: int) -> np.ndarray:

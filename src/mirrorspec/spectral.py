@@ -18,7 +18,7 @@ decision: built from one sort, it says which coefficients a budget keeps,
 where each sits in the layout, its mode, and its cos/sin partner.
 
 Analysis and synthesis run through the FFT; an explicit basis matrix and the
-normal-equation least-squares path exist for verification.  The factor 2 on
+reference flip transfer ``H`` exist for verification.  The factor 2 on
 ``K2`` terms is a synthesis-side weight: analysis stores the plain projection
 ``(1/N) <f, cos>``, and the weight appears in the basis-matrix columns, so
 ``synthesize(ordering, a) == basis_matrix @ a`` exactly.
@@ -26,21 +26,17 @@ normal-equation least-squares path exist for verification.  The factor 2 on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Field, GridSpec, flip_vector_indices
 
 __all__ = [
     "ModeOrdering",
-    "FlipTransfer",
     "MirrorBand",
     "analyze",
     "synthesize",
     "basis_matrix",
     "flip_transfer",
-    "mirror_phase",
 ]
 
 BASIS_CHUNK = 64  # basis columns evaluated per block in basis_matrix
@@ -167,64 +163,31 @@ def basis_matrix(ordering: ModeOrdering) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FlipTransfer:
-    """Linear map ``H`` from original-domain to flipped-domain coefficients.
+def flip_transfer(grid: GridSpec, ordering: ModeOrdering, star: ModeOrdering) -> np.ndarray:
+    """The ``star.k x ordering.k`` matrix ``H = pinv(F*) R F`` from
+    original-domain coefficients to those of ``star`` on the doubled grid.
 
-    ``H`` has full column rank; ``pinv(H) @ H = I`` is asserted at
-    construction to 1e-10.
-    """
-
-    original_ordering: ModeOrdering
-    flipped_ordering: ModeOrdering
-    matrix: np.ndarray
-
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudo-inverse via the normal equations."""
-        h = self.matrix
-        return np.linalg.solve(h.T @ h, h.T)
-
-
-def flip_transfer(
-    grid: GridSpec,
-    ordering: ModeOrdering,
-    flipped_ordering: ModeOrdering,
-) -> FlipTransfer:
-    """Build ``H = pinv(F*) R F`` restricted to the retained columns.
-
-    Column ``j`` is the flipped-domain analysis of the flipped ``j``-th basis
+    Column ``j`` is the doubled-grid analysis of the flipped ``j``-th basis
     field, so with full retention on both sides
     ``synthesize(star, H a) == flip_field(synthesize(ordering, a))`` exactly.
+    ``H`` has full column rank: ``pinv(H) H = I`` is asserted to 1e-10.
     """
     if ordering.grid != grid:
         raise ValueError("ordering is not defined on the given grid")
-    if flipped_ordering.grid != grid.doubled():
+    if star.grid != grid.doubled():
         raise ValueError("flipped ordering must live on the doubled grid")
     fmat = basis_matrix(ordering)
     flipped_cols = fmat[flip_vector_indices(grid), :]
     dg = grid.doubled()
     pix = flipped_cols.reshape((dg.n2, dg.n1, ordering.k), order="F")
     c = np.fft.fft2(pix, axes=(0, 1)) / dg.n
-    vals = c[flipped_ordering._row, flipped_ordering._col, :]
-    h = np.where(flipped_ordering.is_sin[:, None], -vals.imag, vals.real)
+    vals = c[star._row, star._col, :]
+    h = np.where(star.is_sin[:, None], -vals.imag, vals.real)
     gram = h.T @ h
     hdag_h = np.linalg.solve(gram, gram)  # fails loudly if rank-deficient
     if not np.allclose(hdag_h, np.eye(ordering.k), atol=1e-10):
         raise AssertionError("flip transfer lost column rank")
-    return FlipTransfer(ordering, flipped_ordering, h)
-
-
-def mirror_phase(ordering: ModeOrdering) -> np.ndarray:
-    """Half-sample phase of each retained mode relative to the mirror anchors.
-
-    A flipped field is even about axes lying half a sample off the grid, so
-    its complex coefficient at mode ``k`` equals ``exp(i phi_k)`` times a real
-    number with ``phi_k = pi (k1/n1 + k2/n2)``.  Rotating coefficients by
-    ``-phi_k`` therefore zeroes the sine branch exactly for any flipped field.
-    """
-    return np.pi * (
-        ordering.kx / ordering.grid.n1 + ordering.ky / ordering.grid.n2
-    )
+    return h
 
 
 def _dct_matrix(m: int) -> np.ndarray:
@@ -242,11 +205,12 @@ class MirrorBand:
     constant mode by ``sqrt(2)`` more).
 
     A flipped frame is even about two half-sample axes, so its doubled-grid
-    coefficient at ``k`` is ``exp(i phi_k)`` (:func:`mirror_phase`) times the
-    DCT-II one (Makhoul 1980, IEEE TASSP 28(1); Martucci 1994, IEEE TSP 42(5)):
-    the band coordinates have the norm of ``analyze(flip_field(f), star)``
-    when ``star`` keeps both modes ``(k_x, +-k_y)`` of each index.  A budget
-    that splits such a pair at its edge gets the whole pair.
+    coefficient at ``k`` is ``exp(i phi_k)``, ``phi_k = pi (k_x/N1 + k_y/N2)`` on
+    the ``N1 x N2`` doubled grid, times the DCT-II one (Makhoul 1980, IEEE
+    TASSP 28(1); Martucci 1994, IEEE TSP 42(5)): the band coordinates have the
+    norm of ``analyze(flip_field(f), star)`` when ``star`` keeps both modes
+    ``(k_x, +-k_y)`` of each index.  A budget that splits such a pair at its
+    edge gets the whole pair.
 
     The 2-D DCT-II is separable, so the band keeps only the DCT-II rows it
     reads: ``C_x`` holds the distinct ``cols`` along x and ``C_y`` the distinct

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from mirrorspec.cli import main
 from mirrorspec.config import ConfigError, PROFILES, RunConfig
-from mirrorspec.grid import Field
+from mirrorspec.grid import Field, GridSpec
 from mirrorspec.gridstack import GridStack, load_stack, save_stack
 from mirrorspec.simulate import simulate_advection
 
@@ -321,6 +321,20 @@ def test_convert_rain_requires_dbz_units(runner, tmp_path):
     assert result.exit_code == 2  # simulated stack is dimensionless
 
 
+def test_convert_rain_rejects_a_reflectivity_without_a_finite_rate(runner, tmp_path):
+    # 10^(Z/10) overflows above about 3083 dBZ: a fill value of 4000 in frame 1
+    frames = [Field(GridSpec(4, 4), np.full(16, 30.0)) for _ in range(3)]
+    frames[1] = Field(GridSpec(4, 4), np.where(np.arange(16) == 5, 4000.0, 30.0))
+    stack = save_stack(GridStack.from_fields(frames, units="dBZ", config_hash="test"),
+                       tmp_path / "dbz")
+    out = tmp_path / "rain"
+    result = runner.invoke(main, ["convert-rain", str(stack), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "frame 1: the largest reflectivity, 4000 dBZ, has no finite rain rate" in result.output
+    assert "Traceback" not in result.output
+    assert not list(out.glob("stack-rain-*"))
+
+
 STORM_SMALL = {
     "dataset": "storm",
     "units": "dBZ",
@@ -562,6 +576,7 @@ MODEL_1 = "config.comparison.models[1]"
     ({"eval_times": [5, 3, 5]}, "config.comparison: eval_times must be distinct, repeated: 5"),
     ({"models": [{"label": "a", "k": 4}, {"label": "a", "k": 8}]},
      "config.comparison: model labels must be unique"),
+    ({"models": []}, "config.comparison: models must list at least one model"),
     (_second_model(label="flip64", k=64, flip="false"), f"{MODEL_1}.flip: expected"),
     (_second_model(label="flip64", k=64, flip=1), f"{MODEL_1}.flip: expected"),
     (_second_model(label="w16", k=16, window="true"), f"{MODEL_1}.window: expected"),
@@ -572,7 +587,7 @@ MODEL_1 = "config.comparison.models[1]"
     (_second_model(label=16, k=16), f"{MODEL_1}.label: expected"),
     (_second_model(k=16), f"{MODEL_1}: missing label"),
 ], ids=["train-1", "train-2-fit", "beyond-stack", "empty", "negative", "repeated-time",
-        "repeated-label",
+        "repeated-label", "no-models",
         "flip-string", "flip-int", "window-string", "k-float", "k-bool", "label-comma",
         "label-newline", "label-int", "label-missing"])
 def test_evaluate_bad_comparison_exits_2(runner, tmp_path, comparison, message):

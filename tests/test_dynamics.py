@@ -137,28 +137,27 @@ def _transfer(g):
 
 def test_flipped_generator_zero():
     g = GridSpec(4, 4)
-    ordering, ordering_star, transfer = _transfer(g)
-    out = flipped_generator(np.zeros((ordering.k, ordering.k)), transfer)
+    ordering, ordering_star, h = _transfer(g)
+    out = flipped_generator(np.zeros((ordering.k, ordering.k)), h)
     assert out.shape == (ordering_star.k, ordering_star.k)
     assert not out.any()
 
 
 def test_flipped_generator_rejects_another_orderings_generator():
     g = GridSpec(4, 4)
-    ordering, _, transfer = _transfer(g)
+    ordering, _, h = _transfer(g)
     with pytest.raises(ValueError, match=f"must be {ordering.k} x {ordering.k}"):
-        flipped_generator(np.zeros((ordering.k - 2, ordering.k - 2)), transfer)
+        flipped_generator(np.zeros((ordering.k - 2, ordering.k - 2)), h)
 
 
 def test_conjugated_dynamics_evolve_then_flip_commutes():
     rng = np.random.default_rng(35)
     g = GridSpec(4, 4)
-    ordering, ordering_star, transfer = _transfer(g)
+    ordering, ordering_star, h = _transfer(g)
     vel, dif = smooth_random_physics(g, rng)
     gen = assemble_transition(ordering, vel, dif)
     phi = build_transition(gen, 1.0)
-    phi_star = build_transition(flipped_generator(gen, transfer), 1.0)
-    h = transfer.matrix
+    phi_star = build_transition(flipped_generator(gen, h), 1.0)
     alpha = rng.normal(size=ordering.k)
     a_direct = alpha.copy()
     a_star = h @ alpha
@@ -171,10 +170,10 @@ def test_conjugated_dynamics_evolve_then_flip_commutes():
 def test_flipped_generator_eigenvalues_on_column_space():
     rng = np.random.default_rng(37)
     g = GridSpec(4, 4)
-    ordering, _, transfer = _transfer(g)
+    ordering, _, h = _transfer(g)
     vel, dif = smooth_random_physics(g, rng)
     gen = assemble_transition(ordering, vel, dif)
-    conj = flipped_generator(gen, transfer)
+    conj = flipped_generator(gen, h)
     ev_p = np.sort_complex(np.linalg.eigvals(gen))
     ev_c = np.linalg.eigvals(conj)
     # conjugated spectrum = spectrum of P plus zeros from the cokernel
@@ -200,9 +199,9 @@ def test_truncation_containment_discrepancy_shrinks():
     for k in (17, 33, 64):
         ordering = ModeOrdering(g, k)
         ordering_star = ModeOrdering(g.doubled(), 4 * k)
-        transfer = flip_transfer(g, ordering, ordering_star)
+        h = flip_transfer(g, ordering, ordering_star)
         gen = assemble_transition(ordering, vel, dif)
-        phi_star = build_transition(flipped_generator(gen, transfer), 1.0)
+        phi_star = build_transition(flipped_generator(gen, h), 1.0)
 
         alpha = alpha0.copy()
         a_star = analyze(flip_field(synthesize(full, alpha0)), ordering_star)

@@ -24,7 +24,6 @@ from mirrorspec.kalman import (
 )
 from mirrorspec.simulate import SimulationConfig, simulate_advection
 from mirrorspec.spectral import (
-    FlipTransfer,
     MirrorBand,
     ModeOrdering,
     analyze,
@@ -177,28 +176,36 @@ def test_covariances_stay_symmetric_psd():
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
-def test_loglik_decomposes_over_innovations():
+# the simulation's own noise, then r = sigma2_beta / sigma2_alpha at both ends
+# of the fit's search interval and between them
+@pytest.mark.parametrize("noise", [NoiseParams(0.004, 0.001), NoiseParams(1, 1e-8),
+                                   NoiseParams(1, 1), NoiseParams(1, 1e8)],
+                         ids=["sim", "r=1e-8", "r=1", "r=1e8"])
+def test_loglik_decomposes_over_innovations(noise):
     cfg = SimulationConfig(
         grid=GridSpec(8, 8), steps=12, noise_alpha=0.004, noise_beta=0.001,
         noise_modes=None, seed=14,
     )
     sim = simulate_advection(cfg)
     g, ordering, phi = advection_setup(8)
-    noise = NoiseParams(0.004, 0.001)
     model = direct_model(phi, noise)
     state0 = default_init(model, sim.alphas[0], noise)
     result = kf_filter(model, sim.alphas, state0)
     assert np.isclose(result.loglik, result.loglik_terms.sum(), atol=1e-9)
 
     # independent recomputation by the textbook dense filter of the same
-    # matrices from the same state
+    # matrices from the same state, whose update is the Joseph form
     [(mean0, _)] = state0
     want = dense_filter(phi, *(joined(model, name) for name in ("v", "w_alpha", "w_beta")),
                         sim.alphas, mean0, joined(model, state0))
     assert np.isclose(want.loglik, result.loglik, atol=1e-9)
+    assert result.loglik == pytest.approx(want.loglik, rel=1e-12)
     assert result.min_pivot == pytest.approx(want.min_pivot, rel=1e-12)
     # the innovations the block reports are the ones its loglik scores
     assert np.abs(result.innovations - want.innovations).max() <= 1e-9
+    assert np.abs(result.means_array - want.means).max() <= 1e-12 * np.abs(want.means).max()
+    cov = joined(model, result.final_state)
+    assert np.abs(cov - want.final_cov).max() <= 1e-12 * np.abs(want.final_cov).max()
 
 
 def test_variance_mle_recovers_within_factor_three():
@@ -400,11 +407,10 @@ def test_flipped_model_blocks_equal_the_dense_conjugated_model(diffusive):
     obs = pipeline.observations(frames)
 
     # the dense oracle on all dim S band coordinates: exp of H_S P pinv(H_S), whose
-    # flipped-domain coordinates are the band's (it stands in for the flipped ordering)
+    # flipped-domain coordinates are the band's
     band = MirrorBand(GridSpec(16, 16), 64)
     h_s = band.transfer(ordering)
-    transfer = FlipTransfer(ordering, band, h_s)
-    dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0), h_s, noise)
+    dense, t = dense_model(build_transition(flipped_generator(gen, h_s), 1.0), h_s, noise)
     # a coefficient part (channels for a constant velocity, one block for a
     # variable diffusivity), then the leakage part with its own scalar noise
     k = ordering.k
@@ -451,9 +457,8 @@ def test_band_model_fields_equal_the_doubled_grid_model(diffusive):
     noise = NoiseParams(2e-3, 5e-4, 1e-4)
     g = frames[0].grid
     star = ModeOrdering(g.doubled(), 65)
-    transfer = flip_transfer(g, ordering, star)
-    dense, t = dense_model(build_transition(flipped_generator(gen, transfer), 1.0),
-                           transfer.matrix, noise)
+    h = flip_transfer(g, ordering, star)
+    dense, t = dense_model(build_transition(flipped_generator(gen, h), 1.0), h, noise)
     dense_obs = np.array([analyze(flip_field(f), star) for f in frames])
     assert len(dense[0]) == 65 > pipeline.k == 21
 
