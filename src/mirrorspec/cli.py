@@ -89,13 +89,6 @@ def _exits_on_config_error(fn):
     return wrapper
 
 
-def _load_input_stack(path: str) -> GridStack:
-    try:
-        return load_stack(path)
-    except (StackError, ValueError) as exc:
-        _fail(2, str(exc))
-
-
 def _seeded(cfg: RunConfig, seed) -> RunConfig:
     """``cfg`` with its seed replaced by ``--seed`` when one is given: the run
     log then records the seed used, and the config hash in every output name
@@ -114,22 +107,18 @@ def _with_steps(cfg: RunConfig, steps) -> RunConfig:
 
 
 def _generate_dataset(cfg: RunConfig) -> GridStack:
-    if cfg.data["dataset"] == "storm":
-        storm = cfg.data.get("storm", {})
-        frames = synthetic_storm_stack(
-            cfg.grid(),
-            steps=storm.get("steps", 10),
-            seed=cfg.data["seed"],
-            n_blobs=storm.get("n_blobs", 3),
-            peak_dbz=storm.get("peak_dbz", 42.0),
-        )
-        delta = 1.0
-    else:
-        sim = simulate_advection(cfg.simulation())
-        frames, delta = sim.fields, sim.config.delta
-    return GridStack.from_fields(
-        frames, delta=delta, units=cfg.data["units"], config_hash=cfg.hash
-    )
+    """The config's dataset as a stack.  Frames that overflow are a fault of
+    the section that set them, so they raise a ConfigError naming it."""
+    storm = cfg.data["dataset"] == "storm"
+    grid = cfg.grid()
+    sim = None if storm else cfg.simulation()
+    try:
+        frames = (synthetic_storm_stack(grid, seed=cfg.data["seed"], **cfg.data.get("storm", {}))
+                  if storm else simulate_advection(sim).fields)
+    except ValueError as exc:
+        raise ConfigError(f"config.{'storm' if storm else 'simulation'}: {exc}") from exc
+    return GridStack.from_fields(frames, delta=1.0 if storm else sim.delta,
+                                 units=cfg.data["units"], config_hash=cfg.hash)
 
 
 def _estimated_physics(mcfg: MotionConfig, a: Field, b: Field):
@@ -144,15 +133,12 @@ def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, Diffusivi
     """Velocity and diffusivity of every model built from ``cfg`` and
     ``stack``: the configured constant velocity without diffusivity, or the
     estimate from the first two frames with its shear diffusivity."""
-    mode = cfg.data["velocity"]["mode"]
-    if mode == "constant":
+    if cfg.data["velocity"]["mode"] == "constant":
         vx, vy = cfg.data["velocity"]["value"]
         return VelocityField.constant(stack.grid, vx, vy), None
-    if mode == "estimate":
-        if stack.steps < 2:
-            _fail(2, "velocity estimation needs at least 2 frames")
-        return _estimated_physics(cfg.motion(), stack.frames[0], stack.frames[1])
-    _fail(2, f"config.velocity.mode must be 'constant' or 'estimate', got {mode!r}")
+    if stack.steps < 2:
+        _fail(2, "velocity estimation needs at least 2 frames")
+    return _estimated_physics(cfg.motion(), stack.frames[0], stack.frames[1])
 
 
 def _model_flags(fn):
@@ -174,7 +160,7 @@ def _model_flags(fn):
 def _model_run(command, stack_path, config, out, k, flip, window):
     """The config, stack, run and model spec of a command given :func:`_model_flags`."""
     cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
+    stack = load_stack(stack_path)
     run = _Run(command, cfg, out)
     k = k if k is not None else cfg.data["truncation"]["k"]
     label = f"{'window-' if window else ''}{'flip' if flip else 'direct'}{k}"
@@ -237,7 +223,7 @@ def simulate(config, out, seed, steps):
 def flip(stack_path, config, out):
     """Mirror-extend every frame of a stack onto the doubled grid."""
     cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
+    stack = load_stack(stack_path)
     run = _Run("flip", cfg, out)
     variant = cfg.flip_variant()
     flipped = GridStack.from_fields(
@@ -259,7 +245,7 @@ def velocity(stack_path, config, out):
     diffusivity stacks."""
     cfg = RunConfig.load(config)
     mcfg = cfg.motion()
-    stack = _load_input_stack(stack_path)
+    stack = load_stack(stack_path)
     if stack.steps < 2:
         _fail(2, "velocity estimation needs at least 2 frames")
     run = _Run("velocity", cfg, out)
@@ -365,11 +351,7 @@ def evaluate(stack_path, config, out, seed, region):
             regions["cli"] = Region((x0, x1), (y0, y1))
         except ValueError as exc:
             _fail(2, f"--region must be x0,x1,y0,y1 within [0,1): {exc}")
-    stack = (
-        _load_input_stack(stack_path)
-        if stack_path
-        else _generate_dataset(cfg)
-    )
+    stack = load_stack(stack_path) if stack_path else _generate_dataset(cfg)
     comp, noise = cfg.data["comparison"], cfg.noise()
     try:
         check_comparison(specs, stack.steps, comp["train_steps"], comp["eval_times"],
@@ -412,7 +394,7 @@ def render(stack_path, config, out, frame, scale):
     two stacks rendered into one ``--out`` keep their own files, and a stack
     rendered again, from any path, gets the same names."""
     cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
+    stack = load_stack(stack_path)
     if not 0 <= frame < stack.steps:
         _fail(2, f"frame {frame} out of range [0, {stack.steps})")
     digest = hashlib.sha256(f"{stack.grid.n1}x{stack.grid.n2}".encode())
@@ -445,7 +427,7 @@ def render(stack_path, config, out, frame, scale):
 def convert_rain(stack_path, config, out):
     """Convert a reflectivity (dBZ) stack to rain rate (mm/hr)."""
     cfg = RunConfig.load(config)
-    stack = _load_input_stack(stack_path)
+    stack = load_stack(stack_path)
     if stack.units != "dBZ":
         _fail(2, f"expected a dBZ stack, manifest says units={stack.units!r}")
     run = _Run("convert-rain", cfg, out)

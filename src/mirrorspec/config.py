@@ -1,7 +1,16 @@
 """Run configuration: one validated JSON document drives every pipeline.
 
-Unknown keys and numbers that are not finite are rejected at every level so
-typos fail before any compute starts.  A short hash of the canonical document
+Unknown keys, numbers that are not finite and names outside their choice
+(``dataset`` is ``advection`` or ``storm``, ``velocity.mode`` is ``constant``
+or ``estimate``) are rejected at every level so typos fail before any compute
+starts.  Each default lives in the code that takes it: ``grid``, ``seed`` and
+``simulation`` in :class:`~mirrorspec.simulate.SimulationConfig`, ``motion``
+in :class:`~mirrorspec.motion.MotionConfig`, ``flip`` in
+:data:`~mirrorspec.grid.DEFAULT_FLIP`, ``fit.budget`` in
+:data:`~mirrorspec.kalman.FIT_BUDGET` and ``storm`` in the signature of
+:func:`~mirrorspec.simulate.synthetic_storm_stack`; ``velocity.value`` is the
+drift the advection dataset simulates.  The dataset sections reach those
+consumers as they are.  A short hash of the canonical document
 tags every output file, making runs reproducible and collision-evident.  A few
 named profiles ship with the package for the standard demos; anything else is
 a path to a JSON file.
@@ -11,15 +20,17 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 from .evaluate import ModelSpec, Region
-from .grid import FlipVariant, GridSpec
-from .kalman import NoiseParams
+from .grid import DEFAULT_FLIP, FlipVariant, GridSpec
+from .kalman import FIT_BUDGET, MIN_FIT_BUDGET, NoiseParams
 from .motion import MotionConfig
-from .simulate import SimulationConfig
+from .simulate import SimulationConfig, synthetic_storm_stack
 
 __all__ = ["ConfigError", "RunConfig", "PROFILES"]
 
@@ -29,7 +40,7 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    "dataset": str,
+    "dataset": {"advection", "storm"},  # a set is a choice of names
     "seed": int,
     "units": str,
     "grid": {"n1": int, "n2": int},
@@ -60,7 +71,7 @@ _SCHEMA = {
         "min_block_energy": (int, float),
         "smooth_sigma": (int, float),
     },
-    "velocity": {"mode": str, "value": list},
+    "velocity": {"mode": {"constant", "estimate"}, "value": list},
     "regions": None,  # free-form mapping name -> {x_range, y_range}
     "comparison": {"models": list, "train_steps": int, "eval_times": list},
     "render": {"scale": (list, str)},
@@ -68,33 +79,26 @@ _SCHEMA = {
 # one entry of comparison.models; label and k are required
 _MODEL_SCHEMA = {"label": str, "k": int, "flip": bool, "window": bool}
 
+
+def _as_json(obj) -> dict:
+    """The fields of a dataclass as JSON values: tuples become lists."""
+    return json.loads(json.dumps(asdict(obj)))
+
+
+# every default but these few is read from the class or function that takes it
+_SIMULATION = _as_json(SimulationConfig())
 _DEFAULTS = {
     "dataset": "advection",
-    "seed": 20260809,
+    "seed": _SIMULATION.pop("seed"),
     "units": "dimensionless",
-    "grid": {"n1": 100, "n2": 100},
-    "simulation": {
-        "steps": 30,
-        "delta": 1.0,
-        "velocity": [0.01, 0.0],
-        "source_center": [0.1, 0.0],
-        "source_scale": 0.18,
-        "source_amplitude": 3.0,
-        "noise_alpha": 0.005,
-        "noise_beta": 0.001,
-        "noise_modes": 80,
-    },
-    "flip": {"x_anchor": "right", "y_anchor": "bottom"},
+    "grid": _SIMULATION.pop("grid"),
+    "simulation": _SIMULATION,
+    "flip": _as_json(DEFAULT_FLIP),
     "truncation": {"k": 100},
-    "fit": {"enabled": True, "budget": 40},
-    "motion": {
-        "block": 16,
-        "overlap": 0.5,
-        "search_radius": 8,
-        "min_block_energy": 1e-4,
-        "smooth_sigma": 2.0,
-    },
-    "velocity": {"mode": "constant", "value": [0.01, 0.0]},
+    "fit": {"enabled": True, "budget": FIT_BUDGET},
+    "motion": _as_json(MotionConfig()),
+    # the drift the advection dataset simulates, so a model knows its physics
+    "velocity": {"mode": "constant", "value": list(_SIMULATION["velocity"])},
     "regions": {"whole": {"x_range": [0.0, 0.999], "y_range": [0.0, 0.999]}},
     "render": {"scale": "auto"},
 }
@@ -110,21 +114,14 @@ def _validate(node, schema, path="config"):
             if key not in schema:
                 raise ConfigError(f"{path}: unknown key {key!r}")
             _validate(value, schema[key], f"{path}.{key}")
-    else:
-        if isinstance(schema, tuple):
-            ok = isinstance(node, schema) and not isinstance(node, bool)
-            if type(None) in schema and node is None:
-                ok = True
-        elif schema is bool:
-            ok = isinstance(node, bool)
-        elif schema in (int,):
-            ok = isinstance(node, int) and not isinstance(node, bool)
-        else:
-            ok = isinstance(node, schema)
-        if not ok:
-            raise ConfigError(f"{path}: expected {schema}, got {type(node).__name__}")
-        if isinstance(node, float) and not math.isfinite(node):
-            raise ConfigError(f"{path}: expected a finite number, got {node}")
+    elif isinstance(schema, set):
+        if not (isinstance(node, str) and node in schema):
+            raise ConfigError(f"{path}: expected one of {sorted(schema)}, got {node!r}")
+    # a JSON true or false is a bool, never a number
+    elif not isinstance(node, schema) or (isinstance(node, bool) and schema is not bool):
+        raise ConfigError(f"{path}: expected {schema}, got {type(node).__name__}")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path}: expected a finite number, got {node}")
 
 
 def _check_pair(value, path: str, expected: str = "two finite numbers") -> None:
@@ -156,8 +153,8 @@ class RunConfig:
                     raise ConfigError(f"config.regions.{name}: need exactly x_range and y_range")
         self.data = _merge(_DEFAULTS, data)
         budget = self.data["fit"]["budget"]
-        if budget < 2:
-            raise ConfigError(f"config.fit.budget must be at least 2, got {budget}")
+        if budget < MIN_FIT_BUDGET:
+            raise ConfigError(f"config.fit.budget must be at least {MIN_FIT_BUDGET}, got {budget}")
         for path, count in (("seed", self.data["seed"]),
                             ("storm.n_blobs", self.data.get("storm", {}).get("n_blobs", 0))):
             if count < 0:
@@ -199,21 +196,14 @@ class RunConfig:
             raise ConfigError(f"config.grid: {exc}") from exc
 
     def simulation(self, seed=None) -> SimulationConfig:
-        s = self.data["simulation"]
+        """The ``simulation`` section as it is, but for JSON's lists as tuples
+        and its whole numbers as floats where the schema takes any number."""
+        kw = {key: tuple(v) if isinstance(v, list) else
+              float(v) if _SCHEMA["simulation"][key] == (int, float) else v
+              for key, v in self.data["simulation"].items()}
+        kw["seed"] = self.data["seed"] if seed is None else seed
         try:
-            return SimulationConfig(
-                grid=self.grid(),
-                steps=s["steps"],
-                delta=float(s["delta"]),
-                velocity=tuple(s["velocity"]),
-                source_center=tuple(s["source_center"]),
-                source_scale=float(s["source_scale"]),
-                source_amplitude=float(s["source_amplitude"]),
-                noise_alpha=float(s["noise_alpha"]),
-                noise_beta=float(s["noise_beta"]),
-                noise_modes=s["noise_modes"],
-                seed=seed if seed is not None else self.data["seed"],
-            )
+            return SimulationConfig(grid=self.grid(), **kw)
         except ValueError as exc:
             raise ConfigError(f"config.simulation: {exc}") from exc
 
@@ -239,11 +229,8 @@ class RunConfig:
         if n is None:
             return None if self.data["fit"]["enabled"] else NoiseParams(1e-3, 1e-3)
         try:
-            return NoiseParams(
-                float(n["sigma2_alpha"]), float(n["sigma2_beta"]),
-                float(n.get("sigma2_obs", 0.0)),
-            )
-        except (KeyError, ValueError) as exc:
+            return NoiseParams(**{key: float(v) for key, v in n.items()})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.noise: {exc}") from exc
 
     def regions(self) -> dict[str, Region]:
@@ -277,6 +264,7 @@ class RunConfig:
         return specs
 
 
+_STORM = {k: p.default for k, p in inspect.signature(synthetic_storm_stack).parameters.items()}
 PROFILES = {
     # 30-step drifting-source benchmark on a 100x100 grid
     "advection": {
@@ -322,12 +310,13 @@ PROFILES = {
             "eval_times": [11, 12, 13, 14, 15, 16, 17, 18, 19, 20],
         },
     },
-    # synthetic storm entering from the top-left corner, radar-style pipeline
+    # synthetic storm entering from the top-left corner at the defaults of
+    # synthetic_storm_stack, radar-style pipeline
     "storm": {
         "dataset": "storm",
         "units": "dBZ",
-        "seed": 7,
-        "storm": {"steps": 10, "n_blobs": 3, "peak_dbz": 42.0},
+        "seed": _STORM["seed"],
+        "storm": {key: _STORM[key] for key in _SCHEMA["storm"]},
         "velocity": {"mode": "estimate", "value": [0.0, 0.0]},
         "truncation": {"k": 50},
         "regions": {

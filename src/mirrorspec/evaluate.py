@@ -21,6 +21,7 @@ from .dynamics import block_transition, build_transition
 from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import Field
 from .kalman import (
+    FIT_BUDGET,
     FilterResult,
     NoiseParams,
     StateSpaceModel,
@@ -263,8 +264,8 @@ class FittedModel:
     record: dict
 
 
-def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray,
-                   noise: NoiseParams | None = None, *, fit_budget: int = 40) -> FittedModel:
+def fit_and_filter(pipeline: ModelPipeline, train_obs: np.ndarray, noise: NoiseParams | None = None,
+                   *, fit_budget: int = FIT_BUDGET) -> FittedModel:
     """Fit the noise variances when ``noise`` is None, then filter.
 
     The filter starts from :func:`~mirrorspec.kalman.default_init` at the
@@ -342,7 +343,7 @@ def run_comparison(
     diffusivity: DiffusivityField | None = None,
     delta: float = 1.0,
     noise: NoiseParams | None = None,
-    fit_budget: int = 40,
+    fit_budget: int = FIT_BUDGET,
 ) -> ComparisonReport:
     """Score every model spec on the dataset.
 

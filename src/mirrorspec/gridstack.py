@@ -120,7 +120,10 @@ def load_stack(path) -> GridStack:
     for key in ("n1", "n2", "steps"):
         if type(manifest[key]) is not int:
             raise StackError(f"{mpath}: {key} must be a JSON integer, got {manifest[key]!r}")
-    grid = GridSpec(manifest["n1"], manifest["n2"])
+    try:
+        grid = GridSpec(manifest["n1"], manifest["n2"])
+    except ValueError as exc:
+        raise StackError(f"{mpath}: {exc}") from exc
     steps = manifest["steps"]
     if steps < 1:
         raise StackError(f"{mpath}: a stack needs at least one frame, got steps={steps}")

@@ -93,6 +93,8 @@ INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
 # search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
 LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
 LOG_RATIO_XATOL = 1e-3
+FIT_BUDGET = 40  # default cap on a variance fit's filter passes, its kept pass included
+MIN_FIT_BUDGET = 3  # the search makes two passes before it checks its cap, the fit one more
 LOG_2PI = math.log(2 * math.pi)
 
 
@@ -532,7 +534,7 @@ def estimate_variances(
     model_factory,
     observations: np.ndarray,
     *,
-    max_evaluations: int = 200,
+    max_evaluations: int = FIT_BUDGET,
 ) -> VarianceFit:
     """Maximize the innovations log-likelihood over the noise variances.
 
@@ -552,8 +554,9 @@ def estimate_variances(
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] < 3:
         raise ValueError("variance estimation needs at least 3 time steps")
-    if max_evaluations < 2:
-        raise ValueError(f"the variance fit needs at least 2 evaluations, got {max_evaluations}")
+    if max_evaluations < MIN_FIT_BUDGET:
+        raise ValueError(f"the variance fit needs at least {MIN_FIT_BUDGET} evaluations, "
+                         f"got {max_evaluations}")
 
     def run(params):
         model = model_factory(params)

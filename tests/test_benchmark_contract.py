@@ -66,6 +66,23 @@ def test_workload_configs_build():
     assert cfg.simulation(seed=101).seed == 101
 
 
+def test_config_hashes_hold():
+    # the hash names every output, so a refactor of the config's defaults that
+    # moved one would rename the outputs of the profiles and of the benchmark
+    workloads = load_perfbench("workloads")
+    hashes = {name: RunConfig.load(name).hash
+              for name in ("advection", "gibbs-strip", "storm", "window-table")}
+    hashes["{}"] = RunConfig({}).hash
+    for name in ("ADVECTION_CONFIG", "STORM_CONFIG", "STACK_IO_CONFIG"):
+        hashes[name] = RunConfig(getattr(workloads, name)).hash
+    assert hashes == {
+        "advection": "c3161c29395c", "gibbs-strip": "fe85093bea79", "storm": "9f0b4bfd75c9",
+        "window-table": "a3a09ff39776", "{}": "e280f907e581",
+        "ADVECTION_CONFIG": "8c5d5f17a182", "STORM_CONFIG": "a32703729c86",
+        "STACK_IO_CONFIG": "4941fd4aef62",
+    }
+
+
 def test_tracer_reads_fit_and_filter_results():
     extras = load_tracer().EXTRAS
     ordering = ModeOrdering(GridSpec(4, 4), 3)

@@ -8,9 +8,11 @@ from click.testing import CliRunner
 
 from mirrorspec.cli import main
 from mirrorspec.config import ConfigError, PROFILES, RunConfig
-from mirrorspec.grid import Field, GridSpec
+from mirrorspec.grid import DEFAULT_FLIP, Field, GridSpec
 from mirrorspec.gridstack import GridStack, load_stack, save_stack
-from mirrorspec.simulate import simulate_advection
+from mirrorspec.kalman import FIT_BUDGET
+from mirrorspec.motion import MotionConfig
+from mirrorspec.simulate import SimulationConfig, simulate_advection
 
 
 @pytest.fixture
@@ -70,9 +72,19 @@ def test_config_rejects_unknown_keys():
         RunConfig({"truncation": {"k": 100, "k_star_factor": 4}})
 
 
-def test_config_rejects_fit_budget_below_2():
-    with pytest.raises(ConfigError, match="config.fit.budget"):
-        RunConfig({"fit": {"enabled": True, "budget": 1}})
+def test_config_rejects_fit_budget_below_3():
+    # a budget of 2 made 3 filter passes: the search makes two before it checks
+    with pytest.raises(ConfigError, match="config.fit.budget must be at least 3, got 2"):
+        RunConfig({"fit": {"enabled": True, "budget": 2}})
+
+
+def test_config_defaults_are_those_of_the_code_that_takes_them():
+    cfg = RunConfig({})
+    assert cfg.simulation() == SimulationConfig()
+    assert cfg.motion() == MotionConfig()
+    assert cfg.flip_variant() == DEFAULT_FLIP
+    assert cfg.data["fit"]["budget"] == FIT_BUDGET
+    assert tuple(cfg.data["velocity"]["value"]) == SimulationConfig().velocity
 
 
 def test_config_hash_covers_numeric_parameters():
@@ -399,9 +411,18 @@ NAN, INF = float("nan"), float("inf")
     ("predict", SMALL_SIM, "noise.sigma2_beta", INF, "expected a finite number, got inf"),
     ("filter", SMALL_SIM, "noise.sigma2_obs", NAN, "expected a finite number, got nan"),
     ("velocity", STORM_SMALL, "motion.smooth_sigma", INF, "expected a finite number, got inf"),
+    ("simulate", SMALL_SIM, "dataset", "stomr",
+     "expected one of ['advection', 'storm'], got 'stomr'"),
+    ("evaluate", SMALL_SIM, "dataset", "stomr",
+     "expected one of ['advection', 'storm'], got 'stomr'"),
+    ("simulate", SMALL_SIM, "velocity.mode", "estimated",
+     "expected one of ['constant', 'estimate'], got 'estimated'"),
+    ("filter", SMALL_SIM, "velocity.mode", "estimated",
+     "expected one of ['constant', 'estimate'], got 'estimated'"),
 ], ids=["source-scale-nan", "source-amplitude-inf", "noise-beta-nan", "peak-dbz-nan",
         "seed-negative", "n-blobs-negative", "sigma2-alpha-nan", "sigma2-beta-inf",
-        "sigma2-obs-nan", "smooth-sigma-inf"])
+        "sigma2-obs-nan", "smooth-sigma-inf", "dataset-simulate", "dataset-evaluate",
+        "velocity-mode-simulate", "velocity-mode-filter"])
 def test_config_number_out_of_range_exits_2(runner, tmp_path, command, base, path, value,
                                             message):
     args = [] if command == "simulate" else [_simulated(runner, tmp_path)[1]]
@@ -411,6 +432,24 @@ def test_config_number_out_of_range_exits_2(runner, tmp_path, command, base, pat
     assert result.exit_code == 2, result.output
     assert f"config.{path}" in result.output
     assert message in result.output
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, base, path", [
+    ("simulate", SMALL_SIM, "simulation.source_amplitude"),
+    ("evaluate", SMALL_SIM, "simulation.source_amplitude"),
+    ("simulate", STORM_SMALL, "storm.peak_dbz"),
+], ids=["simulate-advection", "evaluate-advection", "simulate-storm"])
+def test_a_dataset_that_overflows_exits_2(runner, tmp_path, command, base, path):
+    # a finite config number near the largest float whose frames overflow: the
+    # section that set it is at fault, so the run exits 2 naming it, writing nothing
+    cfg = write_config(tmp_path, _override(base, path, 1.7e308))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config.{path.split('.')[0]}: field values must be finite" in result.output
+    assert "Traceback" not in result.output
     assert not list(out.glob("*"))
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ def test_render_exits_2_on_a_manifest_size_that_is_not_an_integer(tmp_path, key,
     assert result.exit_code == 2, result.output
     assert f"{key} must be a JSON integer, got {value!r}" in result.output
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("key,value,message", [("n1", 3, "n1 must be even, got 3"),
+                                               ("n2", 0, "n2 must be >= 2, got 0")])
+def test_a_manifest_grid_that_is_not_a_grid_is_a_stack_error(tmp_path, key, value, message):
+    root = _with_manifest_value(save_stack(random_stack(), tmp_path / "s"), key, value)
+    with pytest.raises(StackError, match=re.escape(f"{root / 'manifest.json'}: {message}")):
+        load_stack(root)
+
 
 def test_render_constant_field_uniform(tmp_path):
     g = GridSpec(4, 4)

@@ -8,7 +8,9 @@ from mirrorspec.dynamics import block_transition, build_transition, flipped_gene
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
 from mirrorspec.grid import GridSpec, flip_field, unflip
+import mirrorspec.kalman as kalman
 from mirrorspec.kalman import (
+    MIN_FIT_BUDGET,
     SUBSPACE_RIDGE,
     Block,
     Channels,
@@ -316,6 +318,26 @@ def small_fit(request):
     pipeline = build_pipeline(cfg.grid, request.param, velocity=cfg.velocity)
     obs = pipeline.observations(simulate_advection(cfg).fields)
     return pipeline.factory, obs, estimate_variances(pipeline.factory, obs, max_evaluations=40)
+
+
+@pytest.mark.parametrize("budget", [MIN_FIT_BUDGET, 4, 5])
+def test_fit_budget_caps_every_filter_pass(small_fit, budget, monkeypatch):
+    # the bounded search makes two passes before it checks its cap and the fit
+    # one more at the fitted noise, so a budget of 2 made 3 passes and is refused
+    factory, obs, _ = small_fit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kf_filter(*args, **kwargs)
+
+    monkeypatch.setattr(kalman, "kf_filter", counted)
+    with pytest.raises(ValueError, match=f"at least {MIN_FIT_BUDGET} evaluations, got 2"):
+        estimate_variances(factory, obs, max_evaluations=2)
+    assert not calls
+    with pytest.warns(RuntimeWarning, match="evaluation budget"):
+        fit = estimate_variances(factory, obs, max_evaluations=budget)
+    assert len(calls) == fit.n_evaluations <= budget
 
 
 def test_fit_loglik_is_a_full_pass_at_the_fitted_noise(small_fit):
