@@ -155,10 +155,12 @@ class RunConfig:
         budget = self.data["fit"]["budget"]
         if budget < MIN_FIT_BUDGET:
             raise ConfigError(f"config.fit.budget must be at least {MIN_FIT_BUDGET}, got {budget}")
-        for path, count in (("seed", self.data["seed"]),
-                            ("storm.n_blobs", self.data.get("storm", {}).get("n_blobs", 0))):
-            if count < 0:
-                raise ConfigError(f"config.{path} must be >= 0, got {count}")
+        storm = self.data.get("storm", {})
+        for path, count, low in (("seed", self.data["seed"], 0),
+                                 ("storm.n_blobs", storm.get("n_blobs", 0), 0),
+                                 ("storm.steps", storm.get("steps", 1), 1)):
+            if count < low:
+                raise ConfigError(f"config.{path} must be >= {low}, got {count}")
         for section, key in (("velocity", "value"), ("simulation", "velocity"),
                              ("simulation", "source_center")):
             _check_pair(self.data[section][key], f"config.{section}.{key}")

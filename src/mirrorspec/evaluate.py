@@ -183,10 +183,11 @@ def _constant_coefficients(vel: VelocityField, dif: DiffusivityField):
 
 def _median_share(part: np.ndarray, whole: np.ndarray) -> float:
     """Median over rows of ``|part| / |whole|``, skipping rows where ``whole``
-    is zero (a dry frame); 0.0 when every row is."""
+    is zero (a dry frame); 0.0 when every row is.  It is the mean of the one
+    or two middle values of a sort, as ``np.median`` would import ``numpy.ma``."""
     norm = np.linalg.norm(whole, axis=1)
-    share = np.linalg.norm(part, axis=1)[norm > 0] / norm[norm > 0]
-    return float(np.median(share)) if share.size else 0.0
+    share = np.sort(np.linalg.norm(part, axis=1)[norm > 0] / norm[norm > 0])
+    return float(share[(share.size - 1) // 2:share.size // 2 + 1].mean()) if share.size else 0.0
 
 
 def band_coordinates(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -60,15 +60,18 @@ The noise fit profiles the scale out of the likelihood (the concentrated
 likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
 7.3): with ``sigma2_obs = 0`` every covariance scales with ``sigma2_alpha`` at
 a fixed ``r = sigma2_beta / sigma2_alpha``, leaving a 1-D search over ``r``:
-Brent's bounded search (Brent 1973, ch. 5) on ``log r``, in this module, so a
-fit loads no SciPy.
+a grid of ``log r`` over the whole search interval, then grids that refine
+around its best point.  A grid of channel parts is one pass along a leading
+axis of their noise and state, and the first grid's profile is part of the
+fit's record, so a run shows whether its fit sits on a peak, a kink or a
+bound.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,8 +96,9 @@ INIT_COV_SCALE = 10.0  # default_init covariance over the larger noise variance
 # search interval and tolerance of the variance fit in log(sigma2_beta / sigma2_alpha)
 LOG_RATIO_BOUNDS = (np.log(1e-8), np.log(1e8))
 LOG_RATIO_XATOL = 1e-3
-FIT_BUDGET = 40  # default cap on a variance fit's filter passes, its kept pass included
-MIN_FIT_BUDGET = 3  # the search makes two passes before it checks its cap, the fit one more
+GRID_POINTS = 33  # points of each grid over log r; the first holds both bounds and r = 1
+FIT_BUDGET = 40  # default cap on a variance fit's filter passes, a grid being one
+MIN_FIT_BUDGET = 3  # the first grid, one refining grid (r to about 7%) and the last pass
 LOG_2PI = math.log(2 * math.pi)
 
 
@@ -251,24 +255,28 @@ class Channels:
 
     @staticmethod
     def _unpacked(mean, cov):
-        return mean[:, 0], mean[:, 1], cov[:, 0, 0].real, cov[:, 1, 1].real, cov[:, 0, 1]
+        return (mean[..., 0], mean[..., 1], cov[..., 0, 0].real, cov[..., 1, 1].real,
+                cov[..., 0, 1])
 
     @staticmethod
     def _packed(z, w, p11, p22, p12):
-        cov = np.empty((len(z), 2, 2), dtype=complex)
-        cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 0], cov[:, 1, 1] = p11, p12, p12.conj(), p22
-        return np.stack([z, w], axis=1), cov
+        cov = np.empty(p11.shape + (2, 2), dtype=complex)
+        cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1] = p11, p12, p12.conj(), p22
+        return np.stack([z, w], axis=-1), cov
 
     def _filter(self, obs: np.ndarray, mean, cov):
-        """:meth:`Block._filter` of the channels."""
+        """:meth:`Block._filter` of the channels, one pass per index of any
+        leading axes of the state and the noise variances, which the outputs
+        carry after the step axis; the pivot is NaN where an ``S`` was not
+        positive."""
         steps, n, p = len(obs), self.index.size, self.imag.size
         y = self._complex(obs)
         rho2, v = (self.lam * self.lam.conj()).real, self.v
         z, w, p11, p22, p12 = self._unpacked(mean, cov)
-        zs, ws = np.empty((steps, n), complex), np.empty((steps, n), complex)
+        zs, ws = np.empty((steps,) + p11.shape, complex), np.empty((steps,) + p11.shape, complex)
         zs[0], ws[0] = z, w
-        es, ss = np.empty((steps - 1, n), complex), np.empty((steps - 1, n))
-        # a breakdown is reported after the loop; until then it only yields NaN
+        es, ss = np.empty((steps - 1,) + p11.shape, complex), np.empty((steps - 1,) + p11.shape)
+        # a breakdown is reported by the pivot; until then it only yields NaN
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for t in range(1, steps):
                 z, w, p11, p22, p12 = self._predict(rho2, z, w, p11, p22, p12)
@@ -281,14 +289,13 @@ class Channels:
                 shrink = v * inv
                 p11, p12 = p11 * shrink, p12 * shrink
                 zs[t], ws[t], es[t - 1], ss[t - 1] = z, w, e, s
-        pivot = ss.min() if ss.size else math.inf
-        if not pivot > 0:
-            raise _not_positive_definite(f"a channel has S = {pivot:g}")
-        logs = np.log(ss)
-        white = (es.real**2 + es.imag**2) / ss
-        terms = -0.5 * ((n + p) * LOG_2PI + logs.sum(1) + logs[:, :p].sum(1) + white.sum(1))
-        return (self._real(zs), self._real(ws), self._real(es), terms, float(white.sum()),
-                math.sqrt(pivot), self._packed(z, w, p11, p22, p12))
+            pivot = np.sqrt(ss.min(axis=(0, -1))) if ss.size else math.inf
+            logs = np.log(ss)
+            white = (es.real**2 + es.imag**2) / ss
+            terms = -0.5 * ((n + p) * LOG_2PI + logs.sum(-1) + logs[..., :p].sum(-1)
+                            + white.sum(-1))
+        return (self._real(zs), self._real(ws), self._real(es), terms, white.sum(axis=(0, -1)),
+                pivot, self._packed(z, w, p11, p22, p12))
 
     def _forecast(self, mean, cov, h: int):
         state = self._unpacked(mean, cov)
@@ -463,6 +470,8 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
     for p, (mean, cov) in zip(model.parts, state):
         alpha, beta, part_innovations, part_terms, part_ss, part_pivot, last = p._filter(
             obs, mean, cov)
+        if not part_pivot > 0:
+            raise _not_positive_definite("a channel has S <= 0")
         rows = p.positions
         means[:, rows], means[:, k + rows], innovations[1:, rows] = alpha, beta, part_innovations
         terms += part_terms
@@ -502,12 +511,15 @@ class VarianceFit:
     """Outcome of the innovations-likelihood maximization.
 
     ``result`` is the full filter pass at ``params``; ``n_evaluations``
-    counts every filter pass the fit made, that last one included."""
+    counts the fit's filter passes, one per grid of ``log r`` and the last
+    pass; ``profile`` holds the first grid's ``log_ratio`` values and their
+    profiled ``loglik`` (None where the pass failed)."""
 
     params: NoiseParams
     result: FilterResult = field(repr=False)
     converged: bool
     n_evaluations: int
+    profile: dict = field(repr=False)
 
     @property
     def loglik(self) -> float:
@@ -516,8 +528,9 @@ class VarianceFit:
     def diagnostics(self) -> dict:
         """What a run records about its fit: ``ratio`` is the fitted
         ``sigma2_beta / sigma2_alpha``, ``ratio_at_bound`` says whether it
-        ended on an end of the search interval and ``n_scalars`` is the ``N``
-        that the profiled scale divides by."""
+        ended on an end of the search interval, ``n_scalars`` is the ``N``
+        that the profiled scale divides by and ``profile`` shows whether the
+        fit sits on a peak, a kink or a bound."""
         ratio = self.params.sigma2_beta / self.params.sigma2_alpha
         lo, hi = LOG_RATIO_BOUNDS
         log_ratio = np.log(ratio)
@@ -527,7 +540,65 @@ class VarianceFit:
             "ratio": ratio,
             "ratio_at_bound": bool(min(log_ratio - lo, hi - log_ratio) <= LOG_RATIO_XATOL),
             "n_scalars": self.result.innovations.shape[1] * len(self.result.loglik_terms),
+            "profile": self.profile,
         }
+
+
+def _grid_pass(model_factory, obs: np.ndarray, log_ratios: np.ndarray):
+    """The log-likelihood and the whitened sum of squares of the
+    :func:`kf_filter` pass from :func:`default_init` at ``NoiseParams(1, r)``
+    for each ``log r`` of ``log_ratios``, NaN where the pass fails.
+
+    The factory's model and initial state at ``r = 1`` are scaled to each
+    ``r``, ``w_beta`` by ``r`` and the covariance by ``max(1, r)``, as
+    :func:`direct_model` and :func:`default_init` scale them.  A
+    :class:`Channels` part runs the whole grid as one pass, with the grid as
+    a leading axis of ``w_beta`` and of the state; a :class:`Block` runs the
+    points one after another."""
+    unit = NoiseParams(1.0, 1.0)
+    model = model_factory(unit)
+    ratios = np.exp(log_ratios)
+    loglik, white_ss = np.zeros(ratios.size), np.zeros(ratios.size)
+    for part, (mean, cov) in zip(model.parts, default_init(model, obs[0], unit)):
+        if isinstance(part, Channels):
+            grid = replace(part, w_beta=part.w_beta * ratios[:, None])
+            _, _, _, terms, ss, pivot, _ = grid._filter(
+                obs, mean, np.multiply.outer(np.maximum(1.0, ratios), cov))
+            loglik += np.where(pivot > 0, terms.sum(0), np.nan)
+            white_ss += ss
+        else:
+            for g, r in enumerate(ratios):
+                try:
+                    _, _, _, terms, ss, _, _ = replace(part, w_beta=part.w_beta * r)._filter(
+                        obs, mean, max(1.0, r) * cov)
+                except (FilterError, np.linalg.LinAlgError):
+                    terms, ss = np.nan, np.nan
+                loglik[g] += np.sum(terms)
+                white_ss[g] += ss
+    return loglik, white_ss
+
+
+def _grid_maximum(func, lo: float, hi: float, xatol: float, max_grids: int):
+    """Maximize ``func``, which maps a grid to its values (``-inf`` where it
+    fails), on ``[lo, hi]``: the first grid of ``GRID_POINTS`` spans it, each
+    later one the neighbours of the best point so far, until they are within
+    ``xatol`` of it.  A best point on an end of a grid ends the search.
+
+    Returns ``(x, value, grids, converged, first)``: the best point of the
+    last grid and its value, the calls of ``func``, False when ``max_grids``
+    stopped the search, and the first grid with its values."""
+    x = np.linspace(lo, hi, GRID_POINTS)
+    values = func(x)
+    first, grids = (x, values), 1
+    best = int(np.argmax(values))
+    while 0 < best < GRID_POINTS - 1 and x[1] - x[0] > xatol:
+        if grids == max_grids:
+            return x[best], values[best], grids, False, first
+        x = np.linspace(x[best - 1], x[best + 1], GRID_POINTS)
+        values = func(x)
+        grids += 1
+        best = int(np.argmax(values))
+    return x[best], values[best], grids, True, first
 
 
 def estimate_variances(
@@ -541,15 +612,17 @@ def estimate_variances(
     ``model_factory(params)`` must return a :class:`StateSpaceModel`; every
     pass starts from :func:`default_init` at the first observation.  The fit
     holds ``sigma2_obs = 0``, and every covariance of the factory's models
-    must scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``
-    (:func:`direct_model` and :func:`default_init` do).  One filter pass at
-    ``NoiseParams(1, r)`` then gives ``Q``, the squared whitened innovations
-    over ``N`` scalars; ``sigma2_alpha = Q / N`` is the best scale at that
-    ``r``, with profiled log-likelihood ``loglik + (Q - N log(Q/N) - N) / 2``.
-    Brent's bounded search over ``log r`` (:func:`_bounded_minimum`)
-    maximizes it; a last pass at the fitted noise gives ``result``.
-    ``max_evaluations`` caps the passes; a fit stopped by the cap returns
-    the best point seen, with a warning.
+    must scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``,
+    while at ``sigma2_alpha = 1`` only ``w_beta`` changes with ``r``, in
+    proportion (:func:`direct_model` and :func:`default_init` do both).  One
+    filter pass at ``NoiseParams(1, r)`` then gives ``Q``, the squared
+    whitened innovations over ``N`` scalars; ``sigma2_alpha = Q / N`` is the
+    best scale at that ``r``, with profiled log-likelihood
+    ``loglik + (Q - N log(Q/N) - N) / 2``.  Refining grids over ``log r``
+    (:func:`_grid_maximum`, each grid one :func:`_grid_pass`) maximize it; a
+    last pass at the fitted noise gives ``result``.  ``max_evaluations`` caps
+    the passes, a grid being one and that last one included; a fit stopped
+    by the cap returns the best point seen, with a warning.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] < 3:
@@ -557,119 +630,30 @@ def estimate_variances(
     if max_evaluations < MIN_FIT_BUDGET:
         raise ValueError(f"the variance fit needs at least {MIN_FIT_BUDGET} evaluations, "
                          f"got {max_evaluations}")
-
-    def run(params):
-        model = model_factory(params)
-        return kf_filter(model, obs, default_init(model, obs[0], params))
-
-    def scaled(log_ratio, scale):
-        return NoiseParams(scale, scale * float(np.exp(log_ratio)))
-
+    n = obs.shape[1] * (obs.shape[0] - 1)
     scales = {}
 
-    def neg_profile(log_ratio):
-        try:
-            result = run(scaled(log_ratio, 1.0))
-        except (FilterError, np.linalg.LinAlgError):
-            return 1e30
-        q, n = result.whitened_ss, obs.shape[1] * len(result.loglik_terms)
-        scale = max(q / n, VARIANCE_FLOOR)
-        profiled = result.loglik + 0.5 * (q - n * np.log(scale) - q / scale)
-        if not np.isfinite(profiled):
-            return 1e30
-        scales[log_ratio] = scale
-        return -profiled
+    def profiled_loglik(log_ratios):
+        loglik, q = _grid_pass(model_factory, obs, log_ratios)
+        scale = np.maximum(q / n, VARIANCE_FLOOR)
+        profiled = loglik + 0.5 * (q - n * np.log(scale) - q / scale)
+        scales.update(zip(log_ratios.tolist(), scale.tolist()))
+        return np.where(np.isfinite(profiled), profiled, -np.inf)
 
-    x, _, nfev, converged = _bounded_minimum(neg_profile, *LOG_RATIO_BOUNDS,
-                                             LOG_RATIO_XATOL, max_evaluations - 1)
+    x, value, grids, converged, first = _grid_maximum(
+        profiled_loglik, *LOG_RATIO_BOUNDS, LOG_RATIO_XATOL, max_evaluations - 1)
     if not converged:
         warnings.warn(
             "variance estimation stopped at its evaluation budget; returning best point seen",
             RuntimeWarning,
         )
-    params = scaled(x, scales.get(x, 1.0))
-    return VarianceFit(params=params, result=run(params), converged=converged,
-                       n_evaluations=nfev + 1)
-
-
-def _sign(v: float) -> float:
-    """The sign of ``v``, 1.0 for zero (SciPy's ``np.sign(v) + (v == 0)``)."""
-    return -1.0 if v < 0 else 1.0
-
-
-def _bounded_minimum(func, lo: float, hi: float, xatol: float, maxfun: int):
-    """Minimize ``func`` on ``[lo, hi]`` by Brent's bounded search (Brent 1973,
-    *Algorithms for Minimization without Derivatives*, ch. 5): a parabola
-    through the three best points where it lands well inside the bracket,
-    else a golden-section step, until the bracket is within about ``xatol``.
-
-    A step-for-step port of SciPy's ``minimize_scalar(method="bounded")``
-    (``fminbound``), ``maxfun`` being its ``maxiter``.  Returns ``(x, fun,
-    nfev, converged)``: ``x`` is the very float ``func`` was called with at
-    its best value ``fun``; ``converged`` is False when the budget stopped
-    the search or a NaN appeared.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    # xf is the best point, nfc the second best and fulc the previous second best
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    nfev = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    stopped = False
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        nfev += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= maxfun:
-            stopped = True
-            break
-    nan = math.isnan(xf) or math.isnan(fx) or math.isnan(fu)
-    return xf, fx, nfev, not (stopped or nan)
+    # when every pass failed, the last one at scale 1 raises the diagnosis
+    scale = scales[float(x)] if value > -np.inf else 1.0
+    params = NoiseParams(scale, scale * float(np.exp(x)))
+    model = model_factory(params)
+    result = kf_filter(model, obs, default_init(model, obs[0], params))
+    return VarianceFit(params=params, result=result, converged=converged,
+                       n_evaluations=grids + 1,
+                       profile={"log_ratio": first[0].tolist(),
+                                "loglik": [v if v > -np.inf else None
+                                           for v in first[1].tolist()]})

@@ -225,7 +225,11 @@ class MirrorBand:
         star = ModeOrdering(grid.doubled(), k_star)
         inside = (star.kx < grid.n1) & (np.abs(star.ky) < grid.n2)  # the doubled Nyquist is 0
         self.grid = grid
-        self.rows, self.cols = np.unique([np.abs(star.ky[inside]), star.kx[inside]], axis=1)
+        # one integer key per (|k_y|, k_x), kx < n1; np.unique imports numpy.ma
+        # unless it returns the inverse
+        key, _ = np.unique(np.abs(star.ky[inside]) * grid.n1 + star.kx[inside],
+                           return_inverse=True)
+        self.rows, self.cols = np.divmod(key, grid.n1)
         self.k = len(self.rows)
         self.scale = np.where(self.rows + self.cols > 0, 1.0, np.sqrt(2.0)) / np.sqrt(2 * grid.n)
         ux, self._ix = np.unique(self.cols, return_inverse=True)

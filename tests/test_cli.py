@@ -73,7 +73,8 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_fit_budget_below_3():
-    # a budget of 2 made 3 filter passes: the search makes two before it checks
+    # a budget of 2 would leave the first grid alone, resolving r to a factor
+    # of 3; the least budget adds one refining grid
     with pytest.raises(ConfigError, match="config.fit.budget must be at least 3, got 2"):
         RunConfig({"fit": {"enabled": True, "budget": 2}})
 
@@ -407,6 +408,7 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", STORM_SMALL, "storm.peak_dbz", NAN, "expected a finite number, got nan"),
     ("simulate", SMALL_SIM, "seed", -5, "must be >= 0, got -5"),
     ("simulate", STORM_SMALL, "storm.n_blobs", -1, "must be >= 0, got -1"),
+    ("simulate", STORM_SMALL, "storm.steps", 0, "must be >= 1, got 0"),
     ("filter", SMALL_SIM, "noise.sigma2_alpha", NAN, "expected a finite number, got nan"),
     ("predict", SMALL_SIM, "noise.sigma2_beta", INF, "expected a finite number, got inf"),
     ("filter", SMALL_SIM, "noise.sigma2_obs", NAN, "expected a finite number, got nan"),
@@ -420,8 +422,8 @@ NAN, INF = float("nan"), float("inf")
     ("filter", SMALL_SIM, "velocity.mode", "estimated",
      "expected one of ['constant', 'estimate'], got 'estimated'"),
 ], ids=["source-scale-nan", "source-amplitude-inf", "noise-beta-nan", "peak-dbz-nan",
-        "seed-negative", "n-blobs-negative", "sigma2-alpha-nan", "sigma2-beta-inf",
-        "sigma2-obs-nan", "smooth-sigma-inf", "dataset-simulate", "dataset-evaluate",
+        "seed-negative", "n-blobs-negative", "storm-steps-zero", "sigma2-alpha-nan",
+        "sigma2-beta-inf", "sigma2-obs-nan", "smooth-sigma-inf", "dataset-simulate", "dataset-evaluate",
         "velocity-mode-simulate", "velocity-mode-filter"])
 def test_config_number_out_of_range_exits_2(runner, tmp_path, command, base, path, value,
                                             message):

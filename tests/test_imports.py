@@ -1,9 +1,9 @@
-"""No command loads SciPy.
+"""No command loads SciPy, and a mirrored ``evaluate`` loads no ``numpy.ma``.
 
 SciPy is a test dependency only: the tests hold the NumPy code to it as an
 oracle, so this process has it loaded already.  Each case runs the CLI in a
-fresh interpreter and lists the ``scipy`` modules loaded there, or blocks
-SciPy in the child so that any import of it raises.
+fresh interpreter and lists the ``scipy`` (and ``numpy.ma``) modules loaded
+there, or blocks SciPy in the child so that any import of it raises.
 """
 
 import json
@@ -23,13 +23,14 @@ from test_cli import read_runlog
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs the CLI with the given arguments (if any), then prints the loaded
-# scipy modules as the last line of standard output
+# scipy and numpy.ma modules as the last line of standard output
 SCRIPT = """
 import json, sys
 import mirrorspec, mirrorspec.cli
 if sys.argv[1:]:
     mirrorspec.cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
 """
 
 
@@ -49,10 +50,15 @@ def run_child(script: str, *cli_args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def scipy_modules(*cli_args) -> set[str]:
+def loaded_modules(*cli_args) -> set[str]:
+    """The scipy and numpy.ma modules that a CLI run loads."""
     proc = run_child(SCRIPT, *cli_args)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules(*cli_args) -> set[str]:
+    return {m for m in loaded_modules(*cli_args) if m.split(".")[0] == "scipy"}
 
 
 @pytest.fixture
@@ -142,14 +148,15 @@ def test_constant_velocity_filter_with_fixed_noise_loads_no_scipy(tmp_path, comm
 
 
 def test_evaluate_with_the_fit_loads_no_scipy(tmp_path):
-    # the noise fit is Brent's bounded search in kalman, not scipy.optimize
+    # the noise fit is a grid search in kalman, not scipy.optimize; nor does a
+    # mirrored model load numpy.ma (a plain np.unique or np.median would)
     comparison = {"models": [{"label": "direct16", "k": 16},
                              {"label": "flip36", "k": 36, "flip": True}],
                   "train_steps": 4, "eval_times": [4, 5]}
     config, stack = constant_velocity_stack(tmp_path, fit={"enabled": True, "budget": 6},
                                             comparison=comparison)
     out = tmp_path / "out"
-    assert scipy_modules("evaluate", stack, "--config", config, "--out", str(out)) == set()
+    assert loaded_modules("evaluate", stack, "--config", config, "--out", str(out)) == set()
     log = read_runlog(next(out.glob("runlog-evaluate-*.json")))
     assert "scipy" not in log["versions"]
     assert all(m["n_evaluations"] > 1 for m in log["models"].values())

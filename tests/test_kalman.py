@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transi
 from mirrorspec.grid import GridSpec, flip_field, unflip
 import mirrorspec.kalman as kalman
 from mirrorspec.kalman import (
+    GRID_POINTS,
+    LOG_RATIO_BOUNDS,
     MIN_FIT_BUDGET,
     SUBSPACE_RIDGE,
     Block,
@@ -17,7 +20,6 @@ from mirrorspec.kalman import (
     FilterError,
     NoiseParams,
     StateSpaceModel,
-    _bounded_minimum,
     default_init,
     direct_model,
     estimate_variances,
@@ -320,24 +322,35 @@ def small_fit(request):
     return pipeline.factory, obs, estimate_variances(pipeline.factory, obs, max_evaluations=40)
 
 
-@pytest.mark.parametrize("budget", [MIN_FIT_BUDGET, 4, 5])
-def test_fit_budget_caps_every_filter_pass(small_fit, budget, monkeypatch):
-    # the bounded search makes two passes before it checks its cap and the fit
-    # one more at the fitted noise, so a budget of 2 made 3 passes and is refused
+@pytest.mark.parametrize("budget,converged", [(MIN_FIT_BUDGET, False), (4, False), (5, True)],
+                         ids=["3", "4", "5"])
+def test_fit_budget_caps_every_filter_pass(small_fit, budget, converged, monkeypatch):
+    # a grid over log r is one pass and the fit makes one more at the fitted
+    # noise; both small fits take four grids, so budgets of 3 and 4 stop them
+    # and a budget of 2, the first grid alone, is refused
     factory, obs, _ = small_fit
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kf_filter(*args, **kwargs)
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(kalman, "kf_filter", counted)
+    monkeypatch.setattr(kalman, "kf_filter", counted(kf_filter))
+    monkeypatch.setattr(kalman, "_grid_pass", counted(kalman._grid_pass))
     with pytest.raises(ValueError, match=f"at least {MIN_FIT_BUDGET} evaluations, got 2"):
         estimate_variances(factory, obs, max_evaluations=2)
     assert not calls
-    with pytest.warns(RuntimeWarning, match="evaluation budget"):
-        fit = estimate_variances(factory, obs, max_evaluations=budget)
-    assert len(calls) == fit.n_evaluations <= budget
+    if converged:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = estimate_variances(factory, obs, max_evaluations=budget)
+    else:
+        with pytest.warns(RuntimeWarning, match="evaluation budget"):
+            fit = estimate_variances(factory, obs, max_evaluations=budget)
+    assert fit.converged is converged
+    assert len(calls) == fit.n_evaluations == budget
 
 
 def test_fit_loglik_is_a_full_pass_at_the_fitted_noise(small_fit):
@@ -368,6 +381,18 @@ def test_fit_converges_within_forty_evaluations(small_fit):
     assert fit.converged
     assert fit.n_evaluations <= 40
     assert not fit.diagnostics()["ratio_at_bound"]
+
+
+def test_fit_records_its_first_grid(small_fit):
+    # the whole search interval, r = 1 among its points, with the profiled
+    # log-likelihood of each, which the refining grids can only raise
+    _, _, fit = small_fit
+    profile = fit.diagnostics()["profile"]
+    x, loglik = np.array(profile["log_ratio"]), np.array(profile["loglik"], dtype=float)
+    assert x.size == loglik.size == GRID_POINTS
+    assert (x[0], x[GRID_POINTS // 2], x[-1]) == (LOG_RATIO_BOUNDS[0], 0.0, LOG_RATIO_BOUNDS[1])
+    assert np.isfinite(loglik).all()
+    assert loglik.max() <= fit.loglik + 1e-12 * abs(fit.loglik)
 
 
 def variable_diffusivity(g):
@@ -672,32 +697,64 @@ def test_build_pipeline_picks_the_blocks_from_the_physics(physics, parts):
     assert layout(model) == parts
 
 
-BRENT_CASES = {
-    "interior": (lambda x: (x - 1.3) ** 2 + 0.5, (-5.0, 5.0), 1e-5, 500),
-    "at-lower-bound": (lambda x: np.exp(x), (-2.0, 3.0), 1e-3, 500),
-    "at-upper-bound": (lambda x: -x, (-2.0, 3.0), 1e-3, 500),
-    "flat": (lambda x: 4.0, (-1.0, 1.0), 1e-3, 500),
-    # a filter pass that fails scores 1e30 (estimate_variances' neg_profile)
-    "failure-plateau": (lambda x: 1e30 if x > 0.5 else (x + 2.0) ** 2, (-18.4, 18.4), 1e-3, 39),
-    "all-failures": (lambda x: 1e30, (-18.4, 18.4), 1e-3, 39),
-    "budget-stop": (lambda x: np.cos(3 * x) + 0.1 * x, (-18.4, 18.4), 1e-9, 6),
+# profiles to minimize on [lo, hi] to xatol; a filter pass that fails scores
+# 1e30, as it did in the bounded search of scipy's minimize_scalar
+PROFILE_CASES = {
+    "interior": (lambda x: (x - 1.3) ** 2 + 0.5, (-5.0, 5.0), 1e-5),
+    "at-lower-bound": (lambda x: np.exp(x), (-2.0, 3.0), 1e-3),
+    "at-upper-bound": (lambda x: -x, (-2.0, 3.0), 1e-3),
+    "flat": (lambda x: 4.0, (-1.0, 1.0), 1e-3),
+    "failure-plateau": (lambda x: 1e30 if x > 0.5 else (x + 2.0) ** 2, (-18.4, 18.4), 1e-3),
+    "all-failures": (lambda x: 1e30, (-18.4, 18.4), 1e-3),
 }
 
 
-@pytest.mark.parametrize("case", list(BRENT_CASES))
-def test_bounded_minimum_equals_scipy_minimize_scalar(case):
+@pytest.mark.parametrize("case", list(PROFILE_CASES))
+def test_grid_maximum_reaches_scipy_minimize_scalar(case):
     import scipy.optimize
 
-    func, (lo, hi), xatol, maxfun = BRENT_CASES[case]
-    calls = []
+    func, (lo, hi), xatol = PROFILE_CASES[case]
 
-    def recorded(x):
-        calls.append(x)
-        return func(x)
+    def profile(xs):
+        # the grid maximizes, and scores a failed pass -inf
+        return np.array([-func(x) if func(x) < 1e30 else -np.inf for x in xs])
 
-    x, fun, nfev, converged = _bounded_minimum(recorded, lo, hi, xatol, maxfun)
+    x, value, _, converged, (first_x, first_values) = kalman._grid_maximum(
+        profile, lo, hi, xatol, 100)
     want = scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                                          options={"xatol": xatol, "maxiter": maxfun})
-    assert (x, fun, nfev, converged) == (want.x, want.fun, want.nfev, want.success)
-    # the fit looks its profiled scale up by the very float it evaluated
-    assert any(c is x for c in calls) and len(calls) == nfev
+                                          options={"xatol": xatol, "maxiter": 500})
+    assert converged and lo <= x <= hi and value == profile([x])[0]
+    assert first_x.size == GRID_POINTS and (first_x[0], first_x[-1]) == (lo, hi)
+    # to 1e-9 of the larger of the minimum and the profile's spread over the
+    # first grid: a profile is known up to a constant, and a minimum of 0
+    # would otherwise ask for an exact hit
+    finite = first_values[np.isfinite(first_values)]
+    scale = max(abs(want.fun), np.ptp(finite) if finite.size else 0.0)
+    assert func(x) <= want.fun + 1e-9 * scale
+
+
+@pytest.mark.parametrize("physics,parts", [
+    ("channels", [("channels", 10, 1)]),
+    ("mirrored", [("channels", 7, 1), ("channels", 0, 6)]),
+    ("block", [("block", 21)]),
+], ids=["channels", "mirrored", "block"])
+def test_grid_pass_equals_a_filter_pass_at_each_ratio(physics, parts):
+    # the fit's first grid: channel parts run it as one pass along a leading
+    # axis, a dense block point by point; each point must equal a kf_filter
+    # pass from default_init at NoiseParams(1, r)
+    cfg = SimulationConfig(grid=GridSpec(16, 16), steps=12, noise_alpha=0.005,
+                           noise_beta=0.001, noise_modes=33, seed=24)
+    g = cfg.grid
+    spec = ModelSpec("flip64", k=64, flip=True) if physics == "mirrored" else ModelSpec("d", k=21)
+    dif = variable_diffusivity(g) if physics == "block" else None
+    pipeline = build_pipeline(g, spec, velocity=cfg.velocity, diffusivity=dif)
+    assert layout(pipeline.factory(NoiseParams(1.0, 1.0))) == parts
+    obs = pipeline.observations(simulate_advection(cfg).fields)
+    log_ratios = np.linspace(*LOG_RATIO_BOUNDS, GRID_POINTS)
+    loglik, white_ss = kalman._grid_pass(pipeline.factory, obs, log_ratios)
+    for x, ll, q in zip(log_ratios, loglik, white_ss):
+        params = NoiseParams(1.0, float(np.exp(x)))
+        model = pipeline.factory(params)
+        want = kf_filter(model, obs, default_init(model, obs[0], params))
+        assert ll == pytest.approx(want.loglik, rel=1e-12, abs=0), x
+        assert q == pytest.approx(want.whitened_ss, rel=1e-12, abs=0), x
