@@ -3,13 +3,16 @@
 Every command reads a :class:`~mirrorspec.config.RunConfig` (named profile or
 JSON path), writes its outputs under ``--out`` with the config hash embedded
 in filenames, and drops a machine-readable run log (parameters, library
-versions, wall time).  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.  No command imports SciPy: the runtime needs NumPy and
-click alone, and a run starts without paying SciPy's import time.
+versions, wall time).  Exit codes: 0 success; 2 a configuration error, a bad
+stack or flag; 3 a numerical breakdown (a :class:`~mirrorspec.kalman.FilterError`
+or a ``LinAlgError``) as ``<command> failed: ...``, which writes no output.
+No command imports SciPy: the runtime needs NumPy and click alone, and a run
+starts without paying SciPy's import time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
@@ -22,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .evaluate import ModelSpec, build_pipeline, check_comparison, fit_and_filter, run_comparison
+from .evaluate import (ModelSpec, Region, build_pipeline, check_comparison, fit_and_filter,
+                       run_comparison)
 from .galerkin import DiffusivityField, VelocityField
 from .grid import Field, flip_field
 from .gridstack import GridStack, StackError, load_stack, render_heatmap, save_stack
@@ -30,8 +34,6 @@ from .kalman import FilterError, NoiseParams, kf_forecast
 from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from .preprocess import reflectivity_to_rain
 from .simulate import simulate_advection, synthetic_storm_stack
-
-NUMERICAL_ERRORS = (FilterError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class _Run:
@@ -75,9 +77,9 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _exits_on_config_error(fn):
-    """Map configuration problems raised anywhere in a command to exit 2."""
-    import functools
+def _exits_on_error(fn):
+    """Map configuration problems raised anywhere in a command to exit 2, and
+    a numerical breakdown to exit 3, before the command writes its run log."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -85,6 +87,8 @@ def _exits_on_config_error(fn):
             return fn(*args, **kwargs)
         except (ConfigError, StackError) as exc:
             _fail(2, str(exc))
+        except (FilterError, np.linalg.LinAlgError) as exc:
+            _fail(3, f"{click.get_current_context().info_name} failed: {exc}")
 
     return wrapper
 
@@ -158,16 +162,18 @@ def _model_flags(fn):
 
 
 def _model_run(command, stack_path, config, out, k, flip, window):
-    """The config, stack, run and model spec of a command given :func:`_model_flags`."""
+    """The config, stack, run and model spec of a command given :func:`_model_flags`;
+    the run log is tagged with the model label, so runs of several models into
+    one ``--out`` keep their own logs."""
     cfg = RunConfig.load(config)
     stack = load_stack(stack_path)
-    run = _Run(command, cfg, out)
     k = k if k is not None else cfg.data["truncation"]["k"]
     label = f"{'window-' if window else ''}{'flip' if flip else 'direct'}{k}"
     try:
-        return cfg, stack, run, ModelSpec(label=label, k=k, flip=flip, window=window)
+        spec = ModelSpec(label=label, k=k, flip=flip, window=window)
     except ValueError as exc:
         _fail(2, str(exc))
+    return cfg, stack, _Run(command, cfg, out, label), spec
 
 
 def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
@@ -201,16 +207,13 @@ def main():
               help="override the config seed")
 @click.option("--steps", type=click.IntRange(min=1), default=None,
               help="override the number of steps")
-@_exits_on_config_error
+@_exits_on_error
 def simulate(config, out, seed, steps):
     """Generate a synthetic dataset and save it as a frame stack."""
     cfg = _with_steps(_seeded(RunConfig.load(config), seed), steps)
     run = _Run("simulate", cfg, out)
-    try:
-        stack = _generate_dataset(cfg)
-        save_stack(stack, run.path("stack-simulated"))
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"simulation failed: {exc}")
+    stack = _generate_dataset(cfg)
+    save_stack(stack, run.path("stack-simulated"))
     run.finish(seed=cfg.data["seed"], steps=stack.steps)
     click.echo(f"wrote {stack.steps} frames under {run.outputs[0]}")
 
@@ -219,7 +222,7 @@ def simulate(config, out, seed, steps):
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="advection")
 @click.option("--out", required=True, type=click.Path())
-@_exits_on_config_error
+@_exits_on_error
 def flip(stack_path, config, out):
     """Mirror-extend every frame of a stack onto the doubled grid."""
     cfg = RunConfig.load(config)
@@ -239,7 +242,7 @@ def flip(stack_path, config, out):
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="storm")
 @click.option("--out", required=True, type=click.Path())
-@_exits_on_config_error
+@_exits_on_error
 def velocity(stack_path, config, out):
     """Estimate motion between consecutive frames; write velocity and
     diffusivity stacks."""
@@ -251,15 +254,12 @@ def velocity(stack_path, config, out):
     run = _Run("velocity", cfg, out)
     # per frame pair only what is written: vx, vy, d and the top speed
     vx, vy, d, speeds = [], [], [], []
-    try:
-        for a, b in zip(stack.frames[:-1], stack.frames[1:]):
-            vel, dif = _estimated_physics(mcfg, a, b)
-            vx.append(vel.vx)
-            vy.append(vel.vy)
-            d.append(dif.d)
-            speeds.append(float(vel.speed().max()))
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"motion estimation failed: {exc}")
+    for a, b in zip(stack.frames[:-1], stack.frames[1:]):
+        vel, dif = _estimated_physics(mcfg, a, b)
+        vx.append(vel.vx)
+        vy.append(vel.vy)
+        d.append(dif.d)
+        speeds.append(float(vel.speed().max()))
     meta = dict(delta=stack.delta, config_hash=cfg.hash)
     for values, units, name in ((vx, "domain/step", "stack-velocity-x"),
                                 (vy, "domain/step", "stack-velocity-y"),
@@ -272,16 +272,13 @@ def velocity(stack_path, config, out):
 
 @main.command()
 @_model_flags
-@_exits_on_config_error
+@_exits_on_error
 def fit(stack_path, config, out, k, use_flip, window, steps):
     """Maximum-likelihood noise variances for one model variant."""
     cfg, stack, run, spec = _model_run("fit", stack_path, config, out, k, use_flip, window)
-    try:
-        _, fitted = _fitted_model(cfg, stack, spec, steps, noise=None)
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"variance estimation failed: {exc}")
+    _, fitted = _fitted_model(cfg, stack, spec, steps, noise=None)
     payload = json.dumps({"model": spec.label, **fitted.record}, indent=2, allow_nan=False)
-    run.path("noise", ".json").write_text(payload + "\n")
+    run.path(f"noise-{spec.label}", ".json").write_text(payload + "\n")
     run.finish(model=spec.label, **fitted.record)
     click.echo(payload)
 
@@ -294,17 +291,14 @@ def _save_fields(run, cfg, stack, stem, fields):
 
 @main.command(name="filter")
 @_model_flags
-@_exits_on_config_error
+@_exits_on_error
 def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     """Kalman-filter a stack and write the reconstructed frames."""
     cfg, stack, run, spec = _model_run("filter", stack_path, config, out, k, use_flip, window)
-    try:
-        pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
-        means = fitted.result.means_array
-        _save_fields(run, cfg, stack, f"stack-filtered-{spec.label}",
-                     [pipeline.reconstruct(m) for m in means])
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"filtering failed: {exc}")
+    pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+    means = fitted.result.means_array
+    _save_fields(run, cfg, stack, f"stack-filtered-{spec.label}",
+                 [pipeline.reconstruct(m) for m in means])
     run.finish(model=spec.label, **fitted.record)
     click.echo(f"filtered {len(means)} frames as model {spec.label}")
 
@@ -312,17 +306,14 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
 @main.command()
 @_model_flags
 @click.option("--horizon", type=click.IntRange(min=1), default=3, show_default=True)
-@_exits_on_config_error
+@_exits_on_error
 def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     """Filter a stack, then forecast ``--horizon`` steps past the data."""
     cfg, stack, run, spec = _model_run("predict", stack_path, config, out, k, use_flip, window)
-    try:
-        pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
-        means, _ = kf_forecast(fitted.model, fitted.result.final_state, horizon)
-        fields = [pipeline.reconstruct(m) for m in means]
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"forecasting failed: {exc}")
-    _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}", fields)
+    pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
+    means, _ = kf_forecast(fitted.model, fitted.result.final_state, horizon)
+    _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}",
+                 [pipeline.reconstruct(m) for m in means])
     run.finish(model=spec.label, horizon=horizon, **fitted.record)
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
@@ -334,7 +325,7 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="override the config seed of the simulated data (no STACK_PATH)")
 @click.option("--region", default=None, help="extra region as x0,x1,y0,y1")
-@_exits_on_config_error
+@_exits_on_error
 def evaluate(stack_path, config, out, seed, region):
     """Run the multi-model comparison and write the MAE report CSV."""
     if stack_path and seed is not None:
@@ -344,10 +335,10 @@ def evaluate(stack_path, config, out, seed, region):
     specs = cfg.model_specs()
     regions = cfg.regions()
     if region is not None:
+        if "cli" in regions:
+            _fail(2, "--region adds the region 'cli', which config.regions already names")
         try:
             x0, x1, y0, y1 = (float(v) for v in region.split(","))
-            from .evaluate import Region
-
             regions["cli"] = Region((x0, x1), (y0, y1))
         except ValueError as exc:
             _fail(2, f"--region must be x0,x1,y0,y1 within [0,1): {exc}")
@@ -358,21 +349,18 @@ def evaluate(stack_path, config, out, seed, region):
                          noise is None, regions, stack.grid)
     except ValueError as exc:
         _fail(2, f"config.comparison: {exc}")
-    try:
-        velocity, diffusivity = _physics(cfg, stack)
-        report = run_comparison(
-            stack.frames, specs,
-            train_steps=comp["train_steps"],
-            eval_times=list(comp["eval_times"]),
-            regions=regions,
-            velocity=velocity,
-            diffusivity=diffusivity,
-            delta=stack.delta,
-            noise=noise,
-            fit_budget=cfg.data["fit"]["budget"],
-        )
-    except NUMERICAL_ERRORS as exc:
-        _fail(3, f"comparison failed: {exc}")
+    velocity, diffusivity = _physics(cfg, stack)
+    report = run_comparison(
+        stack.frames, specs,
+        train_steps=comp["train_steps"],
+        eval_times=list(comp["eval_times"]),
+        regions=regions,
+        velocity=velocity,
+        diffusivity=diffusivity,
+        delta=stack.delta,
+        noise=noise,
+        fit_budget=cfg.data["fit"]["budget"],
+    )
     run.path("report", ".csv").write_text(report.to_csv())
     run.path("summary", ".txt").write_text(report.summary() + "\n")
     run.finish(models=report.metadata["models"])
@@ -385,7 +373,7 @@ def evaluate(stack_path, config, out, seed, region):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--frame", type=int, default=0, show_default=True)
 @click.option("--scale", default=None, help="min,max (default: config or auto)")
-@_exits_on_config_error
+@_exits_on_error
 def render(stack_path, config, out, frame, scale):
     """Render one frame as a portable graymap with a scale sidecar.
 
@@ -423,7 +411,7 @@ def render(stack_path, config, out, frame, scale):
 @click.argument("stack_path", type=click.Path(exists=True))
 @click.option("--config", default="storm")
 @click.option("--out", required=True, type=click.Path())
-@_exits_on_config_error
+@_exits_on_error
 def convert_rain(stack_path, config, out):
     """Convert a reflectivity (dBZ) stack to rain rate (mm/hr)."""
     cfg = RunConfig.load(config)

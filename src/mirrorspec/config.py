@@ -132,6 +132,16 @@ def _check_pair(value, path: str, expected: str = "two finite numbers") -> None:
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
+def _section(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, the object of the section at ``path``
+    (``config.<section>``); a ValueError or TypeError it raises becomes the
+    ConfigError that names the section."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _merge(base, override):
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -147,10 +157,14 @@ class RunConfig:
 
     def __init__(self, data: dict):
         _validate(data, _SCHEMA)
-        if "regions" in data:
-            for name, spec in data["regions"].items():
-                if set(spec) != {"x_range", "y_range"}:
-                    raise ConfigError(f"config.regions.{name}: need exactly x_range and y_range")
+        regions = data.get("regions", {})
+        if not isinstance(regions, dict):
+            raise ConfigError("config.regions: expected an object")
+        for name, spec in regions.items():
+            if not isinstance(spec, dict) or set(spec) != {"x_range", "y_range"}:
+                raise ConfigError(f"config.regions.{name}: need exactly x_range and y_range")
+            for key in spec:
+                _check_pair(spec[key], f"config.regions.{name}.{key}")
         self.data = _merge(_DEFAULTS, data)
         budget = self.data["fit"]["budget"]
         if budget < MIN_FIT_BUDGET:
@@ -192,10 +206,7 @@ class RunConfig:
 
     def grid(self) -> GridSpec:
         g = self.data["grid"]
-        try:
-            return GridSpec(g["n1"], g["n2"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.grid: {exc}") from exc
+        return _section("config.grid", GridSpec, g["n1"], g["n2"])
 
     def simulation(self, seed=None) -> SimulationConfig:
         """The ``simulation`` section as it is, but for JSON's lists as tuples
@@ -204,25 +215,15 @@ class RunConfig:
               float(v) if _SCHEMA["simulation"][key] == (int, float) else v
               for key, v in self.data["simulation"].items()}
         kw["seed"] = self.data["seed"] if seed is None else seed
-        try:
-            return SimulationConfig(grid=self.grid(), **kw)
-        except ValueError as exc:
-            raise ConfigError(f"config.simulation: {exc}") from exc
+        return _section("config.simulation", SimulationConfig, grid=self.grid(), **kw)
 
     def flip_variant(self) -> FlipVariant:
         """The anchors of the layout the ``flip`` command writes (no model reads them)."""
         f = self.data["flip"]
-        try:
-            return FlipVariant(f["x_anchor"], f["y_anchor"])
-        except ValueError as exc:
-            raise ConfigError(f"config.flip: {exc}") from exc
+        return _section("config.flip", FlipVariant, f["x_anchor"], f["y_anchor"])
 
     def motion(self) -> MotionConfig:
-        m = self.data["motion"]
-        try:
-            return MotionConfig(**m)
-        except ValueError as exc:
-            raise ConfigError(f"config.motion: {exc}") from exc
+        return _section("config.motion", MotionConfig, **self.data["motion"])
 
     def noise(self) -> NoiseParams | None:
         """Noise variances for a run: the configured ones, else 1e-3 for both
@@ -230,19 +231,12 @@ class RunConfig:
         n = self.data.get("noise")
         if n is None:
             return None if self.data["fit"]["enabled"] else NoiseParams(1e-3, 1e-3)
-        try:
-            return NoiseParams(**{key: float(v) for key, v in n.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.noise: {exc}") from exc
+        return _section("config.noise", NoiseParams, **{key: float(v) for key, v in n.items()})
 
     def regions(self) -> dict[str, Region]:
-        out = {}
-        for name, spec in self.data["regions"].items():
-            try:
-                out[name] = Region(tuple(spec["x_range"]), tuple(spec["y_range"]))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"config.regions.{name}: {exc}") from exc
-        return out
+        return {name: _section(f"config.regions.{name}", Region, tuple(spec["x_range"]),
+                               tuple(spec["y_range"]))
+                for name, spec in self.data["regions"].items()}
 
     def model_specs(self) -> list[ModelSpec]:
         comp = self.data.get("comparison")
@@ -259,10 +253,7 @@ class RunConfig:
             if set(m["label"]) & set(",\r\n"):
                 raise ConfigError(f"{path}.label: must hold no comma or line break, "
                                   f"got {m['label']!r}")
-            try:
-                specs.append(ModelSpec(**m))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+            specs.append(_section(path, ModelSpec, **m))
         return specs
 
 

@@ -51,10 +51,13 @@ rows of ``FilterResult.means_array``.
 A block's covariance update is ``P - G S G'`` with the optimal gain ``G``,
 equal to the Joseph form (a guard against a suboptimal gain) in exact
 arithmetic, and a channel's is its scalar closed form (``p11 v / S``,
-``p12 v / S``, ``p22 - |p12|^2 / S``).  An innovation covariance that is not
-positive definite aborts the pass with a diagnostic rather than silently
-producing garbage, and :attr:`FilterResult.min_pivot` records how close a
-pass came to that.
+``p12 v / S``, ``p22 - |p12|^2 / S``).  A part reports a breakdown through
+its smallest innovation pivot, NaN or 0 where a block's Cholesky factorization
+of ``S`` fails or a channel's ``S`` is not positive, and :func:`kf_filter` alone
+turns a breakdown into a :class:`FilterError`: when a pivot is not positive,
+or when the pass's log-likelihood is not finite, as observations too large
+for the model make it.  So no pass silently produces garbage, and
+:attr:`FilterResult.min_pivot` records how close a pass came to a breakdown.
 
 The noise fit profiles the scale out of the likelihood (the concentrated
 likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
@@ -64,7 +67,8 @@ a grid of ``log r`` over the whole search interval, then grids that refine
 around its best point.  A grid of channel parts is one pass along a leading
 axis of their noise and state, and the first grid's profile is part of the
 fit's record, so a run shows whether its fit sits on a peak, a kink or a
-bound.
+bound.  A first grid without a finite point fails the fit with a
+:class:`FilterError`.
 """
 
 from __future__ import annotations
@@ -104,11 +108,6 @@ LOG_2PI = math.log(2 * math.pi)
 
 class FilterError(RuntimeError):
     """Numerical breakdown inside the filter recursion."""
-
-
-def _not_positive_definite(detail) -> FilterError:
-    return FilterError(f"innovation covariance is not positive definite ({detail}); "
-                       "the model noise scales are likely degenerate")
 
 
 @dataclass(frozen=True)
@@ -165,20 +164,27 @@ class Block:
         """One pass over ``obs``: the ``(steps, k)`` alpha and beta means and
         ``(steps - 1, k)`` innovations in ``positions`` order, the per-update
         log-likelihood terms, the whitened sum, the smallest innovation pivot
-        and the last state."""
+        and the last state.  Where the Cholesky factorization of an ``S``
+        fails the pass stops, with a NaN pivot and NaN terms from that step."""
         steps, m = len(obs), len(self.phi)
         y = obs[:, :m]
         means = np.empty((steps, 2 * m))
         means[0] = mean
         innovations = np.empty((steps - 1, m))
-        terms = np.empty(steps - 1)
+        terms = np.full(steps - 1, np.nan)
         white_ss, pivot = 0.0, math.inf
-        for t in range(1, steps):
-            mean, cov, innovations[t - 1], terms[t - 1], ss, pv = _update(
-                self, *_predict(self, mean, cov), y[t])
-            means[t] = mean
-            white_ss += ss
-            pivot = min(pivot, pv)
+        # a breakdown is reported by the pivot or the likelihood; until then it only yields inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, steps):
+                try:
+                    mean, cov, innovations[t - 1], terms[t - 1], ss, pv = _update(
+                        self, *_predict(self, mean, cov), y[t])
+                except np.linalg.LinAlgError:
+                    pivot = math.nan
+                    break
+                means[t] = mean
+                white_ss += ss
+                pivot = min(pivot, pv)
         return means[:, :m], means[:, m:], innovations, terms, white_ss, pivot, (mean, cov)
 
     def _forecast(self, mean, cov, h: int):
@@ -412,15 +418,12 @@ def _predict(block: Block, mean, cov):
 def _update(block: Block, mean, cov, obs):
     """One update of a block: returns the new mean and covariance, the
     innovation, the log-likelihood term, ``e' S^-1 e`` and the smallest
-    Cholesky diagonal of ``S = L L'``.  With ``[U | w] = L^-1 [P[:k, :] | e]``
+    Cholesky diagonal of ``S = L L'``; raises LinAlgError when ``S`` is not
+    positive definite.  With ``[U | w] = L^-1 [P[:k, :] | e]``
     the mean gains ``U' w``, the covariance loses ``G S G' = U'U`` for the
     optimal gain ``G = U' L^-1``, and ``e' S^-1 e = w'w``."""
     k = len(block.phi)
-    s = cov[:k, :k] + block.v * np.eye(k)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(exc) from exc
+    chol = np.linalg.cholesky(cov[:k, :k] + block.v * np.eye(k))
     innovation = obs - mean[:k]
     solved = np.linalg.solve(chol, np.concatenate([cov[:k, :], innovation[:, None]], axis=1))
     u, w = solved[:, :-1], solved[:, -1]
@@ -458,7 +461,8 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
     filtered state, one ``(mean, cov)`` per part of ``model.parts``
     (:func:`default_init` builds it from the first observation), so updates
     start at step 1.  The parts are independent, so each runs its whole pass
-    in turn.
+    in turn.  Raises :class:`FilterError` when a part's innovation pivot is
+    not positive or the log-likelihood of the pass is not finite.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     state = _checked(model, state)
@@ -471,16 +475,21 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
         alpha, beta, part_innovations, part_terms, part_ss, part_pivot, last = p._filter(
             obs, mean, cov)
         if not part_pivot > 0:
-            raise _not_positive_definite("a channel has S <= 0")
+            raise FilterError(f"innovation covariance is not positive definite (pivot "
+                              f"{part_pivot}); the model noise scales are likely degenerate")
         rows = p.positions
         means[:, rows], means[:, k + rows], innovations[1:, rows] = alpha, beta, part_innovations
         terms += part_terms
         white_ss += part_ss
         pivot = min(pivot, part_pivot)
         final.append(last)
+    loglik = float(terms.sum())
+    if not math.isfinite(loglik):
+        raise FilterError(f"the log-likelihood of the filter pass is not finite ({loglik}); "
+                          "the observations are likely too large for the model noise")
     return FilterResult(
         means_array=means,
-        loglik=float(terms.sum()),
+        loglik=loglik,
         loglik_terms=terms,
         innovations=innovations,
         whitened_ss=float(white_ss),
@@ -547,7 +556,8 @@ class VarianceFit:
 def _grid_pass(model_factory, obs: np.ndarray, log_ratios: np.ndarray):
     """The log-likelihood and the whitened sum of squares of the
     :func:`kf_filter` pass from :func:`default_init` at ``NoiseParams(1, r)``
-    for each ``log r`` of ``log_ratios``, NaN where the pass fails.
+    for each ``log r`` of ``log_ratios``; the log-likelihood is NaN where a
+    pivot of the pass is not positive.
 
     The factory's model and initial state at ``r = 1`` are scaled to each
     ``r``, ``w_beta`` by ``r`` and the covariance by ``max(1, r)``, as
@@ -562,19 +572,16 @@ def _grid_pass(model_factory, obs: np.ndarray, log_ratios: np.ndarray):
     for part, (mean, cov) in zip(model.parts, default_init(model, obs[0], unit)):
         if isinstance(part, Channels):
             grid = replace(part, w_beta=part.w_beta * ratios[:, None])
-            _, _, _, terms, ss, pivot, _ = grid._filter(
-                obs, mean, np.multiply.outer(np.maximum(1.0, ratios), cov))
-            loglik += np.where(pivot > 0, terms.sum(0), np.nan)
-            white_ss += ss
+            terms, ss, pivot = grid._filter(
+                obs, mean, np.multiply.outer(np.maximum(1.0, ratios), cov))[3:6]
+            terms = terms.sum(0)
         else:
-            for g, r in enumerate(ratios):
-                try:
-                    _, _, _, terms, ss, _, _ = replace(part, w_beta=part.w_beta * r)._filter(
-                        obs, mean, max(1.0, r) * cov)
-                except (FilterError, np.linalg.LinAlgError):
-                    terms, ss = np.nan, np.nan
-                loglik[g] += np.sum(terms)
-                white_ss[g] += ss
+            terms, ss, pivot = map(np.array, zip(*(
+                replace(part, w_beta=part.w_beta * r)._filter(obs, mean, max(1.0, r) * cov)[3:6]
+                for r in ratios)))
+            terms = terms.sum(-1)
+        loglik += np.where(pivot > 0, terms, np.nan)
+        white_ss += ss
     return loglik, white_ss
 
 
@@ -622,7 +629,9 @@ def estimate_variances(
     (:func:`_grid_maximum`, each grid one :func:`_grid_pass`) maximize it; a
     last pass at the fitted noise gives ``result``.  ``max_evaluations`` caps
     the passes, a grid being one and that last one included; a fit stopped
-    by the cap returns the best point seen, with a warning.
+    by the cap returns the best point seen, with a warning.  Raises
+    :class:`FilterError` when no point of the first grid has a finite
+    profiled log-likelihood.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     if obs.shape[0] < 3:
@@ -636,19 +645,24 @@ def estimate_variances(
     def profiled_loglik(log_ratios):
         loglik, q = _grid_pass(model_factory, obs, log_ratios)
         scale = np.maximum(q / n, VARIANCE_FLOOR)
-        profiled = loglik + 0.5 * (q - n * np.log(scale) - q / scale)
+        # a failed or overflowed pass makes its point NaN or infinite: it scores -inf
+        with np.errstate(invalid="ignore"):
+            profiled = loglik + 0.5 * (q - n * np.log(scale) - q / scale)
         scales.update(zip(log_ratios.tolist(), scale.tolist()))
         return np.where(np.isfinite(profiled), profiled, -np.inf)
 
     x, value, grids, converged, first = _grid_maximum(
         profiled_loglik, *LOG_RATIO_BOUNDS, LOG_RATIO_XATOL, max_evaluations - 1)
+    if value == -np.inf:
+        raise FilterError(f"the profiled log-likelihood is not finite at any of the "
+                          f"{GRID_POINTS} points of the variance fit's first grid, r from "
+                          f"1e-8 to 1e8; the observations are likely too large for the model")
     if not converged:
         warnings.warn(
             "variance estimation stopped at its evaluation budget; returning best point seen",
             RuntimeWarning,
         )
-    # when every pass failed, the last one at scale 1 raises the diagnosis
-    scale = scales[float(x)] if value > -np.inf else 1.0
+    scale = scales[float(x)]
     params = NoiseParams(scale, scale * float(np.exp(x)))
     model = model_factory(params)
     result = kf_filter(model, obs, default_init(model, obs[0], params))

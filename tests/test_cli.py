@@ -143,6 +143,11 @@ def test_bad_config_exits_2(runner, tmp_path):
          "config.simulation: delta must be finite and positive, got -1.0"),
         (("simulate",), {"simulation": {"delta": 0}},
          "config.simulation: delta must be finite and positive, got 0.0"),
+        (("simulate", "evaluate"), {"regions": {"a": {"x_range": 0.5, "y_range": [0, 0.5]}}},
+         "config.regions.a.x_range: expected two finite numbers, got 0.5"),
+        (("simulate", "evaluate"), {"regions": {"a": ["x_range", "y_range"]}},
+         "config.regions.a: need exactly x_range and y_range"),
+        (("simulate", "evaluate"), {"regions": ["whole"]}, "config.regions: expected an object"),
     ):
         cfg = write_config(tmp_path, {**SMALL_SIM, **override})
         for command in commands:
@@ -758,3 +763,66 @@ def test_every_command_records_the_model_that_evaluate_records(runner, tmp_path)
             assert record == models[label], (command, label)
         noise = json.loads(next((tmp_path / f"fit-{label}").glob("noise-*.json")).read_text())
         assert noise == {"model": label, **models[label]}
+
+
+# 6 frames of 16x16 near 1e160: the squared innovations overflow every filter pass
+HUGE = {"grid": {"n1": 16, "n2": 16}, "truncation": {"k": 16}, "fit": {"budget": 12},
+        "comparison": {"models": [{"label": "direct16", "k": 16},
+                                  {"label": "flip64", "k": 64, "flip": True}],
+                       "train_steps": 5, "eval_times": [4, 5]}}
+FLIP64 = ["--k", "64", "--flip", "true"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("noise", ["fixed", "fitted"])
+@pytest.mark.parametrize("command, flags", [
+    ("filter", []), ("filter", FLIP64), ("fit", []), ("fit", FLIP64),
+    ("predict", []), ("predict", FLIP64), ("evaluate", []),
+], ids=["filter", "filter-flip", "fit", "fit-flip", "predict", "predict-flip", "evaluate"])
+def test_a_likelihood_that_overflows_exits_3_and_writes_nothing(runner, tmp_path, command,
+                                                                 flags, noise):
+    # fixed noise: kf_filter finds the pass's log-likelihood not finite; a fit
+    # finds no finite point on its first grid (fit always fits)
+    payload = HUGE if noise == "fitted" else {**HUGE, "noise": {"sigma2_alpha": 1e-3,
+                                                                "sigma2_beta": 1e-3}}
+    cfg = write_config(tmp_path, payload)
+    g = GridSpec(16, 16)
+    frames = simulate_advection(SimulationConfig(grid=g, steps=6, seed=3)).fields
+    stack = save_stack(GridStack.from_fields([Field(g, f.values * 1e160) for f in frames]),
+                       tmp_path / "stack")
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, str(stack), "--config", cfg, "--out", str(out),
+                                  *flags])
+    assert result.exit_code == 3, result.output
+    assert f"error: {command} failed: " in result.output and "not finite" in result.output
+    assert not list(out.glob("*"))
+
+
+def test_models_fitted_and_filtered_into_one_out_keep_their_own_files(runner, tmp_path):
+    cfg = write_config(tmp_path, FIT_SIM)
+    sim = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    out = tmp_path / "o"
+    for command in ("fit", "filter"):
+        for flags in (["--k", "16"], FLIP64):
+            result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out),
+                                          *flags])
+            assert result.exit_code == 0, result.output
+    digest = RunConfig.load(cfg).hash
+    for stem in ("noise", "runlog-fit", "runlog-filter"):
+        logs = {label: json.loads((out / f"{stem}-{label}-{digest}.json").read_text())
+                for label in ("direct16", "flip64")}
+        assert [log["model"] for log in logs.values()] == ["direct16", "flip64"], stem
+    assert len(list(out.glob("stack-filtered-*"))) == 2
+
+
+def test_evaluate_region_flag_that_clashes_with_a_config_region_exits_2(runner, tmp_path):
+    # the flag's region is named cli: one of the config's would be replaced
+    payload = {**SMALL_SIM, "regions": {"cli": {"x_range": [0.0, 0.5], "y_range": [0.0, 0.5]}}}
+    out = tmp_path / "e"
+    result = runner.invoke(main, ["evaluate", "--config", write_config(tmp_path, payload),
+                                  "--out", str(out), "--region", "0.5,0.9,0.5,0.9"])
+    assert result.exit_code == 2, result.output
+    assert "--region adds the region 'cli', which config.regions already names" in result.output
+    assert not list(out.glob("*"))

@@ -8,7 +8,7 @@ import pytest
 from mirrorspec.dynamics import block_transition, build_transition, flipped_generator
 from mirrorspec.evaluate import ModelSpec, build_pipeline
 from mirrorspec.galerkin import DiffusivityField, VelocityField, assemble_transition
-from mirrorspec.grid import GridSpec, flip_field, unflip
+from mirrorspec.grid import Field, GridSpec, flip_field, unflip
 import mirrorspec.kalman as kalman
 from mirrorspec.kalman import (
     GRID_POINTS,
@@ -613,6 +613,33 @@ def test_pair_filter_breakdown_raises_diagnostic():
     k2 = 2 * model.k
     with pytest.raises(FilterError, match="not positive definite"):
         kf_filter(model, obs, split(model, np.zeros(k2), -np.eye(k2)))
+
+
+def huge_observations(physics):
+    """The factory and the observations of 6 16x16 frames near 1e160, whose
+    squared innovations overflow: channels, a mirrored model or a dense block."""
+    g = GridSpec(16, 16)
+    spec = ModelSpec("flip64", k=64, flip=True) if physics == "mirrored" else ModelSpec("d", k=16)
+    dif = variable_diffusivity(g) if physics == "block" else None
+    pipeline = build_pipeline(g, spec, velocity=(0.01, 0.0), diffusivity=dif)
+    frames = simulate_advection(SimulationConfig(grid=g, steps=6, seed=3)).fields
+    return pipeline.factory, pipeline.observations(
+        [Field(g, f.values * 1e160) for f in frames])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("physics", ["channels", "mirrored", "block"])
+def test_a_pass_whose_likelihood_overflows_raises_diagnostic(physics):
+    # the pivots are fine, but e' S^-1 e overflows: kf_filter names it, and a
+    # fit whose first grid holds no finite point says so, without a warning
+    factory, obs = huge_observations(physics)
+    noise = NoiseParams(1e-3, 1e-3)
+    model = factory(noise)
+    with pytest.raises(FilterError, match="log-likelihood of the filter pass is not finite"):
+        kf_filter(model, obs, default_init(model, obs[0], noise))
+    with pytest.raises(FilterError, match="not finite at any of the 33 points of the "
+                                          "variance fit's first grid"):
+        estimate_variances(factory, obs)
 
 
 @pytest.mark.parametrize("physics", ["pairs", "flip"])
