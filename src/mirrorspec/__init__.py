@@ -35,7 +35,6 @@ from .spectral import (
     MirrorBand,
     ModeOrdering,
     analyze,
-    basis_matrix,
     flip_transfer,
     synthesize,
 )

@@ -153,7 +153,9 @@ def _merge(base, override):
 
 
 class RunConfig:
-    """Validated configuration document with typed accessors."""
+    """Validated configuration document with typed accessors.  Each section's
+    object is built once when the document loads, so every command rejects a
+    value that any command would."""
 
     def __init__(self, data: dict):
         _validate(data, _SCHEMA)
@@ -183,7 +185,11 @@ class RunConfig:
             _check_pair(scale, "config.render.scale", "'auto' or two finite numbers")
             if not scale[0] < scale[1]:
                 raise ConfigError(f"config.render.scale: expected min < max, got {scale!r}")
-        self.flip_variant()
+        for section in (self.simulation, self.flip_variant, self.motion, self.noise,
+                        self.regions):
+            section()
+        if "comparison" in self.data:
+            self.model_specs()
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
 

@@ -145,9 +145,6 @@ def assemble_transition(
     grid = ordering.grid
     if vel.grid != grid or dif.grid != grid:
         raise ValueError("velocity/diffusivity grid does not match the ordering")
-    k = ordering.k
-    if not (vel.vx.any() or vel.vy.any()) and dif.is_zero():
-        return np.zeros((k, k))
 
     # column-stacked values reshape to (x, y); the conjugate DFT / N is mean(F e^{+i 2 pi m.s})
     fields = np.stack([vel.vx, vel.vy, dif.d])

@@ -24,7 +24,6 @@ __all__ = [
     "FlipVariant",
     "DEFAULT_FLIP",
     "flip_field",
-    "flip_vector_indices",
     "unflip",
 ]
 
@@ -136,24 +135,6 @@ def _axis_indices(n: int, original_first: bool) -> np.ndarray:
     return np.concatenate([forward[::-1], forward])
 
 
-def _flip_index_maps(grid: GridSpec, variant: FlipVariant) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column source-index maps of the doubled pixel array."""
-    rows = _axis_indices(grid.n2, variant.y_anchor == "bottom")
-    cols = _axis_indices(grid.n1, variant.x_anchor == "right")
-    return rows, cols
-
-
-def flip_vector_indices(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> np.ndarray:
-    """Source indices such that ``flipped.values == original.values[indices]``.
-
-    Length ``4*n``; the permutation view of the flip, for operations on many
-    fields at once.
-    """
-    rows, cols = _flip_index_maps(grid, variant)
-    # vector index on the doubled grid is i* + j* * (2 n2)
-    return (cols[None, :] * grid.n2 + rows[:, None]).flatten(order="F")
-
-
 def flip_field(f: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
     """Mirror a field across both axes onto the doubled grid.
 
@@ -161,7 +142,8 @@ def flip_field(f: Field, variant: FlipVariant = DEFAULT_FLIP) -> Field:
     sample of the input appears exactly four times and the periodic extension
     of the output has no boundary jumps beyond interior-scale differences.
     """
-    rows, cols = _flip_index_maps(f.grid, variant)
+    rows = _axis_indices(f.grid.n2, variant.y_anchor == "bottom")
+    cols = _axis_indices(f.grid.n1, variant.x_anchor == "right")
     return Field.from_pixels(f.grid.doubled(), f.pixels()[np.ix_(rows, cols)])
 
 

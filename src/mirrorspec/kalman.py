@@ -476,7 +476,9 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
             obs, mean, cov)
         if not part_pivot > 0:
             raise FilterError(f"innovation covariance is not positive definite (pivot "
-                              f"{part_pivot}); the model noise scales are likely degenerate")
+                              f"{part_pivot}); the model noise scales are likely degenerate, "
+                              f"or the observations too large for them (largest "
+                              f"|observation| {np.abs(obs).max():.3g})")
         rows = p.positions
         means[:, rows], means[:, k + rows], innovations[1:, rows] = alpha, beta, part_innovations
         terms += part_terms
@@ -585,11 +587,24 @@ def _grid_pass(model_factory, obs: np.ndarray, log_ratios: np.ndarray):
     return loglik, white_ss
 
 
+def _best(values: np.ndarray) -> int:
+    """The index of the largest of a grid's values, the one nearest the middle
+    among equal ones; 0 when none is finite."""
+    top = values.max()
+    if top == -np.inf:
+        return 0
+    ties = np.flatnonzero(values == top)
+    return int(ties[np.argmin(np.abs(ties - (values.size - 1) // 2))])
+
+
 def _grid_maximum(func, lo: float, hi: float, xatol: float, max_grids: int):
     """Maximize ``func``, which maps a grid to its values (``-inf`` where it
     fails), on ``[lo, hi]``: the first grid of ``GRID_POINTS`` spans it, each
     later one the neighbours of the best point so far, until they are within
-    ``xatol`` of it.  A best point on an end of a grid ends the search.
+    ``xatol`` of it.  Of equal best values the one nearest the grid's middle
+    wins (on a refining grid the best point so far), so a flat profile ends
+    on the middle of the interval.  A best point on an end of a grid ends the
+    search, and so does a grid without a finite value.
 
     Returns ``(x, value, grids, converged, first)``: the best point of the
     last grid and its value, the calls of ``func``, False when ``max_grids``
@@ -597,14 +612,14 @@ def _grid_maximum(func, lo: float, hi: float, xatol: float, max_grids: int):
     x = np.linspace(lo, hi, GRID_POINTS)
     values = func(x)
     first, grids = (x, values), 1
-    best = int(np.argmax(values))
+    best = _best(values)
     while 0 < best < GRID_POINTS - 1 and x[1] - x[0] > xatol:
         if grids == max_grids:
             return x[best], values[best], grids, False, first
         x = np.linspace(x[best - 1], x[best + 1], GRID_POINTS)
         values = func(x)
         grids += 1
-        best = int(np.argmax(values))
+        best = _best(values)
     return x[best], values[best], grids, True, first
 
 

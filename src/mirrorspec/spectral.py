@@ -17,29 +17,27 @@ cos/sin pair together.  :class:`ModeOrdering` is the one table of that
 decision: built from one sort, it says which coefficients a budget keeps,
 where each sits in the layout, its mode, and its cos/sin partner.
 
-Analysis and synthesis run through the FFT; an explicit basis matrix and the
-reference flip transfer ``H`` exist for verification.  The factor 2 on
-``K2`` terms is a synthesis-side weight: analysis stores the plain projection
-``(1/N) <f, cos>``, and the weight appears in the basis-matrix columns, so
-``synthesize(ordering, a) == basis_matrix @ a`` exactly.
+Analysis and synthesis run through the FFT, and the reference flip transfer
+``H`` is built from them and the flip.  The factor 2 on ``K2`` terms is a
+synthesis-side weight: analysis stores the plain projection ``(1/N) <f, cos>``,
+and ``synthesize`` of a unit vector is its basis column times the weight.  The
+tests hold both transforms and ``H`` to the explicit ``N x K`` basis matrix,
+``basis_matrix`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec, flip_vector_indices
+from .grid import Field, GridSpec, flip_field
 
 __all__ = [
     "ModeOrdering",
     "MirrorBand",
     "analyze",
     "synthesize",
-    "basis_matrix",
     "flip_transfer",
 ]
-
-BASIS_CHUNK = 64  # basis columns evaluated per block in basis_matrix
 
 
 class ModeOrdering:
@@ -100,14 +98,6 @@ class ModeOrdering:
         self._col_neg = (-self.kx) % grid.n1
         self._self_paired = (self._row == self._row_neg) & (self._col == self._col_neg)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModeOrdering):
-            return NotImplemented
-        return self.grid == other.grid and self.retained == other.retained
-
-    def __hash__(self):
-        return hash((self.grid, self.retained))
-
     def __repr__(self):
         return f"ModeOrdering(grid=({self.grid.n1}, {self.grid.n2}), k={self.k})"
 
@@ -142,33 +132,13 @@ def synthesize(ordering: ModeOrdering, alpha: np.ndarray) -> Field:
     return Field.from_pixels(grid, pixels)
 
 
-def basis_matrix(ordering: ModeOrdering) -> np.ndarray:
-    """Dense ``N x K`` matrix: every retained basis function at every grid point.
-
-    Columns follow the coefficient layout and carry the synthesis weight
-    (2 on ``K2`` columns), so ``synthesize(ordering, a).values == basis_matrix(ordering) @ a``.
-    """
-    grid = ordering.grid
-    x, y = grid.mesh()
-    xf = x.flatten(order="F")
-    yf = y.flatten(order="F")
-    out = np.empty((grid.n, ordering.k))
-    for lo in range(0, ordering.k, BASIS_CHUNK):
-        hi = min(lo + BASIS_CHUNK, ordering.k)
-        arg = 2.0 * np.pi * (
-            xf[:, None] * ordering.kx[lo:hi] + yf[:, None] * ordering.ky[lo:hi]
-        )
-        block = np.where(ordering.is_sin[lo:hi], np.sin(arg), np.cos(arg))
-        out[:, lo:hi] = block * ordering.weight[lo:hi]
-    return out
-
-
 def flip_transfer(grid: GridSpec, ordering: ModeOrdering, star: ModeOrdering) -> np.ndarray:
     """The ``star.k x ordering.k`` matrix ``H = pinv(F*) R F`` from
     original-domain coefficients to those of ``star`` on the doubled grid.
 
     Column ``j`` is the doubled-grid analysis of the flipped ``j``-th basis
-    field, so with full retention on both sides
+    field, ``analyze(flip_field(synthesize(ordering, e_j)), star)``, so with
+    full retention on both sides
     ``synthesize(star, H a) == flip_field(synthesize(ordering, a))`` exactly.
     ``H`` has full column rank: ``pinv(H) H = I`` is asserted to 1e-10.
     """
@@ -176,13 +146,8 @@ def flip_transfer(grid: GridSpec, ordering: ModeOrdering, star: ModeOrdering) ->
         raise ValueError("ordering is not defined on the given grid")
     if star.grid != grid.doubled():
         raise ValueError("flipped ordering must live on the doubled grid")
-    fmat = basis_matrix(ordering)
-    flipped_cols = fmat[flip_vector_indices(grid), :]
-    dg = grid.doubled()
-    pix = flipped_cols.reshape((dg.n2, dg.n1, ordering.k), order="F")
-    c = np.fft.fft2(pix, axes=(0, 1)) / dg.n
-    vals = c[star._row, star._col, :]
-    h = np.where(star.is_sin[:, None], -vals.imag, vals.real)
+    h = np.column_stack([analyze(flip_field(synthesize(ordering, e)), star)
+                         for e in np.eye(ordering.k)])
     gram = h.T @ h
     hdag_h = np.linalg.solve(gram, gram)  # fails loudly if rank-deficient
     if not np.allclose(hdag_h, np.eye(ordering.k), atol=1e-10):
@@ -243,8 +208,8 @@ class MirrorBand:
 
     def transfer(self, ordering: ModeOrdering) -> np.ndarray:
         """``H_S`` (``k x ordering.k``): the band coordinates of each basis column,
-        ``observe`` of every column of ``basis_matrix(ordering)``, from 1-D DCT
-        projections.
+        ``observe`` of ``synthesize(ordering, e_j)`` for every unit vector
+        ``e_j``, from 1-D DCT projections.
 
         Band coordinate ``s`` is ``scale[s]`` times the DCT-II rows
         ``C_x[ix[s]]`` along x and ``C_y[iy[s]]`` along y applied to the field,

@@ -7,8 +7,61 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sparse
 
-from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec, flip_vector_indices
+from mirrorspec.grid import DEFAULT_FLIP, FlipVariant, GridSpec
 from mirrorspec.kalman import INIT_COV_SCALE, Channels, NoiseParams, StateSpaceModel
+
+BASIS_CHUNK = 64  # basis columns evaluated per block in basis_matrix
+
+
+def basis_matrix(ordering) -> np.ndarray:
+    """Dense ``N x K`` matrix: every retained basis function at every grid point.
+
+    Columns follow the coefficient layout and carry the synthesis weight
+    (2 on ``K2`` columns), so ``synthesize(ordering, a).values == basis_matrix(ordering) @ a``.
+    """
+    grid = ordering.grid
+    x, y = grid.mesh()
+    xf = x.flatten(order="F")
+    yf = y.flatten(order="F")
+    out = np.empty((grid.n, ordering.k))
+    for lo in range(0, ordering.k, BASIS_CHUNK):
+        hi = min(lo + BASIS_CHUNK, ordering.k)
+        arg = 2.0 * np.pi * (
+            xf[:, None] * ordering.kx[lo:hi] + yf[:, None] * ordering.ky[lo:hi]
+        )
+        block = np.where(ordering.is_sin[lo:hi], np.sin(arg), np.cos(arg))
+        out[:, lo:hi] = block * ordering.weight[lo:hi]
+    return out
+
+
+def flip_vector_indices(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> np.ndarray:
+    """Source indices such that ``flip_field(f, variant).values == f.values[indices]``.
+
+    Length ``4*n``: along each axis the doubled grid reads the original
+    indices forward then backward (backward then forward for a ``left`` or
+    ``top`` anchor), and the doubled vector index is ``i* + j* * (2 n2)``.
+    """
+    def axis(n: int, original_first: bool) -> np.ndarray:
+        forward = np.arange(n)
+        return np.concatenate([forward, forward[::-1]] if original_first
+                              else [forward[::-1], forward])
+
+    rows = axis(grid.n2, variant.y_anchor == "bottom")
+    cols = axis(grid.n1, variant.x_anchor == "right")
+    return (cols[None, :] * grid.n2 + rows[:, None]).flatten(order="F")
+
+
+def dense_flip_transfer(grid: GridSpec, ordering, star) -> np.ndarray:
+    """``H = pinv(F*) R F`` through the basis table: the rows of
+    :func:`basis_matrix` gathered by :func:`flip_vector_indices` are the
+    flipped basis fields, and one ``fft2`` over the ``(2 n2, 2 n1, K)`` cube
+    analyzes them all on the doubled grid.  The tests hold
+    :func:`mirrorspec.spectral.flip_transfer` to it."""
+    dg = grid.doubled()
+    flipped = basis_matrix(ordering)[flip_vector_indices(grid), :]
+    c = np.fft.fft2(flipped.reshape((dg.n2, dg.n1, ordering.k), order="F"), axes=(0, 1)) / dg.n
+    vals = c[star.ky % dg.n2, star.kx % dg.n1, :]
+    return np.where(star.is_sin[:, None], -vals.imag, vals.real)
 
 
 def flip_matrix(grid: GridSpec, variant: FlipVariant = DEFAULT_FLIP) -> sparse.csr_matrix:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -148,6 +149,12 @@ def test_bad_config_exits_2(runner, tmp_path):
         (("simulate", "evaluate"), {"regions": {"a": ["x_range", "y_range"]}},
          "config.regions.a: need exactly x_range and y_range"),
         (("simulate", "evaluate"), {"regions": ["whole"]}, "config.regions: expected an object"),
+        # sections that these commands never read are checked all the same
+        (("simulate", "flip", "render", "convert-rain"), {"motion": {"block": 2}},
+         "config.motion: block must be >= 4 pixels"),
+        (("simulate", "flip", "render", "convert-rain"),
+         {"noise": {"sigma2_alpha": -1, "sigma2_beta": 1}},
+         "config.noise: sigma2_alpha must be finite and positive, got -1.0"),
     ):
         cfg = write_config(tmp_path, {**SMALL_SIM, **override})
         for command in commands:
@@ -795,6 +802,27 @@ def test_a_likelihood_that_overflows_exits_3_and_writes_nothing(runner, tmp_path
                                   *flags])
     assert result.exit_code == 3, result.output
     assert f"error: {command} failed: " in result.output and "not finite" in result.output
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [140, 150])
+@pytest.mark.parametrize("flags", [[], FLIP64], ids=["direct", "flip"])
+def test_a_fit_of_huge_frames_names_their_magnitude(runner, tmp_path, flags, exponent):
+    # the fit's grid finds finite points, but in the last pass, at the fitted
+    # scale, a channel's squared covariance overflows and its pivot is NaN
+    cfg = write_config(tmp_path, HUGE)
+    g = GridSpec(16, 16)
+    frames = simulate_advection(SimulationConfig(grid=g, steps=6, seed=3)).fields
+    stack = save_stack(GridStack.from_fields([Field(g, f.values * 10.0**exponent)
+                                              for f in frames]), tmp_path / "stack")
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["fit", str(stack), "--config", cfg, "--out", str(out),
+                                  *flags])
+    assert result.exit_code == 3, result.output
+    assert "error: fit failed: innovation covariance is not positive definite" in result.output
+    assert re.search(rf"largest \|observation\| \d\.\d+e\+{exponent}\)", result.output), \
+        result.output
     assert not list(out.glob("*"))
 
 

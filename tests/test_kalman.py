@@ -726,13 +726,16 @@ def test_build_pipeline_picks_the_blocks_from_the_physics(physics, parts):
 
 # profiles to minimize on [lo, hi] to xatol; a filter pass that fails scores
 # 1e30, as it did in the bounded search of scipy's minimize_scalar
+# (function to minimize, interval, xatol, what the search must also end on):
+# a flat profile ends on the middle of the interval, and a first grid without
+# a finite point ends the search
 PROFILE_CASES = {
-    "interior": (lambda x: (x - 1.3) ** 2 + 0.5, (-5.0, 5.0), 1e-5),
-    "at-lower-bound": (lambda x: np.exp(x), (-2.0, 3.0), 1e-3),
-    "at-upper-bound": (lambda x: -x, (-2.0, 3.0), 1e-3),
-    "flat": (lambda x: 4.0, (-1.0, 1.0), 1e-3),
-    "failure-plateau": (lambda x: 1e30 if x > 0.5 else (x + 2.0) ** 2, (-18.4, 18.4), 1e-3),
-    "all-failures": (lambda x: 1e30, (-18.4, 18.4), 1e-3),
+    "interior": (lambda x: (x - 1.3) ** 2 + 0.5, (-5.0, 5.0), 1e-5, {}),
+    "at-lower-bound": (lambda x: np.exp(x), (-2.0, 3.0), 1e-3, {}),
+    "at-upper-bound": (lambda x: -x, (-2.0, 3.0), 1e-3, {}),
+    "flat": (lambda x: 4.0, (-1.0, 1.0), 1e-3, {"x": 0.0}),
+    "failure-plateau": (lambda x: 1e30 if x > 0.5 else (x + 2.0) ** 2, (-18.4, 18.4), 1e-3, {}),
+    "all-failures": (lambda x: 1e30, (-18.4, 18.4), 1e-3, {"grids": 1}),
 }
 
 
@@ -740,14 +743,16 @@ PROFILE_CASES = {
 def test_grid_maximum_reaches_scipy_minimize_scalar(case):
     import scipy.optimize
 
-    func, (lo, hi), xatol = PROFILE_CASES[case]
+    func, (lo, hi), xatol, expect = PROFILE_CASES[case]
 
     def profile(xs):
         # the grid maximizes, and scores a failed pass -inf
         return np.array([-func(x) if func(x) < 1e30 else -np.inf for x in xs])
 
-    x, value, _, converged, (first_x, first_values) = kalman._grid_maximum(
+    x, value, grids, converged, (first_x, first_values) = kalman._grid_maximum(
         profile, lo, hi, xatol, 100)
+    assert x == pytest.approx(expect.get("x", x), abs=1e-12)
+    assert grids == expect.get("grids", grids)
     want = scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
                                           options={"xatol": xatol, "maxiter": 500})
     assert converged and lo <= x <= hi and value == profile([x])[0]

@@ -9,11 +9,10 @@ from mirrorspec.spectral import (
     MirrorBand,
     ModeOrdering,
     analyze,
-    basis_matrix,
     flip_transfer,
     synthesize,
 )
-from oracles import band_analysis
+from oracles import band_analysis, basis_matrix, dense_flip_transfer
 
 
 def enumerate_k2_bruteforce(n1, n2):
@@ -441,6 +440,19 @@ def test_flip_transfer_pinv_property():
     assert np.abs(pinv @ h - np.eye(ordering.k)).max() <= 1e-10
     # brute-force SVD pseudo-inverse oracle
     assert np.allclose(pinv, np.linalg.pinv(h), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (12, 8)])
+@pytest.mark.parametrize("k", [1, 7, 20, None], ids=["k1", "k7", "k20", "full"])
+def test_flip_transfer_equals_the_basis_table_oracle(shape, k):
+    # synthesis, flip and analysis against the basis table's rows gathered by
+    # the flip's index map and one fft2, with K* = 4K
+    g = GridSpec(*shape)
+    ordering = ModeOrdering(g, k)
+    star = ModeOrdering(g.doubled(), 4 * ordering.k)
+    h = flip_transfer(g, ordering, star)
+    assert h.shape == (star.k, ordering.k)
+    assert np.abs(h - dense_flip_transfer(g, ordering, star)).max() <= 1e-12
 
 
 def test_analyze_grid_mismatch():
