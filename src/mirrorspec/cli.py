@@ -3,9 +3,10 @@
 Every command reads a :class:`~mirrorspec.config.RunConfig` (named profile or
 JSON path), writes its outputs under ``--out`` with the config hash embedded
 in filenames, and drops a machine-readable run log (parameters, library
-versions, wall time).  Exit codes: 0 success; 2 a configuration error, a bad
-stack or flag; 3 a numerical breakdown (a :class:`~mirrorspec.kalman.FilterError`
-or a ``LinAlgError``) as ``<command> failed: ...``, which writes no output.
+versions, wall time).  A command refuses by raising; one decorator maps the
+exception to an exit code: 2 for a bad configuration, stack or flag, and 3 for
+a numerical breakdown (a :class:`~mirrorspec.kalman.FilterError` or a
+``LinAlgError``) as ``<command> failed: ...``, which writes no output.
 No command imports SciPy: the runtime needs NumPy and click alone, and a run
 starts without paying SciPy's import time.
 """
@@ -24,13 +25,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _section
 from .evaluate import (ModelSpec, Region, build_pipeline, check_comparison, fit_and_filter,
                        run_comparison)
 from .galerkin import DiffusivityField, VelocityField
 from .grid import Field, flip_field
 from .gridstack import GridStack, StackError, load_stack, render_heatmap, save_stack
-from .kalman import FilterError, NoiseParams, kf_forecast
+from .kalman import MIN_FIT_FRAMES, FilterError, NoiseParams, kf_forecast
 from .motion import MotionConfig, diffusivity_from_velocity, estimate_velocity
 from .preprocess import reflectivity_to_rain
 from .simulate import simulate_advection, synthetic_storm_stack
@@ -56,6 +57,11 @@ class _Run:
         self.outputs.append(str(p))
         return p
 
+    def save(self, stem: str, frames: list[Field], *, delta: float, units: str):
+        """Save ``frames`` as the stack ``stem``, tagged with the config hash."""
+        save_stack(GridStack.from_fields(frames, delta=delta, units=units,
+                                         config_hash=self.config.hash), self.path(stem))
+
     def finish(self, **extra):
         versions = {"mirrorspec": __version__, "python": platform.python_version(),
                     "numpy": np.__version__}
@@ -72,23 +78,20 @@ class _Run:
         path.write_text(json.dumps(log, indent=2, default=str, allow_nan=False) + "\n")
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _exits_on_error(fn):
-    """Map configuration problems raised anywhere in a command to exit 2, and
-    a numerical breakdown to exit 3, before the command writes its run log."""
+    """The one place a command exits on error, with one ``error:`` line: exit 2
+    for a bad configuration, stack or flag raised anywhere in it, 3 for a breakdown."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (ConfigError, StackError) as exc:
-            _fail(2, str(exc))
+            code, message = 2, str(exc)
         except (FilterError, np.linalg.LinAlgError) as exc:
-            _fail(3, f"{click.get_current_context().info_name} failed: {exc}")
+            code, message = 3, f"{click.get_current_context().info_name} failed: {exc}"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
     return wrapper
 
@@ -113,24 +116,27 @@ def _with_steps(cfg: RunConfig, steps) -> RunConfig:
 def _generate_dataset(cfg: RunConfig) -> GridStack:
     """The config's dataset as a stack.  Frames that overflow are a fault of
     the section that set them, so they raise a ConfigError naming it."""
-    storm = cfg.data["dataset"] == "storm"
-    grid = cfg.grid()
-    sim = None if storm else cfg.simulation()
-    try:
-        frames = (synthetic_storm_stack(grid, seed=cfg.data["seed"], **cfg.data.get("storm", {}))
-                  if storm else simulate_advection(sim).fields)
-    except ValueError as exc:
-        raise ConfigError(f"config.{'storm' if storm else 'simulation'}: {exc}") from exc
-    return GridStack.from_fields(frames, delta=1.0 if storm else sim.delta,
-                                 units=cfg.data["units"], config_hash=cfg.hash)
+    if cfg.data["dataset"] == "storm":
+        frames = _section("config.storm", synthetic_storm_stack, cfg.grid(),
+                          seed=cfg.data["seed"], **cfg.data.get("storm", {}))
+        return GridStack.from_fields(frames, units=cfg.data["units"])
+    sim = cfg.simulation()
+    frames = _section("config.simulation", simulate_advection, sim).fields
+    return GridStack.from_fields(frames, delta=sim.delta, units=cfg.data["units"])
+
+
+def _frame_pairs(stack: GridStack):
+    """The consecutive frame pairs of ``stack``, over which motion is estimated."""
+    if stack.steps < 2:
+        raise StackError("velocity estimation needs at least 2 frames")
+    return zip(stack.frames[:-1], stack.frames[1:])
 
 
 def _estimated_physics(mcfg: MotionConfig, a: Field, b: Field):
     """Block-matching velocity from frame ``a`` to frame ``b`` and the shear
     diffusivity it implies at the block stride."""
     vel = estimate_velocity(a, b, mcfg)
-    grid = a.grid
-    return vel, diffusivity_from_velocity(vel, mcfg.stride / grid.n1, mcfg.stride / grid.n2)
+    return vel, diffusivity_from_velocity(vel, mcfg.stride / a.grid.n1, mcfg.stride / a.grid.n2)
 
 
 def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, DiffusivityField | None]:
@@ -140,9 +146,7 @@ def _physics(cfg: RunConfig, stack: GridStack) -> tuple[VelocityField, Diffusivi
     if cfg.data["velocity"]["mode"] == "constant":
         vx, vy = cfg.data["velocity"]["value"]
         return VelocityField.constant(stack.grid, vx, vy), None
-    if stack.steps < 2:
-        _fail(2, "velocity estimation needs at least 2 frames")
-    return _estimated_physics(cfg.motion(), stack.frames[0], stack.frames[1])
+    return _estimated_physics(cfg.motion(), *next(_frame_pairs(stack)))
 
 
 def _model_flags(fn):
@@ -172,7 +176,7 @@ def _model_run(command, stack_path, config, out, k, flip, window):
     try:
         spec = ModelSpec(label=label, k=k, flip=flip, window=window)
     except ValueError as exc:
-        _fail(2, str(exc))
+        raise ConfigError(str(exc)) from exc
     return cfg, stack, _Run(command, cfg, out, label), spec
 
 
@@ -184,9 +188,10 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
     :class:`~mirrorspec.evaluate.FittedModel`."""
     steps = stack.steps if steps is None else steps
     if steps > stack.steps:
-        _fail(2, f"--steps {steps} exceeds the {stack.steps} frames of the stack")
-    if noise is None and steps < 3:
-        _fail(2, f"the variance fit needs at least 3 training frames, got {steps}")
+        raise ConfigError(f"--steps {steps} exceeds the {stack.steps} frames of the stack")
+    if noise is None and steps < MIN_FIT_FRAMES:
+        raise ConfigError(f"the variance fit needs at least {MIN_FIT_FRAMES} training frames, "
+                          f"got {steps}")
     velocity, diffusivity = _physics(cfg, stack)
     pipeline = build_pipeline(stack.grid, spec, velocity=velocity, diffusivity=diffusivity,
                               delta=stack.delta)
@@ -213,7 +218,7 @@ def simulate(config, out, seed, steps):
     cfg = _with_steps(_seeded(RunConfig.load(config), seed), steps)
     run = _Run("simulate", cfg, out)
     stack = _generate_dataset(cfg)
-    save_stack(stack, run.path("stack-simulated"))
+    run.save("stack-simulated", stack.frames, delta=stack.delta, units=stack.units)
     run.finish(seed=cfg.data["seed"], steps=stack.steps)
     click.echo(f"wrote {stack.steps} frames under {run.outputs[0]}")
 
@@ -229,11 +234,8 @@ def flip(stack_path, config, out):
     stack = load_stack(stack_path)
     run = _Run("flip", cfg, out)
     variant = cfg.flip_variant()
-    flipped = GridStack.from_fields(
-        [flip_field(f, variant) for f in stack.frames],
-        delta=stack.delta, units=stack.units, config_hash=cfg.hash,
-    )
-    save_stack(flipped, run.path("stack-flipped"))
+    run.save("stack-flipped", [flip_field(f, variant) for f in stack.frames],
+             delta=stack.delta, units=stack.units)
     run.finish()
     click.echo(f"wrote flipped stack under {run.outputs[0]}")
 
@@ -249,24 +251,14 @@ def velocity(stack_path, config, out):
     cfg = RunConfig.load(config)
     mcfg = cfg.motion()
     stack = load_stack(stack_path)
-    if stack.steps < 2:
-        _fail(2, "velocity estimation needs at least 2 frames")
+    pairs = _frame_pairs(stack)
     run = _Run("velocity", cfg, out)
-    # per frame pair only what is written: vx, vy, d and the top speed
-    vx, vy, d, speeds = [], [], [], []
-    for a, b in zip(stack.frames[:-1], stack.frames[1:]):
-        vel, dif = _estimated_physics(mcfg, a, b)
-        vx.append(vel.vx)
-        vy.append(vel.vy)
-        d.append(dif.d)
-        speeds.append(float(vel.speed().max()))
-    meta = dict(delta=stack.delta, config_hash=cfg.hash)
-    for values, units, name in ((vx, "domain/step", "stack-velocity-x"),
-                                (vy, "domain/step", "stack-velocity-y"),
-                                (d, "domain^2/step", "stack-diffusivity")):
-        save_stack(GridStack.from_fields([Field(stack.grid, v) for v in values],
-                                         units=units, **meta), run.path(name))
-    run.finish(max_speed=max(speeds))
+    physics = [_estimated_physics(mcfg, a, b) for a, b in pairs]
+    for stem, units, values in (("stack-velocity-x", "domain/step", [v.vx for v, _ in physics]),
+                                ("stack-velocity-y", "domain/step", [v.vy for v, _ in physics]),
+                                ("stack-diffusivity", "domain^2/step", [d.d for _, d in physics])):
+        run.save(stem, [Field(stack.grid, x) for x in values], delta=stack.delta, units=units)
+    run.finish(max_speed=max(float(v.speed().max()) for v, _ in physics))
     click.echo(f"wrote velocity/diffusivity stacks under {out}")
 
 
@@ -283,12 +275,6 @@ def fit(stack_path, config, out, k, use_flip, window, steps):
     click.echo(payload)
 
 
-def _save_fields(run, cfg, stack, stem, fields):
-    """Save a model's fields as a stack with the time step and units of ``stack``."""
-    save_stack(GridStack.from_fields(fields, delta=stack.delta, units=stack.units,
-                                     config_hash=cfg.hash), run.path(stem))
-
-
 @main.command(name="filter")
 @_model_flags
 @_exits_on_error
@@ -297,8 +283,8 @@ def filter_cmd(stack_path, config, out, k, use_flip, window, steps):
     cfg, stack, run, spec = _model_run("filter", stack_path, config, out, k, use_flip, window)
     pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
     means = fitted.result.means_array
-    _save_fields(run, cfg, stack, f"stack-filtered-{spec.label}",
-                 [pipeline.reconstruct(m) for m in means])
+    run.save(f"stack-filtered-{spec.label}", [pipeline.reconstruct(m) for m in means],
+             delta=stack.delta, units=stack.units)
     run.finish(model=spec.label, **fitted.record)
     click.echo(f"filtered {len(means)} frames as model {spec.label}")
 
@@ -312,8 +298,8 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
     cfg, stack, run, spec = _model_run("predict", stack_path, config, out, k, use_flip, window)
     pipeline, fitted = _fitted_model(cfg, stack, spec, steps, cfg.noise())
     means, _ = kf_forecast(fitted.model, fitted.result.final_state, horizon)
-    _save_fields(run, cfg, stack, f"stack-predicted-{spec.label}",
-                 [pipeline.reconstruct(m) for m in means])
+    run.save(f"stack-predicted-{spec.label}", [pipeline.reconstruct(m) for m in means],
+             delta=stack.delta, units=stack.units)
     run.finish(model=spec.label, horizon=horizon, **fitted.record)
     click.echo(f"wrote {horizon} forecast frames for model {spec.label}")
 
@@ -329,26 +315,25 @@ def predict(stack_path, config, out, k, use_flip, window, steps, horizon):
 def evaluate(stack_path, config, out, seed, region):
     """Run the multi-model comparison and write the MAE report CSV."""
     if stack_path and seed is not None:
-        _fail(2, "--seed seeds the data evaluate simulates; it cannot apply to STACK_PATH")
+        raise ConfigError("--seed seeds the data evaluate simulates; it cannot apply to "
+                          "STACK_PATH")
     cfg = _seeded(RunConfig.load(config), seed)
     run = _Run("evaluate", cfg, out)
     specs = cfg.model_specs()
     regions = cfg.regions()
     if region is not None:
         if "cli" in regions:
-            _fail(2, "--region adds the region 'cli', which config.regions already names")
+            raise ConfigError("--region adds the region 'cli', which config.regions "
+                              "already names")
         try:
             x0, x1, y0, y1 = (float(v) for v in region.split(","))
             regions["cli"] = Region((x0, x1), (y0, y1))
         except ValueError as exc:
-            _fail(2, f"--region must be x0,x1,y0,y1 within [0,1): {exc}")
+            raise ConfigError(f"--region must be x0,x1,y0,y1 within [0,1): {exc}") from exc
     stack = load_stack(stack_path) if stack_path else _generate_dataset(cfg)
     comp, noise = cfg.data["comparison"], cfg.noise()
-    try:
-        check_comparison(specs, stack.steps, comp["train_steps"], comp["eval_times"],
-                         noise is None, regions, stack.grid)
-    except ValueError as exc:
-        _fail(2, f"config.comparison: {exc}")
+    _section("config.comparison", check_comparison, specs, stack.steps, comp["train_steps"],
+             comp["eval_times"], noise is None, regions, stack.grid)
     velocity, diffusivity = _physics(cfg, stack)
     report = run_comparison(
         stack.frames, specs,
@@ -384,7 +369,7 @@ def render(stack_path, config, out, frame, scale):
     cfg = RunConfig.load(config)
     stack = load_stack(stack_path)
     if not 0 <= frame < stack.steps:
-        _fail(2, f"frame {frame} out of range [0, {stack.steps})")
+        raise ConfigError(f"frame {frame} out of range [0, {stack.steps})")
     digest = hashlib.sha256(f"{stack.grid.n1}x{stack.grid.n2}".encode())
     for f in stack.frames:
         digest.update(f.values.tobytes())
@@ -393,16 +378,14 @@ def render(stack_path, config, out, frame, scale):
     if scale is not None:
         try:
             lo, hi = (float(v) for v in scale.split(","))
-        except ValueError:
-            _fail(2, "--scale must be min,max")
+        except ValueError as exc:
+            raise ConfigError("--scale must be min,max") from exc
         bounds = (lo, hi)
     else:
         cfg_scale = cfg.data["render"]["scale"]
         bounds = None if cfg_scale == "auto" else tuple(cfg_scale)
-    try:
-        render_heatmap(stack.frames[frame], run.path(f"frame-{frame:04d}-{tag}", ".pgm"), bounds)
-    except ValueError as exc:
-        _fail(2, f"--scale: {exc}")
+    _section("--scale", render_heatmap, stack.frames[frame],
+             run.path(f"frame-{frame:04d}-{tag}", ".pgm"), bounds)
     run.finish(frame=frame, stack=str(Path(stack_path).resolve()))
     click.echo(f"rendered frame {frame} to {run.outputs[0]}")
 
@@ -417,17 +400,11 @@ def convert_rain(stack_path, config, out):
     cfg = RunConfig.load(config)
     stack = load_stack(stack_path)
     if stack.units != "dBZ":
-        _fail(2, f"expected a dBZ stack, manifest says units={stack.units!r}")
+        raise StackError(f"expected a dBZ stack, manifest says units={stack.units!r}")
     run = _Run("convert-rain", cfg, out)
-    frames = []
-    for i, f in enumerate(stack.frames):
-        try:
-            frames.append(reflectivity_to_rain(f))
-        except ValueError as exc:
-            _fail(2, f"frame {i}: {exc}")
-    rain = GridStack.from_fields(frames, delta=stack.delta, units="mm/hr",
-                                 config_hash=cfg.hash)
-    save_stack(rain, run.path("stack-rain"))
+    run.save("stack-rain", [_section(f"frame {i}", reflectivity_to_rain, f)
+                            for i, f in enumerate(stack.frames)],
+             delta=stack.delta, units="mm/hr")
     run.finish()
     click.echo(f"wrote rain-rate stack under {run.outputs[0]}")
 

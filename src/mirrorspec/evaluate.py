@@ -22,6 +22,7 @@ from .galerkin import DiffusivityField, VelocityField, assemble_transition
 from .grid import Field
 from .kalman import (
     FIT_BUDGET,
+    MIN_FIT_FRAMES,
     FilterResult,
     NoiseParams,
     StateSpaceModel,
@@ -319,7 +320,7 @@ def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
         raise ValueError("models must list at least one model, got none")
     if repeated := _repeated([spec.label for spec in model_specs]):
         raise ValueError(f"model labels must be unique, repeated: {repeated}")
-    low = 3 if fit else 2
+    low = MIN_FIT_FRAMES if fit else 2
     if not low <= train_steps <= n_frames:
         raise ValueError(f"train_steps must be in [{low}, {n_frames}], got {train_steps}")
     if not eval_times or not all(type(t) is int and 0 <= t < n_frames for t in eval_times):

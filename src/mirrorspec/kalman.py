@@ -103,6 +103,7 @@ LOG_RATIO_XATOL = 1e-3
 GRID_POINTS = 33  # points of each grid over log r; the first holds both bounds and r = 1
 FIT_BUDGET = 40  # default cap on a variance fit's filter passes, a grid being one
 MIN_FIT_BUDGET = 3  # the first grid, one refining grid (r to about 7%) and the last pass
+MIN_FIT_FRAMES = 3  # the fewest frames a variance fit takes; the first only starts the filter
 LOG_2PI = math.log(2 * math.pi)
 
 
@@ -649,8 +650,8 @@ def estimate_variances(
     profiled log-likelihood.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    if obs.shape[0] < 3:
-        raise ValueError("variance estimation needs at least 3 time steps")
+    if obs.shape[0] < MIN_FIT_FRAMES:
+        raise ValueError(f"variance estimation needs at least {MIN_FIT_FRAMES} time steps")
     if max_evaluations < MIN_FIT_BUDGET:
         raise ValueError(f"the variance fit needs at least {MIN_FIT_BUDGET} evaluations, "
                          f"got {max_evaluations}")

@@ -360,6 +360,53 @@ def test_convert_rain_rejects_a_reflectivity_without_a_finite_rate(runner, tmp_p
     assert not list(out.glob("stack-rain-*"))
 
 
+# each command that writes stacks, its flags after the input stack, and the
+# stems and units of the stacks it writes
+OUTPUT_STACKS = [
+    ("simulate", [], {"stack-simulated": "dimensionless"}),
+    ("flip", [], {"stack-flipped": "dimensionless"}),
+    ("velocity", [], {"stack-velocity-x": "domain/step", "stack-velocity-y": "domain/step",
+                      "stack-diffusivity": "domain^2/step"}),
+    ("filter", ["--k", "16"], {"stack-filtered-direct16": "dimensionless"}),
+    ("predict", ["--k", "16"], {"stack-predicted-direct16": "dimensionless"}),
+    ("convert-rain", [], {"stack-rain": "mm/hr"}),
+]
+
+
+@pytest.mark.parametrize("command, flags, stems", OUTPUT_STACKS,
+                         ids=[case[0] for case in OUTPUT_STACKS])
+def test_every_output_stack_is_tagged_and_timed_like_its_input(runner, tmp_path, command, flags,
+                                                               stems):
+    # the input's time step is not 1, and the commands run another config than
+    # the one that simulated their input, so no output can take either by default
+    payload = json.loads(json.dumps(SMALL_SIM))
+    payload["simulation"]["delta"] = 0.5
+    sim_cfg = write_config(tmp_path, payload)
+    sim = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--config", sim_cfg, "--out", str(sim)])
+    assert result.exit_code == 0, result.output
+    stack = next(sim.glob("stack-simulated-*"))
+    run_hash, out = RunConfig.load(sim_cfg).hash, sim
+    if command != "simulate":
+        (tmp_path / "run").mkdir()
+        cfg = write_config(tmp_path / "run", {**payload, "seed": 6})
+        sim_hash, run_hash, out = run_hash, RunConfig.load(cfg).hash, tmp_path / "out"
+        assert run_hash != sim_hash
+        if command == "convert-rain":
+            frames = [Field(f.grid, 30.0 + f.values) for f in load_stack(stack).frames]
+            stack = save_stack(GridStack.from_fields(frames, delta=0.5, units="dBZ",
+                                                     config_hash="by-hand"), tmp_path / "dbz")
+        result = runner.invoke(main, [command, str(stack), *flags, "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    for stem, units in stems.items():
+        (written,) = out.glob(f"{stem}-*")
+        manifest = json.loads((written / "manifest.json").read_text())
+        assert written.name == f"{stem}-{run_hash}"
+        assert (manifest["config_hash"], manifest["delta"], manifest["units"]) == (
+            run_hash, 0.5, units), stem
+
+
 STORM_SMALL = {
     "dataset": "storm",
     "units": "dBZ",

@@ -272,9 +272,10 @@ def test_synthesize_rejects_a_vector_of_another_ordering():
 
 def test_synthesize_matches_basis_matrix():
     rng = np.random.default_rng(4)
-    g = GridSpec(6, 8)
-    for k in (1, 9, g.n):
-        ordering = ModeOrdering(g, k)
+    # square and not, truncated and full, down to the 2x2 grid of corners only
+    for shape, k in (((6, 8), 1), ((6, 8), 9), ((6, 8), 48), ((8, 12), None), ((12, 8), 33),
+                     ((6, 4), 7), ((2, 2), None), ((100, 100), 99), ((100, 100), 399)):
+        ordering = ModeOrdering(GridSpec(*shape), k)
         alpha = rng.normal(size=ordering.k)
         f = synthesize(ordering, alpha)
         assert np.allclose(f.values, basis_matrix(ordering) @ alpha, atol=1e-10)
@@ -453,6 +454,21 @@ def test_flip_transfer_equals_the_basis_table_oracle(shape, k):
     h = flip_transfer(g, ordering, star)
     assert h.shape == (star.k, ordering.k)
     assert np.abs(h - dense_flip_transfer(g, ordering, star)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, k, rank", [(16, 49, 48), (24, 49, 48), (50, 49, 48),
+                                        (24, 199, 198), (50, 199, 198), (16, 99, None)])
+def test_flip_transfer_names_a_lost_rank(n, k, rank):
+    # K* = 4K keeps 195 and 795 coefficients for K = 49 and 199 (a budget never
+    # splits a cos/sin pair), one short of a full-rank H; K = 99 keeps enough
+    g = GridSpec(n, n)
+    ordering = ModeOrdering(g, k)
+    star = ModeOrdering(g.doubled(), 4 * k)
+    if rank is None:
+        assert flip_transfer(g, ordering, star).shape == (star.k, ordering.k)
+        return
+    with pytest.raises(ValueError, match=rf"rank {rank} of K = {k} \(star keeps {star.k} "):
+        flip_transfer(g, ordering, star)
 
 
 def test_analyze_grid_mismatch():
