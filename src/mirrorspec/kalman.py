@@ -64,18 +64,18 @@ likelihood of structural time-series models, Durbin & Koopman 2012, 2.10 and
 7.3): with ``sigma2_obs = 0`` every covariance scales with ``sigma2_alpha`` at
 a fixed ``r = sigma2_beta / sigma2_alpha``, leaving a 1-D search over ``r``:
 a grid of ``log r`` over the whole search interval, then grids that refine
-around its best point.  A grid of channel parts is one pass along a leading
-axis of their noise and state, and the first grid's profile is part of the
-fit's record, so a run shows whether its fit sits on a peak, a kink or a
-bound.  A first grid without a finite point fails the fit with a
-:class:`FilterError`.
+around its best point.  A grid is one model, the factory's at a
+:class:`NoiseParams` that holds it, so it is a leading axis of every part's
+noise and state, and the first grid's profile is part of the fit's record: a
+run shows whether its fit sits on a peak, a kink or a bound.  A first grid
+without a finite point fails the fit with a :class:`FilterError`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,18 +113,20 @@ class FilterError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Process and observation noise variances, all finite."""
+    """Process and observation noise variances, all finite; a field may be
+    an array, a grid of noise whose every element is checked."""
 
     sigma2_alpha: float
     sigma2_beta: float
     sigma2_obs: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma2_alpha", "sigma2_beta"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0 <= self.sigma2_obs < np.inf:
-            raise ValueError(f"sigma2_obs must be finite and non-negative, got {self.sigma2_obs}")
+        for name, sign, low in (("sigma2_alpha", "positive", np.greater),
+                                ("sigma2_beta", "positive", np.greater),
+                                ("sigma2_obs", "non-negative", np.greater_equal)):
+            value = getattr(self, name)
+            if not np.all(low(value, 0) & np.less(value, np.inf)):
+                raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,8 @@ class Block:
 
     ``phi`` is their ``m x m`` one-step transition; ``v``, ``w_alpha`` and
     ``w_beta`` are the noise variances of each coefficient, so the noise
-    covariances are ``v I``, ``w_alpha I`` and ``w_beta I``.
+    covariances are ``v I``, ``w_alpha I`` and ``w_beta I``, or arrays over
+    a grid of noise (:class:`NoiseParams`).
     """
 
     phi: np.ndarray
@@ -157,16 +160,31 @@ class Block:
         m = len(self.phi)
         return (2 * m,), (2 * m, 2 * m), float
 
-    def _init(self, first_obs: np.ndarray, scale: float):
+    def _init(self, first_obs: np.ndarray, scale):
         m = len(self.phi)
-        return np.concatenate([first_obs[:m], np.zeros(m)]), scale * np.eye(2 * m)
+        return np.concatenate([first_obs[:m], np.zeros(m)]), np.multiply.outer(scale, np.eye(2 * m))
 
     def _filter(self, obs: np.ndarray, mean, cov):
         """One pass over ``obs``: the ``(steps, k)`` alpha and beta means and
         ``(steps - 1, k)`` innovations in ``positions`` order, the per-update
         log-likelihood terms, the whitened sum, the smallest innovation pivot
         and the last state.  Where the Cholesky factorization of an ``S``
-        fails the pass stops, with a NaN pivot and NaN terms from that step."""
+        fails the pass stops, with a NaN pivot and NaN terms from that step.
+        A grid of noise, leading axes of the state and noise, runs point by
+        point; the outputs carry it after the step axis, and the last state
+        is None: keeping each point's would hold a second grid of dense
+        covariances."""
+        noise = (self.v, self.w_alpha, self.w_beta)
+        grid = np.broadcast_shapes(mean.shape[:-1], cov.shape[:-2], *map(np.shape, noise))
+        if grid:
+            mean = np.broadcast_to(mean, grid + mean.shape[-1:])
+            cov = np.broadcast_to(cov, grid + cov.shape[-2:])
+            noise = [np.broadcast_to(x, grid) for x in noise]
+            points = list(zip(*(Block(self.phi, *(x[i] for x in noise))._filter(
+                obs, mean[i], cov[i])[:6] for i in np.ndindex(grid))))
+            # the step axis in front, as a view: a sum over it adds each point's terms pairwise
+            out = [np.moveaxis(np.reshape(x, grid + x[0].shape), len(grid), 0) for x in points[:4]]
+            return *out, np.reshape(points[4], grid), np.reshape(points[5], grid), None
         steps, m = len(obs), len(self.phi)
         y = obs[:, :m]
         means = np.empty((steps, 2 * m))
@@ -206,7 +224,7 @@ class Channels:
     or leakage channels, each holding ``a[index[c]]``.  One step multiplies
     channel ``c`` by ``lam[c]`` (real past the pairs); ``v``, ``w_alpha`` and
     ``w_beta`` are the noise variances of every channel, per real component
-    of a pair.
+    of a pair, or arrays over a grid of noise (:class:`NoiseParams`).
     """
 
     index: np.ndarray
@@ -249,16 +267,16 @@ class Channels:
         n = self.index.size
         return (n, 2), (n, 2, 2), complex
 
-    def _init(self, first_obs: np.ndarray, scale: float):
+    def _init(self, first_obs: np.ndarray, scale):
         n = self.index.size
         mean = np.stack([self._complex(first_obs), np.zeros(n)], axis=1)
-        return mean, np.tile(scale * np.eye(2, dtype=complex), (n, 1, 1))
+        return mean, np.multiply.outer(scale, np.tile(np.eye(2, dtype=complex), (n, 1, 1)))
 
-    def _predict(self, rho2, z, w, p11, p22, p12):
+    def _predict(self, rho2, w_alpha, w_beta, z, w, p11, p22, p12):
         """One step of every channel; ``rho2 = |lam|^2``."""
         lp = self.lam * p12
-        return (self.lam * z + w, w, rho2 * p11 + 2.0 * lp.real + p22 + self.w_alpha,
-                p22 + self.w_beta, lp + p22)
+        return (self.lam * z + w, w, rho2 * p11 + 2.0 * lp.real + p22 + w_alpha,
+                p22 + w_beta, lp + p22)
 
     @staticmethod
     def _unpacked(mean, cov):
@@ -278,7 +296,8 @@ class Channels:
         positive."""
         steps, n, p = len(obs), self.index.size, self.imag.size
         y = self._complex(obs)
-        rho2, v = (self.lam * self.lam.conj()).real, self.v
+        rho2 = (self.lam * self.lam.conj()).real
+        v, w_alpha, w_beta = (np.expand_dims(x, -1) for x in (self.v, self.w_alpha, self.w_beta))
         z, w, p11, p22, p12 = self._unpacked(mean, cov)
         zs, ws = np.empty((steps,) + p11.shape, complex), np.empty((steps,) + p11.shape, complex)
         zs[0], ws[0] = z, w
@@ -286,7 +305,7 @@ class Channels:
         # a breakdown is reported by the pivot; until then it only yields NaN
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for t in range(1, steps):
-                z, w, p11, p22, p12 = self._predict(rho2, z, w, p11, p22, p12)
+                z, w, p11, p22, p12 = self._predict(rho2, w_alpha, w_beta, z, w, p11, p22, p12)
                 s = p11 + v
                 e = y[t] - z
                 inv = 1.0 / s
@@ -309,7 +328,7 @@ class Channels:
         rho2 = (self.lam * self.lam.conj()).real
         zs, ws = np.empty((h, self.index.size), complex), np.empty((h, self.index.size), complex)
         for i in range(h):
-            state = self._predict(rho2, *state)
+            state = self._predict(rho2, self.w_alpha, self.w_beta, *state)
             zs[i], ws[i] = state[:2]
         return self._real(zs), self._real(ws), self._packed(*state)
 
@@ -368,11 +387,12 @@ def default_init(model: StateSpaceModel, first_obs: np.ndarray,
                  noise: NoiseParams) -> list[tuple[np.ndarray, np.ndarray]]:
     """The initial filter state: for each part of ``model.parts``, the mean
     of the first observation and zero forcing, and the covariance
-    ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``."""
+    ``INIT_COV_SCALE * max(sigma2_alpha, sigma2_beta) * I``, behind the axes
+    of a grid of noise."""
     first_obs = np.asarray(first_obs, dtype=float)
     if first_obs.shape != (model.k,):
         raise ValueError(f"first_obs must have length {model.k}, got shape {first_obs.shape}")
-    scale = INIT_COV_SCALE * max(noise.sigma2_alpha, noise.sigma2_beta)
+    scale = INIT_COV_SCALE * np.maximum(noise.sigma2_alpha, noise.sigma2_beta)
     return [p._init(first_obs, scale) for p in model.parts]
 
 
@@ -490,15 +510,9 @@ def kf_filter(model: StateSpaceModel, observations: np.ndarray, state) -> Filter
     if not math.isfinite(loglik):
         raise FilterError(f"the log-likelihood of the filter pass is not finite ({loglik}); "
                           "the observations are likely too large for the model noise")
-    return FilterResult(
-        means_array=means,
-        loglik=loglik,
-        loglik_terms=terms,
-        innovations=innovations,
-        whitened_ss=float(white_ss),
-        min_pivot=float(pivot),
-        final_state=final,
-    )
+    return FilterResult(means_array=means, loglik=loglik, loglik_terms=terms,
+                        innovations=innovations, whitened_ss=float(white_ss),
+                        min_pivot=float(pivot), final_state=final)
 
 
 def kf_forecast(model: StateSpaceModel, state, h: int) -> tuple[np.ndarray, list]:
@@ -559,31 +573,15 @@ class VarianceFit:
 def _grid_pass(model_factory, obs: np.ndarray, log_ratios: np.ndarray):
     """The log-likelihood and the whitened sum of squares of the
     :func:`kf_filter` pass from :func:`default_init` at ``NoiseParams(1, r)``
-    for each ``log r`` of ``log_ratios``; the log-likelihood is NaN where a
-    pivot of the pass is not positive.
-
-    The factory's model and initial state at ``r = 1`` are scaled to each
-    ``r``, ``w_beta`` by ``r`` and the covariance by ``max(1, r)``, as
-    :func:`direct_model` and :func:`default_init` scale them.  A
-    :class:`Channels` part runs the whole grid as one pass, with the grid as
-    a leading axis of ``w_beta`` and of the state; a :class:`Block` runs the
-    points one after another."""
-    unit = NoiseParams(1.0, 1.0)
-    model = model_factory(unit)
-    ratios = np.exp(log_ratios)
-    loglik, white_ss = np.zeros(ratios.size), np.zeros(ratios.size)
-    for part, (mean, cov) in zip(model.parts, default_init(model, obs[0], unit)):
-        if isinstance(part, Channels):
-            grid = replace(part, w_beta=part.w_beta * ratios[:, None])
-            terms, ss, pivot = grid._filter(
-                obs, mean, np.multiply.outer(np.maximum(1.0, ratios), cov))[3:6]
-            terms = terms.sum(0)
-        else:
-            terms, ss, pivot = map(np.array, zip(*(
-                replace(part, w_beta=part.w_beta * r)._filter(obs, mean, max(1.0, r) * cov)[3:6]
-                for r in ratios)))
-            terms = terms.sum(-1)
-        loglik += np.where(pivot > 0, terms, np.nan)
+    for each ``log r`` of ``log_ratios``, NaN where a pivot of the pass is not
+    positive: one pass of the factory's model at the grid's noise, which each
+    part's noise and state carry as a leading axis from :func:`default_init`."""
+    noise = NoiseParams(1.0, np.exp(log_ratios))
+    model = model_factory(noise)
+    loglik, white_ss = np.zeros(log_ratios.size), np.zeros(log_ratios.size)
+    for part, (mean, cov) in zip(model.parts, default_init(model, obs[0], noise)):
+        terms, ss, pivot = part._filter(obs, mean, cov)[3:6]
+        loglik += np.where(pivot > 0, terms.sum(0), np.nan)
         white_ss += ss
     return loglik, white_ss
 
@@ -634,13 +632,13 @@ def estimate_variances(
 
     ``model_factory(params)`` must return a :class:`StateSpaceModel`; every
     pass starts from :func:`default_init` at the first observation.  The fit
-    holds ``sigma2_obs = 0``, and every covariance of the factory's models
-    must scale with ``sigma2_alpha`` at a fixed ``r = sigma2_beta / sigma2_alpha``,
-    while at ``sigma2_alpha = 1`` only ``w_beta`` changes with ``r``, in
-    proportion (:func:`direct_model` and :func:`default_init` do both).  One
-    filter pass at ``NoiseParams(1, r)`` then gives ``Q``, the squared
-    whitened innovations over ``N`` scalars; ``sigma2_alpha = Q / N`` is the
-    best scale at that ``r``, with profiled log-likelihood
+    holds ``sigma2_obs = 0`` and asks two things of the factory: every
+    covariance of its models scales with ``sigma2_alpha`` at a fixed
+    ``r = sigma2_beta / sigma2_alpha``, and it takes a grid of noise, a
+    :class:`NoiseParams` whose fields are arrays (:func:`direct_model` does
+    both).  One filter pass at ``NoiseParams(1, r)`` then gives ``Q``, the
+    squared whitened innovations over ``N`` scalars; ``sigma2_alpha = Q / N``
+    is the best scale at that ``r``, with profiled log-likelihood
     ``loglik + (Q - N log(Q/N) - N) / 2``.  Refining grids over ``log r``
     (:func:`_grid_maximum`, each grid one :func:`_grid_pass`) maximize it; a
     last pass at the fitted noise gives ``result``.  ``max_evaluations`` caps
@@ -674,10 +672,8 @@ def estimate_variances(
                           f"{GRID_POINTS} points of the variance fit's first grid, r from "
                           f"1e-8 to 1e8; the observations are likely too large for the model")
     if not converged:
-        warnings.warn(
-            "variance estimation stopped at its evaluation budget; returning best point seen",
-            RuntimeWarning,
-        )
+        warnings.warn("variance estimation stopped at its evaluation budget; returning best "
+                      "point seen", RuntimeWarning)
     scale = scales[float(x)]
     params = NoiseParams(scale, scale * float(np.exp(x)))
     model = model_factory(params)

@@ -91,16 +91,15 @@ def _candidate_shifts(radius):
 
 def _winners(scores, scorable):
     """Index of the walk's winner in each row of ``scores`` (candidates in walk
-    order; only ``scorable`` ones compete) and whether the row has one."""
+    order; only ``scorable`` ones compete) and whether the row has one: one
+    walk over the candidates for every row at once."""
     best = np.zeros(len(scores), int)
     found = np.zeros(len(scores), bool)
-    for j, (row, live) in enumerate(zip(scores.tolist(), scorable)):
-        w = None
-        for i in np.flatnonzero(live).tolist():
-            if w is None or row[i] > row[w] + 1e-12:
-                w = i
-        if w is not None:
-            best[j], found[j] = w, True
+    top = np.zeros(len(scores))
+    for i, (score, live) in enumerate(zip(scores.T, scorable.T)):
+        wins = live & (~found | (score > top + 1e-12))
+        best[wins], top[wins] = i, score[wins]
+        found |= wins
     return best, found
 
 

@@ -156,9 +156,11 @@ def synthetic_storm_stack(
     frames = []
     for t in range(steps):
         pix = np.zeros(grid.shape)
-        for b in range(n_blobs):
-            cx, cy = centers[b] + t * vels[b]
-            amp = amps[b] * growth[b] ** t
-            pix += amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigmas[b] ** 2))
+        # cells too bright for a float overflow to inf or NaN, which Field refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(n_blobs):
+                cx, cy = centers[b] + t * vels[b]
+                amp = amps[b] * growth[b] ** t
+                pix += amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigmas[b] ** 2))
         frames.append(Field.from_pixels(grid, pix))
     return frames

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,12 +291,22 @@ def test_filter_breakdown_raises_diagnostic():
 
 
 @pytest.mark.parametrize("field", ["sigma2_alpha", "sigma2_beta", "sigma2_obs"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), np.array([1e-3, float("nan"), 1e-3]), np.array([1e-3, -1e-3]),
+], ids=["nan", "inf", "grid-nan", "grid-negative"])
 def test_noise_params_must_be_finite(field, value):
     # a NaN variance would otherwise reach the filter and turn every filtered
-    # mean, covariance and log-likelihood into NaN without an error
+    # mean, covariance and log-likelihood into NaN without an error; a grid of
+    # noise is checked element by element
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         NoiseParams(**{"sigma2_alpha": 1e-3, "sigma2_beta": 1e-3, field: value})
+
+
+@pytest.mark.parametrize("field", ["sigma2_alpha", "sigma2_beta"])
+def test_noise_params_grid_must_be_positive(field):
+    # one zero in a grid of state noise is refused, as a zero scalar is
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        NoiseParams(**{"sigma2_alpha": 1e-3, "sigma2_beta": 1e-3, field: np.array([1e-3, 0.0])})
 
 
 def test_model_rejects_a_transition_that_is_not_square():
@@ -765,28 +776,37 @@ def test_grid_maximum_reaches_scipy_minimize_scalar(case):
     assert func(x) <= want.fun + 1e-9 * scale
 
 
-@pytest.mark.parametrize("physics,parts", [
-    ("channels", [("channels", 10, 1)]),
-    ("mirrored", [("channels", 7, 1), ("channels", 0, 6)]),
-    ("block", [("block", 21)]),
-], ids=["channels", "mirrored", "block"])
-def test_grid_pass_equals_a_filter_pass_at_each_ratio(physics, parts):
+@pytest.mark.parametrize("physics,parts,obs_noise", [
+    ("channels", [("channels", 10, 1)], False),
+    ("mirrored", [("channels", 7, 1), ("channels", 0, 6)], False),
+    ("block", [("block", 21)], False),
+    ("channels", [("channels", 10, 1)], True),
+    ("mirrored", [("channels", 7, 1), ("channels", 0, 6)], True),
+    ("block", [("block", 21)], True),
+], ids=["channels", "mirrored", "block", "channels-obs", "mirrored-obs", "block-obs"])
+def test_grid_pass_equals_a_filter_pass_at_each_ratio(physics, parts, obs_noise):
     # the fit's first grid: channel parts run it as one pass along a leading
     # axis, a dense block point by point; each point must equal a kf_filter
-    # pass from default_init at NoiseParams(1, r)
+    # pass from default_init at NoiseParams(1, r), whatever noise rule the
+    # factory applies (the -obs cases add sigma2_obs = sigma2_beta / 2, which
+    # also scales with sigma2_alpha at a fixed r)
     cfg = SimulationConfig(grid=GridSpec(16, 16), steps=12, noise_alpha=0.005,
                            noise_beta=0.001, noise_modes=33, seed=24)
     g = cfg.grid
     spec = ModelSpec("flip64", k=64, flip=True) if physics == "mirrored" else ModelSpec("d", k=21)
     dif = variable_diffusivity(g) if physics == "block" else None
     pipeline = build_pipeline(g, spec, velocity=cfg.velocity, diffusivity=dif)
-    assert layout(pipeline.factory(NoiseParams(1.0, 1.0))) == parts
+    factory = pipeline.factory
+    if obs_noise:
+        def factory(params):
+            return pipeline.factory(replace(params, sigma2_obs=params.sigma2_beta / 2))
+    assert layout(factory(NoiseParams(1.0, 1.0))) == parts
     obs = pipeline.observations(simulate_advection(cfg).fields)
     log_ratios = np.linspace(*LOG_RATIO_BOUNDS, GRID_POINTS)
-    loglik, white_ss = kalman._grid_pass(pipeline.factory, obs, log_ratios)
+    loglik, white_ss = kalman._grid_pass(factory, obs, log_ratios)
     for x, ll, q in zip(log_ratios, loglik, white_ss):
         params = NoiseParams(1.0, float(np.exp(x)))
-        model = pipeline.factory(params)
+        model = factory(params)
         want = kf_filter(model, obs, default_init(model, obs[0], params))
         assert ll == pytest.approx(want.loglik, rel=1e-12, abs=0), x
         assert q == pytest.approx(want.whitened_ss, rel=1e-12, abs=0), x
