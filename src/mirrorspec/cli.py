@@ -193,8 +193,8 @@ def _fitted_model(cfg: RunConfig, stack: GridStack, spec: ModelSpec, steps,
         raise ConfigError(f"the variance fit needs at least {MIN_FIT_FRAMES} training frames, "
                           f"got {steps}")
     velocity, diffusivity = _physics(cfg, stack)
-    pipeline = build_pipeline(stack.grid, spec, velocity=velocity, diffusivity=diffusivity,
-                              delta=stack.delta)
+    pipeline = _section(f"model {spec.label!r}", build_pipeline, stack.grid, spec,
+                        velocity=velocity, diffusivity=diffusivity, delta=stack.delta)
     return pipeline, fit_and_filter(pipeline, pipeline.observations(stack.frames[:steps]),
                                     noise, fit_budget=cfg.data["fit"]["budget"])
 

@@ -132,6 +132,12 @@ def _check_pair(value, path: str, expected: str = "two finite numbers") -> None:
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
+def _check_csv_field(value: str, path: str) -> None:
+    """Refuse a model label or region name that would shift or split the report CSV's rows."""
+    if set(value) & set(",\r\n"):
+        raise ConfigError(f"{path}: must hold no comma or line break, got {value!r}")
+
+
 def _section(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, the object of the section at ``path``
     (``config.<section>``); a ValueError or TypeError it raises becomes the
@@ -163,6 +169,7 @@ class RunConfig:
         if not isinstance(regions, dict):
             raise ConfigError("config.regions: expected an object")
         for name, spec in regions.items():
+            _check_csv_field(name, f"config.regions.{name}")
             if not isinstance(spec, dict) or set(spec) != {"x_range", "y_range"}:
                 raise ConfigError(f"config.regions.{name}: need exactly x_range and y_range")
             for key in spec:
@@ -255,10 +262,7 @@ class RunConfig:
             missing = sorted({"label", "k"} - set(m))
             if missing:
                 raise ConfigError(f"{path}: missing {', '.join(missing)}")
-            # a comma or line break in a label would shift the columns of the report CSV
-            if set(m["label"]) & set(",\r\n"):
-                raise ConfigError(f"{path}.label: must hold no comma or line break, "
-                                  f"got {m['label']!r}")
+            _check_csv_field(m["label"], f"{path}.label")
             specs.append(_section(path, ModelSpec, **m))
         return specs
 

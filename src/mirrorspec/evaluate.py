@@ -220,7 +220,7 @@ def build_pipeline(
     Fourier coefficients ``z`` of the band, which the original dynamics run
     on (the conjugation ``H_S P pinv(H_S)`` is ``P`` on ``z``), and the
     ``dim S - K`` leakage channels off ``range(H_S)``; a state maps back to
-    the band by ``T``.
+    the band by ``T``; a band that cannot hold the K modes raises ValueError.
 
     A model of constant coefficients (equal velocity samples and equal
     diffusivity samples) gets its transition in closed form as
@@ -314,8 +314,8 @@ def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
                      fit: bool, regions: dict[str, Region], grid) -> None:
     """Raise ValueError naming the bad argument unless there is a model, the
     model labels and the evaluation times are distinct, every region holds a
-    point of ``grid`` and a dataset of ``n_frames`` frames can score this
-    comparison (``fit``: noise fitted)."""
+    point of ``grid``, every mirrored band holds its K modes and a dataset of
+    ``n_frames`` frames can score this comparison (``fit``: noise fitted)."""
     if not model_specs:
         raise ValueError("models must list at least one model, got none")
     if repeated := _repeated([spec.label for spec in model_specs]):
@@ -332,6 +332,11 @@ def check_comparison(model_specs, n_frames: int, train_steps: int, eval_times,
         if not region.mask(grid).any():
             raise ValueError(f"region {name!r} holds no point of the "
                              f"{grid.n1} x {grid.n2} grid")
+    for spec in (s for s in model_specs if s.flip):
+        try:
+            MirrorBand(grid, spec.k).transfer(ModeOrdering(grid, spec.k // K_STAR_FACTOR))
+        except ValueError as exc:
+            raise ValueError(f"model {spec.label!r}: {exc}") from exc
 
 
 def run_comparison(

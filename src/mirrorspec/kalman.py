@@ -74,7 +74,6 @@ without a finite point fails the fit with a :class:`FilterError`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -643,7 +642,7 @@ def estimate_variances(
     (:func:`_grid_maximum`, each grid one :func:`_grid_pass`) maximize it; a
     last pass at the fitted noise gives ``result``.  ``max_evaluations`` caps
     the passes, a grid being one and that last one included; a fit stopped
-    by the cap returns the best point seen, with a warning.  Raises
+    by the cap returns the best point seen, with ``converged`` false.  Raises
     :class:`FilterError` when no point of the first grid has a finite
     profiled log-likelihood.
     """
@@ -671,9 +670,6 @@ def estimate_variances(
         raise FilterError(f"the profiled log-likelihood is not finite at any of the "
                           f"{GRID_POINTS} points of the variance fit's first grid, r from "
                           f"1e-8 to 1e8; the observations are likely too large for the model")
-    if not converged:
-        warnings.warn("variance estimation stopped at its evaluation budget; returning best "
-                      "point seen", RuntimeWarning)
     scale = scales[float(x)]
     params = NoiseParams(scale, scale * float(np.exp(x)))
     model = model_factory(params)

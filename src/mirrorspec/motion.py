@@ -33,7 +33,6 @@ taken as the isotropic diffusivity ``D = d I``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +197,8 @@ def _linear_matrix(coords: np.ndarray, m: int) -> np.ndarray:
 
 
 def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = MotionConfig()) -> VelocityField:
-    """Velocity field (domain lengths per step) carrying frame_a onto frame_b.
+    """Velocity field (domain lengths per step) carrying frame_a onto frame_b;
+    a flat frame, or a pair with no block to match, gives the zero field.
 
     The block vectors form a small grid (13 x 13 blocks on a 100 x 100
     frame), so the smoothing and the bilinear interpolation to every pixel
@@ -208,26 +208,15 @@ def estimate_velocity(frame_a: Field, frame_b: Field, cfg: MotionConfig = Motion
     if frame_a.grid != frame_b.grid:
         raise ValueError("frames must share a grid")
     grid = frame_a.grid
-    a, b = frame_a.pixels(), frame_b.pixels()
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        warnings.warn("degenerate (constant) frame; returning zero velocity", RuntimeWarning)
-        return VelocityField.zero(grid)
-
     stride = cfg.stride
-    disp_y, disp_x, valid = _block_displacements(a, b, cfg)
+    disp_y, disp_x, valid = _block_displacements(frame_a.pixels(), frame_b.pixels(), cfg)
     vy_blk = disp_y / grid.n2
     vx_blk = disp_x / grid.n1
 
-    if not valid.any():
-        warnings.warn("no block passed the energy threshold; returning zero velocity",
-                      RuntimeWarning)
-        return VelocityField.zero(grid)
-
-    # low-energy blocks inherit the smoothed neighborhood vector
-    # (normalized convolution over the valid blocks)
+    # blocks without a match (vector 0) take the normalized convolution of the valid ones
     weight = _smooth(valid.astype(float), 1.0)
     for comp in (vx_blk, vy_blk):
-        filled = _smooth(np.where(valid, comp, 0.0), 1.0)
+        filled = _smooth(comp, 1.0)
         comp[~valid] = (filled / np.maximum(weight, 1e-12))[~valid]
 
     sigma_blocks = cfg.smooth_sigma / stride

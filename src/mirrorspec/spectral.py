@@ -226,7 +226,8 @@ class MirrorBand:
         sum of two products of the 1-D projections ``C_x @ cos|sin(a_x)`` and
         ``C_y @ cos|sin(a_y)``: the same sums in another order, exact up to
         rounding.  That costs ``O((|C_x| n1 + |C_y| n2) K + dim S K)`` with no
-        ``n x K`` basis table.
+        ``n x K`` basis table.  A ValueError names the rank found when ``H_S``
+        loses column rank (``k_star`` 196 among others): the band cannot hold the K modes.
         """
         if ordering.grid != self.grid:
             raise ValueError("ordering is not defined on the band's grid")
@@ -235,7 +236,11 @@ class MirrorBand:
         cx, sx = (self._dct_x @ np.cos(ax))[self._ix], (self._dct_x @ np.sin(ax))[self._ix]
         cy, sy = (self._dct_y @ np.cos(ay))[self._iy], (self._dct_y @ np.sin(ay))[self._iy]
         h = np.where(ordering.is_sin, sx * cy + cx * sy, cx * cy - sx * sy)
-        return h * self.scale[:, None] * ordering.weight
+        h = h * self.scale[:, None] * ordering.weight
+        if (rank := np.linalg.matrix_rank(h)) < ordering.k:
+            raise ValueError(f"band transfer lost column rank: rank {rank} of K = {ordering.k} "
+                             f"(the band holds {self.k} coordinates)")
+        return h
 
     def reconstruct(self, coeffs: np.ndarray) -> Field:
         m = np.zeros((len(self._dct_x), len(self._dct_y)))

@@ -149,6 +149,13 @@ def test_bad_config_exits_2(runner, tmp_path):
         (("simulate", "evaluate"), {"regions": {"a": ["x_range", "y_range"]}},
          "config.regions.a: need exactly x_range and y_range"),
         (("simulate", "evaluate"), {"regions": ["whole"]}, "config.regions: expected an object"),
+        # the report CSV writes region names raw, as it writes model labels
+        (("simulate", "evaluate"), {"regions": {"top,strip": {"x_range": [0, 0.5],
+                                                              "y_range": [0, 0.5]}}},
+         "config.regions.top,strip: must hold no comma or line break, got 'top,strip'"),
+        (("simulate", "evaluate"), {"regions": {"a\nb": {"x_range": [0, 0.5],
+                                                         "y_range": [0, 0.5]}}},
+         "config.regions.a\nb: must hold no comma or line break, got 'a\\nb'"),
         # sections that these commands never read are checked all the same
         (("simulate", "flip", "render", "convert-rain"), {"motion": {"block": 2}},
          "config.motion: block must be >= 4 pixels"),
@@ -709,6 +716,34 @@ def test_evaluate_rejects_too_small_k(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "config.comparison.models[0]: model 'direct0': k must be at least 1" in result.output
     assert not list(out.glob("report-*.csv"))
+
+
+@pytest.mark.parametrize("k_star, k", [(196, 49), (300, 75), (784, 195)],
+                         ids=["196", "300", "784"])
+@pytest.mark.parametrize("command", ["evaluate", "fit", "filter", "predict"])
+def test_a_band_that_cannot_hold_its_modes_exits_2(runner, tmp_path, monkeypatch,
+                                                   command, k_star, k):
+    # the band of these k* loses rank on its K = k* // 4 modes: each command
+    # refuses the model, naming it, before it fits or filters any model
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr("mirrorspec.cli.fit_and_filter", no_fit)
+    monkeypatch.setattr("mirrorspec.evaluate.fit_and_filter", no_fit)
+    payload = json.loads(json.dumps(FIT_SIM))
+    payload["comparison"]["models"].append({"label": f"flip{k_star}", "k": k_star, "flip": True})
+    cfg = write_config(tmp_path, payload)
+    sim = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out", str(sim)]).exit_code == 0
+    stack = str(next(sim.glob("stack-simulated-*")))
+    flags = [] if command == "evaluate" else ["--k", str(k_star), "--flip", "true"]
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, stack, "--config", cfg, "--out", str(out), *flags])
+    assert result.exit_code == 2, result.output
+    assert re.search(f"model 'flip{k_star}': band transfer lost column rank: rank [0-9]+ of "
+                     f"K = {k} ", result.output), result.output
+    assert "Traceback" not in result.output
+    assert not list(out.glob("*"))
 
 
 def test_fit_diagnostics_reach_the_run_logs(runner, tmp_path):

@@ -14,7 +14,7 @@ from mirrorspec.grid import Field, GridSpec
 from mirrorspec.kalman import NoiseParams, default_init, kf_filter
 from mirrorspec.simulate import SimulationConfig, simulate_advection
 from mirrorspec.spectral import MirrorBand, ModeOrdering, analyze, synthesize
-from oracles import joined, split
+from oracles import band_analysis, basis_matrix, joined, split
 
 
 def test_mae_trivial_cases():
@@ -215,3 +215,24 @@ def test_band_coordinates_inverse_from_the_qr_factors(k_star):
     assert np.abs(t[:, :h.shape[1]] - h).max() == 0
     assert np.abs(t_inv @ t - np.eye(len(t))).max() <= 1e-12
     assert np.abs(t_inv - np.linalg.inv(t)).max() <= 1e-12
+
+
+def test_build_pipeline_refuses_exactly_the_bands_that_lose_rank():
+    # K = k* // 4 modes need a band transfer of rank K; the rank is taken from
+    # the dense band and basis oracles, and 196 and 300 are among the k* whose
+    # band loses it
+    g = GridSpec(24, 24)
+    refused = []
+    for k_star in range(4, 401):
+        band, ordering = MirrorBand(g, k_star), ModeOrdering(g, k_star // 4)
+        rank = np.linalg.matrix_rank(band_analysis(band) @ basis_matrix(ordering))
+        try:
+            build_pipeline(g, ModelSpec(f"flip{k_star}", k_star, flip=True))
+        except ValueError as exc:
+            assert rank < ordering.k, k_star
+            assert str(exc) == (f"band transfer lost column rank: rank {rank} of "
+                                f"K = {ordering.k} (the band holds {band.k} coordinates)")
+            refused.append(k_star)
+        else:
+            assert rank == ordering.k, k_star
+    assert {196, 300} <= set(refused)

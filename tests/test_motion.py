@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,12 +40,28 @@ def test_identical_frames_give_zero():
     assert np.abs(vel.vy).max() == 0.0
 
 
-def test_constant_frame_warns_and_returns_zero():
+def _flat_pair(case, g):
+    # 766.53806012 is a constant whose 16x16 patches do not centre to exact zeros
+    flat = Field(g, np.full(g.n, 766.53806012))
+    quiet = Field.from_pixels(g, 1e-3 * np.random.default_rng(4).standard_normal(g.shape))
+    return {"flat-first": (flat, blobs_frame(g)), "flat-second": (blobs_frame(g), flat),
+            "flat-both": (flat, flat), "quiet-identical": (quiet, quiet)}[case]
+
+
+@pytest.mark.parametrize("cfg", [MotionConfig(), MotionConfig(min_block_energy=0),
+                                 MotionConfig(smooth_sigma=0)],
+                         ids=["default", "no-energy-floor", "no-smoothing"])
+@pytest.mark.parametrize("case", ["flat-first", "flat-second", "flat-both", "quiet-identical"])
+def test_a_flat_or_unmatchable_pair_gives_the_zero_field(case, cfg):
+    # no early return and no warning: the matcher's own path leaves every
+    # block vector zero, so the field is VelocityField.zero to the byte
     g = GridSpec(32, 32)
-    a = Field(g, np.full(g.n, 3.0))
-    with pytest.warns(RuntimeWarning):
-        vel = estimate_velocity(a, a)
-    assert not vel.vx.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vel = estimate_velocity(*_flat_pair(case, g), cfg)
+    zero = VelocityField.zero(g)
+    assert vel.vx.tobytes() == zero.vx.tobytes()
+    assert vel.vy.tobytes() == zero.vy.tobytes()
 
 
 def test_translation_consistency():
